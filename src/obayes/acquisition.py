@@ -17,9 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .models import PosteriorEnsemble, forward_log_probs
+from .models import PosteriorEnsemble, forward_log_probs, observed_log_likelihood
 from .numerics import RngStream, log_sum_exp_axis
-from .predictive import ENUMERATION_LIMIT, joint_entropy_exact, joint_entropy_mc
+from .predictive import (
+    ENUMERATION_LIMIT,
+    entropy_rows,
+    joint_entropy_exact,
+    joint_entropy_mc,
+    marginal_log_probs,
+    mixture_log_probs,
+)
 
 STRATEGIES = ("random", "bald", "batch_bald", "epig", "active_sampling")
 
@@ -111,45 +118,13 @@ class AcquisitionSequence:
                                    origin=manifest.get("origin", ""))
 
 
-def _entropy_rows(log_rows: np.ndarray) -> np.ndarray:
-    """Entropy along the last axis of normalized log-prob rows."""
-    finite = np.isfinite(log_rows)
-    contrib = np.zeros_like(log_rows)
-    contrib[finite] = np.exp(log_rows[finite]) * log_rows[finite]
-    return -contrib.sum(axis=-1)
-
-
-def _mixture_rows(log_w: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    """Mixture log-prob rows from (S,) weights and (S, N, C) likelihoods."""
-    return log_sum_exp_axis(log_w[:, None, None] + lp, axis=0)
-
-
 def bald_scores(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     """H[Y|x] minus the weighted mean per-sample entropy, per input row."""
     lp = forward_log_probs(ensemble, xs)
     log_w = ensemble.normalized_log_weights()
-    marginal = _entropy_rows(_mixture_rows(log_w, lp))        # (N,)
-    per_sample = _entropy_rows(lp)                            # (S, N)
-    conditional = np.exp(log_w) @ per_sample
+    marginal = entropy_rows(mixture_log_probs(log_w, lp))     # (N,)
+    conditional = np.exp(log_w) @ entropy_rows(lp)            # (S,)@(S, N)
     return marginal - conditional
-
-
-def bald_score(ensemble: PosteriorEnsemble, x) -> float:
-    return float(bald_scores(ensemble, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
-
-
-def _expected_conditional_entropies(ensemble: PosteriorEnsemble, lp) -> np.ndarray:
-    """E_w[H[Y|x,w]] per pool point; lp is the (S, N, C) forward pass."""
-    log_w = ensemble.normalized_log_weights()
-    return np.exp(log_w) @ _entropy_rows(lp)
-
-
-def _joint_entropy_from_per_sample(log_w: np.ndarray,
-                                   per_sample: np.ndarray) -> float:
-    """Entropy given per-sample assignment log-likelihoods (S, A)."""
-    lq = log_sum_exp_axis(log_w[:, None] + per_sample, axis=0)
-    finite = np.isfinite(lq)
-    return float(-np.sum(np.exp(lq[finite]) * lq[finite]))
 
 
 def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
@@ -169,50 +144,53 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
     batch_indices = list(batch_indices)
     if num_classes ** (len(batch_indices) + 1) > enumeration_limit:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
-    cond = _expected_conditional_entropies(ensemble, lp)      # (P,)
+    cond = np.exp(log_w) @ entropy_rows(lp)                   # (P,)
     # Per-sample log-likelihood of every assignment to the current batch.
     per_sample = np.zeros((ensemble.size, 1))
     for idx in batch_indices:
         per_sample = (per_sample[:, :, None] + lp[:, idx, None, :]).reshape(
             ensemble.size, -1)
-    base_joint = _joint_entropy_from_per_sample(log_w, per_sample)
+    base_joint = entropy_rows(mixture_log_probs(log_w, per_sample))
     gains = np.full(pool_xs.shape[0], -np.inf)
     candidates = range(pool_xs.shape[0]) if allowed is None else allowed
     for i in candidates:
         extended = (per_sample[:, :, None] + lp[:, i, None, :]).reshape(
             ensemble.size, -1)
-        joint = _joint_entropy_from_per_sample(log_w, extended)
+        joint = entropy_rows(mixture_log_probs(log_w, extended))
         gains[i] = joint - base_joint - cond[i]
     return gains
 
 
 def batch_bald_greedy(ensemble: PosteriorEnsemble, pool, m: int,
                       allow_reselection: bool = False,
-                      rng: RngStream | None = None,
+                      allowed: np.ndarray | None = None,
                       enumeration_limit: int = ENUMERATION_LIMIT) -> CandidateBatch:
     """Greedy batch maximizing the joint mutual-information objective.
 
     Successive picks condition on the batch's joint predictive, so exact
     duplicates of an already-chosen point lose almost all their score and
-    the batch spreads across distinct originals. rng is accepted for
-    signature compatibility with sampled variants; the exact path ignores it.
+    the batch spreads across distinct originals. `allowed` is a boolean
+    mask over the pool (default: every point); ties go to the lowest index.
     """
-    pool_xs = pool.xs if isinstance(pool, Dataset) else np.asarray(pool)
-    pool_size = np.atleast_2d(pool_xs).shape[0]
+    pool_xs = np.atleast_2d(pool.xs if isinstance(pool, Dataset)
+                            else np.asarray(pool))
+    mask = np.ones(pool_xs.shape[0], dtype=bool) if allowed is None \
+        else np.array(allowed, dtype=bool)
     if m < 1:
         raise ValueError("batch size must be positive")
-    if not allow_reselection and m > pool_size:
+    if not allow_reselection and m > mask.sum():
         raise ValueError("batch larger than pool without reselection")
     chosen: list = []
     scores: list = []
     for _ in range(m):
-        allowed = None if allow_reselection else \
-            [i for i in range(pool_size) if i not in set(chosen)]
-        gains = batch_bald_gains(ensemble, pool_xs, chosen, allowed=allowed,
+        gains = batch_bald_gains(ensemble, pool_xs, chosen,
+                                 allowed=np.flatnonzero(mask),
                                  enumeration_limit=enumeration_limit)
-        pick = int(np.argmax(gains))
+        pick = _masked_argmax(gains, mask)
         chosen.append(pick)
         scores.append(float(gains[pick]))
+        if not allow_reselection:
+            mask[pick] = False
     return CandidateBatch(indices=tuple(chosen), scores=tuple(scores))
 
 
@@ -229,15 +207,15 @@ def epig_scores_singleton(ensemble: PosteriorEnsemble, pool_xs,
     lp_p = forward_log_probs(ensemble, pool_xs)               # (S, P, C)
     lp_e = forward_log_probs(ensemble, eval_xs)               # (S, N, C)
     log_w = ensemble.normalized_log_weights()
-    h_pool = _entropy_rows(_mixture_rows(log_w, lp_p))        # (P,)
-    h_eval = _entropy_rows(_mixture_rows(log_w, lp_e))        # (N,)
+    h_pool = entropy_rows(mixture_log_probs(log_w, lp_p))     # (P,)
+    h_eval = entropy_rows(mixture_log_probs(log_w, lp_e))     # (N,)
     num_eval = eval_xs.shape[0]
     scores = np.empty(pool_xs.shape[0])
     for c in range(pool_xs.shape[0]):
         # (S, N, C, C): candidate label on the last axis.
         pair = lp_e[:, :, :, None] + lp_p[:, c, None, None, :]
-        lq = log_sum_exp_axis(log_w[:, None, None, None] + pair, axis=0)
-        h_pair = _entropy_rows(lq.reshape(num_eval, -1))      # (N,)
+        lq = mixture_log_probs(log_w, pair)                   # (N, C, C)
+        h_pair = entropy_rows(lq.reshape(num_eval, -1))       # (N,)
         scores[c] = float(np.mean(h_eval + h_pool[c] - h_pair))
     return scores
 
@@ -271,45 +249,12 @@ def epig_score(ensemble: PosteriorEnsemble, candidate_xs, eval_xs,
         return float(np.mean(epig_scores_singleton(ensemble, candidate_xs,
                                                    eval_xs)))
     h_cand = entropy_of(candidate_xs, -1)
-    lp_e = forward_log_probs(ensemble, eval_xs)
-    log_w = ensemble.normalized_log_weights()
-    h_eval = _entropy_rows(_mixture_rows(log_w, lp_e))
+    h_eval = entropy_rows(marginal_log_probs(ensemble, eval_xs))
     total = 0.0
     for i in range(eval_xs.shape[0]):
         joint = entropy_of(np.concatenate([eval_xs[i:i + 1], candidate_xs]), i)
         total += float(h_eval[i]) + h_cand - joint
     return total / eval_xs.shape[0]
-
-
-def conditioned_eval_ce(ensemble: PosteriorEnsemble, candidates,
-                        eval_set: Dataset) -> float:
-    """Eval cross-entropy after reweighting on the candidates' labels.
-
-    Returns +inf when the candidate labels are impossible under every
-    sample (the score, its negation, is then -inf and gets flagged).
-    """
-    log_w = ensemble.normalized_log_weights().copy()
-    candidates = tuple(candidates)
-    if candidates:
-        xs = np.stack([np.atleast_1d(np.asarray(ex.x, dtype=np.float64))
-                       for ex in candidates])
-        ys = np.array([int(ex.y) for ex in candidates], dtype=np.int64)
-        lp = forward_log_probs(ensemble, xs)
-        log_w = log_w + lp[:, np.arange(len(candidates)), ys].sum(axis=1)
-        if not np.any(log_w > -np.inf):
-            return float("inf")
-        log_w = log_w - log_sum_exp_axis(log_w[None, :], axis=1)[0]
-    rows = _mixture_rows(log_w, forward_log_probs(ensemble, eval_set.xs))
-    picked = rows[np.arange(len(eval_set)), eval_set.ys]
-    if np.any(np.isneginf(picked)):
-        return float("inf")
-    return float(-picked.mean())
-
-
-def active_sampling_score(ensemble: PosteriorEnsemble, candidates,
-                          eval_set: Dataset) -> float:
-    """Negated conditioned eval CE; maximizing it minimizes the eval loss."""
-    return -conditioned_eval_ce(ensemble, candidates, eval_set)
 
 
 def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
@@ -320,19 +265,16 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
     `conditioned_on` (labels acquired since the last retrain). Collapsed
     candidates score -inf.
     """
-    log_w = ensemble.normalized_log_weights().copy()
-    conditioned_on = tuple(conditioned_on)
-    if conditioned_on:
-        xs = np.stack([np.atleast_1d(np.asarray(ex.x, dtype=np.float64))
-                       for ex in conditioned_on])
-        ys = np.array([int(ex.y) for ex in conditioned_on], dtype=np.int64)
-        lp = forward_log_probs(ensemble, xs)
-        log_w = log_w + lp[:, np.arange(len(conditioned_on)), ys].sum(axis=1)
-        if not np.any(log_w > -np.inf):
-            return np.full(len(pool), -np.inf)
+    log_w = (ensemble.normalized_log_weights()
+             + observed_log_likelihood(ensemble, conditioned_on))
+    if not np.any(log_w > -np.inf):
+        return np.full(len(pool), -np.inf)
     lp_pool = forward_log_probs(ensemble, pool.xs)            # (S, P, C)
     lp_eval = forward_log_probs(ensemble, eval_set.xs)        # (S, N, C)
     cand_w = log_w[:, None] + lp_pool[:, np.arange(len(pool)), pool.ys]
+    # Only the eval labels' mixture probabilities are scored, so mix
+    # their (S, N) column instead of the full table.
+    eval_col = lp_eval[:, np.arange(len(eval_set)), eval_set.ys]
     scores = np.empty(len(pool))
     for c in range(len(pool)):
         w = cand_w[:, c]
@@ -340,8 +282,7 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
             scores[c] = -np.inf
             continue
         w = w - log_sum_exp_axis(w[None, :], axis=1)[0]
-        rows = _mixture_rows(w, lp_eval)
-        picked = rows[np.arange(len(eval_set)), eval_set.ys]
+        picked = mixture_log_probs(w, eval_col)               # (N,)
         scores[c] = -np.inf if np.any(np.isneginf(picked)) else float(picked.mean())
     return scores
 

@@ -130,7 +130,6 @@ class DuplicationSpec:
     """Repeated-pool construction: every example appears `factor` times."""
 
     factor: int
-    allow_reselection: bool = False
 
     def __post_init__(self):
         if self.factor < 1:
@@ -192,7 +191,6 @@ def duplicate_pool(pool: Dataset, spec: DuplicationSpec, rng: RngStream) -> Data
         **pool.provenance,
         "derived": "duplicate_pool",
         "duplication_factor": spec.factor,
-        "allow_reselection": spec.allow_reselection,
         "shuffle_seed": rng.seed,
         "shuffle_stream_id": rng.stream_id,
     }

@@ -13,6 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
+from ..acquisition import STRATEGIES
+
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -75,7 +77,6 @@ class ExperimentConfig:
     acquisition_batch_size: int = 4
     num_batches: int = 10
     seed_train_size: int = 8
-    mc_draws: int = 1024
     seed: int = 0
     out_dir: str = "results"
 
@@ -89,6 +90,8 @@ class ExperimentConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy: {self.strategy}")
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         if self.eval_start < 0:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..acquisition import (
+    _masked_argmax,
     bald_scores,
-    batch_bald_gains,
+    batch_bald_greedy,
     epig_scores_singleton,
     run_acquisition,
     score_pool,
@@ -237,16 +238,8 @@ def _pick_top_k(scores: np.ndarray, allowed: np.ndarray, m: int) -> list:
     picks = []
     mask = allowed.copy()
     for _ in range(m):
-        masked = np.where(mask, scores, -np.inf)
-        if not np.any(masked > -np.inf):
-            remaining = np.flatnonzero(mask)
-            if remaining.size == 0:
-                raise ValueError("pool exhausted")
-            pick = int(remaining[0])
-        else:
-            pick = int(np.argmax(masked))
-        picks.append(pick)
-        mask[pick] = False
+        picks.append(_masked_argmax(scores, mask))
+        mask[picks[-1]] = False
     return picks
 
 
@@ -264,15 +257,8 @@ def _pick_batch(strategy: str, ensemble, pool: Dataset, m: int,
         return _pick_top_k(epig_scores_singleton(ensemble, pool.xs, pool.xs),
                            allowed, m)
     if strategy == "batch_bald":
-        picks: list = []
-        mask = allowed.copy()
-        for _ in range(m):
-            gains = batch_bald_gains(ensemble, pool.xs, picks,
-                                     allowed=np.flatnonzero(mask))
-            pick = int(np.argmax(gains))
-            picks.append(pick)
-            mask[pick] = False
-        return picks
+        return list(batch_bald_greedy(ensemble, pool, m,
+                                      allowed=allowed).indices)
     raise ValueError(f"unknown strategy: {strategy}")
 
 
@@ -373,14 +359,7 @@ def al_with_obi(config: ExperimentConfig) -> list:
         else:
             scores = score_pool(config.strategy, state.as_ensemble(), pool,
                                 eval_set)
-            masked = np.where(allowed, scores, -np.inf)
-            if not np.any(masked > -np.inf):
-                remaining = np.flatnonzero(allowed)
-                if remaining.size == 0:
-                    raise ValueError("pool exhausted")
-                pick = int(remaining[0])
-            else:
-                pick = int(np.argmax(masked))
+            pick = _masked_argmax(scores, allowed)
         allowed[pick] = False
         acquired.append(pick)
         collapsed = False

@@ -15,14 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import PosteriorEnsemble
+from .models import PosteriorEnsemble, forward_log_probs
 from .numerics import RngStream
-from .obi import PosteriorCollapseError, obi_init, obi_observe
 from .predictive import (
+    _BLOCK,
+    ENUMERATION_LIMIT,
+    _assignment_block,
+    entropy_rows,
     joint_entropy_exact,
     joint_entropy_mc,
-    joint_log_prob,
     marginal_log_probs,
+    mixture_log_probs,
 )
 
 
@@ -73,24 +76,6 @@ def accuracy_from_rows(log_prob_rows: np.ndarray, ys) -> float:
     return float((np.argmax(log_prob_rows, axis=1) == ys).mean())
 
 
-def marginal_cross_entropy(predict_fn, eval_set: Dataset) -> float:
-    """Mean -ln predict_fn(x)[y] over the dataset; +inf if any label is
-    assigned zero probability (the caller flags it, no exception)."""
-    if len(eval_set) == 0:
-        raise ValueError("empty reduction")
-    rows = np.stack([np.asarray(predict_fn(x).log_probs)
-                     for x in eval_set.xs])
-    return cross_entropy_from_rows(rows, eval_set.ys)
-
-
-def accuracy(predict_fn, eval_set: Dataset) -> float:
-    if len(eval_set) == 0:
-        raise ValueError("empty reduction")
-    rows = np.stack([np.asarray(predict_fn(x).log_probs)
-                     for x in eval_set.xs])
-    return accuracy_from_rows(rows, eval_set.ys)
-
-
 def ensemble_cross_entropy(ensemble: PosteriorEnsemble, eval_set: Dataset) -> float:
     """Marginal CE of the ensemble predictive, computed in one forward pass."""
     return cross_entropy_from_rows(marginal_log_probs(ensemble, eval_set.xs),
@@ -119,38 +104,33 @@ def joint_cross_entropy_sequence(ensemble: PosteriorEnsemble,
                                  sequence) -> JointCeResult:
     """Sum of sequentially conditioned log losses along the sequence.
 
-    per_step[i] is -ln q(y_i | x_i, first i examples); the total equals
-    -joint_log_prob of the whole sequence by the chain rule. A collapse
-    at step i yields +inf there, finite entries before it, and the step
-    index; later steps are not evaluated.
+    per_step[i] is -ln q(y_i | x_i, first i examples), the difference of
+    consecutive log joints ln q(y_1..y_i), which come from one forward
+    pass over the sequence; the total is -ln q(y_1..y_n), the joint log
+    prob of the whole sequence. A collapse at step i yields +inf there,
+    finite entries before it, and the step index; later steps are not
+    reported.
     """
     sequence = tuple(sequence)
     if not sequence:
         raise ValueError("empty reduction")
-    state = obi_init(ensemble)
-    per_step = []
-    for i, ex in enumerate(sequence):
-        rows = marginal_log_probs(state.as_ensemble(),
-                                  np.atleast_2d(np.asarray(ex.x, dtype=np.float64)))
-        lp = float(rows[0, int(ex.y)])
-        if lp == -np.inf:
-            per_step.append(float("inf"))
-            return JointCeResult(total=float("inf"),
-                                 per_step=tuple(per_step), collapse_index=i)
-        per_step.append(-lp)
-        try:
-            state = obi_observe(state, ex)
-        except PosteriorCollapseError:
-            # The picked label had mass, so some sample survives; only a
-            # defensive guard against inconsistent families lands here.
-            return JointCeResult(total=float("inf"),
-                                 per_step=tuple(per_step), collapse_index=i)
-    return JointCeResult(total=float(sum(per_step)), per_step=tuple(per_step))
-
-
-def _sequence_ce(ensemble: PosteriorEnsemble, xs, ys) -> float:
-    lp = joint_log_prob(ensemble, xs, ys)
-    return float("inf") if lp == -np.inf else -lp
+    xs = np.vstack([ex.x for ex in sequence])
+    ys = np.array([int(ex.y) for ex in sequence], dtype=np.int64)
+    observed = forward_log_probs(ensemble, xs)[:, np.arange(len(ys)), ys]
+    log_joints = mixture_log_probs(ensemble.normalized_log_weights(),
+                                   np.cumsum(observed, axis=1))   # (n,)
+    # After a collapse both log joints are -inf and their difference NaN;
+    # those steps are cut off below.
+    with np.errstate(invalid="ignore"):
+        per_step = -np.diff(log_joints, prepend=0.0)
+    dead = np.flatnonzero(np.isneginf(log_joints))
+    if dead.size:
+        i = int(dead[0])
+        return JointCeResult(total=float("inf"),
+                             per_step=tuple(per_step[:i + 1].tolist()),
+                             collapse_index=i)
+    return JointCeResult(total=float(-log_joints[-1]),
+                         per_step=tuple(per_step.tolist()))
 
 
 def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
@@ -160,30 +140,35 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
 
     Monte Carlo over `trials` sequences drawn with replacement, or exact
     enumeration of all len(data)^n sequences when `exhaustive` (trials is
-    ignored there and the standard error is zero).
+    ignored there and the standard error is zero). Every sequence is a
+    gather from one forward pass over the data.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if len(data) == 0:
         raise ValueError("empty reduction")
+    m = len(data)
     if exhaustive:
-        m = len(data)
-        if m ** n > 10 ** 6:
+        total = m ** n
+        if total > ENUMERATION_LIMIT:
             raise ValueError("enumeration limit exceeded")
-        totals = []
-        for ids in np.ndindex(*([m] * n)):
-            idx = np.array(ids, dtype=np.int64)
-            totals.append(_sequence_ce(ensemble, data.xs[idx], data.ys[idx]))
-        return float(np.mean(totals)), 0.0
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    gen = rng.generator()
-    draws = gen.integers(0, len(data), size=(trials, n))
-    totals = np.array([_sequence_ce(ensemble, data.xs[row], data.ys[row])
-                       for row in draws])
-    est = float(totals.mean())
+        blocks = (_assignment_block(start, min(start + _BLOCK, total), n, m)
+                  for start in range(0, total, _BLOCK))
+    else:
+        if trials < 1:
+            raise ValueError("trials must be positive")
+        draws = rng.generator().integers(0, m, size=(trials, n))
+        blocks = (draws[start:start + _BLOCK]
+                  for start in range(0, trials, _BLOCK))
+    observed = forward_log_probs(ensemble, data.xs)[:, np.arange(m), data.ys]
+    log_w = ensemble.normalized_log_weights()
+    # Rows of a block index sequences into the data; sums are (S, B).
+    totals = -np.concatenate([mixture_log_probs(log_w, observed[:, b].sum(axis=2))
+                              for b in blocks])
+    if exhaustive:
+        return float(totals.mean()), 0.0
     se = 0.0 if trials == 1 else float(totals.std(ddof=1) / np.sqrt(trials))
-    return est, se
+    return float(totals.mean()), se
 
 
 def cross_entropy_rate_estimate(ensemble: PosteriorEnsemble, data: Dataset,
@@ -202,11 +187,9 @@ def cross_entropy_rate_estimate(ensemble: PosteriorEnsemble, data: Dataset,
 
 
 def summed_marginal_entropies(ensemble: PosteriorEnsemble, xs) -> float:
-    rows = marginal_log_probs(ensemble, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
-    finite = np.isfinite(rows)
-    contrib = np.zeros_like(rows)
-    contrib[finite] = np.exp(rows[finite]) * rows[finite]
-    return float(-contrib.sum())
+    rows = marginal_log_probs(ensemble, xs)
+    # One reduction over every (row, class) entry: the summed row entropies.
+    return float(entropy_rows(rows.reshape(-1)))
 
 
 def total_correlation(ensemble: PosteriorEnsemble, xs) -> float:

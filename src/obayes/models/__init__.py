@@ -1,6 +1,6 @@
 """Approximate Bayesian predictors as weighted parameter ensembles."""
 
-from .ensemble import PosteriorEnsemble, forward_log_probs
+from .ensemble import PosteriorEnsemble, forward_log_probs, observed_log_likelihood
 from .grid import GridLikelihood, exact_grid_posterior, grid_family_from_world
 from .mlp import (
     MlpArchitecture,
@@ -16,6 +16,7 @@ from .checkpoint import load_ensemble, save_ensemble
 __all__ = [
     "PosteriorEnsemble",
     "forward_log_probs",
+    "observed_log_likelihood",
     "GridLikelihood",
     "exact_grid_posterior",
     "grid_family_from_world",

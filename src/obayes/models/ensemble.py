@@ -81,3 +81,18 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     if out.shape != (ensemble.size, xs.shape[0], ensemble.num_classes):
         raise ValueError("family returned log-probs of the wrong shape")
     return out
+
+
+def observed_log_likelihood(ensemble: PosteriorEnsemble, examples) -> np.ndarray:
+    """Summed ln p(y | x, sample) of labeled examples, per sample; shape (S,).
+
+    No examples give zeros, so the result can always be added to log
+    weights.
+    """
+    examples = tuple(examples)
+    if not examples:
+        return np.zeros(ensemble.size)
+    xs = np.vstack([ex.x for ex in examples])
+    ys = np.array([int(ex.y) for ex in examples], dtype=np.int64)
+    table = forward_log_probs(ensemble, xs)            # (S, n, C)
+    return table[:, np.arange(len(examples)), ys].sum(axis=1)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numerics import log_sum_exp_axis
-from .ensemble import PosteriorEnsemble
+from ..numerics import log_sum_exp_axis, normalize_log_weights
+from .ensemble import PosteriorEnsemble, observed_log_likelihood
 
 
 class GridLikelihood:
@@ -92,20 +92,11 @@ def exact_grid_posterior(family: GridLikelihood, prior_log_weights,
     prior = np.asarray(prior_log_weights, dtype=np.float64)
     if prior.shape != (family.num_hypotheses,):
         raise ValueError("one prior log weight per hypothesis required")
-    log_w = prior.copy()
-    observed = list(observed)
-    if observed:
-        xs = np.stack([np.atleast_1d(np.asarray(ex.x, dtype=np.float64))
-                       for ex in observed])
-        ys = np.array([int(ex.y) for ex in observed])
-        samples = tuple(range(family.num_hypotheses))
-        logp = family.log_probs(samples, xs)           # (K, n, C)
-        log_w = log_w + logp[:, np.arange(len(observed)), ys].sum(axis=1)
+    uniform = family.uniform_ensemble()
+    log_w = prior + observed_log_likelihood(uniform, observed)
     if not np.any(log_w > -np.inf):
         raise ValueError("data impossible under all hypotheses")
-    ensemble = PosteriorEnsemble(samples=tuple(range(family.num_hypotheses)),
-                                 log_weights=log_w, family=family)
-    return ensemble.reweighted(ensemble.normalized_log_weights())
+    return uniform.reweighted(normalize_log_weights(log_w)[0])
 
 
 def grid_family_from_world(world) -> GridLikelihood:

@@ -39,12 +39,18 @@ def log_sum_exp(xs) -> float:
 
 
 def log_sum_exp_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Axis-wise log_sum_exp with the same -inf semantics, for hot loops."""
+    """Axis-wise log_sum_exp with the same -inf semantics, for hot loops.
+
+    NaN or +inf in the input always reaches the reduced output, so only
+    that smaller array is checked.
+    """
     arr = np.asarray(arr, dtype=np.float64)
     m = np.max(arr, axis=axis, keepdims=True)
     m = np.where(np.isneginf(m), 0.0, m)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(np.sum(np.exp(arr - m), axis=axis)) + np.squeeze(m, axis=axis)
+    if not np.all(out < np.inf):
+        raise ValueError("non-finite input")
     return out
 
 

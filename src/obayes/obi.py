@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledExample
-from .models import PosteriorEnsemble, forward_log_probs
+from .models import PosteriorEnsemble, observed_log_likelihood
 from .numerics import effective_sample_size, normalize_log_weights
-from .predictive import CategoricalLogDist, marginal_log_probs
+from .predictive import marginal_log_probs
 
 
 class PosteriorCollapseError(ValueError):
@@ -57,22 +57,13 @@ def obi_init(ensemble: PosteriorEnsemble) -> ObiState:
                     ess=effective_sample_size(w))
 
 
-def _stack_examples(examples) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([np.atleast_1d(np.asarray(ex.x, dtype=np.float64))
-                   for ex in examples])
-    ys = np.array([int(ex.y) for ex in examples], dtype=np.int64)
-    return xs, ys
-
-
 def obi_observe_many(state: ObiState, examples) -> ObiState:
     """Condition on several examples in one reweighting step."""
     examples = tuple(examples)
     if not examples:
         return state
-    xs, ys = _stack_examples(examples)
-    lp = forward_log_probs(state.base, xs)             # (S, n, C)
-    delta = lp[:, np.arange(len(examples)), ys].sum(axis=1)
-    new_weights = state.cumulative_log_weights + delta
+    new_weights = (state.cumulative_log_weights
+                   + observed_log_likelihood(state.base, examples))
     if not np.any(new_weights > -np.inf):
         raise PosteriorCollapseError(
             "posterior collapse: observation impossible under all samples")
@@ -89,11 +80,6 @@ def obi_observe(state: ObiState, example: LabeledExample) -> ObiState:
 def obi_predict_batch(state: ObiState, xs) -> np.ndarray:
     """Log predictive rows under the current weights; shape (N, C)."""
     return marginal_log_probs(state.as_ensemble(), xs)
-
-
-def obi_predict(state: ObiState, x) -> CategoricalLogDist:
-    row = obi_predict_batch(state, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-    return CategoricalLogDist(row)
 
 
 def obi_bootstrap(state: ObiState, subset_size: int, rng) -> ObiState:

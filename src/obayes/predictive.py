@@ -49,9 +49,27 @@ class CategoricalLogDist:
         return np.exp(self.log_probs)
 
     def entropy(self) -> float:
-        lp = self.log_probs
-        finite = np.isfinite(lp)
-        return float(-np.sum(np.exp(lp[finite]) * lp[finite]))
+        return float(entropy_rows(self.log_probs))
+
+
+def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(log_w[j]) p_j over the leading sample axis of a table.
+
+    `log_w` is (S,) and broadcasts over every trailing axis of `table`,
+    so an (S, N, C) likelihood table gives (N, C) mixture rows and an
+    (S, A) table of per-sample assignment log-likelihoods gives (A,).
+    """
+    log_w = np.asarray(log_w)
+    return log_sum_exp_axis(
+        log_w.reshape(log_w.shape + (1,) * (table.ndim - 1)) + table, axis=0)
+
+
+def entropy_rows(log_rows: np.ndarray) -> np.ndarray:
+    """Entropy along the last axis of log-prob rows; -inf entries add 0."""
+    finite = np.isfinite(log_rows)
+    contrib = np.zeros_like(log_rows)
+    contrib[finite] = np.exp(log_rows[finite]) * log_rows[finite]
+    return -contrib.sum(axis=-1)
 
 
 def _as_matrix(xs) -> np.ndarray:
@@ -72,9 +90,8 @@ def _check_assignment(ys, n: int, num_classes: int) -> np.ndarray:
 
 def marginal_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     """Log mixture predictive for each input row; shape (N, C)."""
-    lp = forward_log_probs(ensemble, xs)               # (S, N, C)
-    w = ensemble.normalized_log_weights()
-    return log_sum_exp_axis(w[:, None, None] + lp, axis=0)
+    return mixture_log_probs(ensemble.normalized_log_weights(),
+                             forward_log_probs(ensemble, xs))
 
 
 def marginal_predictive(ensemble: PosteriorEnsemble, x) -> CategoricalLogDist:
@@ -87,12 +104,6 @@ def marginal_entropy(ensemble: PosteriorEnsemble, x) -> float:
     return marginal_predictive(ensemble, x).entropy()
 
 
-def _per_sample_joint(lp: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sum_i log p(y_i|x_i,w_j) per sample j; lp is (S, N, C)."""
-    n = lp.shape[1]
-    return lp[:, np.arange(n), ys].sum(axis=1)
-
-
 def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:
     """Log joint predictive of one label assignment over the inputs."""
     xs = _as_matrix(xs)
@@ -100,9 +111,9 @@ def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:
         raise ValueError("empty reduction")
     lp = forward_log_probs(ensemble, xs)
     ys = _check_assignment(ys, xs.shape[0], ensemble.num_classes)
-    w = ensemble.normalized_log_weights()
-    vals = w + _per_sample_joint(lp, ys)
-    return float(log_sum_exp_axis(vals[None, :], axis=1)[0])
+    per_sample = lp[:, np.arange(xs.shape[0]), ys].sum(axis=1)    # (S,)
+    return float(mixture_log_probs(ensemble.normalized_log_weights(),
+                                   per_sample))
 
 
 def _assignment_block(start: int, stop: int, n: int, num_classes: int) -> np.ndarray:
@@ -110,14 +121,6 @@ def _assignment_block(start: int, stop: int, n: int, num_classes: int) -> np.nda
     ids = np.arange(start, stop, dtype=np.int64)
     powers = num_classes ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return (ids[:, None] // powers) % num_classes
-
-
-def _block_log_probs(lp: np.ndarray, log_w: np.ndarray,
-                     block: np.ndarray) -> np.ndarray:
-    """Log joint predictive for each assignment row in the block."""
-    n = lp.shape[1]
-    per_sample = lp[:, np.arange(n)[None, :], block].sum(axis=2)   # (S, B)
-    return log_sum_exp_axis(log_w[:, None] + per_sample, axis=0)
 
 
 def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
@@ -134,9 +137,9 @@ def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
     acc = 0.0
     for start in range(0, total, _BLOCK):
         block = _assignment_block(start, min(start + _BLOCK, total), n, c)
-        lq = _block_log_probs(lp, log_w, block)
-        finite = np.isfinite(lq)
-        acc += float(-np.sum(np.exp(lq[finite]) * lq[finite]))
+        # Rows of `block` are assignments; per-sample sums are (S, B).
+        lq = mixture_log_probs(log_w, lp[:, np.arange(n), block].sum(axis=2))
+        acc += float(entropy_rows(lq))
     return acc
 
 
@@ -163,7 +166,8 @@ def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
     scores = np.empty(num_draws)
     for start in range(0, num_draws, _BLOCK):
         block = draws[start:start + _BLOCK]
-        scores[start:start + _BLOCK] = _block_log_probs(lp, log_w, block)
+        scores[start:start + _BLOCK] = mixture_log_probs(
+            log_w, lp[:, np.arange(n), block].sum(axis=2))
     values = -scores
     est = float(values.mean())
     se = 0.0 if num_draws == 1 else float(values.std(ddof=1) / np.sqrt(num_draws))

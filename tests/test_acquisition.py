@@ -16,22 +16,20 @@ from obayes.acquisition import (
     AcquisitionSequence,
     AcquisitionStep,
     CandidateBatch,
-    active_sampling_score,
     active_sampling_scores,
-    bald_score,
     bald_scores,
     batch_bald_gains,
     batch_bald_greedy,
-    conditioned_eval_ce,
     epig_score,
     epig_scores_singleton,
     run_acquisition,
     score_pool,
 )
 from obayes.data import Dataset, DuplicationSpec, LabeledExample, duplicate_pool
+from obayes.infometrics import cross_entropy_from_rows
 from obayes.models import GridLikelihood, exact_grid_posterior, grid_family_from_world
 from obayes.numerics import RngStream
-from obayes.obi import obi_init, obi_observe
+from obayes.obi import obi_init, obi_observe, obi_predict_batch
 from obayes.oracle import (
     oracle_bald,
     oracle_batch_objective,
@@ -66,28 +64,39 @@ def ab_pool(ab_family):
     return np.vstack([np.tile(a, (4, 1)), np.tile(b, (4, 1))])
 
 
+def _bald(ensemble, x) -> float:
+    return float(bald_scores(ensemble, np.atleast_2d(x))[0])
+
+
+def _active_sampling(ensemble, example, eval_set) -> float:
+    """Score of one labeled candidate, through the pool-wide scorer."""
+    pool = Dataset(xs=np.atleast_2d(example.x), ys=[example.y],
+                   num_classes=eval_set.num_classes)
+    return float(active_sampling_scores(ensemble, pool, eval_set)[0])
+
+
 class TestBald:
     def test_coin_value(self, coin_ensemble, coin_x):
         hb = [-p * math.log(p) - (1 - p) * math.log(1 - p)
               for p in (0.2, 0.5, 0.8)]
         expect = math.log(2) - sum(hb) / 3
-        assert bald_score(coin_ensemble, coin_x) == pytest.approx(
+        assert _bald(coin_ensemble, coin_x) == pytest.approx(
             expect, abs=1e-12)
 
     def test_matches_oracle(self, coin, coin_ensemble, coin_x):
-        assert bald_score(coin_ensemble, coin_x) == pytest.approx(
+        assert _bald(coin_ensemble, coin_x) == pytest.approx(
             oracle_bald(coin, coin_x), abs=1e-12)
 
     def test_single_sample_zero(self, coin_ensemble, coin_x):
         one = coin_ensemble.take([1])
-        assert bald_score(one, coin_x) == pytest.approx(0.0, abs=1e-12)
+        assert _bald(one, coin_x) == pytest.approx(0.0, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, dropout_16, cluster_data):
         _, evald = cluster_data
         rows = bald_scores(dropout_16, evald.xs[:6])
         for i in range(6):
             assert rows[i] == pytest.approx(
-                bald_score(dropout_16, evald.xs[i]), abs=1e-12)
+                _bald(dropout_16, evald.xs[i]), abs=1e-12)
 
     def test_nonnegative(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -141,6 +150,17 @@ class TestBatchBald:
         with pytest.raises(ValueError, match="batch larger than pool"):
             batch_bald_greedy(coin_ensemble, coin_x[None, :], 2)
 
+    def test_allowed_mask_restricts_picks(self, ab_family, ab_pool):
+        ens = ab_family.uniform_ensemble()
+        allowed = np.ones(len(ab_pool), dtype=bool)
+        allowed[0] = False
+        batch = batch_bald_greedy(ens, ab_pool, 2, allowed=allowed)
+        assert batch.indices == (1, 4)  # lowest allowed A copy, then B
+        assert not allowed[0] and allowed[1]   # caller's mask untouched
+        with pytest.raises(ValueError, match="batch larger than pool"):
+            batch_bald_greedy(ens, ab_pool, 2, allowed=allowed & (
+                np.arange(len(ab_pool)) == 1))
+
     def test_enumeration_limit_error(self, dropout_16, cluster_data):
         _, evald = cluster_data
         with pytest.raises(ValueError, match="use joint_entropy_mc"):
@@ -166,7 +186,7 @@ class TestEpig:
         fam = GridLikelihood(tables, np.eye(3))
         ens = fam.uniform_ensemble()
         flat, b = fam.vocabulary[2], fam.vocabulary[1]
-        assert bald_score(ens, flat) == pytest.approx(0.0, abs=1e-12)
+        assert _bald(ens, flat) == pytest.approx(0.0, abs=1e-12)
         assert epig_score(ens, flat[None, :], b[None, :]) == pytest.approx(
             0.0, abs=1e-10)
 
@@ -210,8 +230,8 @@ class TestActiveSampling:
         # conditioning on (x, y=1) moves p(1) to 0.62 on all-ones eval data
         eval_set = Dataset(xs=np.tile(coin_x, (3, 1)), ys=[1, 1, 1],
                            num_classes=2)
-        cand = [LabeledExample(x=coin_x, y=1)]
-        score = active_sampling_score(coin_ensemble, cand, eval_set)
+        cand = LabeledExample(x=coin_x, y=1)
+        score = _active_sampling(coin_ensemble, cand, eval_set)
         assert score == pytest.approx(math.log(0.62), abs=1e-12)
         baseline = -math.log(2)  # unconditioned eval CE
         assert score > baseline
@@ -219,8 +239,8 @@ class TestActiveSampling:
     def test_harmful_label_scores_below_baseline(self, coin_ensemble, coin_x):
         eval_set = Dataset(xs=np.tile(coin_x, (3, 1)), ys=[1, 1, 1],
                            num_classes=2)
-        cand = [LabeledExample(x=coin_x, y=0)]
-        assert active_sampling_score(coin_ensemble, cand, eval_set) < \
+        cand = LabeledExample(x=coin_x, y=0)
+        assert _active_sampling(coin_ensemble, cand, eval_set) < \
             -math.log(2)
 
     def test_collapse_gives_inf_ce(self):
@@ -228,9 +248,14 @@ class TestActiveSampling:
         fam = GridLikelihood(tables, np.eye(1))
         x = np.ones(1)
         eval_set = Dataset(xs=x[None, :], ys=[0], num_classes=2)
-        ce = conditioned_eval_ce(fam.uniform_ensemble(),
-                                 [LabeledExample(x=x, y=1)], eval_set)
-        assert ce == math.inf
+        impossible = LabeledExample(x=x, y=1)
+        ens = fam.uniform_ensemble()
+        # the candidate's own label collapses it: eval CE +inf, score -inf
+        assert _active_sampling(ens, impossible, eval_set) == -math.inf
+        # so does an impossible label among the conditioned-on picks
+        pool = Dataset(xs=np.tile(x, (2, 1)), ys=[0, 0], num_classes=2)
+        rows = active_sampling_scores(ens, pool, eval_set, [impossible])
+        assert np.all(rows == -math.inf)
 
     def test_batched_scores_match_scalar(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -238,9 +263,11 @@ class TestActiveSampling:
         eval_set = evald.subset(range(5, 15), "eval")
         rows = active_sampling_scores(dropout_16, pool, eval_set)
         for i in range(5):
-            assert rows[i] == pytest.approx(
-                active_sampling_score(dropout_16, [pool.example(i)], eval_set),
-                abs=1e-10)
+            # negated eval CE after reweighting on the candidate's label
+            state = obi_observe(obi_init(dropout_16), pool.example(i))
+            ce = cross_entropy_from_rows(
+                obi_predict_batch(state, eval_set.xs), eval_set.ys)
+            assert rows[i] == pytest.approx(-ce, abs=1e-10)
 
 
 class TestScorePool:

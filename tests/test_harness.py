@@ -79,6 +79,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown model kind"):
             ModelSpec(kind="transformer")
 
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            _tiny_net_config(strategy="nope")
+
     def test_manifest_contains_hash(self):
         cfg = _tiny_net_config()
         manifest = RunManifest.create(cfg, artifacts=("metrics.csv",))
@@ -273,6 +277,19 @@ class TestCli:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_strategy_is_config_error(self, tmp_path, capsys):
+        code = main(["obi-eval", "--strategy", "nope", "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "unknown strategy" in capsys.readouterr().err
+
+    def test_removed_mc_draws_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mc_draws": 1024}))
+        code = main(["obi-eval", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
 
     def test_missing_dataset_is_runtime_failure(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.npz"),

@@ -9,23 +9,30 @@ from obayes.data import Dataset, LabeledExample
 from obayes.infometrics import (
     JointCeResult,
     MetricRecord,
-    accuracy,
     accuracy_from_rows,
     cross_entropy_from_rows,
     cross_entropy_rate_estimate,
     ensemble_accuracy,
     ensemble_cross_entropy,
     joint_cross_entropy_sequence,
-    marginal_cross_entropy,
     online_learning_loss,
     summed_marginal_entropies,
     total_correlation,
     total_correlation_mc,
 )
-from obayes.models import GridLikelihood, grid_family_from_world
+from obayes import infometrics
+from obayes.models import GridLikelihood, forward_log_probs, grid_family_from_world
 from obayes.numerics import RngStream
-from obayes.obi import obi_init, obi_observe, obi_predict
-from obayes.oracle import random_world, sample_world_dataset
+from obayes.obi import obi_init, obi_observe, obi_predict_batch
+from obayes.oracle import (
+    GridWorld,
+    coin_world,
+    oracle_joint_predictive,
+    oracle_predictive,
+    random_world,
+    sample_world_dataset,
+)
+from obayes.predictive import _BLOCK
 from obayes.predictive import CategoricalLogDist, joint_log_prob
 
 
@@ -77,14 +84,15 @@ class TestCrossEntropyAndAccuracy:
         assert accuracy_from_rows(rows, [0]) == 1.0
         assert accuracy_from_rows(rows, [1]) == 0.0
 
-    def test_predict_fn_interface(self, coin_ensemble, coin_x):
+    def test_reweighted_rows_ce_and_accuracy(self, coin_ensemble, coin_x):
         state = obi_observe(obi_init(coin_ensemble),
                             LabeledExample(x=coin_x, y=1))
         data = _coin_dataset(coin_x, [1, 1, 1])
-        ce = marginal_cross_entropy(lambda x: obi_predict(state, x), data)
+        rows = obi_predict_batch(state, data.xs)
+        ce = cross_entropy_from_rows(rows, data.ys)
         assert ce == pytest.approx(-math.log(0.62), abs=1e-12)
         # p(1) = 0.62 > 0.5, so argmax is right on all-ones data
-        assert accuracy(lambda x: obi_predict(state, x), data) == 1.0
+        assert accuracy_from_rows(rows, data.ys) == 1.0
 
     def test_empty_eval_rejected(self, coin_ensemble):
         empty = Dataset(xs=np.empty((0, 1)), ys=[], num_classes=2)
@@ -171,6 +179,120 @@ class TestOnlineLearningLoss:
         rates = cross_entropy_rate_estimate(coin_ensemble, data, 1, 1,
                                             RngStream(0), exhaustive=True)
         assert rates[0][1] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def _old_sequence_ce(ensemble, xs, ys) -> float:
+    """Per-sequence definition: -ln of the joint predictive of the labels."""
+    lp = joint_log_prob(ensemble, xs, ys)
+    return math.inf if lp == -math.inf else -lp
+
+
+class TestTableSequenceMetrics:
+    """Sequence CE and OLL read one likelihood table per call; they are
+    checked against the oracle and the per-sequence joint definition."""
+
+    @staticmethod
+    def _zero_mass_world():
+        # h1 and h2 give label 1 at x1 zero mass, and h0 label 2 at x1.
+        tables = np.array([
+            [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]],
+            [[0.3, 0.0, 0.7], [0.6, 0.0, 0.4]],
+            [[0.0, 0.6, 0.4], [0.1, 0.0, 0.9]],
+        ])
+        return GridWorld(tables=tables, prior=np.array([0.5, 0.3, 0.2]),
+                         vocabulary=np.array([[0.0], [1.0]]))
+
+    def test_collapse_mid_sequence_matches_oracle(self):
+        world = self._zero_mass_world()
+        ens = grid_family_from_world(world).uniform_ensemble().reweighted(
+            np.log(world.prior))
+        x0, x1 = world.vocabulary
+        # (x0, 0) leaves h0, h1; (x1, 1) leaves h0; (x1, 2) kills h0.
+        seq = [LabeledExample(x0, 0), LabeledExample(x1, 1),
+               LabeledExample(x0, 0), LabeledExample(x1, 2),
+               LabeledExample(x0, 1)]
+        out = joint_cross_entropy_sequence(ens, seq)
+        assert out.collapse_index == 3 and out.total == math.inf
+        assert len(out.per_step) == 4 and out.per_step[3] == math.inf
+        xs = np.stack([ex.x for ex in seq])
+        ys = np.array([ex.y for ex in seq])
+        for i in range(3):
+            observed = [(ex.x, ex.y) for ex in seq[:i]]
+            expect = -math.log(oracle_predictive(world, observed, xs[i])[ys[i]])
+            assert out.per_step[i] == pytest.approx(expect, abs=1e-12)
+            # chain rule against the per-sequence joint definition
+            prefix = _old_sequence_ce(ens, xs[:i + 1], ys[:i + 1])
+            assert sum(out.per_step[:i + 1]) == pytest.approx(prefix, abs=1e-12)
+        assert _old_sequence_ce(ens, xs[:4], ys[:4]) == math.inf
+
+    def test_single_sample_ensemble(self, dropout_16, cluster_data):
+        _, evald = cluster_data
+        one = dropout_16.take([3])
+        seq = list(evald.examples())[:7]
+        out = joint_cross_entropy_sequence(one, seq)
+        lp = forward_log_probs(one, evald.xs[:7])[0]
+        # one sample: no learning, each step is that sample's own loss
+        expect = -lp[np.arange(7), evald.ys[:7]]
+        assert np.allclose(out.per_step, expect, atol=1e-12)
+        assert out.total == pytest.approx(
+            _old_sequence_ce(one, evald.xs[:7], evald.ys[:7]), abs=1e-12)
+        data = evald.subset(range(3), "three")
+        mean, se = online_learning_loss(one, data, 2, 1, RngStream(0),
+                                        exhaustive=True)
+        per_point = -forward_log_probs(one, data.xs)[0][np.arange(3), data.ys]
+        assert mean == pytest.approx(2 * per_point.mean(), abs=1e-12)
+        assert se == 0.0
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_exhaustive_oll_across_block_boundary(self, coin_ensemble,
+                                                  coin_x, n):
+        data = _coin_dataset(coin_x, [0, 1, 1])
+        assert (3 ** n > _BLOCK) == (n == 7)
+        mean, se = online_learning_loss(coin_ensemble, data, n, 1,
+                                        RngStream(0), exhaustive=True)
+        assert se == 0.0
+        joint = oracle_joint_predictive(coin_world(), [coin_x] * n)
+        seqs = list(np.ndindex(*([3] * n)))
+        oracle = np.mean([-math.log(joint[tuple(data.ys[list(idx)])])
+                          for idx in seqs])
+        assert mean == pytest.approx(oracle, abs=1e-12)
+        old = np.mean([_old_sequence_ce(coin_ensemble, data.xs[list(idx)],
+                                        data.ys[list(idx)]) for idx in seqs])
+        assert mean == pytest.approx(old, abs=1e-12)
+
+    def test_mc_oll_matches_per_sequence_definition(self, dropout_16,
+                                                    cluster_data):
+        _, evald = cluster_data
+        data = evald.subset(range(10), "ten")
+        trials = _BLOCK + 5                 # spans two gather chunks
+        mean, se = online_learning_loss(dropout_16, data, 3, trials,
+                                        RngStream(4))
+        draws = RngStream(4).generator().integers(0, 10, size=(trials, 3))
+        totals = [_old_sequence_ce(dropout_16, data.xs[row], data.ys[row])
+                  for row in draws]
+        assert mean == pytest.approx(np.mean(totals), abs=1e-10)
+        assert se == pytest.approx(np.std(totals, ddof=1) / math.sqrt(trials),
+                                   abs=1e-10)
+
+    def test_one_forward_pass_per_call(self, monkeypatch, dropout_16,
+                                       cluster_data):
+        _, evald = cluster_data
+        calls = []
+
+        def counting(ensemble, xs):
+            calls.append(len(np.atleast_2d(xs)))
+            return forward_log_probs(ensemble, xs)
+
+        monkeypatch.setattr(infometrics, "forward_log_probs", counting)
+        joint_cross_entropy_sequence(dropout_16, list(evald.examples())[:9])
+        assert calls == [9]
+        calls.clear()
+        online_learning_loss(dropout_16, evald, 4, 50, RngStream(1))
+        assert calls == [len(evald)]
+        calls.clear()
+        online_learning_loss(dropout_16, evald.subset(range(4), "four"), 3,
+                             1, RngStream(1), exhaustive=True)
+        assert calls == [4]
 
 
 class TestTotalCorrelation:

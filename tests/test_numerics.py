@@ -75,6 +75,16 @@ class TestLogSumExp:
         assert out[1] == -math.inf
         assert out[2] == pytest.approx(log_sum_exp(arr[:, 2]))
 
+    @pytest.mark.parametrize("bad", [[[0.0, math.inf]], [[math.nan, 0.0]]])
+    def test_axis_variant_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite input"):
+            log_sum_exp_axis(np.array(bad), axis=1)
+
+    def test_axis_variant_all_neg_inf_row(self):
+        arr = np.array([[-math.inf, -math.inf], [0.0, -math.inf]])
+        out = log_sum_exp_axis(arr, axis=1)
+        assert out[0] == -math.inf and out[1] == 0.0
+
 
 class TestNormalizeLogWeights:
     def test_uniform_zeros(self):

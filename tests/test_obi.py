@@ -19,7 +19,6 @@ from obayes.obi import (
     obi_init,
     obi_observe,
     obi_observe_many,
-    obi_predict,
     obi_predict_batch,
 )
 from obayes.oracle import random_world, sample_world_dataset
@@ -28,6 +27,11 @@ from obayes.predictive import joint_log_prob, marginal_predictive
 
 def _heads(coin_x, times=1):
     return [LabeledExample(x=coin_x, y=1) for _ in range(times)]
+
+
+def _row(state, x) -> np.ndarray:
+    """Log predictive row of one input under the state's weights."""
+    return obi_predict_batch(state, np.atleast_2d(x))[0]
 
 
 class TestInitAndObserve:
@@ -83,12 +87,12 @@ class TestInitAndObserve:
 class TestPredict:
     def test_empty_state_is_marginal(self, coin_ensemble, coin_x):
         state = obi_init(coin_ensemble)
-        assert obi_predict(state, coin_x)[1] == pytest.approx(
+        assert _row(state, coin_x)[1] == pytest.approx(
             marginal_predictive(coin_ensemble, coin_x)[1], abs=1e-15)
 
     def test_after_one_heads(self, coin_ensemble, coin_x):
         state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
-        assert math.exp(obi_predict(state, coin_x)[1]) == pytest.approx(
+        assert math.exp(_row(state, coin_x)[1]) == pytest.approx(
             0.62, abs=1e-12)
 
     def test_batch_rows_match_single(self, dropout_16, cluster_data):
@@ -97,8 +101,7 @@ class TestPredict:
                                  list(evald.examples())[:3])
         rows = obi_predict_batch(state, evald.xs[:4])
         for i in range(4):
-            dist = obi_predict(state, evald.xs[i])
-            assert np.allclose(rows[i], dist.log_probs, atol=1e-12)
+            assert np.allclose(rows[i], _row(state, evald.xs[i]), atol=1e-12)
 
     def test_ratio_identity(self, dropout_16, cluster_data):
         # p(y | x, obs) = q(obs + (x,y)) / q(obs) under shared draws
@@ -109,7 +112,7 @@ class TestPredict:
         obs_ys = evald.ys[:3]
         x = evald.xs[7]
         denom = joint_log_prob(dropout_16, obs_xs, obs_ys)
-        dist = obi_predict(state, x)
+        dist = _row(state, x)
         for label in range(4):
             numer = joint_log_prob(
                 dropout_16, np.vstack([obs_xs, x[None, :]]),
@@ -123,8 +126,8 @@ class TestBootstrap:
         sub = obi_bootstrap(state, 3, RngStream(5))
         assert np.allclose(sub.cumulative_log_weights,
                            state.cumulative_log_weights, atol=1e-12)
-        assert obi_predict(sub, coin_x)[1] == pytest.approx(
-            obi_predict(state, coin_x)[1], abs=1e-12)
+        assert _row(sub, coin_x)[1] == pytest.approx(
+            _row(state, coin_x)[1], abs=1e-12)
 
     def test_two_of_three_hypotheses(self, coin_ensemble, coin_x):
         # RngStream(0) draws hypotheses {0.2, 0.8}; after y=1 the
@@ -132,7 +135,7 @@ class TestBootstrap:
         state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
         sub = obi_bootstrap(state, 2, RngStream(0))
         assert sub.base.size == 2
-        assert math.exp(obi_predict(sub, coin_x)[1]) == pytest.approx(
+        assert math.exp(_row(sub, coin_x)[1]) == pytest.approx(
             0.68, abs=1e-12)
 
     def test_deterministic_given_stream(self, dropout_16, cluster_data):
