@@ -5,6 +5,13 @@ BALD (joint-entropy objective, immune to duplicated pools), EPIG
 (information about eval-point labels), and active sampling (label-aware
 conditioned eval loss). Selection is deterministic: the argmax wins and
 exact score ties resolve to the lowest pool index.
+
+EPIG, BatchBALD and active sampling score every candidate against one
+fixed likelihood table with log-space matrix products
+(numerics.log_matmul_exp), taking candidates in blocks of S (the
+ensemble size) so that no temporary outgrows the per-candidate tensor of
+a loop. Each distinct candidate is scored once and its score copied to
+its exact duplicates, so duplicates tie bitwise.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .models import PosteriorEnsemble, forward_log_probs, observed_log_likelihood
-from .numerics import RngStream, log_sum_exp_axis
+from .numerics import RngStream, log_matmul_exp, log_sum_exp_axis
 from .predictive import (
     ENUMERATION_LIMIT,
     entropy_rows,
@@ -60,6 +67,9 @@ class AcquisitionStep:
     y: int
     score: float
     strategy: str
+    # Every allowed candidate scored -inf (collapsed), so the pick is the
+    # lowest allowed index and `score` a stand-in 0.0, not a real score.
+    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,11 +100,11 @@ class AcquisitionSequence:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "pool_index", "original_index", "y",
-                            "score", "strategy", "seed"])
+                            "score", "strategy", "seed", "fallback"])
             for rec in self.steps:
                 writer.writerow([rec.step, rec.pool_index, rec.original_index,
                                  rec.y, repr(float(rec.score)), rec.strategy,
-                                 self.seed])
+                                 self.seed, int(rec.fallback)])
         manifest = {"strategy": self.strategy, "seed": self.seed,
                     "origin": self.origin, "num_steps": len(self.steps)}
         path.with_suffix(".manifest.json").write_text(
@@ -111,7 +121,10 @@ class AcquisitionSequence:
                     step=int(row["step"]), pool_index=int(row["pool_index"]),
                     original_index=int(row["original_index"]),
                     y=int(row["y"]), score=float(row["score"]),
-                    strategy=row["strategy"]))
+                    strategy=row["strategy"],
+                    # Files written before the column existed hold no
+                    # fallback picks.
+                    fallback=bool(int(row.get("fallback") or 0))))
         return AcquisitionSequence(steps=tuple(steps),
                                    strategy=manifest["strategy"],
                                    seed=manifest["seed"],
@@ -140,24 +153,35 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
     pool_xs = np.atleast_2d(np.asarray(pool_xs, dtype=np.float64))
     lp = forward_log_probs(ensemble, pool_xs)                 # (S, P, C)
     log_w = ensemble.normalized_log_weights()
-    num_classes = ensemble.num_classes
+    size, num_pool, num_classes = lp.shape
     batch_indices = list(batch_indices)
     if num_classes ** (len(batch_indices) + 1) > enumeration_limit:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
-    cond = np.exp(log_w) @ entropy_rows(lp)                   # (P,)
     # Per-sample log-likelihood of every assignment to the current batch.
-    per_sample = np.zeros((ensemble.size, 1))
+    per_sample = np.zeros((size, 1))
     for idx in batch_indices:
         per_sample = (per_sample[:, :, None] + lp[:, idx, None, :]).reshape(
-            ensemble.size, -1)
+            size, -1)
     base_joint = entropy_rows(mixture_log_probs(log_w, per_sample))
-    gains = np.full(pool_xs.shape[0], -np.inf)
-    candidates = range(pool_xs.shape[0]) if allowed is None else allowed
-    for i in candidates:
-        extended = (per_sample[:, :, None] + lp[:, i, None, :]).reshape(
-            ensemble.size, -1)
-        joint = entropy_rows(mixture_log_probs(log_w, extended))
-        gains[i] = joint - base_joint - cond[i]
+    gains = np.full(num_pool, -np.inf)
+    candidates = np.arange(num_pool) if allowed is None else \
+        np.asarray(allowed, dtype=np.int64).reshape(-1)
+    if candidates.size == 0:
+        return gains
+    first, inverse = _distinct(lp[:, candidates].transpose(1, 0, 2))
+    distinct = lp[:, candidates[first]]                       # (S, U, C)
+    cond = np.exp(log_w) @ entropy_rows(distinct)             # (U,)
+    # Rows: batch assignments, weighted; columns: (candidate, label).
+    weighted_batch = (log_w[:, None] + per_sample).T          # (C^k, S)
+    joint = np.empty(first.size)
+    for lo in range(0, first.size, size):
+        block = distinct[:, lo:lo + size]                     # (S, B, C)
+        width = block.shape[1]
+        lq = log_matmul_exp(weighted_batch, block.reshape(size, -1))
+        # One joint row per candidate, batch assignment major.
+        lq = lq.reshape(-1, width, num_classes).transpose(1, 0, 2)
+        joint[lo:lo + width] = entropy_rows(lq.reshape(width, -1))
+    gains[candidates] = (joint - base_joint - cond)[inverse]
     return gains
 
 
@@ -207,17 +231,25 @@ def epig_scores_singleton(ensemble: PosteriorEnsemble, pool_xs,
     lp_p = forward_log_probs(ensemble, pool_xs)               # (S, P, C)
     lp_e = forward_log_probs(ensemble, eval_xs)               # (S, N, C)
     log_w = ensemble.normalized_log_weights()
-    h_pool = entropy_rows(mixture_log_probs(log_w, lp_p))     # (P,)
+    size, num_eval, num_classes = lp_e.shape
+    first, inverse = _distinct(lp_p.transpose(1, 0, 2))
+    lp_p = lp_p[:, first]                                     # (S, U, C)
+    h_pool = entropy_rows(mixture_log_probs(log_w, lp_p))     # (U,)
     h_eval = entropy_rows(mixture_log_probs(log_w, lp_e))     # (N,)
-    num_eval = eval_xs.shape[0]
-    scores = np.empty(pool_xs.shape[0])
-    for c in range(pool_xs.shape[0]):
-        # (S, N, C, C): candidate label on the last axis.
-        pair = lp_e[:, :, :, None] + lp_p[:, c, None, None, :]
-        lq = mixture_log_probs(log_w, pair)                   # (N, C, C)
-        h_pair = entropy_rows(lq.reshape(num_eval, -1))       # (N,)
-        scores[c] = float(np.mean(h_eval + h_pool[c] - h_pair))
-    return scores
+    # Rows: (eval point, eval label), weighted; columns: (candidate, label).
+    weighted_eval = (log_w[:, None, None] + lp_e).reshape(size, -1).T
+    scores = np.empty(first.size)
+    for lo in range(0, first.size, size):
+        block = lp_p[:, lo:lo + size]                         # (S, B, C)
+        width = block.shape[1]
+        lq = log_matmul_exp(weighted_eval, block.reshape(size, -1))
+        # (B, N, C*C): candidate label on the last axis.
+        lq = lq.reshape(num_eval, num_classes, width, num_classes)
+        h_pair = entropy_rows(lq.transpose(2, 0, 1, 3).reshape(
+            width, num_eval, -1))                             # (B, N)
+        scores[lo:lo + width] = np.mean(
+            h_eval + h_pool[lo:lo + width, None] - h_pair, axis=1)
+    return scores[inverse]
 
 
 def epig_score(ensemble: PosteriorEnsemble, candidate_xs, eval_xs,
@@ -271,20 +303,24 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
         return np.full(len(pool), -np.inf)
     lp_pool = forward_log_probs(ensemble, pool.xs)            # (S, P, C)
     lp_eval = forward_log_probs(ensemble, eval_set.xs)        # (S, N, C)
-    cand_w = log_w[:, None] + lp_pool[:, np.arange(len(pool)), pool.ys]
+    cand_w = (log_w[:, None]
+              + lp_pool[:, np.arange(len(pool)), pool.ys]).T  # (P, S)
+    first, inverse = _distinct(cand_w)
+    cand_w = cand_w[first]                                    # (U, S)
+    # Normalize each candidate's weights; a collapsed one stays all -inf.
+    log_z = log_sum_exp_axis(cand_w, axis=1)
+    cand_w = cand_w - np.where(np.isneginf(log_z), 0.0, log_z)[:, None]
     # Only the eval labels' mixture probabilities are scored, so mix
     # their (S, N) column instead of the full table.
     eval_col = lp_eval[:, np.arange(len(eval_set)), eval_set.ys]
-    scores = np.empty(len(pool))
-    for c in range(len(pool)):
-        w = cand_w[:, c]
-        if not np.any(w > -np.inf):
-            scores[c] = -np.inf
-            continue
-        w = w - log_sum_exp_axis(w[None, :], axis=1)[0]
-        picked = mixture_log_probs(w, eval_col)               # (N,)
-        scores[c] = -np.inf if np.any(np.isneginf(picked)) else float(picked.mean())
-    return scores
+    size = ensemble.size
+    scores = np.empty(first.size)
+    for lo in range(0, first.size, size):
+        picked = log_matmul_exp(cand_w[lo:lo + size], eval_col)  # (B, N)
+        # A -inf entry (including every entry of a collapsed candidate)
+        # makes the mean -inf.
+        scores[lo:lo + size] = picked.mean(axis=1)
+    return scores[inverse]
 
 
 def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
@@ -312,11 +348,29 @@ def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
     raise ValueError(f"unknown strategy: {strategy}")
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct candidate, and the candidate -> row map.
+
+    `keys` holds one candidate per leading index, e.g. its (S, C) table
+    slice; candidates are equal when their keys are equal byte for byte.
+    Scoring distinct candidates once and scattering makes exact
+    duplicates tie bitwise, which a BLAS product alone does not: the last
+    bit of an output can depend on where its row or column falls in the
+    kernel's tiles.
+    """
+    keys = np.ascontiguousarray(keys).reshape(keys.shape[0], -1)
+    rows = keys.view(np.dtype((np.void, keys.strides[0]))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True,
+                                  return_inverse=True)
+    return first, inverse
+
+
 def _masked_argmax(scores: np.ndarray, allowed_mask: np.ndarray) -> int:
     masked = np.where(allowed_mask, scores, -np.inf)
     if not np.any(masked > -np.inf):
         # All candidates collapsed or excluded; fall back to the lowest
-        # allowed index so the run can continue under a flag.
+        # allowed index so the run can continue. Callers see the fallback
+        # as a non-finite score at the pick and flag it.
         allowed = np.flatnonzero(allowed_mask)
         if allowed.size == 0:
             raise ValueError("pool exhausted")
@@ -368,12 +422,12 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
                                 batch_indices=batch, epig_eval_xs=epig_eval_xs)
             pick = _masked_argmax(scores, allowed)
             score = float(scores[pick])
-            if not np.isfinite(score):
-                score = 0.0
+        fallback = not np.isfinite(score)
         steps.append(AcquisitionStep(step=step, pool_index=pick,
                                      original_index=int(origins[pick]),
-                                     y=int(pool.ys[pick]), score=score,
-                                     strategy=strategy))
+                                     y=int(pool.ys[pick]),
+                                     score=0.0 if fallback else score,
+                                     strategy=strategy, fallback=fallback))
         acquired.append(pick)
         batch.append(pick)
         if not allow_reselection:

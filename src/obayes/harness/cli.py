@@ -19,6 +19,7 @@ from ..numerics import RngStream
 from ..obi import obi_init, obi_observe_many
 from ..oracle import (
     coin_world,
+    oracle_epig,
     oracle_info_quantities,
     oracle_posterior,
     oracle_predictive,
@@ -219,7 +220,7 @@ def _cmd_al_obi(args) -> int:
 
 def _check_world(world, rng: RngStream, label: str) -> list:
     """Compare main-path quantities against the enumeration oracle."""
-    from ..acquisition import bald_scores
+    from ..acquisition import bald_scores, batch_bald_gains, epig_scores_singleton
     from ..data import LabeledExample
     from ..infometrics import total_correlation
     from ..models import exact_grid_posterior, grid_family_from_world
@@ -256,6 +257,13 @@ def _check_world(world, rng: RngStream, label: str) -> list:
     close("total correlation", total_correlation(posterior, batch_xs),
           oracle_vals["total_correlation"])
     close("bald", bald_scores(posterior, batch_xs), oracle_vals["bald"])
+    epig = epig_scores_singleton(posterior, batch_xs, batch_xs)
+    for c in range(n_batch):
+        close(f"epig[{c}]", epig[c],
+              oracle_epig(world, [batch_xs[c]], batch_xs, observed))
+    greedy = sum(batch_bald_gains(posterior, batch_xs, range(i),
+                                  allowed=[i])[i] for i in range(n_batch))
+    close("batch objective", greedy, oracle_vals["batch_objective"])
     return failures
 
 

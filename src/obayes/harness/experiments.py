@@ -354,12 +354,14 @@ def al_with_obi(config: ExperimentConfig) -> list:
     retrain_count = 0
     records = []
     for step in range(config.num_steps):
+        fallback = False
         if config.strategy == "random":
             pick = int(random_order[step])
         else:
             scores = score_pool(config.strategy, state.as_ensemble(), pool,
                                 eval_set)
             pick = _masked_argmax(scores, allowed)
+            fallback = not np.isfinite(scores[pick])
         allowed[pick] = False
         acquired.append(pick)
         collapsed = False
@@ -375,7 +377,9 @@ def al_with_obi(config: ExperimentConfig) -> list:
         records.append(MetricRecord(metric="ess", value=state.ess,
                                     branch="obi", flag=flag, **coords))
         records.append(MetricRecord(metric="acquired_pool_index",
-                                    value=float(pick), **coords))
+                                    value=float(pick),
+                                    flag="fallback" if fallback else "",
+                                    **coords))
         retrain = collapsed or state.ess < threshold
         if retrain:
             retrain_count += 1

@@ -1,9 +1,9 @@
 """Log-space probability arithmetic and deterministic random streams.
 
-Everything downstream (predictives, importance reweighting, entropies)
-funnels through the three reductions in this module, so they are strict
-about non-finite inputs: -inf is a legal log-probability (zero mass),
-NaN and +inf never are.
+Everything downstream (predictives, importance reweighting, entropies,
+acquisition scores) funnels through the reductions in this module, so
+they are strict about non-finite inputs: -inf is a legal log-probability
+(zero mass), NaN and +inf never are.
 """
 
 from __future__ import annotations
@@ -51,6 +51,46 @@ def log_sum_exp_axis(arr: np.ndarray, axis: int) -> np.ndarray:
         out = np.log(np.sum(np.exp(arr - m), axis=axis)) + np.squeeze(m, axis=axis)
     if not np.all(out < np.inf):
         raise ValueError("non-finite input")
+    return out
+
+
+# Shifted products below this are recomputed by log_sum_exp_axis. A term
+# lost to underflow is below 2**-1022, so above the floor the lost terms
+# move a product by less than S * 2**-122 of itself.
+_MATMUL_FLOOR = 2.0 ** -900
+
+
+def log_matmul_exp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ln(exp(a) @ exp(b)) for log-space a (M, S) and b (S, K); shape (M, K).
+
+    Each row of `a` and each column of `b` is shifted by its max before
+    one BLAS product. The -inf and non-finite semantics match
+    log_sum_exp_axis: an entry with no finite pair is -inf, and NaN or
+    +inf raises. Entries whose shifted product falls below _MATMUL_FLOOR
+    are recomputed exactly, so underflow never turns a representable
+    value into -inf. BLAS promises no summation order: equal rows at
+    different positions can differ in the last bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m_a = np.max(a, axis=1, keepdims=True)                    # (M, 1)
+    m_b = np.max(b, axis=0, keepdims=True)                    # (1, K)
+    live = np.isfinite(m_a) & np.isfinite(m_b)
+    m_a = np.where(np.isneginf(m_a), 0.0, m_a)
+    m_b = np.where(np.isneginf(m_b), 0.0, m_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prod = np.exp(a - m_a) @ np.exp(b - m_b)
+        out = np.log(prod) + m_a + m_b
+    # NaN or +inf anywhere in a row of `a` (column of `b`) fills that
+    # output row (column), so only the output is checked.
+    if not np.all(out < np.inf):
+        raise ValueError("non-finite input")
+    rows, cols = np.nonzero((prod < _MATMUL_FLOOR) & live)
+    # Chunks of (entries, S) pair sums no larger than the output itself.
+    step = max(1, out.size // a.shape[1])
+    for start in range(0, rows.size, step):
+        r, c = rows[start:start + step], cols[start:start + step]
+        out[r, c] = log_sum_exp_axis(a[r] + b[:, c].T, axis=1)
     return out
 
 

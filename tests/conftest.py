@@ -12,7 +12,7 @@ from obayes.data import generate_cluster_dataset
 from obayes.models import grid_family_from_world
 from obayes.models.mlp import MlpArchitecture, TrainConfig, train_mc_dropout
 from obayes.numerics import RngStream
-from obayes.oracle import coin_world
+from obayes.oracle import GridWorld, coin_world
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,24 @@ def coin_ensemble(coin_family):
 @pytest.fixture(scope="session")
 def coin_x(coin):
     return coin.vocabulary[0]
+
+
+@pytest.fixture(scope="session")
+def collapsing_world():
+    """A world where active sampling scores every candidate -inf.
+
+    The true hypothesis h0 (label 1 everywhere) has prior zero. Label 1
+    at input 0 rules out h2 and at input 1 rules out h1, so conditioning
+    on any candidate leaves an eval label at the other input with no mass.
+    """
+    tables = np.array([
+        [[0.0, 1.0], [0.0, 1.0]],   # h0
+        [[0.5, 0.5], [1.0, 0.0]],   # h1
+        [[1.0, 0.0], [0.5, 0.5]],   # h2
+    ])
+    return GridWorld(tables=tables, prior=np.array([0.0, 0.5, 0.5]),
+                     vocabulary=np.eye(2), true_hypothesis=0,
+                     name="collapsing")
 
 
 @pytest.fixture(scope="session")

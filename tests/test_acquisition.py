@@ -27,8 +27,14 @@ from obayes.acquisition import (
 )
 from obayes.data import Dataset, DuplicationSpec, LabeledExample, duplicate_pool
 from obayes.infometrics import cross_entropy_from_rows
-from obayes.models import GridLikelihood, exact_grid_posterior, grid_family_from_world
-from obayes.numerics import RngStream
+from obayes.models import (
+    GridLikelihood,
+    exact_grid_posterior,
+    forward_log_probs,
+    grid_family_from_world,
+    observed_log_likelihood,
+)
+from obayes.numerics import RngStream, log_sum_exp_axis
 from obayes.obi import obi_init, obi_observe, obi_predict_batch
 from obayes.oracle import (
     oracle_bald,
@@ -37,7 +43,7 @@ from obayes.oracle import (
     random_world,
     sample_world_dataset,
 )
-from obayes.predictive import marginal_predictive
+from obayes.predictive import entropy_rows, marginal_predictive, mixture_log_probs
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +68,96 @@ def ab_pool(ab_family):
     """A and B duplicated four times each: indices 0-3 = A, 4-7 = B."""
     a, b = ab_family.vocabulary
     return np.vstack([np.tile(a, (4, 1)), np.tile(b, (4, 1))])
+
+
+# Per-candidate loops the matrix-product scorers replaced, kept as the
+# reference they are checked against.
+def _epig_loop(ensemble, pool_xs, eval_xs):
+    lp_p = forward_log_probs(ensemble, pool_xs)
+    lp_e = forward_log_probs(ensemble, eval_xs)
+    log_w = ensemble.normalized_log_weights()
+    h_pool = entropy_rows(mixture_log_probs(log_w, lp_p))
+    h_eval = entropy_rows(mixture_log_probs(log_w, lp_e))
+    scores = np.empty(lp_p.shape[1])
+    for c in range(lp_p.shape[1]):
+        pair = lp_e[:, :, :, None] + lp_p[:, c, None, None, :]
+        lq = mixture_log_probs(log_w, pair)
+        h_pair = entropy_rows(lq.reshape(lp_e.shape[1], -1))
+        scores[c] = float(np.mean(h_eval + h_pool[c] - h_pair))
+    return scores
+
+
+def _batch_bald_loop(ensemble, pool_xs, batch_indices, allowed=None):
+    lp = forward_log_probs(ensemble, pool_xs)
+    log_w = ensemble.normalized_log_weights()
+    cond = np.exp(log_w) @ entropy_rows(lp)
+    per_sample = np.zeros((ensemble.size, 1))
+    for idx in batch_indices:
+        per_sample = (per_sample[:, :, None] + lp[:, idx, None, :]).reshape(
+            ensemble.size, -1)
+    base_joint = entropy_rows(mixture_log_probs(log_w, per_sample))
+    gains = np.full(lp.shape[1], -np.inf)
+    for i in range(lp.shape[1]) if allowed is None else allowed:
+        extended = (per_sample[:, :, None] + lp[:, i, None, :]).reshape(
+            ensemble.size, -1)
+        joint = entropy_rows(mixture_log_probs(log_w, extended))
+        gains[i] = joint - base_joint - cond[i]
+    return gains
+
+
+def _active_sampling_loop(ensemble, pool, eval_set, conditioned_on=()):
+    log_w = (ensemble.normalized_log_weights()
+             + observed_log_likelihood(ensemble, conditioned_on))
+    if not np.any(log_w > -np.inf):
+        return np.full(len(pool), -np.inf)
+    lp_pool = forward_log_probs(ensemble, pool.xs)
+    lp_eval = forward_log_probs(ensemble, eval_set.xs)
+    cand_w = log_w[:, None] + lp_pool[:, np.arange(len(pool)), pool.ys]
+    eval_col = lp_eval[:, np.arange(len(eval_set)), eval_set.ys]
+    scores = np.empty(len(pool))
+    for c in range(len(pool)):
+        w = cand_w[:, c]
+        if not np.any(w > -np.inf):
+            scores[c] = -np.inf
+            continue
+        w = w - log_sum_exp_axis(w[None, :], axis=1)[0]
+        picked = mixture_log_probs(w, eval_col)
+        scores[c] = -np.inf if np.any(np.isneginf(picked)) \
+            else float(picked.mean())
+    return scores
+
+
+def _assert_matches(new, ref):
+    assert np.array_equal(np.isneginf(new), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(new[finite] - ref[finite]) <= 1e-12)
+
+
+@pytest.fixture(scope="module")
+def zero_mass_case():
+    """Grid ensemble with -inf log weights and zero-mass table entries.
+
+    Six hypotheses over four inputs and three classes; observing label 0
+    at input 0 rules out the hypotheses that give it no mass. The pool
+    repeats every input with every label, so some candidates collapse.
+    """
+    gen = np.random.default_rng(23)
+    tables = gen.gamma(1.0, size=(6, 4, 3))
+    tables[gen.random(tables.shape) < 0.3] = 0.0
+    tables[:, :, 1] += 0.05     # every row keeps some mass
+    tables[[0, 3], 0, 0] = 0.0
+    tables[[1, 2], 0, 0] = 0.5
+    tables /= tables.sum(axis=2, keepdims=True)
+    fam = GridLikelihood(tables, np.eye(4))
+    state = obi_observe(obi_init(fam.uniform_ensemble()),
+                        LabeledExample(x=fam.vocabulary[0], y=0))
+    ens = state.as_ensemble()
+    assert np.any(np.isneginf(ens.normalized_log_weights()))
+    pool = Dataset(xs=np.repeat(fam.vocabulary, 3, axis=0),
+                   ys=np.tile([0, 1, 2], 4), num_classes=3)
+    eval_set = Dataset(xs=fam.vocabulary[[1, 2, 3, 3]], ys=[1, 1, 1, 2],
+                       num_classes=3)
+    return ens, pool, eval_set
 
 
 def _bald(ensemble, x) -> float:
@@ -270,6 +366,68 @@ class TestActiveSampling:
             assert rows[i] == pytest.approx(-ce, abs=1e-10)
 
 
+class TestScorersMatchLoops:
+    """Matrix-product scorers against the per-candidate loops, to 1e-12."""
+
+    def _check(self, ens, pool, eval_set, conditioned, batches, allowed):
+        _assert_matches(epig_scores_singleton(ens, pool.xs, eval_set.xs),
+                        _epig_loop(ens, pool.xs, eval_set.xs))
+        for cond in ((), conditioned):
+            _assert_matches(
+                active_sampling_scores(ens, pool, eval_set, cond),
+                _active_sampling_loop(ens, pool, eval_set, cond))
+        for batch in batches:
+            for subset in (None, allowed):
+                _assert_matches(
+                    batch_bald_gains(ens, pool.xs, batch, allowed=subset),
+                    _batch_bald_loop(ens, pool.xs, batch, subset))
+
+    def test_reweighted_ensemble_with_zero_mass(self, zero_mass_case):
+        ens, pool, eval_set = zero_mass_case
+        scores = active_sampling_scores(ens, pool, eval_set)
+        # the case covers collapsed and live candidates alike
+        assert np.any(np.isneginf(scores)) and np.any(np.isfinite(scores))
+        self._check(ens, pool, eval_set, [pool.example(4)],
+                    [[], [0], [0, 4], [0, 4, 7]], [1, 5, 6, 11])
+
+    def test_single_sample_ensemble(self, dropout_16, cluster_data):
+        _, evald = cluster_data
+        self._check(dropout_16.take([5]), evald.subset(range(9), "pool"),
+                    evald.subset(range(9, 20), "eval"), [evald.example(30)],
+                    [[], [1], [1, 2], [1, 2, 3]], [0, 4, 8])
+
+    def test_trained_ensemble(self, dropout_16, cluster_data):
+        # 20 candidates: one full block of S=16 and a partial one
+        _, evald = cluster_data
+        self._check(dropout_16, evald.subset(range(20), "pool"),
+                    evald.subset(range(20, 45), "eval"), [evald.example(50)],
+                    [[], [3], [3, 17], [3, 17, 0]], [2, 17, 19])
+
+    @pytest.mark.parametrize("num_eval", [2, 21])
+    @pytest.mark.parametrize("size", [1, 5, 7, 16])
+    def test_duplicates_tie_bitwise(self, size, num_eval, dropout_16,
+                                    cluster_data):
+        # 36 candidates: not a multiple of the S-sized blocks for S > 4.
+        # Without scoring each distinct candidate once, BLAS breaks some
+        # of these ties in the last bit.
+        _, evald = cluster_data
+        ens = dropout_16.take(range(size))
+        pool = duplicate_pool(evald.subset(range(9), "base"),
+                              DuplicationSpec(4), RngStream(4))
+        eval_set = evald.subset(range(9, 9 + num_eval), "eval")
+        scores = {
+            "epig": epig_scores_singleton(ens, pool.xs, pool.xs),
+            "batch_bald k=0": batch_bald_gains(ens, pool.xs, []),
+            "batch_bald k=2": batch_bald_gains(ens, pool.xs, [0, 1]),
+            "active_sampling": active_sampling_scores(ens, pool, eval_set),
+        }
+        for origin in range(9):
+            group = np.flatnonzero(pool.origin_indices == origin)
+            for name, row in scores.items():
+                assert np.array_equal(row[group],
+                                      np.full(group.size, row[group[0]])), name
+
+
 class TestScorePool:
     def test_every_strategy_scores_full_pool(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -317,6 +475,16 @@ class TestSequencePersistence:
                                score=math.inf, strategy="bald")
         with pytest.raises(ValueError, match="finite"):
             AcquisitionSequence(steps=(step,), strategy="bald", seed=0)
+
+    def test_file_without_fallback_column_loads_unflagged(self, tmp_path):
+        seq = self._sequence()
+        path = tmp_path / "seq.csv"
+        seq.save(path)
+        lines = path.read_text().splitlines()
+        assert lines[0].endswith(",fallback")
+        path.write_text("\n".join(line.rsplit(",", 1)[0]
+                                  for line in lines) + "\n")
+        assert AcquisitionSequence.load(path) == seq
 
     def test_examples_lookup(self, cluster_data):
         _, evald = cluster_data
@@ -387,6 +555,29 @@ class TestRunAcquisition:
         with pytest.raises(ValueError, match="pool exhausted"):
             run_acquisition("bald", self._grid_factory(ab_family), pool,
                             None, 9, 1, RngStream(0))
+
+    def test_all_collapsed_picks_flagged(self, tmp_path, collapsing_world):
+        fam = grid_family_from_world(collapsing_world)
+        with np.errstate(divide="ignore"):
+            prior = np.log(collapsing_world.prior)
+
+        def factory(train, stream):
+            return exact_grid_posterior(fam, prior, train.examples())
+
+        x0, x1 = fam.vocabulary
+        pool = Dataset(xs=np.stack([x0, x1, x0, x1]), ys=[1, 1, 1, 1],
+                       num_classes=2)
+        eval_set = Dataset(xs=np.stack([x0, x1]), ys=[1, 1], num_classes=2)
+        seq = run_acquisition("active_sampling", factory, pool, eval_set, 2,
+                              10, RngStream(0))
+        assert seq.pool_indices() == [0, 1]     # lowest allowed index
+        assert all(s.fallback and s.score == 0.0 for s in seq.steps)
+        path = tmp_path / "seq.csv"
+        seq.save(path)
+        assert AcquisitionSequence.load(path) == seq
+        bald = run_acquisition("bald", factory, pool, None, 2, 10,
+                               RngStream(0))
+        assert not any(s.fallback for s in bald.steps)
 
     def test_active_sampling_sequence(self, dropout_16, cluster_data):
         _, evald = cluster_data

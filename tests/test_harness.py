@@ -234,6 +234,23 @@ class TestAlWithObi:
                  if r.metric == "acquired_pool_index"]
         assert len(picks) == 6 and len(set(picks)) == 6
 
+    def test_fallback_pick_flagged(self, tmp_path, collapsing_world):
+        path = tmp_path / "world.json"
+        path.write_text(collapsing_world.to_json())
+        cfg = _tiny_grid_config(
+            data=DataSpec(kind="grid", grid_name=str(path), grid_pool_size=8,
+                          grid_eval_size=16),
+            strategy="active_sampling", num_steps=1, seed_train_size=0,
+            ess_retrain_threshold=0.5)
+        picks = [r for r in al_with_obi(cfg)
+                 if r.metric == "acquired_pool_index"]
+        # every candidate scored -inf: lowest index, flagged
+        assert [(r.value, r.flag) for r in picks] == [(0.0, "fallback")]
+        picks = [r for r in al_with_obi(_tiny_grid_config(
+            strategy="active_sampling", ess_retrain_threshold=1.5,
+            num_steps=4)) if r.metric == "acquired_pool_index"]
+        assert len(picks) == 4 and all(r.flag == "" for r in picks)
+
 
 class TestCli:
     def test_help_exits_zero(self, capsys):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from obayes.numerics import (
     DegenerateWeightsError,
     RngStream,
     effective_sample_size,
+    log_matmul_exp,
     log_sum_exp,
     log_sum_exp_axis,
     normalize_log_weights,
@@ -20,6 +22,24 @@ finite_floats = st.floats(min_value=-1e6, max_value=700.0,
                           allow_nan=False, allow_infinity=False)
 log_weight_lists = st.lists(
     st.one_of(finite_floats, st.just(-math.inf)), min_size=1, max_size=64)
+# Log-space entries: narrow spreads take the BLAS path, wide ones force
+# shifted products below the floor, -inf entries are zero mass.
+log_entries = st.one_of(
+    st.floats(min_value=-20.0, max_value=5.0),
+    st.floats(min_value=-1000.0, max_value=50.0),
+    st.just(-math.inf))
+
+
+@st.composite
+def log_matrix_pairs(draw):
+    m, s, k = (draw(st.integers(1, 6)) for _ in range(3))
+    return (draw(arrays(np.float64, (m, s), elements=log_entries)),
+            draw(arrays(np.float64, (s, k), elements=log_entries)))
+
+
+def _pairwise_lse(a, b):
+    """ln(exp(a) @ exp(b)) by broadcasting every (row, column) pair."""
+    return log_sum_exp_axis(a[:, :, None] + b[None, :, :], axis=1)
 
 
 class TestLogSumExp:
@@ -84,6 +104,55 @@ class TestLogSumExp:
         arr = np.array([[-math.inf, -math.inf], [0.0, -math.inf]])
         out = log_sum_exp_axis(arr, axis=1)
         assert out[0] == -math.inf and out[1] == 0.0
+
+
+class TestLogMatmulExp:
+    def _assert_matches(self, out, ref):
+        assert np.array_equal(np.isneginf(out), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        assert np.all(np.isfinite(out[finite]))
+        err = np.abs(out[finite] - ref[finite])
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+
+    @given(log_matrix_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_log_sum_exp(self, pair):
+        a, b = pair
+        self._assert_matches(log_matmul_exp(a, b), _pairwise_lse(a, b))
+
+    def test_all_neg_inf_row_and_column(self):
+        a = np.array([[-math.inf, -math.inf], [0.0, -1.0], [-math.inf, 2.0]])
+        b = np.array([[0.0, -math.inf, 1.0], [-3.0, -math.inf, -math.inf]])
+        out = log_matmul_exp(a, b)
+        assert np.all(out[0] == -math.inf) and np.all(out[:, 1] == -math.inf)
+        # row 2 meets column 2 only through a -inf pair
+        assert out[2, 2] == -math.inf
+        self._assert_matches(out, _pairwise_lse(a, b))
+
+    def test_forced_underflow_recovered(self):
+        # exp(-800) underflows, so the shifted product is exactly 0
+        out = log_matmul_exp(np.array([[0.0, -800.0]]),
+                             np.array([[-800.0], [0.0]]))
+        assert out[0, 0] == pytest.approx(-800.0 + math.log(2.0), abs=1e-12)
+
+    def test_product_below_floor_recomputed(self):
+        # representable but tiny: 2 * exp(-700) < 2**-900
+        out = log_matmul_exp(np.array([[0.0, -700.0]]),
+                             np.array([[-700.0], [0.0]]))
+        assert out[0, 0] == pytest.approx(-700.0 + math.log(2.0), abs=1e-12)
+
+    def test_single_sample_is_outer_sum(self):
+        a = np.array([[0.5], [-math.inf], [-3.0]])
+        b = np.array([[-1.0, 2.0, -math.inf]])
+        assert np.array_equal(log_matmul_exp(a, b), a + b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_rejected(self, bad, side):
+        a, b = np.zeros((2, 3)), np.zeros((3, 2))
+        (a if side == "a" else b)[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite input"):
+            log_matmul_exp(a, b)
 
 
 class TestNormalizeLogWeights:
