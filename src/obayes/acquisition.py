@@ -195,7 +195,10 @@ def batch_bald_greedy(ensemble: PosteriorEnsemble, pool, m: int,
     duplicates of an already-chosen point lose almost all their score and
     the batch spreads across distinct originals. `allowed` is a boolean
     mask over the pool (default: every point); ties go to the lowest index.
+    The pool is evaluated once per batch: every pick reads the same
+    memoized table (see `PosteriorEnsemble.with_tables`).
     """
+    ensemble = ensemble.with_tables()
     pool_xs = np.atleast_2d(pool.xs if isinstance(pool, Dataset)
                             else np.asarray(pool))
     mask = np.ones(pool_xs.shape[0], dtype=bool) if allowed is None \

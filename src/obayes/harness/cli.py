@@ -18,6 +18,7 @@ from ..models import save_ensemble
 from ..numerics import RngStream
 from ..obi import obi_init, obi_observe_many
 from ..oracle import (
+    GridWorld,
     coin_world,
     oracle_epig,
     oracle_info_quantities,
@@ -267,24 +268,60 @@ def _check_world(world, rng: RngStream, label: str) -> list:
     return failures
 
 
+def _zeroed_world(world: GridWorld, gen: np.random.Generator) -> GridWorld:
+    """`world` with exact zeros in its likelihood tables and prior.
+
+    A random half of the (hypothesis, input) rows, and at least one, lose
+    their smallest label probability; a random quarter of the other
+    hypotheses lose their prior mass. The true hypothesis keeps a
+    positive prior, so the observations drawn from it stay possible.
+    Zeros give -inf table entries and -inf posterior weights on the main
+    path, and exact-zero products in log_matmul_exp.
+    """
+    tables = world.tables.copy()
+    num_hyp, vocab, _ = tables.shape
+    rows = gen.random((num_hyp, vocab)) < 0.5
+    rows.flat[int(gen.integers(rows.size))] = True
+    hyp, inp = np.nonzero(rows)
+    tables[hyp, inp, np.argmin(tables[hyp, inp], axis=1)] = 0.0
+    tables /= tables.sum(axis=2, keepdims=True)
+    prior = world.prior.copy()
+    dropped = gen.random(num_hyp) < 0.25
+    dropped[world.true_hypothesis] = False
+    prior[dropped] = 0.0
+    prior /= prior.sum()
+    return GridWorld(tables=tables, prior=prior, vocabulary=world.vocabulary,
+                     true_hypothesis=world.true_hypothesis,
+                     name=f"{world.name} zeroed")
+
+
 def _cmd_oracle_check(args) -> int:
     if args.worlds < 1:
         raise CliError("need at least one world")
     failures = _check_world(coin_world(),
                             RngStream(seed=args.seed).derive("coin"), "coin")
     print("coin world: " + ("ok" if not failures else "FAIL"))
+    zeros = 0
     for w in range(args.worlds):
         stream = RngStream(seed=args.seed).derive("world", w)
         world = random_world(stream.generator())
         found = _check_world(world, stream.derive("check"), f"world {w}")
+        zeroed = _zeroed_world(world, stream.derive("zeroed").generator())
+        found_zeroed = _check_world(zeroed, stream.derive("check zeroed"),
+                                    f"world {w} zeroed")
+        count = int(np.sum(zeroed.tables == 0.0) + np.sum(zeroed.prior == 0.0))
+        zeros += count
         print(f"world {w} (K={world.num_hypotheses}, C={world.num_classes}): "
-              + ("ok" if not found else "FAIL"))
-        failures += found
+              + ("ok" if not found else "FAIL")
+              + f"; zeroed ({count} zero entries): "
+              + ("ok" if not found_zeroed else "FAIL"))
+        failures += found + found_zeroed
     if failures:
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         raise RuntimeError(f"{len(failures)} oracle mismatches")
-    print(f"all {args.worlds + 1} worlds matched the oracle")
+    print(f"all {args.worlds + 1} worlds and {args.worlds} zeroed variants "
+          f"({zeros} zero-probability entries) matched the oracle")
     return 0
 
 

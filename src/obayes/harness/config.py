@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+
+import numpy as np
 
 from ..acquisition import STRATEGIES
 
@@ -134,13 +137,20 @@ def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a finished run."""
+    """Everything needed to reproduce a finished run.
+
+    Besides the config hash and seed it records the software and machine
+    the run used (package and numpy versions, platform string); like the
+    timestamp, these stay out of the CSVs.
+    """
 
     config_hash: str
     seed: int
     artifacts: tuple
     created: str
     version: str
+    numpy_version: str
+    platform: str
 
     @staticmethod
     def create(config: ExperimentConfig, artifacts=()) -> "RunManifest":
@@ -148,10 +158,14 @@ class RunManifest:
         return RunManifest(config_hash=config_hash(config), seed=config.seed,
                            artifacts=tuple(artifacts),
                            created=datetime.now(timezone.utc).isoformat(),
-                           version=__version__)
+                           version=__version__,
+                           numpy_version=np.__version__,
+                           platform=platform.platform())
 
     def to_json(self) -> str:
         return json.dumps({"config_hash": self.config_hash, "seed": self.seed,
                            "artifacts": list(self.artifacts),
-                           "created": self.created, "version": self.version},
+                           "created": self.created, "version": self.version,
+                           "numpy_version": self.numpy_version,
+                           "platform": self.platform},
                           sort_keys=True, indent=2) + "\n"

@@ -166,6 +166,25 @@ def _eval_records(rows, eval_set, base: dict, flag: str = "") -> list:
             MetricRecord(metric="accuracy", value=acc, flag=flag, **base)]
 
 
+def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
+                 rng: RngStream, coords: dict) -> list:
+    """OBI branch of one cell: bootstrap, reweight on next_k, evaluate."""
+    boot = obi_bootstrap(state0, bootstrap_size, rng)
+    try:
+        conditioned = obi_observe_many(boot, next_k)
+    except PosteriorCollapseError:
+        return [MetricRecord(metric="cross_entropy", value=float("inf"),
+                             branch="obi", flag="collapse", **coords),
+                MetricRecord(metric="accuracy", value=0.0, branch="obi",
+                             flag="collapse", **coords),
+                MetricRecord(metric="ess", value=0.0, branch="obi",
+                             flag="collapse", **coords)]
+    rows = obi_predict_batch(conditioned, eval_set.xs)
+    return (_eval_records(rows, eval_set, dict(coords, branch="obi"))
+            + [MetricRecord(metric="ess", value=conditioned.ess,
+                            branch="obi", **coords)])
+
+
 def obi_vs_retrain_eval(config: ExperimentConfig,
                         sequences: dict | None = None) -> list:
     """Reweighting vs retraining along fixed acquisition sequences.
@@ -175,6 +194,10 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     t-model with the k points in between, once per bootstrap sub-trial.
     Emits cross-entropy and accuracy for all three branches per cell,
     plus the OBI effective sample size.
+
+    Prefix models are trained in ascending size and only one is alive at
+    a time: its eval-set table is evaluated once, and every bootstrap
+    sub-trial gathers its rows from that table.
     """
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)
@@ -194,42 +217,33 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
         seq_data = seq.examples(pool)
         sizes = sorted({t for t in t_values} | {t + k for t in t_values})
         for trial in range(config.trials):
-            models = {size: factory(seq_data.subset(range(size), "prefix"),
-                                    root.derive("model", name, trial, size))
-                      for size in sizes}
-            eval_rows = {size: marginal_log_probs(models[size], eval_set.xs)
-                         for size in sizes}
+            eval_rows = {}
+            obi_cells = {}
+            for size in sizes:
+                state0 = obi_init(factory(
+                    seq_data.subset(range(size), "prefix"),
+                    root.derive("model", name, trial, size)))
+                eval_rows[size] = marginal_log_probs(state0.base, eval_set.xs)
+                if size not in t_values:
+                    continue
+                next_k = [seq_data.example(i) for i in range(size, size + k)]
+                obi_cells[size] = [
+                    _obi_records(state0, next_k, eval_set,
+                                 config.bootstrap_size,
+                                 root.derive("bootstrap", name, trial, size,
+                                             sub),
+                                 dict(trial=trial, sub_trial=sub, step=size,
+                                      n=k, strategy=seq.strategy, name=name))
+                    for sub in range(config.obi_subtrials)]
             for t in t_values:
-                next_k = [seq_data.example(i) for i in range(t, t + k)]
-                state0 = obi_init(models[t])
                 for sub in range(config.obi_subtrials):
-                    boot = obi_bootstrap(
-                        state0, config.bootstrap_size,
-                        root.derive("bootstrap", name, trial, t, sub))
                     coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
                                   strategy=seq.strategy, name=name)
                     records += _eval_records(eval_rows[t], eval_set,
                                              dict(coords, branch="baseline"))
                     records += _eval_records(eval_rows[t + k], eval_set,
                                              dict(coords, branch="retrain"))
-                    try:
-                        conditioned = obi_observe_many(boot, next_k)
-                        rows = obi_predict_batch(conditioned, eval_set.xs)
-                        records += _eval_records(rows, eval_set,
-                                                 dict(coords, branch="obi"))
-                        records.append(MetricRecord(
-                            metric="ess", value=conditioned.ess,
-                            branch="obi", **coords))
-                    except PosteriorCollapseError:
-                        records.append(MetricRecord(
-                            metric="cross_entropy", value=float("inf"),
-                            branch="obi", flag="collapse", **coords))
-                        records.append(MetricRecord(
-                            metric="accuracy", value=0.0, branch="obi",
-                            flag="collapse", **coords))
-                        records.append(MetricRecord(
-                            metric="ess", value=0.0, branch="obi",
-                            flag="collapse", **coords))
+                    records += obi_cells[t][sub]
     return records
 
 
@@ -291,7 +305,8 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
         for b in range(config.num_batches):
             train = seed_train.concat(pool.subset(acquired, "acquired")) \
                 if acquired else seed_train
-            ensemble = factory(train, root.derive("model", strategy, b))
+            ensemble = factory(train, root.derive("model", strategy, b)) \
+                .with_tables()
             rows = marginal_log_probs(ensemble, eval_set.xs)
             coords = dict(step=b, strategy=strategy, name=label)
             records += _eval_records(rows, eval_set, coords)

@@ -9,6 +9,7 @@ guarantee.
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 from ..infometrics import MetricRecord
@@ -75,11 +76,7 @@ def emit_results(records, manifest: RunManifest, out_dir) -> list:
         write_records(records, metrics_path)
         curves_path = out / "curves.csv"
         write_records([r for r in records if r.step is not None], curves_path)
-        manifest = RunManifest(config_hash=manifest.config_hash,
-                               seed=manifest.seed,
-                               artifacts=("metrics.csv", "curves.csv"),
-                               created=manifest.created,
-                               version=manifest.version)
+        manifest = replace(manifest, artifacts=("metrics.csv", "curves.csv"))
         manifest_path = out / "manifest.json"
         manifest_path.write_text(manifest.to_json())
     except OSError as err:

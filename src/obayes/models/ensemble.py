@@ -8,13 +8,28 @@ A likelihood family is any object with
 
 where `samples` are opaque parameter states the family knows how to
 evaluate. Evaluation must be deterministic and bitwise stable: the same
-(sample, x) pair always yields the same row, which is what makes joint
-predictives over fixed parameter draws well-defined.
+(sample, x) pair always yields the same row, whatever other samples and
+inputs share the call. That makes joint predictives over fixed parameter
+draws well-defined, and it makes tables safe to reuse.
+
+Table memo. Reweighting moves only the log weights, so a fitted model's
+(S, N, C) table for a point set never changes. `ensemble.with_tables()`
+gives the same ensemble with an empty memo; `forward_log_probs` then
+evaluates each distinct point set once and serves later calls from the
+memo. The memo lives as long as the ensembles that share it:
+`reweighted` shares it, and `take` gives the sub-ensemble the gathered
+rows of every stored table. Gathering is exact because of the stability
+contract above: rows of a sample do not depend on which other samples
+are evaluated with it. Stored tables are read-only, so an in-place
+write raises instead of corrupting later reads. Plain ensembles never
+memoize; `obi_init`, `batch_bald_greedy` and repeated-pool's batch
+models opt in, because they read the same point sets many times under
+fixed samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +43,9 @@ class PosteriorEnsemble:
     samples: tuple
     log_weights: np.ndarray
     family: object
+    # Memo of (S, N, C) tables keyed by point set; None: never memoize.
+    _tables: dict | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=np.float64)
@@ -52,34 +70,57 @@ class PosteriorEnsemble:
         normalized, _ = normalize_log_weights(self.log_weights)
         return normalized
 
+    def with_tables(self) -> "PosteriorEnsemble":
+        """This ensemble with a table memo; itself if it already has one."""
+        if self._tables is not None:
+            return self
+        return self._with_memo(self.samples, self.log_weights, {})
+
     def reweighted(self, log_weights) -> "PosteriorEnsemble":
         """Same samples and family under different weights."""
-        return PosteriorEnsemble(samples=self.samples,
-                                 log_weights=log_weights,
-                                 family=self.family)
+        return self._with_memo(self.samples, log_weights, self._tables)
 
     def take(self, indices) -> "PosteriorEnsemble":
         """Sub-ensemble over a subset of parameter samples."""
         indices = np.asarray(indices, dtype=np.int64)
-        return PosteriorEnsemble(
-            samples=tuple(self.samples[i] for i in indices),
-            log_weights=self.log_weights[indices],
-            family=self.family,
-        )
+        tables = None if self._tables is None else \
+            {key: _read_only(table[indices])
+             for key, table in self._tables.items()}
+        return self._with_memo(tuple(self.samples[i] for i in indices),
+                               self.log_weights[indices], tables)
+
+    def _with_memo(self, samples, log_weights, tables) -> "PosteriorEnsemble":
+        out = PosteriorEnsemble(samples=samples, log_weights=log_weights,
+                                family=self.family)
+        object.__setattr__(out, "_tables", tables)
+        return out
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     """Evaluate ln p(y | x, sample) for every (sample, x) pair.
 
     Returns an (S, N, C) array; every [j, i, :] row is a normalized
-    categorical log-distribution.
+    categorical log-distribution. A memoizing ensemble (see
+    `PosteriorEnsemble.with_tables`) returns its stored, read-only table
+    for a point set it has seen.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[0] == 0:
         raise ValueError("empty reduction")
+    memo = ensemble._tables
+    key = None if memo is None else (xs.shape, xs.tobytes())
+    if key is not None and key in memo:
+        return memo[key]
     out = ensemble.family.log_probs(ensemble.samples, xs)
     if out.shape != (ensemble.size, xs.shape[0], ensemble.num_classes):
         raise ValueError("family returned log-probs of the wrong shape")
+    if key is not None:
+        memo[key] = _read_only(out)
     return out
 
 

@@ -5,6 +5,15 @@ likelihood p(y|x,w_j); predictions then mix the fixed samples under the
 updated weights. No retraining happens here, and the base ensemble is
 never mutated: states are immutable snapshots, so evaluation protocols
 can branch (reweight vs retrain) from the same starting point.
+
+Because the samples stay fixed, `obi_init` gives its base a table memo
+(`PosteriorEnsemble.with_tables`). Every state observed from it, and
+every ensemble it predicts with, shares that memo, so each point set
+(pool, eval set) is evaluated once per fitted model rather than once per
+step. A bootstrap's sub-ensemble starts from the gathered rows of the
+base's tables, which equal a fresh subset forward bit for bit under the
+family's stability contract. The memo is dropped with the last state
+that refers to the base.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ class ObiState:
 
 
 def obi_init(ensemble: PosteriorEnsemble) -> ObiState:
+    """The unconditioned state over a memoizing copy of `ensemble`."""
     w = ensemble.normalized_log_weights()
-    return ObiState(base=ensemble, observed=(),
+    return ObiState(base=ensemble.with_tables(), observed=(),
                     cumulative_log_weights=w,
                     ess=effective_sample_size(w))
 
@@ -87,7 +97,8 @@ def obi_bootstrap(state: ObiState, subset_size: int, rng) -> ObiState:
 
     Base weights renormalize over the subset and the observation stream is
     replayed, so the result is exactly the state that subset would have
-    reached on its own.
+    reached on its own. Tables the base has already evaluated are
+    gathered for the subset, not evaluated again.
     """
     size = state.base.size
     if not 1 <= subset_size <= size:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestCsvIo:
         emit_results(records, manifest, tmp_path / "out")
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["curves.csv", "manifest.json", "metrics.csv"]
+
+    def test_manifest_records_numpy_and_platform(self, tmp_path):
+        cfg = _tiny_net_config()
+        records = [MetricRecord(metric="cross_entropy", value=0.5, step=1)]
+        emit_results(records, RunManifest.create(cfg), tmp_path / "out")
+        blob = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert blob["numpy_version"] == np.__version__
+        assert blob["platform"] == platform.platform()
+        assert blob["config_hash"] == config_hash(cfg)
+        assert blob["artifacts"] == ["metrics.csv", "curves.csv"]
+        # The environment stays out of the byte-identical CSVs.
+        csv_text = (tmp_path / "out" / "metrics.csv").read_text()
+        assert np.__version__ not in csv_text
+        assert platform.platform() not in csv_text
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -319,6 +334,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "coin world: ok" in out
+
+    def test_oracle_check_covers_zero_probabilities(self, capsys):
+        code = main(["oracle-check", "--worlds", "3", "--seed", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all("zeroed (" in line and line.endswith(": ok")
+                   for line in lines[1:4])
+        total = int(lines[-1].split("(")[1].split()[0])
+        assert total > 0
+        assert "3 zeroed variants" in lines[-1]
 
     @staticmethod
     def _small_config(tmp_path):

@@ -1,0 +1,318 @@
+"""Table memo: one likelihood evaluation per (fitted model, point set).
+
+Covers the memo itself (read-only tables, gathers for sub-ensembles,
+sharing across reweightings), how often each protocol evaluates a
+family, and a differential check of obi-eval against the loop it
+replaced, which evaluated every bootstrap subset afresh.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from obayes import acquisition
+from obayes.acquisition import (
+    AcquisitionSequence,
+    AcquisitionStep,
+    _masked_argmax,
+    batch_bald_gains,
+    batch_bald_greedy,
+)
+from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec
+from obayes.harness.experiments import (
+    _eval_records,
+    al_with_obi,
+    build_splits,
+    generate_sequences,
+    model_factory,
+    obi_vs_retrain_eval,
+)
+from obayes.harness.io import record_to_row
+from obayes.infometrics import MetricRecord
+from obayes.models import GridLikelihood, forward_log_probs
+from obayes.models.mlp import McDropoutFamily, MlpArchitecture, init_dropout_ensemble
+from obayes.numerics import RngStream
+from obayes.obi import (
+    PosteriorCollapseError,
+    obi_bootstrap,
+    obi_init,
+    obi_observe_many,
+    obi_predict_batch,
+)
+from obayes.oracle import GridWorld
+from obayes.predictive import marginal_log_probs
+
+
+@pytest.fixture(scope="module")
+def dropout_128():
+    arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                           dropout_rate=0.5)
+    return init_dropout_ensemble(arch, 128, RngStream(11).derive("init"))
+
+
+@pytest.fixture()
+def family_calls(monkeypatch):
+    """Every family evaluation as (family, xs bytes, sample count)."""
+    calls = []
+
+    def counting(original):
+        def log_probs(self, samples, xs):
+            calls.append((self, np.asarray(xs).tobytes(), len(samples)))
+            return original(self, samples, xs)
+        return log_probs
+
+    for cls in (McDropoutFamily, GridLikelihood):
+        monkeypatch.setattr(cls, "log_probs", counting(cls.log_probs))
+    return calls
+
+
+class TestMemo:
+    def test_memoized_table_is_read_only_and_reused(self, dropout_16,
+                                                    cluster_data):
+        xs = cluster_data[1].xs[:9]
+        memo = dropout_16.with_tables()
+        table = forward_log_probs(memo, xs)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+        assert forward_log_probs(memo, xs) is table
+        assert memo.with_tables() is memo
+        assert np.array_equal(table, forward_log_probs(dropout_16, xs))
+
+    @pytest.mark.parametrize("subset_size", [1, 7, 128])
+    def test_take_gathers_fresh_subset_forward(self, dropout_128,
+                                               cluster_data, family_calls,
+                                               subset_size):
+        xs = cluster_data[1].xs
+        gen = np.random.default_rng(subset_size)
+        idx = np.sort(gen.choice(128, size=subset_size, replace=False))
+        memo = dropout_128.with_tables()
+        forward_log_probs(memo, xs)
+        sub = memo.take(idx)
+        before = len(family_calls)
+        gathered = forward_log_probs(sub, xs)
+        assert len(family_calls) == before      # served from the memo
+        assert not gathered.flags.writeable
+        fresh = forward_log_probs(dropout_128.take(idx), xs)
+        assert len(family_calls) == before + 1
+        assert np.array_equal(gathered, fresh)
+
+    def test_reweighted_shares_memo(self, dropout_16, cluster_data,
+                                    family_calls):
+        xs = cluster_data[1].xs[:5]
+        memo = dropout_16.with_tables()
+        tilted = memo.reweighted(np.linspace(-1.0, 0.0, 16))
+        a = forward_log_probs(memo, xs)
+        b = forward_log_probs(tilted, xs)
+        assert a is b and len(family_calls) == 1
+        state = obi_init(dropout_16)
+        assert forward_log_probs(state.as_ensemble(), xs) is \
+            forward_log_probs(state.base, xs)
+        assert len(family_calls) == 2
+
+    def test_plain_ensemble_never_stores(self, dropout_16, cluster_data,
+                                         family_calls):
+        xs = cluster_data[1].xs[:5]
+        for ens in (dropout_16, dropout_16.reweighted(np.zeros(16)),
+                    dropout_16.take([0, 3])):
+            first = forward_log_probs(ens, xs)
+            assert first.flags.writeable
+            assert forward_log_probs(ens, xs) is not first
+            assert ens._tables is None
+        assert len(family_calls) == 6
+
+    def test_obi_state_reuses_base_tables(self, dropout_16, cluster_data,
+                                          family_calls):
+        train, evald = cluster_data
+        state = obi_init(dropout_16)
+        assert dropout_16._tables is None
+        first = obi_predict_batch(state, evald.xs)
+        state = obi_observe_many(state, [train.example(i) for i in range(3)])
+        second = obi_predict_batch(state, evald.xs)
+        evals = [c for c in family_calls if c[1] == evald.xs.tobytes()]
+        assert len(evals) == 1
+        assert not np.array_equal(first, second)
+
+
+class TestEvaluationCounts:
+    def test_al_obi_evaluates_pool_and_eval_once_per_base(self,
+                                                          family_calls):
+        cfg = ExperimentConfig(
+            data=DataSpec(kind="clusters", n_per_class=8, num_classes=4,
+                          dim=2, spread=0.4, eval_per_class=10),
+            model=ModelSpec(kind="mc_dropout", hidden=16, epochs=20,
+                            ensemble_size=8),
+            strategy="active_sampling", num_steps=8, seed_train_size=4,
+            bootstrap_size=8, ess_retrain_threshold=2.0, seed=3)
+        records = al_with_obi(cfg)
+        pool, eval_set, _, _ = build_splits(cfg, RngStream(seed=cfg.seed))
+        per_set = collections.defaultdict(collections.Counter)
+        for family, key, _ in family_calls:
+            per_set[key][id(family)] += 1
+        pool_bases = per_set[pool.xs.tobytes()]
+        eval_bases = per_set[eval_set.xs.tobytes()]
+        assert set(pool_bases.values()) == {1}
+        assert set(eval_bases.values()) == {1}
+        assert set(pool_bases) == set(eval_bases)
+        # Several steps shared a base, so the memo was actually reused.
+        retrains = sum(r.value for r in records
+                       if r.metric == "retrain_event")
+        assert len(pool_bases) < cfg.num_steps
+        assert len(pool_bases) <= retrains + 1
+
+    def test_obi_eval_evaluates_eval_set_once_per_prefix_model(
+            self, family_calls):
+        cfg = _net_config()
+        obi_vs_retrain_eval(cfg)
+        _, eval_set, _, _ = build_splits(cfg, RngStream(seed=cfg.seed))
+        evals = [(id(family), size) for family, key, size in family_calls
+                 if key == eval_set.xs.tobytes()]
+        sizes = {t for t in range(cfg.eval_start,
+                                  cfg.num_steps - cfg.lookahead + 1)}
+        sizes |= {t + cfg.lookahead for t in sizes}
+        # Two sequences, one model per prefix size and trial; the
+        # bootstrap subsets gather and never evaluate.
+        assert len(evals) == 2 * cfg.trials * len(sizes)
+        assert len(set(evals)) == len(evals)
+        assert {size for _, size in evals} == {cfg.model.ensemble_size}
+
+    def test_batch_bald_greedy_evaluates_pool_once(self, dropout_16,
+                                                   cluster_data,
+                                                   family_calls,
+                                                   monkeypatch):
+        pool_xs = cluster_data[1].xs[:12]
+        gains_calls = []
+
+        def counting_gains(*args, **kwargs):
+            gains_calls.append(1)
+            return batch_bald_gains(*args, **kwargs)
+
+        monkeypatch.setattr(acquisition, "batch_bald_gains", counting_gains)
+        batch = batch_bald_greedy(dropout_16, pool_xs, 3)
+        assert len(family_calls) == 1
+        assert len(gains_calls) == 3
+        assert dropout_16._tables is None
+        # Same picks and scores as per-pick gains on the plain ensemble.
+        mask = np.ones(12, dtype=bool)
+        chosen, scores = [], []
+        for _ in range(3):
+            gains = batch_bald_gains(dropout_16, pool_xs, chosen,
+                                     allowed=np.flatnonzero(mask))
+            chosen.append(_masked_argmax(gains, mask))
+            scores.append(float(gains[chosen[-1]]))
+            mask[chosen[-1]] = False
+        assert batch.indices == tuple(chosen)
+        assert batch.scores == tuple(scores)
+
+
+def _net_config(**overrides) -> ExperimentConfig:
+    values = dict(
+        data=DataSpec(kind="clusters", n_per_class=8, num_classes=4, dim=2,
+                      spread=0.4, eval_per_class=10),
+        model=ModelSpec(kind="mc_dropout", hidden=16, epochs=20,
+                        ensemble_size=8),
+        strategy="bald", num_steps=8, lookahead=2, trials=2,
+        obi_subtrials=3, bootstrap_size=5, eval_start=3, seed_train_size=4,
+        seed=3)
+    values.update(overrides)
+    return ExperimentConfig(**values)
+
+
+def _reference_obi_eval(config: ExperimentConfig, sequences=None) -> list:
+    """obi-eval as it was before the table memo: all prefix models held
+    at once, and each bootstrap sub-trial evaluating its own subset."""
+    root = RngStream(seed=config.seed)
+    pool, eval_set, _, world = build_splits(config, root)
+    factory = model_factory(config.model, pool.dim, pool.num_classes, world)
+    if sequences is None:
+        sequences = generate_sequences(config, pool, eval_set, factory, root)
+    k = config.lookahead
+    t_values = list(range(config.eval_start, config.num_steps - k + 1))
+    records = []
+    for name in sorted(sequences):
+        seq = sequences[name]
+        seq_data = seq.examples(pool)
+        sizes = sorted(set(t_values) | {t + k for t in t_values})
+        for trial in range(config.trials):
+            models = {size: factory(seq_data.subset(range(size), "prefix"),
+                                    root.derive("model", name, trial, size))
+                      for size in sizes}
+            eval_rows = {size: marginal_log_probs(models[size], eval_set.xs)
+                         for size in sizes}
+            for t in t_values:
+                next_k = [seq_data.example(i) for i in range(t, t + k)]
+                state0 = obi_init(models[t])
+                for sub in range(config.obi_subtrials):
+                    boot = obi_bootstrap(
+                        state0, config.bootstrap_size,
+                        root.derive("bootstrap", name, trial, t, sub))
+                    coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
+                                  strategy=seq.strategy, name=name)
+                    records += _eval_records(eval_rows[t], eval_set,
+                                             dict(coords, branch="baseline"))
+                    records += _eval_records(eval_rows[t + k], eval_set,
+                                             dict(coords, branch="retrain"))
+                    try:
+                        conditioned = obi_observe_many(boot, next_k)
+                        rows = obi_predict_batch(conditioned, eval_set.xs)
+                        records += _eval_records(rows, eval_set,
+                                                 dict(coords, branch="obi"))
+                        records.append(MetricRecord(
+                            metric="ess", value=conditioned.ess,
+                            branch="obi", **coords))
+                    except PosteriorCollapseError:
+                        for metric, value in (("cross_entropy", np.inf),
+                                              ("accuracy", 0.0),
+                                              ("ess", 0.0)):
+                            records.append(MetricRecord(
+                                metric=metric, value=value, branch="obi",
+                                flag="collapse", **coords))
+    return records
+
+
+def _rows(records) -> list:
+    return [record_to_row(r) for r in records]
+
+
+class TestObiEvalMatchesReference:
+    def test_mc_dropout(self):
+        cfg = _net_config()
+        assert _rows(obi_vs_retrain_eval(cfg)) == \
+            _rows(_reference_obi_eval(cfg))
+
+    def test_grid_with_collapsing_cells(self, tmp_path):
+        # h1 never emits label 1, so a bootstrap keeping only h1 collapses
+        # on a label-1 lookahead point while the prefix holds only 0s.
+        world = GridWorld(tables=np.array([[[0.5, 0.5]], [[1.0, 0.0]],
+                                           [[0.2, 0.8]]]),
+                          prior=np.full(3, 1.0 / 3.0),
+                          vocabulary=np.zeros((1, 1)), true_hypothesis=0,
+                          name="one-sided")
+        path = tmp_path / "world.json"
+        path.write_text(world.to_json())
+        cfg = ExperimentConfig(
+            data=DataSpec(kind="grid", grid_name=str(path),
+                          grid_pool_size=24, grid_eval_size=16),
+            model=ModelSpec(kind="grid", ensemble_size=3),
+            strategy="bald", num_steps=5, lookahead=1, trials=1,
+            obi_subtrials=8, bootstrap_size=1, eval_start=2,
+            seed_train_size=2, seed=5)
+        pool, _, _, _ = build_splits(cfg, RngStream(seed=cfg.seed))
+        zeros = np.flatnonzero(pool.ys == 0)
+        ones = np.flatnonzero(pool.ys == 1)
+        sequences = {}
+        for name, order in (("zeros-then-one", [*zeros[:4], ones[0]]),
+                            ("zeros", zeros[4:9])):
+            steps = tuple(AcquisitionStep(step=i, pool_index=int(p),
+                                          original_index=int(p),
+                                          y=int(pool.ys[p]), score=0.0,
+                                          strategy=name)
+                          for i, p in enumerate(order))
+            sequences[name] = AcquisitionSequence(steps=steps, strategy=name,
+                                                  seed=cfg.seed)
+        records = obi_vs_retrain_eval(cfg, sequences)
+        assert _rows(records) == _rows(_reference_obi_eval(cfg, sequences))
+        collapsed = {(r.name, r.step) for r in records
+                     if r.metric == "ess" and r.flag == "collapse"}
+        assert collapsed == {("zeros-then-one", 4)}
