@@ -327,8 +327,7 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
 
 
 def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
-               eval_set: Dataset | None, batch_indices=(),
-               epig_eval_xs=None) -> np.ndarray:
+               eval_set: Dataset | None, batch_indices=()) -> np.ndarray:
     """Scores for every pool point under one strategy.
 
     `batch_indices` are picks since the last retrain: batch_bald
@@ -341,8 +340,7 @@ def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
     if strategy == "batch_bald":
         return batch_bald_gains(ensemble, pool.xs, batch_indices)
     if strategy == "epig":
-        eval_xs = pool.xs if epig_eval_xs is None else epig_eval_xs
-        return epig_scores_singleton(ensemble, pool.xs, eval_xs)
+        return epig_scores_singleton(ensemble, pool.xs, pool.xs)
     if strategy == "active_sampling":
         if eval_set is None:
             raise ValueError("active_sampling requires an eval set")
@@ -385,7 +383,7 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
                     eval_set: Dataset | None, num_steps: int,
                     retrain_every: int, rng: RngStream,
                     allow_reselection: bool = False,
-                    epig_eval_xs=None, origin: str = "") -> AcquisitionSequence:
+                    origin: str = "") -> AcquisitionSequence:
     """Sequential pool selection with periodic retraining.
 
     ensemble_factory(train_subset, stream) must deterministically build
@@ -422,7 +420,7 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
             score = 0.0
         else:
             scores = score_pool(strategy, ensemble, pool, eval_set,
-                                batch_indices=batch, epig_eval_xs=epig_eval_xs)
+                                batch_indices=batch)
             pick = _masked_argmax(scores, allowed)
             score = float(scores[pick])
         fallback = not np.isfinite(score)

@@ -40,7 +40,7 @@ from ..models import (
     train_mc_dropout,
 )
 from ..models.mlp import init_deep_ensemble, init_dropout_ensemble
-from ..numerics import RngStream
+from ..numerics import DegenerateWeightsError, RngStream
 from ..obi import (
     PosteriorCollapseError,
     obi_bootstrap,
@@ -168,11 +168,16 @@ def _eval_records(rows, eval_set, base: dict, flag: str = "") -> list:
 
 def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
                  rng: RngStream, coords: dict) -> list:
-    """OBI branch of one cell: bootstrap, reweight on next_k, evaluate."""
-    boot = obi_bootstrap(state0, bootstrap_size, rng)
+    """OBI branch of one cell: bootstrap, reweight on next_k, evaluate.
+
+    The cell collapses when the subset holds only samples the prefix
+    already ruled out (their weights are all -inf), or when next_k rules
+    out every sample left.
+    """
     try:
+        boot = obi_bootstrap(state0, bootstrap_size, rng)
         conditioned = obi_observe_many(boot, next_k)
-    except PosteriorCollapseError:
+    except (DegenerateWeightsError, PosteriorCollapseError):
         return [MetricRecord(metric="cross_entropy", value=float("inf"),
                              branch="obi", flag="collapse", **coords),
                 MetricRecord(metric="accuracy", value=0.0, branch="obi",

@@ -9,13 +9,17 @@ under that sample; resampling per input would break joint predictives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import Dataset
 from ..numerics import RngStream
 from .ensemble import PosteriorEnsemble
+
+# Elements of masked hidden activations McDropoutFamily.log_probs holds at
+# once (512 KiB of float64, a few samples' worth at the usual sizes).
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     early_stop_delta: float = 1e-5
     early_stop_patience: int = 5
     seed: int = 0
@@ -112,13 +115,25 @@ def mlp_forward_log_probs(params: MlpParams, xs) -> np.ndarray:
 
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
                        mask_scale: np.ndarray | None = None) -> float:
-    logp = mlp_log_probs(params, xs, mask_scale)
-    return float(-logp[np.arange(len(ys)), ys].mean())
+    _, _, logits = _forward(params, xs, mask_scale)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite activations in forward pass")
+    # _log_softmax's operations, evaluated at the observed labels only.
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    observed = z[np.arange(len(ys)), ys] - lse
+    return float(-observed.mean())
 
 
 def mlp_gradient(params: MlpParams, xs, ys,
-                 mask_scale: np.ndarray | None = None) -> MlpParams:
-    """Exact gradient of the mean cross-entropy over the batch."""
+                 mask_scale: np.ndarray | None = None,
+                 out: MlpParams | None = None) -> MlpParams:
+    """Exact gradient of the mean cross-entropy over the batch.
+
+    With `out`, the gradient is written into its arrays (which must have
+    the parameter shapes) and `out` is returned; otherwise new arrays are
+    allocated. Both give the same bits.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.asarray(ys, dtype=np.int64)
     if xs.shape[0] == 0:
@@ -127,67 +142,85 @@ def mlp_gradient(params: MlpParams, xs, ys,
     z1, hd, logits = _forward(params, xs, mask_scale)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite activations in forward pass")
+    if out is None:
+        out = MlpParams(*(np.empty_like(a) for a in params.arrays()))
     probs = np.exp(_log_softmax(logits))
     dlogits = probs
     dlogits[np.arange(n), ys] -= 1.0
     dlogits /= n
-    dw2 = hd.T @ dlogits
-    db2 = dlogits.sum(axis=0)
+    np.matmul(hd.T, dlogits, out=out.w2)
+    dlogits.sum(axis=0, out=out.b2)
     dhd = dlogits @ params.w2.T
     dh = dhd if mask_scale is None else dhd * mask_scale
     dz1 = dh * (z1 > 0.0)
-    dw1 = xs.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return MlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    np.matmul(xs.T, dz1, out=out.w1)
+    dz1.sum(axis=0, out=out.b1)
+    return out
 
 
-@dataclass
-class _AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    t: int = 0
-
-
-def _adam_step(params: MlpParams, grad: MlpParams, state: _AdamState,
-               cfg: TrainConfig) -> None:
-    arrays = params.arrays()
-    grads = grad.arrays()
-    if not state.m:
-        state.m = [np.zeros_like(a) for a in arrays]
-        state.v = [np.zeros_like(a) for a in arrays]
-    state.t += 1
-    t = state.t
-    for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        if cfg.weight_decay > 0.0:
-            g = g + cfg.weight_decay * a
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+def _flat_views(arch: MlpArchitecture, flat: np.ndarray) -> MlpParams:
+    """MlpParams whose arrays are views into one flat buffer."""
+    d, h, c = arch.in_dim, arch.hidden, arch.num_classes
+    ends = np.cumsum([d * h, h, h * c, c])
+    w1, b1, w2, b2 = np.split(flat, ends[:-1])
+    return MlpParams(w1=w1.reshape(d, h), b1=b1, w2=w2.reshape(h, c), b2=b2)
 
 
 def _train_single(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
                   stream: RngStream, member: str, use_dropout: bool) -> MlpParams:
+    """Minibatch Adam with early stopping on the full-set loss.
+
+    Parameters, gradient and Adam moments are flat buffers allocated once,
+    so each step is one gradient write and one in-place Adam update of
+    every parameter at once. Each epoch draws its permutation and then all
+    of its dropout masks in one call, the same stream as one draw per step.
+    """
     gen = stream.generator()
-    params = init_params(arch, gen)
+    flat = np.concatenate([a.ravel() for a in init_params(arch, gen).arrays()])
+    params = _flat_views(arch, flat)
+    grad_flat = np.empty_like(flat)
+    grad = _flat_views(arch, grad_flat)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    step, denom = np.empty_like(flat), np.empty_like(flat)
+    b1, b2 = cfg.beta1, cfg.beta2
     xs, ys = train.xs, train.ys
     n = len(train)
+    bs = cfg.batch_size
+    num_batches = -(-n // bs)
     keep = 1.0 - arch.dropout_rate
-    state = _AdamState()
+    dropout = use_dropout and arch.dropout_rate > 0.0
+    scales = [None] * num_batches
+    t = 0
     history = [cross_entropy_loss(params, xs, ys)]
     for epoch in range(cfg.epochs):
         perm = gen.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            mask_scale = None
-            if use_dropout and arch.dropout_rate > 0.0:
-                mask = gen.random(arch.hidden) < keep
-                mask_scale = mask.astype(np.float64) / keep
-            grad = mlp_gradient(params, xs[idx], ys[idx], mask_scale)
-            _adam_step(params, grad, state, cfg)
+        if dropout:
+            masks = gen.random((num_batches, arch.hidden)) < keep
+            scales = masks.astype(np.float64) / keep
+        xs_epoch, ys_epoch = xs[perm], ys[perm]
+        for b in range(num_batches):
+            batch = slice(b * bs, (b + 1) * bs)
+            mlp_gradient(params, xs_epoch[batch], ys_epoch[batch], scales[b],
+                         out=grad)
+            t += 1
+            # Adam over all parameters at once, one elementwise op at a time
+            # in the per-array update's order, which the bits depend on:
+            # m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
+            # w -= (lr m_hat) / (sqrt(v_hat) + eps).
+            m *= b1
+            np.multiply(1.0 - b1, grad_flat, out=step)
+            m += step
+            v *= b2
+            np.multiply(1.0 - b2, grad_flat, out=step)
+            step *= grad_flat
+            v += step
+            np.divide(m, 1.0 - b1 ** t, out=step)
+            step *= cfg.learning_rate
+            np.divide(v, 1.0 - b2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_eps
+            step /= denom
+            flat -= step
         loss = cross_entropy_loss(params, xs, ys)
         if not np.isfinite(loss):
             raise ValueError(
@@ -232,11 +265,19 @@ class McDropoutFamily:
     def log_probs(self, samples, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         keep = 1.0 - self.arch.dropout_rate
+        w2 = self.params.w2
         z1 = xs @ self.params.w1 + self.params.b1
-        h = np.maximum(z1, 0.0)
-        masks = np.stack(samples)                       # (S, H) in {0, 1}
-        hd = h[None, :, :] * (masks / keep)[:, None, :]
-        logits = hd @ self.params.w2 + self.params.b2   # (S, N, C)
+        h = np.maximum(z1, 0.0)                         # (N, H)
+        scale = np.stack(samples) / keep                # (S, H)
+        n, width = h.shape
+        logits = np.empty((len(scale), n, w2.shape[1]))  # (S, N, C)
+        # A few samples' masked hidden layers at a time, never all S; each
+        # sample is still its own (N, H) @ (H, C) product.
+        chunk = max(1, _CHUNK_ELEMENTS // (n * width))
+        for lo in range(0, len(scale), chunk):
+            np.matmul(h[None] * scale[lo:lo + chunk, None, :], w2,
+                      out=logits[lo:lo + chunk])
+        logits += self.params.b2
         if not np.all(np.isfinite(logits)):
             raise ValueError("non-finite activations in forward pass")
         return _log_softmax(logits)

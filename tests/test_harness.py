@@ -34,6 +34,7 @@ from obayes.harness.io import (
 )
 from obayes.infometrics import MetricRecord
 from obayes.numerics import RngStream
+from obayes.oracle import GridWorld
 
 
 def _tiny_grid_config(**overrides) -> ExperimentConfig:
@@ -344,6 +345,44 @@ class TestCli:
         total = int(lines[-1].split("(")[1].split()[0])
         assert total > 0
         assert "3 zeroed variants" in lines[-1]
+
+    def test_obi_eval_flags_bootstraps_of_ruled_out_samples(self, tmp_path,
+                                                            capsys):
+        # h1 never emits label 1, so once the prefix holds a 1 a bootstrap
+        # subset of size 1 that keeps only h1 has no normalizable weight.
+        world = GridWorld(tables=np.array([[[0.5, 0.5]], [[1.0, 0.0]],
+                                           [[0.2, 0.8]]]),
+                          prior=np.full(3, 1.0 / 3.0),
+                          vocabulary=np.zeros((1, 1)), true_hypothesis=0,
+                          name="one-sided")
+        world_path = tmp_path / "world.json"
+        world_path.write_text(world.to_json())
+        cfg = _tiny_grid_config(
+            data=DataSpec(kind="grid", grid_name=str(world_path),
+                          grid_pool_size=24, grid_eval_size=16),
+            num_steps=5, lookahead=1, obi_subtrials=8, bootstrap_size=1,
+            eval_start=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_to_json(cfg))
+        out = tmp_path / "run"
+        code = main(["obi-eval", "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(out)])
+        assert code == 0
+        cells = {}
+        for r in read_records(out / "metrics.csv"):
+            if r.branch == "obi":
+                key = (r.name, r.trial, r.sub_trial, r.step)
+                cells.setdefault(key, {})[r.metric] = (r.value, r.flag)
+        flagged = [c for c in cells.values()
+                   if any(flag == "collapse" for _, flag in c.values())]
+        assert flagged and len(flagged) < len(cells)
+        for cell in flagged:
+            assert cell == {"cross_entropy": (math.inf, "collapse"),
+                            "accuracy": (0.0, "collapse"),
+                            "ess": (0.0, "collapse")}
+        for cell in cells.values():
+            if cell not in flagged:
+                assert math.isfinite(cell["cross_entropy"][0])
 
     @staticmethod
     def _small_config(tmp_path):

@@ -2,7 +2,10 @@
 
 The gradient check compares hand-written backprop against central
 finite differences, the one part of the model stack where a silent
-error would corrupt every downstream experiment.
+error would corrupt every downstream experiment. The reference-equality
+tests keep the straightforward per-array versions of the gradient, Adam,
+the training loop and the dropout forward, and require the fused,
+flat-buffer and chunked versions to give the same bits.
 """
 
 import math
@@ -23,12 +26,14 @@ from obayes.models.mlp import (
     MlpParams,
     TrainConfig,
     cross_entropy_loss,
+    init_dropout_ensemble,
     init_params,
     mlp_forward_log_probs,
     mlp_gradient,
     train_deep_ensemble,
     train_mc_dropout,
 )
+from obayes.models.mlp import _CHUNK_ELEMENTS
 from obayes.numerics import RngStream
 from obayes.oracle import coin_world, oracle_posterior
 
@@ -313,3 +318,156 @@ class TestCheckpoint:
                         family=Odd())
         with pytest.raises(ValueError, match="cannot serialize"):
             save_ensemble(tmp_path / "x.npz", odd)
+
+
+def _reference_log_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _reference_log_probs(params, xs, mask_scale=None):
+    h = np.maximum(xs @ params.w1 + params.b1, 0.0)
+    hd = h if mask_scale is None else h * mask_scale
+    return _reference_log_softmax(hd @ params.w2 + params.b2)
+
+
+def _reference_loss(params, xs, ys, mask_scale=None):
+    logp = _reference_log_probs(params, xs, mask_scale)
+    return float(-logp[np.arange(len(ys)), ys].mean())
+
+
+def _reference_gradient(params, xs, ys, mask_scale=None):
+    """mlp_gradient as it was before it wrote into a flat buffer."""
+    n = xs.shape[0]
+    z1 = xs @ params.w1 + params.b1
+    h = np.maximum(z1, 0.0)
+    hd = h if mask_scale is None else h * mask_scale
+    logits = hd @ params.w2 + params.b2
+    dlogits = np.exp(_reference_log_softmax(logits))
+    dlogits[np.arange(n), ys] -= 1.0
+    dlogits /= n
+    dhd = dlogits @ params.w2.T
+    dh = dhd if mask_scale is None else dhd * mask_scale
+    dz1 = dh * (z1 > 0.0)
+    return MlpParams(w1=xs.T @ dz1, b1=dz1.sum(axis=0),
+                     w2=hd.T @ dlogits, b2=dlogits.sum(axis=0))
+
+
+def _reference_adam_step(params, grad, state, cfg):
+    """Per-array Adam, the pre-fusion update."""
+    arrays, grads = params.arrays(), grad.arrays()
+    if not state["m"]:
+        state["m"] = [np.zeros_like(a) for a in arrays]
+        state["v"] = [np.zeros_like(a) for a in arrays]
+    state["t"] += 1
+    t = state["t"]
+    for a, g, m, v in zip(arrays, grads, state["m"], state["v"]):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def _reference_train_single(train, arch, cfg, stream, use_dropout):
+    """Training as it was before the fused step: a fresh gather, mask draw
+    and gradient per minibatch, and per-array Adam."""
+    gen = stream.generator()
+    params = init_params(arch, gen)
+    xs, ys = train.xs, train.ys
+    n = len(train)
+    keep = 1.0 - arch.dropout_rate
+    state = {"m": [], "v": [], "t": 0}
+    history = [_reference_loss(params, xs, ys)]
+    for _ in range(cfg.epochs):
+        perm = gen.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            mask_scale = None
+            if use_dropout and arch.dropout_rate > 0.0:
+                mask = gen.random(arch.hidden) < keep
+                mask_scale = mask.astype(np.float64) / keep
+            grad = _reference_gradient(params, xs[idx], ys[idx], mask_scale)
+            _reference_adam_step(params, grad, state, cfg)
+        history.append(_reference_loss(params, xs, ys))
+        p = cfg.early_stop_patience
+        if len(history) > p and \
+                history[-1 - p] - history[-1] < cfg.early_stop_delta:
+            break
+    return params
+
+
+def _assert_params_equal(a, b):
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestFusedHotPathsMatchReference:
+    """Bit-for-bit equality with the straightforward implementations."""
+
+    # n = 5 is below the batch size of 32, and 45 is not a multiple of it.
+    @pytest.mark.parametrize("hidden", [16, 64])
+    @pytest.mark.parametrize("n", [5, 45])
+    @pytest.mark.parametrize("kind", ["mc_dropout", "deep_ensemble"])
+    def test_trained_params(self, kind, n, hidden):
+        full = generate_cluster_dataset(12, 4, 2, 0.4, RngStream(41))
+        train = full.subset(range(n), "train")
+        cfg = TrainConfig(epochs=25, seed=n + hidden)
+        if kind == "mc_dropout":
+            # keep = 0.7: mask scales are not powers of two, so a reordered
+            # product shows in the bits.
+            arch = MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
+                                   dropout_rate=0.3)
+            ens = train_mc_dropout(train, arch, cfg, 4, RngStream(3))
+            trained = [ens.family.params]
+            streams = [RngStream(seed=cfg.seed).derive("mc_dropout")]
+        else:
+            arch = MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
+                                   dropout_rate=0.0)
+            ens = train_deep_ensemble(train, arch, cfg, 2)
+            trained = list(ens.samples)
+            root = RngStream(seed=cfg.seed).derive("deep_ensemble")
+            streams = [root.derive("member", k) for k in range(2)]
+        for params, stream in zip(trained, streams):
+            _assert_params_equal(
+                params, _reference_train_single(train, arch, cfg, stream,
+                                                use_dropout=True))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradient_out_matches_allocating_call(self, masked):
+        gen = RngStream(42).generator()
+        arch = MlpArchitecture(in_dim=3, hidden=16, num_classes=4)
+        params = init_params(arch, gen)
+        params.b1[:] = gen.standard_normal(16)
+        xs = gen.standard_normal((13, 3))
+        ys = gen.integers(0, 4, size=13)
+        mask = (gen.random(16) < 0.7) / 0.7 if masked else None
+        allocated = mlp_gradient(params, xs, ys, mask)
+        out = MlpParams(*(np.full_like(a, np.nan) for a in params.arrays()))
+        assert mlp_gradient(params, xs, ys, mask, out=out) is out
+        _assert_params_equal(out, allocated)
+        _assert_params_equal(allocated,
+                             _reference_gradient(params, xs, ys, mask))
+        # One row at a time too: a batch mean can round away a last-bit
+        # difference in one row's log-probability.
+        for rows in [slice(None)] + [slice(i, i + 1) for i in range(13)]:
+            assert cross_entropy_loss(params, xs[rows], ys[rows], mask) == \
+                _reference_loss(params, xs[rows], ys[rows], mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 200, 1100])
+    @pytest.mark.parametrize("s", [1, 7, 128])
+    def test_dropout_forward_matches_unchunked(self, s, n):
+        arch = MlpArchitecture(in_dim=2, hidden=64, num_classes=4,
+                               dropout_rate=0.3)
+        ens = init_dropout_ensemble(arch, s, RngStream(43).derive("s", s))
+        xs = RngStream(44).generator().standard_normal((n, 2))
+        fam = ens.family
+        h = np.maximum(xs @ fam.params.w1 + fam.params.b1, 0.0)
+        scale = np.stack(ens.samples) / (1.0 - arch.dropout_rate)
+        logits = (h[None] * scale[:, None, :]) @ fam.params.w2 + fam.params.b2
+        assert np.array_equal(forward_log_probs(ens, xs),
+                              _reference_log_softmax(logits))
+        if n == 1100:
+            assert n * arch.hidden > _CHUNK_ELEMENTS

@@ -1,9 +1,11 @@
 """Table memo: one likelihood evaluation per (fitted model, point set).
 
-Covers the memo itself (read-only tables, gathers for sub-ensembles,
-sharing across reweightings), how often each protocol evaluates a
-family, and a differential check of obi-eval against the loop it
-replaced, which evaluated every bootstrap subset afresh.
+Covers the family contract the memo relies on (a sample's rows do not
+depend on the other samples in the call), the memo itself (read-only
+tables, gathers for sub-ensembles, sharing across reweightings), how
+often each protocol evaluates a family, and a differential check of
+obi-eval against the loop it replaced, which evaluated every bootstrap
+subset afresh.
 """
 
 import collections
@@ -31,7 +33,12 @@ from obayes.harness.experiments import (
 from obayes.harness.io import record_to_row
 from obayes.infometrics import MetricRecord
 from obayes.models import GridLikelihood, forward_log_probs
-from obayes.models.mlp import McDropoutFamily, MlpArchitecture, init_dropout_ensemble
+from obayes.models.mlp import (
+    McDropoutFamily,
+    MlpArchitecture,
+    init_deep_ensemble,
+    init_dropout_ensemble,
+)
 from obayes.numerics import RngStream
 from obayes.obi import (
     PosteriorCollapseError,
@@ -65,6 +72,34 @@ def family_calls(monkeypatch):
     for cls in (McDropoutFamily, GridLikelihood):
         monkeypatch.setattr(cls, "log_probs", counting(cls.log_probs))
     return calls
+
+
+class TestFamilyContract:
+    """Evaluating a subset of the samples gives the slices of the full
+    table, bit for bit; the chunked dropout forward splits the samples at
+    chunk boundaries that these subsets straddle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 200, 1100])
+    @pytest.mark.parametrize("kind", ["mc_dropout", "deep_ensemble"])
+    def test_sample_subsets_give_table_slices(self, kind, n):
+        init = RngStream(12).derive("init")
+        if kind == "mc_dropout":
+            # Mask scales of 1/0.7 are inexact, unlike 1/0.5.
+            arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                                   dropout_rate=0.3)
+            ens = init_dropout_ensemble(arch, 128, init)
+        else:
+            arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                                   dropout_rate=0.0)
+            ens = init_deep_ensemble(arch, 9, init)
+        xs = RngStream(13).generator().standard_normal((n, 2))
+        full = ens.family.log_probs(ens.samples, xs)
+        gen = np.random.default_rng(n)
+        for idx in ([ens.size - 1], np.arange(ens.size)[::-1],
+                    gen.choice(ens.size, size=ens.size // 2 + 1,
+                               replace=False)):
+            part = ens.family.log_probs([ens.samples[i] for i in idx], xs)
+            assert np.array_equal(part, full[idx])
 
 
 class TestMemo:
