@@ -10,8 +10,9 @@ EPIG, BatchBALD and active sampling score every candidate against one
 fixed likelihood table with log-space matrix products
 (numerics.log_matmul_exp), taking candidates in blocks of S (the
 ensemble size) so that no temporary outgrows the per-candidate tensor of
-a loop. Each distinct candidate is scored once and its score copied to
-its exact duplicates, so duplicates tie bitwise.
+a loop; EPIG and BatchBALD share that joint-entropy kernel
+(`_group_joint_entropies`). Each distinct candidate is scored once and
+its score copied to its exact duplicates, so duplicates tie bitwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .models import PosteriorEnsemble, forward_log_probs, observed_log_likelihood
+from .models import (
+    PosteriorEnsemble,
+    forward_log_probs,
+    observed_log_likelihood,
+    observed_log_probs,
+)
 from .numerics import RngStream, log_matmul_exp, log_sum_exp_axis
 from .predictive import (
     ENUMERATION_LIMIT,
@@ -140,6 +146,29 @@ def bald_scores(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     return marginal - conditional
 
 
+def _group_joint_entropies(left: np.ndarray, table: np.ndarray,
+                           groups: int) -> np.ndarray:
+    """Entropy of each group's joint with each candidate's label; (U, G).
+
+    `left` holds G groups of R weighted per-sample log rows, (G*R, S),
+    group major; `table` is the (S, U, C) slice of the distinct
+    candidates. Entry [u, g] is the entropy of the R*C outcomes
+    ln sum_s exp(left[g*R + r, s] + table[s, u, c]). Candidates go in
+    blocks of S, so no temporary outgrows a per-candidate loop's.
+    """
+    size, num_cand, num_classes = table.shape
+    out = np.empty((num_cand, groups))
+    for lo in range(0, num_cand, size):
+        block = table[:, lo:lo + size]                        # (S, B, C)
+        width = block.shape[1]
+        lq = log_matmul_exp(left, block.reshape(size, -1))    # (G*R, B*C)
+        # (B, G, R*C): candidate label on the last axis.
+        lq = lq.reshape(groups, -1, width, num_classes)
+        out[lo:lo + width] = entropy_rows(lq.transpose(2, 0, 1, 3).reshape(
+            width, groups, -1))
+    return out
+
+
 def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
                      batch_indices, allowed=None,
                      enumeration_limit: int = ENUMERATION_LIMIT) -> np.ndarray:
@@ -171,16 +200,9 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
     first, inverse = _distinct(lp[:, candidates].transpose(1, 0, 2))
     distinct = lp[:, candidates[first]]                       # (S, U, C)
     cond = np.exp(log_w) @ entropy_rows(distinct)             # (U,)
-    # Rows: batch assignments, weighted; columns: (candidate, label).
-    weighted_batch = (log_w[:, None] + per_sample).T          # (C^k, S)
-    joint = np.empty(first.size)
-    for lo in range(0, first.size, size):
-        block = distinct[:, lo:lo + size]                     # (S, B, C)
-        width = block.shape[1]
-        lq = log_matmul_exp(weighted_batch, block.reshape(size, -1))
-        # One joint row per candidate, batch assignment major.
-        lq = lq.reshape(-1, width, num_classes).transpose(1, 0, 2)
-        joint[lo:lo + width] = entropy_rows(lq.reshape(width, -1))
+    # One group: the weighted batch assignments, (C^k, S).
+    joint = _group_joint_entropies((log_w[:, None] + per_sample).T,
+                                   distinct, 1)[:, 0]
     gains[candidates] = (joint - base_joint - cond)[inverse]
     return gains
 
@@ -234,25 +256,16 @@ def epig_scores_singleton(ensemble: PosteriorEnsemble, pool_xs,
     lp_p = forward_log_probs(ensemble, pool_xs)               # (S, P, C)
     lp_e = forward_log_probs(ensemble, eval_xs)               # (S, N, C)
     log_w = ensemble.normalized_log_weights()
-    size, num_eval, num_classes = lp_e.shape
+    size, num_eval, _ = lp_e.shape
     first, inverse = _distinct(lp_p.transpose(1, 0, 2))
     lp_p = lp_p[:, first]                                     # (S, U, C)
     h_pool = entropy_rows(mixture_log_probs(log_w, lp_p))     # (U,)
     h_eval = entropy_rows(mixture_log_probs(log_w, lp_e))     # (N,)
-    # Rows: (eval point, eval label), weighted; columns: (candidate, label).
-    weighted_eval = (log_w[:, None, None] + lp_e).reshape(size, -1).T
-    scores = np.empty(first.size)
-    for lo in range(0, first.size, size):
-        block = lp_p[:, lo:lo + size]                         # (S, B, C)
-        width = block.shape[1]
-        lq = log_matmul_exp(weighted_eval, block.reshape(size, -1))
-        # (B, N, C*C): candidate label on the last axis.
-        lq = lq.reshape(num_eval, num_classes, width, num_classes)
-        h_pair = entropy_rows(lq.transpose(2, 0, 1, 3).reshape(
-            width, num_eval, -1))                             # (B, N)
-        scores[lo:lo + width] = np.mean(
-            h_eval + h_pool[lo:lo + width, None] - h_pair, axis=1)
-    return scores[inverse]
+    # One group per eval point: its weighted labels, (N*C, S).
+    h_pair = _group_joint_entropies(
+        (log_w[:, None, None] + lp_e).reshape(size, -1).T, lp_p,
+        num_eval)                                             # (U, N)
+    return np.mean(h_eval + h_pool[:, None] - h_pair, axis=1)[inverse]
 
 
 def epig_score(ensemble: PosteriorEnsemble, candidate_xs, eval_xs,
@@ -269,7 +282,6 @@ def epig_score(ensemble: PosteriorEnsemble, candidate_xs, eval_xs,
     eval_xs = np.atleast_2d(np.asarray(eval_xs, dtype=np.float64))
     if candidate_xs.shape[0] == 0 or eval_xs.shape[0] == 0:
         raise ValueError("empty reduction")
-    n_cand = candidate_xs.shape[0]
     c = ensemble.num_classes
 
     def entropy_of(xs, label):
@@ -280,9 +292,6 @@ def epig_score(ensemble: PosteriorEnsemble, candidate_xs, eval_xs,
         return joint_entropy_mc(ensemble, xs, mc_draws,
                                 rng.derive("epig", label))[0]
 
-    if c ** (n_cand + 1) <= enumeration_limit and n_cand == 1:
-        return float(np.mean(epig_scores_singleton(ensemble, candidate_xs,
-                                                   eval_xs)))
     h_cand = entropy_of(candidate_xs, -1)
     h_eval = entropy_rows(marginal_log_probs(ensemble, eval_xs))
     total = 0.0
@@ -304,10 +313,8 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
              + observed_log_likelihood(ensemble, conditioned_on))
     if not np.any(log_w > -np.inf):
         return np.full(len(pool), -np.inf)
-    lp_pool = forward_log_probs(ensemble, pool.xs)            # (S, P, C)
-    lp_eval = forward_log_probs(ensemble, eval_set.xs)        # (S, N, C)
-    cand_w = (log_w[:, None]
-              + lp_pool[:, np.arange(len(pool)), pool.ys]).T  # (P, S)
+    pool_col = observed_log_probs(ensemble, pool.xs, pool.ys)    # (S, P)
+    cand_w = (log_w[:, None] + pool_col).T                    # (P, S)
     first, inverse = _distinct(cand_w)
     cand_w = cand_w[first]                                    # (U, S)
     # Normalize each candidate's weights; a collapsed one stays all -inf.
@@ -315,7 +322,7 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
     cand_w = cand_w - np.where(np.isneginf(log_z), 0.0, log_z)[:, None]
     # Only the eval labels' mixture probabilities are scored, so mix
     # their (S, N) column instead of the full table.
-    eval_col = lp_eval[:, np.arange(len(eval_set)), eval_set.ys]
+    eval_col = observed_log_probs(ensemble, eval_set.xs, eval_set.ys)
     size = ensemble.size
     scores = np.empty(first.size)
     for lo in range(0, first.size, size):
@@ -382,8 +389,7 @@ def _masked_argmax(scores: np.ndarray, allowed_mask: np.ndarray) -> int:
 def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
                     eval_set: Dataset | None, num_steps: int,
                     retrain_every: int, rng: RngStream,
-                    allow_reselection: bool = False,
-                    origin: str = "") -> AcquisitionSequence:
+                    allow_reselection: bool = False) -> AcquisitionSequence:
     """Sequential pool selection with periodic retraining.
 
     ensemble_factory(train_subset, stream) must deterministically build
@@ -439,4 +445,4 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
                                             rng.derive("retrain", step + 1))
             batch = []
     return AcquisitionSequence(steps=tuple(steps), strategy=strategy,
-                               seed=rng.seed, origin=origin)
+                               seed=rng.seed)

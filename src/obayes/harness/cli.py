@@ -29,7 +29,6 @@ from ..oracle import (
 )
 from ..predictive import joint_entropy_exact, marginal_log_probs
 from .config import (
-    DataSpec,
     ExperimentConfig,
     ModelSpec,
     RunManifest,
@@ -139,7 +138,6 @@ def _experiment_config(args) -> ExperimentConfig:
         if args.ess_threshold is not None:
             overrides["ess_retrain_threshold"] = args.ess_threshold
         overrides["seed"] = args.seed
-        overrides["out_dir"] = args.out
         model = config.model
         if args.ensemble_size is not None:
             model = replace(model, ensemble_size=args.ensemble_size)

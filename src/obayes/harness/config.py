@@ -81,7 +81,6 @@ class ExperimentConfig:
     num_batches: int = 10
     seed_train_size: int = 8
     seed: int = 0
-    out_dir: str = "results"
 
     def __post_init__(self):
         positive = {"num_steps": self.num_steps, "trials": self.trials,

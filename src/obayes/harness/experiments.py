@@ -168,15 +168,17 @@ def _eval_records(rows, eval_set, base: dict, flag: str = "") -> list:
 
 def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
                  rng: RngStream, coords: dict) -> list:
-    """OBI branch of one cell: bootstrap, reweight on next_k, evaluate.
+    """OBI branch of one cell: reweight on next_k, bootstrap, evaluate.
 
-    The cell collapses when the subset holds only samples the prefix
-    already ruled out (their weights are all -inf), or when next_k rules
-    out every sample left.
+    The bootstrap replays next_k on its subset from the gathered rows of
+    the lookahead table, which the full state evaluates once per prefix
+    model. The cell collapses when the subset holds only samples the
+    prefix already ruled out (their weights are all -inf), or when next_k
+    rules out every sample left.
     """
     try:
-        boot = obi_bootstrap(state0, bootstrap_size, rng)
-        conditioned = obi_observe_many(boot, next_k)
+        conditioned = obi_bootstrap(obi_observe_many(state0, next_k),
+                                    bootstrap_size, rng)
     except (DegenerateWeightsError, PosteriorCollapseError):
         return [MetricRecord(metric="cross_entropy", value=float("inf"),
                              branch="obi", flag="collapse", **coords),
@@ -201,8 +203,8 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     plus the OBI effective sample size.
 
     Prefix models are trained in ascending size and only one is alive at
-    a time: its eval-set table is evaluated once, and every bootstrap
-    sub-trial gathers its rows from that table.
+    a time: its eval-set and lookahead tables are evaluated once, and
+    every bootstrap sub-trial gathers its rows from those tables.
     """
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)

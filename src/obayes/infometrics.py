@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import PosteriorEnsemble, forward_log_probs
+from .models import PosteriorEnsemble, observed_log_probs
 from .numerics import RngStream
 from .predictive import (
     _BLOCK,
@@ -23,7 +23,6 @@ from .predictive import (
     _assignment_block,
     entropy_rows,
     joint_entropy_exact,
-    joint_entropy_mc,
     marginal_log_probs,
     mixture_log_probs,
 )
@@ -76,17 +75,6 @@ def accuracy_from_rows(log_prob_rows: np.ndarray, ys) -> float:
     return float((np.argmax(log_prob_rows, axis=1) == ys).mean())
 
 
-def ensemble_cross_entropy(ensemble: PosteriorEnsemble, eval_set: Dataset) -> float:
-    """Marginal CE of the ensemble predictive, computed in one forward pass."""
-    return cross_entropy_from_rows(marginal_log_probs(ensemble, eval_set.xs),
-                                   eval_set.ys)
-
-
-def ensemble_accuracy(ensemble: PosteriorEnsemble, eval_set: Dataset) -> float:
-    return accuracy_from_rows(marginal_log_probs(ensemble, eval_set.xs),
-                              eval_set.ys)
-
-
 @dataclass(frozen=True)
 class JointCeResult:
     """Chain-rule decomposition of a sequence's joint cross-entropy."""
@@ -115,8 +103,7 @@ def joint_cross_entropy_sequence(ensemble: PosteriorEnsemble,
     if not sequence:
         raise ValueError("empty reduction")
     xs = np.vstack([ex.x for ex in sequence])
-    ys = np.array([int(ex.y) for ex in sequence], dtype=np.int64)
-    observed = forward_log_probs(ensemble, xs)[:, np.arange(len(ys)), ys]
+    observed = observed_log_probs(ensemble, xs, [ex.y for ex in sequence])
     log_joints = mixture_log_probs(ensemble.normalized_log_weights(),
                                    np.cumsum(observed, axis=1))   # (n,)
     # After a collapse both log joints are -inf and their difference NaN;
@@ -160,7 +147,7 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
         draws = rng.generator().integers(0, m, size=(trials, n))
         blocks = (draws[start:start + _BLOCK]
                   for start in range(0, trials, _BLOCK))
-    observed = forward_log_probs(ensemble, data.xs)[:, np.arange(m), data.ys]
+    observed = observed_log_probs(ensemble, data.xs, data.ys)
     log_w = ensemble.normalized_log_weights()
     # Rows of a block index sequences into the data; sums are (S, B).
     totals = -np.concatenate([mixture_log_probs(log_w, observed[:, b].sum(axis=2))
@@ -196,11 +183,3 @@ def total_correlation(ensemble: PosteriorEnsemble, xs) -> float:
     """Sum of marginal entropies minus the joint entropy, by enumeration."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     return summed_marginal_entropies(ensemble, xs) - joint_entropy_exact(ensemble, xs)
-
-
-def total_correlation_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
-                         rng: RngStream) -> tuple[float, float]:
-    """MC variant for batches too large to enumerate; SE from the joint term."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    joint, se = joint_entropy_mc(ensemble, xs, num_draws, rng)
-    return summed_marginal_entropies(ensemble, xs) - joint, se

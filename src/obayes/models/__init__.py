@@ -1,12 +1,16 @@
 """Approximate Bayesian predictors as weighted parameter ensembles."""
 
-from .ensemble import PosteriorEnsemble, forward_log_probs, observed_log_likelihood
+from .ensemble import (
+    PosteriorEnsemble,
+    forward_log_probs,
+    observed_log_likelihood,
+    observed_log_probs,
+)
 from .grid import GridLikelihood, exact_grid_posterior, grid_family_from_world
 from .mlp import (
     MlpArchitecture,
     MlpParams,
     TrainConfig,
-    mlp_forward_log_probs,
     mlp_gradient,
     train_deep_ensemble,
     train_mc_dropout,
@@ -17,13 +21,13 @@ __all__ = [
     "PosteriorEnsemble",
     "forward_log_probs",
     "observed_log_likelihood",
+    "observed_log_probs",
     "GridLikelihood",
     "exact_grid_posterior",
     "grid_family_from_world",
     "MlpArchitecture",
     "MlpParams",
     "TrainConfig",
-    "mlp_forward_log_probs",
     "mlp_gradient",
     "train_deep_ensemble",
     "train_mc_dropout",

@@ -129,6 +129,23 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     return out
 
 
+def observed_log_probs(ensemble: PosteriorEnsemble, xs, ys) -> np.ndarray:
+    """ln p(y_i | x_i, sample) per sample and labeled input; shape (S, n).
+
+    The one gather of observed labels from a likelihood table. Raises
+    ValueError when `ys` does not give one label per input row or holds
+    a label outside [0, C).
+    """
+    table = forward_log_probs(ensemble, xs)            # (S, n, C)
+    n = table.shape[1]
+    ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+    if ys.shape[0] != n:
+        raise ValueError("assignment length must match number of inputs")
+    if ys.min() < 0 or ys.max() >= ensemble.num_classes:
+        raise ValueError("class indices out of range")
+    return table[:, np.arange(n), ys]
+
+
 def observed_log_likelihood(ensemble: PosteriorEnsemble, examples) -> np.ndarray:
     """Summed ln p(y | x, sample) of labeled examples, per sample; shape (S,).
 
@@ -139,6 +156,5 @@ def observed_log_likelihood(ensemble: PosteriorEnsemble, examples) -> np.ndarray
     if not examples:
         return np.zeros(ensemble.size)
     xs = np.vstack([ex.x for ex in examples])
-    ys = np.array([int(ex.y) for ex in examples], dtype=np.int64)
-    table = forward_log_probs(ensemble, xs)            # (S, n, C)
-    return table[:, np.arange(len(examples)), ys].sum(axis=1)
+    return observed_log_probs(ensemble, xs,
+                              [ex.y for ex in examples]).sum(axis=1)

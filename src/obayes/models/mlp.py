@@ -21,6 +21,12 @@ from .ensemble import PosteriorEnsemble
 # once (512 KiB of float64, a few samples' worth at the usual sizes).
 _CHUNK_ELEMENTS = 2 ** 16
 
+# Adam's moment decays and denominator guard.
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# Training stops once the full-set loss has fallen by less than this over
+# the last _EARLY_STOP_PATIENCE epochs.
+_EARLY_STOP_DELTA, _EARLY_STOP_PATIENCE = 1e-5, 5
+
 
 @dataclass(frozen=True)
 class MlpArchitecture:
@@ -42,11 +48,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    early_stop_delta: float = 1e-5
-    early_stop_patience: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -105,12 +106,6 @@ def mlp_log_probs(params: MlpParams, xs: np.ndarray,
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite activations in forward pass")
     return _log_softmax(logits)
-
-
-def mlp_forward_log_probs(params: MlpParams, xs) -> np.ndarray:
-    """Clean (dropout-free) log-probabilities for a batch of inputs."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return mlp_log_probs(params, xs)
 
 
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
@@ -182,7 +177,7 @@ def _train_single(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
     grad = _flat_views(arch, grad_flat)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     step, denom = np.empty_like(flat), np.empty_like(flat)
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = _BETA1, _BETA2
     xs, ys = train.xs, train.ys
     n = len(train)
     bs = cfg.batch_size
@@ -192,7 +187,7 @@ def _train_single(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
     scales = [None] * num_batches
     t = 0
     history = [cross_entropy_loss(params, xs, ys)]
-    for epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         perm = gen.permutation(n)
         if dropout:
             masks = gen.random((num_batches, arch.hidden)) < keep
@@ -200,8 +195,11 @@ def _train_single(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
         xs_epoch, ys_epoch = xs[perm], ys[perm]
         for b in range(num_batches):
             batch = slice(b * bs, (b + 1) * bs)
-            mlp_gradient(params, xs_epoch[batch], ys_epoch[batch], scales[b],
-                         out=grad)
+            try:
+                mlp_gradient(params, xs_epoch[batch], ys_epoch[batch],
+                             scales[b], out=grad)
+            except ValueError as exc:
+                raise _diverged(member, epoch) from exc
             t += 1
             # Adam over all parameters at once, one elementwise op at a time
             # in the per-array update's order, which the bits depend on:
@@ -218,18 +216,27 @@ def _train_single(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
             step *= cfg.learning_rate
             np.divide(v, 1.0 - b2 ** t, out=denom)
             np.sqrt(denom, out=denom)
-            denom += cfg.adam_eps
+            denom += _ADAM_EPS
             step /= denom
             flat -= step
-        loss = cross_entropy_loss(params, xs, ys)
+        try:
+            loss = cross_entropy_loss(params, xs, ys)
+        except ValueError as exc:
+            raise _diverged(member, epoch) from exc
+        # Finite logits far enough apart still give an infinite loss.
         if not np.isfinite(loss):
-            raise ValueError(
-                f"training diverged: member {member}, epoch {epoch + 1}")
+            raise _diverged(member, epoch)
         history.append(loss)
-        p = cfg.early_stop_patience
-        if len(history) > p and history[-1 - p] - history[-1] < cfg.early_stop_delta:
+        p = _EARLY_STOP_PATIENCE
+        if len(history) > p and \
+                history[-1 - p] - history[-1] < _EARLY_STOP_DELTA:
             break
     return params
+
+
+def _diverged(member: str, epoch: int) -> ValueError:
+    """Raised once a training run's forward pass or loss is non-finite."""
+    return ValueError(f"training diverged: member {member}, epoch {epoch}")
 
 
 class DeepEnsembleFamily:

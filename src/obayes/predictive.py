@@ -9,11 +9,9 @@ log space; entropies are in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .models import PosteriorEnsemble, forward_log_probs
+from .models import PosteriorEnsemble, forward_log_probs, observed_log_probs
 from .numerics import RngStream, log_sum_exp_axis
 
 # C^n assignments above this are refused; callers opt into MC instead.
@@ -21,35 +19,6 @@ ENUMERATION_LIMIT = 10 ** 6
 
 # Assignments scored per vectorized block during enumeration.
 _BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class CategoricalLogDist:
-    """Normalized log-probabilities over class labels."""
-
-    log_probs: np.ndarray
-
-    def __post_init__(self):
-        lp = np.asarray(self.log_probs, dtype=np.float64)
-        if lp.ndim != 1 or lp.shape[0] < 1:
-            raise ValueError("log_probs must be a length-C vector")
-        if np.any(np.isnan(lp)) or np.any(lp == np.inf):
-            raise ValueError("non-finite input")
-        if abs(log_sum_exp_axis(lp[None, :], axis=1)[0]) > 1e-9:
-            raise ValueError("log_probs must normalize to 1")
-        object.__setattr__(self, "log_probs", lp)
-
-    def __getitem__(self, y: int) -> float:
-        return float(self.log_probs[int(y)])
-
-    def __len__(self) -> int:
-        return self.log_probs.shape[0]
-
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
-
-    def entropy(self) -> float:
-        return float(entropy_rows(self.log_probs))
 
 
 def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -79,39 +48,15 @@ def _as_matrix(xs) -> np.ndarray:
     return np.atleast_2d(xs)
 
 
-def _check_assignment(ys, n: int, num_classes: int) -> np.ndarray:
-    ys = np.asarray(ys, dtype=np.int64).reshape(-1)
-    if ys.shape[0] != n:
-        raise ValueError("assignment length must match number of inputs")
-    if ys.size and (ys.min() < 0 or ys.max() >= num_classes):
-        raise ValueError("class indices out of range")
-    return ys
-
-
 def marginal_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     """Log mixture predictive for each input row; shape (N, C)."""
     return mixture_log_probs(ensemble.normalized_log_weights(),
                              forward_log_probs(ensemble, xs))
 
 
-def marginal_predictive(ensemble: PosteriorEnsemble, x) -> CategoricalLogDist:
-    """q(y|x) = sum_j w_j p(y|x,w_j), as a normalized log distribution."""
-    row = marginal_log_probs(ensemble, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-    return CategoricalLogDist(row - log_sum_exp_axis(row[None, :], axis=1)[0])
-
-
-def marginal_entropy(ensemble: PosteriorEnsemble, x) -> float:
-    return marginal_predictive(ensemble, x).entropy()
-
-
 def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:
     """Log joint predictive of one label assignment over the inputs."""
-    xs = _as_matrix(xs)
-    if xs.shape[0] < 1:
-        raise ValueError("empty reduction")
-    lp = forward_log_probs(ensemble, xs)
-    ys = _check_assignment(ys, xs.shape[0], ensemble.num_classes)
-    per_sample = lp[:, np.arange(xs.shape[0]), ys].sum(axis=1)    # (S,)
+    per_sample = observed_log_probs(ensemble, _as_matrix(xs), ys).sum(axis=1)
     return float(mixture_log_probs(ensemble.normalized_log_weights(),
                                    per_sample))
 

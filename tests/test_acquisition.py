@@ -43,7 +43,7 @@ from obayes.oracle import (
     random_world,
     sample_world_dataset,
 )
-from obayes.predictive import entropy_rows, marginal_predictive, mixture_log_probs
+from obayes.predictive import entropy_rows, mixture_log_probs
 
 
 @pytest.fixture(scope="module")

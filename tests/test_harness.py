@@ -324,6 +324,14 @@ class TestCli:
                      "--out", str(tmp_path / "run")])
         assert code == 1
 
+    def test_removed_out_dir_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out_dir": "results"}))
+        code = main(["obi-eval", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "out_dir" in capsys.readouterr().err
+
     def test_missing_dataset_is_runtime_failure(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.npz"),
                      "--out", str(tmp_path / "m.npz"), "--seed", "1"])

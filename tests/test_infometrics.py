@@ -12,15 +12,12 @@ from obayes.infometrics import (
     accuracy_from_rows,
     cross_entropy_from_rows,
     cross_entropy_rate_estimate,
-    ensemble_accuracy,
-    ensemble_cross_entropy,
     joint_cross_entropy_sequence,
     online_learning_loss,
     summed_marginal_entropies,
     total_correlation,
-    total_correlation_mc,
 )
-from obayes import infometrics
+from obayes.models import ensemble as ensemble_module
 from obayes.models import GridLikelihood, forward_log_probs, grid_family_from_world
 from obayes.numerics import RngStream
 from obayes.obi import obi_init, obi_observe, obi_predict_batch
@@ -32,12 +29,22 @@ from obayes.oracle import (
     random_world,
     sample_world_dataset,
 )
-from obayes.predictive import _BLOCK
-from obayes.predictive import CategoricalLogDist, joint_log_prob
+from obayes.predictive import (
+    _BLOCK,
+    joint_entropy_mc,
+    joint_log_prob,
+    marginal_log_probs,
+)
 
 
 def _coin_dataset(coin_x, ys):
     return Dataset(xs=np.tile(coin_x, (len(ys), 1)), ys=ys, num_classes=2)
+
+
+def _marginal_ce(ensemble, data):
+    """Cross-entropy of the ensemble's marginal predictive rows."""
+    return cross_entropy_from_rows(marginal_log_probs(ensemble, data.xs),
+                                   data.ys)
 
 
 class TestMetricRecord:
@@ -66,7 +73,7 @@ class TestCrossEntropyAndAccuracy:
     def test_uniform_predictor_binary(self, coin_ensemble, coin_x):
         # the coin prior predictive is exactly uniform
         data = _coin_dataset(coin_x, [0, 1, 1, 0])
-        ce = ensemble_cross_entropy(coin_ensemble, data)
+        ce = _marginal_ce(coin_ensemble, data)
         assert ce == pytest.approx(math.log(2), abs=1e-12)
 
     def test_perfect_predictor_zero_ce_full_acc(self):
@@ -97,7 +104,7 @@ class TestCrossEntropyAndAccuracy:
     def test_empty_eval_rejected(self, coin_ensemble):
         empty = Dataset(xs=np.empty((0, 1)), ys=[], num_classes=2)
         with pytest.raises(ValueError, match="empty"):
-            ensemble_cross_entropy(coin_ensemble, empty)
+            _marginal_ce(coin_ensemble, empty)
 
 
 class TestJointCeSequence:
@@ -155,7 +162,7 @@ class TestOnlineLearningLoss:
         mean, _ = online_learning_loss(coin_ensemble, data, 1, 1,
                                        RngStream(0), exhaustive=True)
         assert mean == pytest.approx(
-            ensemble_cross_entropy(coin_ensemble, data), abs=1e-12)
+            _marginal_ce(coin_ensemble, data), abs=1e-12)
 
     def test_mc_tracks_exhaustive(self, coin_ensemble, coin_x):
         data = _coin_dataset(coin_x, [0, 1])
@@ -283,7 +290,8 @@ class TestTableSequenceMetrics:
             calls.append(len(np.atleast_2d(xs)))
             return forward_log_probs(ensemble, xs)
 
-        monkeypatch.setattr(infometrics, "forward_log_probs", counting)
+        # observed_log_probs reads the table through its own module.
+        monkeypatch.setattr(ensemble_module, "forward_log_probs", counting)
         joint_cross_entropy_sequence(dropout_16, list(evald.examples())[:9])
         assert calls == [9]
         calls.clear()
@@ -324,7 +332,8 @@ class TestTotalCorrelation:
     def test_mc_variant_tracks_exact(self, coin_ensemble, coin_x):
         xs = np.stack([coin_x, coin_x])
         exact = total_correlation(coin_ensemble, xs)
-        est, se = total_correlation_mc(coin_ensemble, xs, 50_000, RngStream(2))
+        joint, se = joint_entropy_mc(coin_ensemble, xs, 50_000, RngStream(2))
+        est = summed_marginal_entropies(coin_ensemble, xs) - joint
         assert abs(est - exact) < 4 * se
 
     def test_summed_marginals_with_zero_mass(self):

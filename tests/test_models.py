@@ -20,6 +20,7 @@ from obayes.models import (
     forward_log_probs,
     grid_family_from_world,
 )
+from obayes.models import mlp as mlp_module
 from obayes.models.checkpoint import load_ensemble, save_ensemble
 from obayes.models.mlp import (
     MlpArchitecture,
@@ -28,12 +29,19 @@ from obayes.models.mlp import (
     cross_entropy_loss,
     init_dropout_ensemble,
     init_params,
-    mlp_forward_log_probs,
     mlp_gradient,
+    mlp_log_probs,
     train_deep_ensemble,
     train_mc_dropout,
 )
-from obayes.models.mlp import _CHUNK_ELEMENTS
+from obayes.models.mlp import (
+    _ADAM_EPS,
+    _BETA1,
+    _BETA2,
+    _CHUNK_ELEMENTS,
+    _EARLY_STOP_DELTA,
+    _EARLY_STOP_PATIENCE,
+)
 from obayes.numerics import RngStream
 from obayes.oracle import coin_world, oracle_posterior
 
@@ -199,8 +207,10 @@ class TestTraining:
                                dropout_rate=0.0)
         ens = train_deep_ensemble(train, arch, TrainConfig(seed=3), 8)
         assert ens.size == 8
-        from obayes.infometrics import ensemble_accuracy
-        assert ensemble_accuracy(ens, held) > 0.90
+        from obayes.infometrics import accuracy_from_rows
+        from obayes.predictive import marginal_log_probs
+        assert accuracy_from_rows(marginal_log_probs(ens, held.xs),
+                                  held.ys) > 0.90
 
     def test_single_member_equals_forward_pass(self, cluster_data):
         train, evald = cluster_data
@@ -208,7 +218,7 @@ class TestTraining:
                                dropout_rate=0.0)
         ens = train_deep_ensemble(train, arch, TrainConfig(epochs=30, seed=5), 1)
         out = forward_log_probs(ens, evald.xs[:8])
-        direct = mlp_forward_log_probs(ens.samples[0], evald.xs[:8])
+        direct = mlp_log_probs(ens.samples[0], evald.xs[:8])
         assert np.array_equal(out[0], direct)
 
     def test_training_reduces_loss(self, cluster_data):
@@ -220,6 +230,38 @@ class TestTraining:
         for member in ens.samples:
             final = cross_entropy_loss(member, train.xs, train.ys)
             assert final < math.log(4)  # below uniform-guess loss
+
+    @pytest.mark.parametrize("kind,member", [("deep_ensemble", "0"),
+                                             ("mc_dropout", "shared")])
+    def test_divergence_names_member_and_epoch(self, cluster_data, kind,
+                                               member):
+        train, _ = cluster_data
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=0.5 if kind == "mc_dropout"
+                               else 0.0, init_scale=1e150)
+        cfg = TrainConfig(epochs=5, learning_rate=1e300, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError) as info:
+            if kind == "mc_dropout":
+                train_mc_dropout(train, arch, cfg, 4, RngStream(2))
+            else:
+                train_deep_ensemble(train, arch, cfg, 2)
+        assert str(info.value) == \
+            f"training diverged: member {member}, epoch 1"
+        assert "non-finite" in str(info.value.__cause__)
+
+    def test_infinite_loss_names_member_and_epoch(self, cluster_data,
+                                                   monkeypatch):
+        # Finite logits whose range overflows give an infinite loss
+        # without an error from the forward pass.
+        train, _ = cluster_data
+        monkeypatch.setattr(mlp_module, "cross_entropy_loss",
+                            lambda *args, **kwargs: math.inf)
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.0)
+        with pytest.raises(ValueError,
+                           match="^training diverged: member 0, epoch 1$"):
+            train_deep_ensemble(train, arch, TrainConfig(epochs=3), 2)
 
     def test_deterministic_given_seed(self, cluster_data):
         train, _ = cluster_data
@@ -362,13 +404,13 @@ def _reference_adam_step(params, grad, state, cfg):
     state["t"] += 1
     t = state["t"]
     for a, g, m, v in zip(arrays, grads, state["m"], state["v"]):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _reference_train_single(train, arch, cfg, stream, use_dropout):
@@ -392,9 +434,9 @@ def _reference_train_single(train, arch, cfg, stream, use_dropout):
             grad = _reference_gradient(params, xs[idx], ys[idx], mask_scale)
             _reference_adam_step(params, grad, state, cfg)
         history.append(_reference_loss(params, xs, ys))
-        p = cfg.early_stop_patience
+        p = _EARLY_STOP_PATIENCE
         if len(history) > p and \
-                history[-1 - p] - history[-1] < cfg.early_stop_delta:
+                history[-1 - p] - history[-1] < _EARLY_STOP_DELTA:
             break
     return params
 

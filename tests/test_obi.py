@@ -22,7 +22,7 @@ from obayes.obi import (
     obi_predict_batch,
 )
 from obayes.oracle import random_world, sample_world_dataset
-from obayes.predictive import joint_log_prob, marginal_predictive
+from obayes.predictive import joint_log_prob, marginal_log_probs
 
 
 def _heads(coin_x, times=1):
@@ -88,7 +88,8 @@ class TestPredict:
     def test_empty_state_is_marginal(self, coin_ensemble, coin_x):
         state = obi_init(coin_ensemble)
         assert _row(state, coin_x)[1] == pytest.approx(
-            marginal_predictive(coin_ensemble, coin_x)[1], abs=1e-15)
+            marginal_log_probs(coin_ensemble, coin_x[None, :])[0, 1],
+            abs=1e-15)
 
     def test_after_one_heads(self, coin_ensemble, coin_x):
         state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])

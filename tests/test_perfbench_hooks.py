@@ -5,6 +5,9 @@ some of their parameters by name, so a rename under src/ would otherwise
 surface only when the benchmark runs with tracing on.
 """
 
+import importlib
+import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +20,26 @@ if str(ROOT) not in sys.path:
 from perfbench import tracer  # noqa: E402
 from obayes import acquisition, predictive  # noqa: E402
 from obayes.data import Dataset  # noqa: E402
+
+
+def _parameters_read(hook) -> set:
+    """Argument names a tracer hook reads, written as args["name"]."""
+    return set(re.findall(r'args\["(\w+)"\]', inspect.getsource(hook)))
+
+
+def test_every_target_keeps_the_parameters_its_hook_reads():
+    read = set()
+    for module_name, attr, _, on_result, _ in tracer.TARGETS:
+        fn = getattr(importlib.import_module(module_name), attr)
+        if on_result is None:
+            continue
+        wanted = _parameters_read(on_result)
+        missing = wanted - set(inspect.signature(fn).parameters)
+        assert not missing, f"{module_name}.{attr} lacks {sorted(missing)}"
+        read |= wanted
+    # Guards the source scan itself: every hooked parameter was found.
+    assert read == {"state", "pool", "pool_xs", "eval_xs", "allowed",
+                    "ensemble", "xs", "num_draws", "records"}
 
 
 def test_install_records_spans_and_uninstall_restores(coin_ensemble, coin_x):

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obayes.models import exact_grid_posterior, grid_family_from_world
+from obayes.models import (
+    GridLikelihood,
+    exact_grid_posterior,
+    grid_family_from_world,
+)
 from obayes.numerics import RngStream
 from obayes.oracle import (
     oracle_joint_entropy,
@@ -16,13 +20,11 @@ from obayes.oracle import (
     sample_world_dataset,
 )
 from obayes.predictive import (
-    CategoricalLogDist,
+    entropy_rows,
     joint_entropy_exact,
     joint_entropy_mc,
     joint_log_prob,
-    marginal_entropy,
     marginal_log_probs,
-    marginal_predictive,
 )
 
 
@@ -33,41 +35,40 @@ def _world_ensemble(world):
         return exact_grid_posterior(fam, np.log(world.prior), [])
 
 
+def _marginal_row(ensemble, x) -> np.ndarray:
+    """Log predictive row of one input."""
+    return marginal_log_probs(ensemble, np.atleast_2d(x))[0]
+
+
 class TestCategoricalLogDist:
+    """Categorical log-distributions as predictive rows and their
+    entropies (`entropy_rows`)."""
+
     def test_lookup_and_probs(self):
-        dist = CategoricalLogDist(np.log([0.25, 0.75]))
-        assert dist[1] == pytest.approx(math.log(0.75), abs=1e-12)
-        assert np.allclose(dist.probs(), [0.25, 0.75], atol=1e-12)
+        one_input = GridLikelihood(np.array([[[0.25, 0.75]]]), np.eye(1))
+        row = _marginal_row(one_input.uniform_ensemble(), np.ones(1))
+        assert row[1] == pytest.approx(math.log(0.75), abs=1e-12)
+        assert np.allclose(np.exp(row), [0.25, 0.75], atol=1e-12)
 
     def test_entropy_uniform(self):
-        dist = CategoricalLogDist(np.log([0.5, 0.5]))
-        assert dist.entropy() == pytest.approx(math.log(2), abs=1e-12)
+        assert entropy_rows(np.log([0.5, 0.5])) == pytest.approx(
+            math.log(2), abs=1e-12)
 
     def test_entropy_with_zero_mass_class(self):
-        dist = CategoricalLogDist(np.array([0.0, -math.inf]))
-        assert dist.entropy() == pytest.approx(0.0, abs=1e-12)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            CategoricalLogDist(np.log([0.5, 0.4]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            CategoricalLogDist(np.array([0.0, bad]))
+        assert entropy_rows(np.array([0.0, -math.inf])) == pytest.approx(
+            0.0, abs=1e-12)
 
 
 class TestMarginal:
     def test_coin_prior(self, coin_ensemble, coin_x):
-        dist = marginal_predictive(coin_ensemble, coin_x)
-        assert math.exp(dist[1]) == pytest.approx(0.5, abs=1e-12)
-        assert marginal_entropy(coin_ensemble, coin_x) == pytest.approx(
-            math.log(2), abs=1e-12)
+        row = _marginal_row(coin_ensemble, coin_x)
+        assert math.exp(row[1]) == pytest.approx(0.5, abs=1e-12)
+        assert entropy_rows(row) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_sample_is_member(self, coin_ensemble, coin_x):
         one = coin_ensemble.take([2])
-        dist = marginal_predictive(one, coin_x)
-        assert math.exp(dist[1]) == pytest.approx(0.8, abs=1e-12)
+        row = _marginal_row(one, coin_x)
+        assert math.exp(row[1]) == pytest.approx(0.8, abs=1e-12)
 
     def test_rows_normalized(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -88,13 +89,13 @@ class TestJointLogProb:
         # q(1,1) = 0.31 > 0.25 = q(1)q(1): parameters correlate the labels
         xs = np.stack([coin_x, coin_x])
         joint = joint_log_prob(coin_ensemble, xs, [1, 1])
-        marg = marginal_predictive(coin_ensemble, coin_x)[1]
+        marg = _marginal_row(coin_ensemble, coin_x)[1]
         assert joint > 2 * marg + 1e-6
 
     def test_single_point_equals_marginal(self, coin_ensemble, coin_x):
         joint = joint_log_prob(coin_ensemble, coin_x[None, :], [1])
         assert joint == pytest.approx(
-            marginal_predictive(coin_ensemble, coin_x)[1], abs=1e-12)
+            _marginal_row(coin_ensemble, coin_x)[1], abs=1e-12)
 
     def test_assignment_validation(self, coin_ensemble, coin_x):
         xs = np.stack([coin_x, coin_x])
@@ -150,9 +151,7 @@ class TestJointEntropyExact:
         one = dropout_16.take([3])
         xs = evald.xs[:4]
         h = joint_entropy_exact(one, xs)
-        per_point = sum(
-            CategoricalLogDist(row).entropy()
-            for row in marginal_log_probs(one, xs))
+        per_point = entropy_rows(marginal_log_probs(one, xs)).sum()
         assert h == pytest.approx(per_point, abs=1e-10)
 
     def test_enumeration_limit_enforced(self, dropout_16, cluster_data):

@@ -2,7 +2,8 @@
 
 Covers the family contract the memo relies on (a sample's rows do not
 depend on the other samples in the call), the memo itself (read-only
-tables, gathers for sub-ensembles, sharing across reweightings), how
+tables, gathers for sub-ensembles, sharing across reweightings), the
+validated observed-label gather every labeled quantity reads, how
 often each protocol evaluates a family, and a differential check of
 obi-eval against the loop it replaced, which evaluated every bootstrap
 subset afresh.
@@ -21,6 +22,7 @@ from obayes.acquisition import (
     batch_bald_gains,
     batch_bald_greedy,
 )
+from obayes.data import LabeledExample
 from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec
 from obayes.harness.experiments import (
     _eval_records,
@@ -31,8 +33,13 @@ from obayes.harness.experiments import (
     obi_vs_retrain_eval,
 )
 from obayes.harness.io import record_to_row
-from obayes.infometrics import MetricRecord
-from obayes.models import GridLikelihood, forward_log_probs
+from obayes.infometrics import MetricRecord, joint_cross_entropy_sequence
+from obayes.models import (
+    GridLikelihood,
+    forward_log_probs,
+    observed_log_likelihood,
+    observed_log_probs,
+)
 from obayes.models.mlp import (
     McDropoutFamily,
     MlpArchitecture,
@@ -44,11 +51,12 @@ from obayes.obi import (
     PosteriorCollapseError,
     obi_bootstrap,
     obi_init,
+    obi_observe,
     obi_observe_many,
     obi_predict_batch,
 )
 from obayes.oracle import GridWorld
-from obayes.predictive import marginal_log_probs
+from obayes.predictive import joint_log_prob, marginal_log_probs
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +178,45 @@ class TestMemo:
         assert not np.array_equal(first, second)
 
 
+class TestObservedLabelGather:
+    def test_gathers_the_observed_label_column(self, dropout_16,
+                                               cluster_data):
+        _, evald = cluster_data
+        xs, ys = evald.xs[:7], evald.ys[:7]
+        table = forward_log_probs(dropout_16, xs)
+        out = observed_log_probs(dropout_16, xs, ys)
+        assert out.shape == (16, 7)
+        for i in range(7):
+            assert np.array_equal(out[:, i], table[:, i, ys[i]])
+
+    def test_one_label_per_input(self, coin_ensemble, coin_x):
+        with pytest.raises(ValueError, match="assignment length"):
+            observed_log_probs(coin_ensemble, np.stack([coin_x, coin_x]), [1])
+
+    @pytest.mark.parametrize("label", ["below", "at_c"])
+    @pytest.mark.parametrize("caller", ["obi_observe",
+                                        "observed_log_likelihood",
+                                        "joint_cross_entropy_sequence",
+                                        "joint_log_prob"])
+    def test_labels_outside_the_classes_are_rejected(self, coin_ensemble,
+                                                     coin_x, caller, label):
+        y = -1 if label == "below" else coin_ensemble.num_classes
+        example = LabeledExample(x=coin_x, y=y)
+        calls = {
+            "obi_observe": lambda: obi_observe(obi_init(coin_ensemble),
+                                               example),
+            "observed_log_likelihood": lambda: observed_log_likelihood(
+                coin_ensemble, [example]),
+            "joint_cross_entropy_sequence":
+                lambda: joint_cross_entropy_sequence(coin_ensemble,
+                                                     [example]),
+            "joint_log_prob": lambda: joint_log_prob(
+                coin_ensemble, coin_x[None, :], [y]),
+        }
+        with pytest.raises(ValueError, match="class indices out of range"):
+            calls[caller]()
+
+
 class TestEvaluationCounts:
     def test_al_obi_evaluates_pool_and_eval_once_per_base(self,
                                                           family_calls):
@@ -211,6 +258,28 @@ class TestEvaluationCounts:
         assert len(evals) == 2 * cfg.trials * len(sizes)
         assert len(set(evals)) == len(evals)
         assert {size for _, size in evals} == {cfg.model.ensemble_size}
+
+    def test_obi_eval_evaluates_lookahead_once_per_prefix_model(
+            self, family_calls):
+        cfg = _net_config()
+        root = RngStream(seed=cfg.seed)
+        pool, eval_set, _, world = build_splits(cfg, root)
+        factory = model_factory(cfg.model, pool.dim, pool.num_classes, world)
+        sequences = generate_sequences(cfg, pool, eval_set, factory, root)
+        family_calls.clear()
+        obi_vs_retrain_eval(cfg, sequences)
+        k = cfg.lookahead
+        t_values = range(cfg.eval_start, cfg.num_steps - k + 1)
+        lookaheads = {sequences[name].examples(pool).xs[t:t + k].tobytes()
+                      for name in sequences for t in t_values}
+        evals = [(id(family), key) for family, key, _ in family_calls
+                 if key in lookaheads]
+        # One evaluation per prefix model (sequence, trial, t), which the
+        # bootstrap sub-trials gather; no subset is ever evaluated.
+        assert len(evals) == 2 * cfg.trials * len(t_values)
+        assert len(set(evals)) == len(evals)
+        assert {size for _, _, size in family_calls} == \
+            {cfg.model.ensemble_size}
 
     def test_batch_bald_greedy_evaluates_pool_once(self, dropout_16,
                                                    cluster_data,
