@@ -3,8 +3,10 @@
 Strategies: random, BALD (marginal mutual information), batch-greedy
 BALD (joint-entropy objective, immune to duplicated pools), EPIG
 (information about eval-point labels), and active sampling (label-aware
-conditioned eval loss). Selection is deterministic: the argmax wins and
-exact score ties resolve to the lowest pool index.
+conditioned eval loss). `score_pool` is the one dispatch from strategy to
+scorer and `select_batch` the one greedy batch picker every protocol
+uses. Selection is deterministic: the argmax wins and exact score ties
+resolve to the lowest pool index.
 
 EPIG, BatchBALD and active sampling score every candidate against one
 fixed likelihood table with log-space matrix products
@@ -85,7 +87,6 @@ class AcquisitionSequence:
     steps: tuple
     strategy: str
     seed: int
-    origin: str = ""
 
     def __post_init__(self):
         for rec in self.steps:
@@ -112,7 +113,7 @@ class AcquisitionSequence:
                                  rec.y, repr(float(rec.score)), rec.strategy,
                                  self.seed, int(rec.fallback)])
         manifest = {"strategy": self.strategy, "seed": self.seed,
-                    "origin": self.origin, "num_steps": len(self.steps)}
+                    "num_steps": len(self.steps)}
         path.with_suffix(".manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -133,8 +134,7 @@ class AcquisitionSequence:
                     fallback=bool(int(row.get("fallback") or 0))))
         return AcquisitionSequence(steps=tuple(steps),
                                    strategy=manifest["strategy"],
-                                   seed=manifest["seed"],
-                                   origin=manifest.get("origin", ""))
+                                   seed=manifest["seed"])
 
 
 def bald_scores(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
@@ -205,42 +205,6 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
                                    distinct, 1)[:, 0]
     gains[candidates] = (joint - base_joint - cond)[inverse]
     return gains
-
-
-def batch_bald_greedy(ensemble: PosteriorEnsemble, pool, m: int,
-                      allow_reselection: bool = False,
-                      allowed: np.ndarray | None = None,
-                      enumeration_limit: int = ENUMERATION_LIMIT) -> CandidateBatch:
-    """Greedy batch maximizing the joint mutual-information objective.
-
-    Successive picks condition on the batch's joint predictive, so exact
-    duplicates of an already-chosen point lose almost all their score and
-    the batch spreads across distinct originals. `allowed` is a boolean
-    mask over the pool (default: every point); ties go to the lowest index.
-    The pool is evaluated once per batch: every pick reads the same
-    memoized table (see `PosteriorEnsemble.with_tables`).
-    """
-    ensemble = ensemble.with_tables()
-    pool_xs = np.atleast_2d(pool.xs if isinstance(pool, Dataset)
-                            else np.asarray(pool))
-    mask = np.ones(pool_xs.shape[0], dtype=bool) if allowed is None \
-        else np.array(allowed, dtype=bool)
-    if m < 1:
-        raise ValueError("batch size must be positive")
-    if not allow_reselection and m > mask.sum():
-        raise ValueError("batch larger than pool without reselection")
-    chosen: list = []
-    scores: list = []
-    for _ in range(m):
-        gains = batch_bald_gains(ensemble, pool_xs, chosen,
-                                 allowed=np.flatnonzero(mask),
-                                 enumeration_limit=enumeration_limit)
-        pick = _masked_argmax(gains, mask)
-        chosen.append(pick)
-        scores.append(float(gains[pick]))
-        if not allow_reselection:
-            mask[pick] = False
-    return CandidateBatch(indices=tuple(chosen), scores=tuple(scores))
 
 
 def epig_scores_singleton(ensemble: PosteriorEnsemble, pool_xs,
@@ -334,18 +298,22 @@ def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,
 
 
 def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
-               eval_set: Dataset | None, batch_indices=()) -> np.ndarray:
+               eval_set: Dataset | None, allowed: np.ndarray,
+               batch_indices=()) -> np.ndarray:
     """Scores for every pool point under one strategy.
 
-    `batch_indices` are picks since the last retrain: batch_bald
-    conditions on their joint label distribution, active_sampling on
-    their actual labels; bald and epig ignore them (their redundancy
-    blindness is the point of the comparison).
+    `allowed` is the boolean mask of selectable pool points; batch_bald
+    scores only those and leaves the rest -inf. `batch_indices` are picks
+    since the last retrain: batch_bald conditions on their joint label
+    distribution, active_sampling on their actual labels; bald and epig
+    ignore them (their redundancy blindness is the point of the
+    comparison).
     """
     if strategy == "bald":
         return bald_scores(ensemble, pool.xs)
     if strategy == "batch_bald":
-        return batch_bald_gains(ensemble, pool.xs, batch_indices)
+        return batch_bald_gains(ensemble, pool.xs, batch_indices,
+                                allowed=np.flatnonzero(allowed))
     if strategy == "epig":
         return epig_scores_singleton(ensemble, pool.xs, pool.xs)
     if strategy == "active_sampling":
@@ -354,6 +322,41 @@ def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
         conditioned = [pool.example(i) for i in batch_indices]
         return active_sampling_scores(ensemble, pool, eval_set, conditioned)
     raise ValueError(f"unknown strategy: {strategy}")
+
+
+def select_batch(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
+                 eval_set: Dataset | None, m: int,
+                 allowed: np.ndarray) -> CandidateBatch:
+    """m greedy picks among the allowed pool points under one strategy.
+
+    Each pick is the best-scoring allowed point that is not yet in the
+    batch; ties go to the lowest index. batch_bald and active_sampling
+    rescore the pool after every pick, conditioned on the picks so far;
+    bald and epig ignore the batch, so one scoring serves every pick. If
+    every remaining candidate scores -inf, the pick falls back to the
+    lowest allowed index and keeps its non-finite score, which callers
+    flag. The pool is evaluated once per batch: every scoring reads the
+    memoized tables of `ensemble.with_tables()`. The caller's `allowed`
+    mask is left untouched.
+    """
+    if m < 1:
+        raise ValueError("batch size must be positive")
+    mask = np.array(allowed, dtype=bool)
+    if m > mask.sum():
+        raise ValueError("pool exhausted")
+    ensemble = ensemble.with_tables()
+    rescore = strategy in ("batch_bald", "active_sampling")
+    picks: list = []
+    scores: list = []
+    for _ in range(m):
+        if rescore or not picks:
+            pool_scores = score_pool(strategy, ensemble, pool, eval_set,
+                                     mask, batch_indices=picks)
+        pick = _masked_argmax(pool_scores, mask)
+        picks.append(pick)
+        scores.append(float(pool_scores[pick]))
+        mask[pick] = False
+    return CandidateBatch(indices=tuple(picks), scores=tuple(scores))
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,26 +380,22 @@ def _masked_argmax(scores: np.ndarray, allowed_mask: np.ndarray) -> int:
     masked = np.where(allowed_mask, scores, -np.inf)
     if not np.any(masked > -np.inf):
         # All candidates collapsed or excluded; fall back to the lowest
-        # allowed index so the run can continue. Callers see the fallback
-        # as a non-finite score at the pick and flag it.
-        allowed = np.flatnonzero(allowed_mask)
-        if allowed.size == 0:
-            raise ValueError("pool exhausted")
-        return int(allowed[0])
+        # allowed index so the run can continue.
+        return int(np.flatnonzero(allowed_mask)[0])
     return int(np.argmax(masked))
 
 
 def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
                     eval_set: Dataset | None, num_steps: int,
-                    retrain_every: int, rng: RngStream,
-                    allow_reselection: bool = False) -> AcquisitionSequence:
+                    retrain_every: int, rng: RngStream) -> AcquisitionSequence:
     """Sequential pool selection with periodic retraining.
 
     ensemble_factory(train_subset, stream) must deterministically build
     an ensemble from the acquired examples; it is invoked before the
-    first step and after every `retrain_every` picks. The returned
-    sequence fully determines the conditioning stream for downstream
-    evaluation.
+    first step and after every `retrain_every` picks, and each model
+    picks one `select_batch` of up to `retrain_every` points. The
+    returned sequence fully determines the conditioning stream for
+    downstream evaluation.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
@@ -404,45 +403,34 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
         raise ValueError("need at least one acquisition step")
     if retrain_every < 1:
         raise ValueError("retrain_every must be positive")
-    if not allow_reselection and num_steps > len(pool):
+    if num_steps > len(pool):
         raise ValueError("pool exhausted")
     origins = pool.origin_indices if pool.origin_indices is not None \
         else np.arange(len(pool))
-    # Random selection never consults the model, so skip its training.
-    ensemble = None if strategy == "random" else \
-        ensemble_factory(pool.subset([], "acquired"), rng.derive("retrain", 0))
     random_order = rng.derive("random_order").generator().permutation(len(pool))
     allowed = np.ones(len(pool), dtype=bool)
     acquired: list = []
-    batch: list = []
     steps = []
-    for step in range(num_steps):
+    for start in range(0, num_steps, retrain_every):
+        m = min(retrain_every, num_steps - start)
         if strategy == "random":
-            if allow_reselection:
-                pick = int(rng.derive("random_pick", step).generator()
-                           .integers(0, len(pool)))
-            else:
-                pick = int(random_order[step])
-            score = 0.0
+            # Random selection never consults a model, so none is trained.
+            picks = [int(i) for i in random_order[start:start + m]]
+            scores = [0.0] * m
         else:
-            scores = score_pool(strategy, ensemble, pool, eval_set,
-                                batch_indices=batch)
-            pick = _masked_argmax(scores, allowed)
-            score = float(scores[pick])
-        fallback = not np.isfinite(score)
-        steps.append(AcquisitionStep(step=step, pool_index=pick,
-                                     original_index=int(origins[pick]),
-                                     y=int(pool.ys[pick]),
-                                     score=0.0 if fallback else score,
-                                     strategy=strategy, fallback=fallback))
-        acquired.append(pick)
-        batch.append(pick)
-        if not allow_reselection:
+            ensemble = ensemble_factory(pool.subset(acquired, "acquired"),
+                                        rng.derive("retrain", start))
+            batch = select_batch(strategy, ensemble, pool, eval_set, m,
+                                 allowed)
+            picks, scores = batch.indices, batch.scores
+        for pick, score in zip(picks, scores):
+            fallback = not np.isfinite(score)
+            steps.append(AcquisitionStep(step=len(steps), pool_index=pick,
+                                         original_index=int(origins[pick]),
+                                         y=int(pool.ys[pick]),
+                                         score=0.0 if fallback else score,
+                                         strategy=strategy, fallback=fallback))
             allowed[pick] = False
-        if (step + 1) % retrain_every == 0 and step + 1 < num_steps:
-            if strategy != "random":
-                ensemble = ensemble_factory(pool.subset(acquired, "acquired"),
-                                            rng.derive("retrain", step + 1))
-            batch = []
+            acquired.append(pick)
     return AcquisitionSequence(steps=tuple(steps), strategy=strategy,
                                seed=rng.seed)

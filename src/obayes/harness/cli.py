@@ -29,6 +29,7 @@ from ..oracle import (
 )
 from ..predictive import joint_entropy_exact, marginal_log_probs
 from .config import (
+    ConfigError,
     ExperimentConfig,
     ModelSpec,
     RunManifest,
@@ -41,10 +42,6 @@ from .experiments import (
     repeated_pool_benchmark,
 )
 from .io import emit_results
-
-
-class CliError(ValueError):
-    """Configuration or argument problem; maps to exit code 1."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,15 +141,16 @@ def _experiment_config(args) -> ExperimentConfig:
         return replace(config, model=model, **overrides)
     except (ValueError, TypeError, KeyError, OSError,
             json.JSONDecodeError) as err:
-        raise CliError(str(err)) from err
+        raise ConfigError(str(err)) from err
 
 
 def _cmd_gen_data(args) -> int:
-    if args.n_per_class < 1 or args.num_classes < 2 or args.dim < 1:
-        raise CliError("sizes must be positive and num-classes >= 2")
-    data = generate_cluster_dataset(args.n_per_class, args.num_classes,
-                                    args.dim, args.spread,
-                                    RngStream(seed=args.seed).derive("gen-data"))
+    try:
+        data = generate_cluster_dataset(
+            args.n_per_class, args.num_classes, args.dim, args.spread,
+            RngStream(seed=args.seed).derive("gen-data"))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     data.save(args.out)
     print(f"wrote {len(data)} examples to {args.out}")
     return 0
@@ -164,7 +162,7 @@ def _model_spec(args) -> ModelSpec:
                          dropout_rate=args.dropout, epochs=args.epochs,
                          ensemble_size=args.ensemble_size)
     except ValueError as err:
-        raise CliError(str(err)) from err
+        raise ConfigError(str(err)) from err
 
 
 def _cmd_train(args) -> int:
@@ -181,12 +179,17 @@ def _cmd_train(args) -> int:
 def _cmd_acquire(args) -> int:
     from ..acquisition import STRATEGIES, run_acquisition
     if args.strategy not in STRATEGIES:
-        raise CliError(f"unknown strategy: {args.strategy}")
+        raise ConfigError(f"unknown strategy: {args.strategy}")
+    if args.steps < 1 or args.retrain_every < 1:
+        raise ConfigError("steps and retrain-every must be positive")
     spec = _model_spec(args)
     pool = Dataset.load(args.data)
     eval_set = Dataset.load(args.eval_data) if args.eval_data else None
     if args.strategy == "active_sampling" and eval_set is None:
-        raise CliError("active_sampling requires --eval-data")
+        raise ConfigError("active_sampling requires --eval-data")
+    if args.steps > len(pool):
+        raise ConfigError(f"pool exhausted: {args.steps} steps but "
+                          f"{len(pool)} pool points")
     factory = model_factory(spec, pool.dim, pool.num_classes)
     sequence = run_acquisition(args.strategy, factory, pool, eval_set,
                                args.steps, args.retrain_every,
@@ -295,7 +298,7 @@ def _zeroed_world(world: GridWorld, gen: np.random.Generator) -> GridWorld:
 
 def _cmd_oracle_check(args) -> int:
     if args.worlds < 1:
-        raise CliError("need at least one world")
+        raise ConfigError("need at least one world")
     failures = _check_world(coin_world(),
                             RngStream(seed=args.seed).derive("coin"), "coin")
     print("coin world: " + ("ok" if not failures else "FAIL"))
@@ -334,7 +337,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except CliError as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - boundary of the process

@@ -11,12 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from ..acquisition import STRATEGIES
+
+
+class ConfigError(ValueError):
+    """Configuration or argument problem; the CLI exits 1 on it."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,10 @@ class ModelSpec:
             raise ValueError(f"unknown model kind: {self.kind}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble size must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch size must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,11 +135,6 @@ def load_config(path) -> ExperimentConfig:
 def config_hash(config: ExperimentConfig) -> str:
     canonical = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Replace top-level fields; nested specs are replaced wholesale."""
-    return replace(config, **kwargs)
 
 
 @dataclass(frozen=True)

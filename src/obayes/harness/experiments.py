@@ -16,14 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..acquisition import (
-    _masked_argmax,
-    bald_scores,
-    batch_bald_greedy,
-    epig_scores_singleton,
-    run_acquisition,
-    score_pool,
-)
+from ..acquisition import run_acquisition, select_batch
 from ..data import Dataset, DuplicationSpec, duplicate_pool, generate_cluster_dataset, load_idx_dataset, split
 from ..infometrics import (
     MetricRecord,
@@ -51,7 +44,7 @@ from ..obi import (
 )
 from ..oracle import GridWorld, coin_world, sample_world_dataset
 from ..predictive import marginal_log_probs
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 
 def _load_world(spec) -> GridWorld:
@@ -206,16 +199,16 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     a time: its eval-set and lookahead tables are evaluated once, and
     every bootstrap sub-trial gathers its rows from those tables.
     """
+    k = config.lookahead
+    t_values = list(range(config.eval_start,
+                          config.num_steps - k + 1))
+    if not t_values:
+        raise ConfigError("eval_start leaves no evaluation steps")
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     if sequences is None:
         sequences = generate_sequences(config, pool, eval_set, factory, root)
-    k = config.lookahead
-    t_values = list(range(config.eval_start,
-                          config.num_steps - k + 1))
-    if not t_values:
-        raise ValueError("eval_start leaves no evaluation steps")
     records = []
     for name in sorted(sequences):
         seq = sequences[name]
@@ -254,16 +247,6 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     return records
 
 
-def _pick_top_k(scores: np.ndarray, allowed: np.ndarray, m: int) -> list:
-    """m highest-scoring allowed indices, ties to the lowest index."""
-    picks = []
-    mask = allowed.copy()
-    for _ in range(m):
-        picks.append(_masked_argmax(scores, mask))
-        mask[picks[-1]] = False
-    return picks
-
-
 def _pick_batch(strategy: str, ensemble, pool: Dataset, m: int,
                 allowed: np.ndarray, stream: RngStream) -> list:
     if strategy == "random":
@@ -272,15 +255,8 @@ def _pick_batch(strategy: str, ensemble, pool: Dataset, m: int,
             raise ValueError("pool exhausted")
         gen = stream.generator()
         return [int(i) for i in gen.choice(candidates, size=m, replace=False)]
-    if strategy == "bald":
-        return _pick_top_k(bald_scores(ensemble, pool.xs), allowed, m)
-    if strategy == "epig":
-        return _pick_top_k(epig_scores_singleton(ensemble, pool.xs, pool.xs),
-                           allowed, m)
-    if strategy == "batch_bald":
-        return list(batch_bald_greedy(ensemble, pool, m,
-                                      allowed=allowed).indices)
-    raise ValueError(f"unknown strategy: {strategy}")
+    return list(select_batch(strategy, ensemble, pool, None, m,
+                             allowed).indices)
 
 
 def repeated_pool_benchmark(config: ExperimentConfig) -> list:
@@ -357,7 +333,7 @@ def al_with_obi(config: ExperimentConfig) -> list:
     threshold = config.ess_retrain_threshold
     size = config.model.ensemble_size
     if not 0.0 < threshold <= size:
-        raise ValueError("ess_retrain_threshold must lie in (0, ensemble size]")
+        raise ConfigError("ess_retrain_threshold must lie in (0, ensemble size]")
     root = RngStream(seed=config.seed)
     pool, eval_set, seed_train, world = build_splits(config, root)
     base_factory = model_factory(config.model, pool.dim, pool.num_classes, world)
@@ -380,10 +356,10 @@ def al_with_obi(config: ExperimentConfig) -> list:
         if config.strategy == "random":
             pick = int(random_order[step])
         else:
-            scores = score_pool(config.strategy, state.as_ensemble(), pool,
-                                eval_set)
-            pick = _masked_argmax(scores, allowed)
-            fallback = not np.isfinite(scores[pick])
+            batch = select_batch(config.strategy, state.as_ensemble(), pool,
+                                 eval_set, 1, allowed)
+            pick = batch.indices[0]
+            fallback = not np.isfinite(batch.scores[0])
         allowed[pick] = False
         acquired.append(pick)
         collapsed = False

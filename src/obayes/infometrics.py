@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import PosteriorEnsemble, observed_log_probs
+from .models import PosteriorEnsemble, checked_labels, observed_log_probs
 from .numerics import RngStream
 from .predictive import (
     _BLOCK,
@@ -62,7 +62,7 @@ class MetricRecord:
 
 def cross_entropy_from_rows(log_prob_rows: np.ndarray, ys) -> float:
     """Mean -log p(y) from precomputed (N, C) log-prob rows; may be +inf."""
-    ys = np.asarray(ys, dtype=np.int64)
+    ys = checked_labels(ys, *log_prob_rows.shape)
     picked = log_prob_rows[np.arange(len(ys)), ys]
     if np.any(np.isneginf(picked)):
         return float("inf")
@@ -71,7 +71,7 @@ def cross_entropy_from_rows(log_prob_rows: np.ndarray, ys) -> float:
 
 def accuracy_from_rows(log_prob_rows: np.ndarray, ys) -> float:
     """Argmax match rate; ties resolve to the lowest class index."""
-    ys = np.asarray(ys, dtype=np.int64)
+    ys = checked_labels(ys, *log_prob_rows.shape)
     return float((np.argmax(log_prob_rows, axis=1) == ys).mean())
 
 

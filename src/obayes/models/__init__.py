@@ -2,6 +2,7 @@
 
 from .ensemble import (
     PosteriorEnsemble,
+    checked_labels,
     forward_log_probs,
     observed_log_likelihood,
     observed_log_probs,
@@ -19,6 +20,7 @@ from .checkpoint import load_ensemble, save_ensemble
 
 __all__ = [
     "PosteriorEnsemble",
+    "checked_labels",
     "forward_log_probs",
     "observed_log_likelihood",
     "observed_log_probs",

@@ -27,9 +27,9 @@ rows of every stored table. Gathering is exact because of the stability
 contract above: rows of a sample do not depend on which other samples
 are evaluated with it. Stored tables are read-only, so an in-place
 write raises instead of corrupting later reads. Plain ensembles never
-memoize; `obi_init`, `batch_bald_greedy` and repeated-pool's batch
-models opt in, because they read the same point sets many times under
-fixed samples.
+memoize; `obi_init`, `select_batch` and repeated-pool's batch models opt
+in, because they read the same point sets many times under fixed
+samples.
 """
 
 from __future__ import annotations
@@ -138,12 +138,22 @@ def observed_log_probs(ensemble: PosteriorEnsemble, xs, ys) -> np.ndarray:
     """
     table = forward_log_probs(ensemble, xs)            # (S, n, C)
     n = table.shape[1]
+    ys = checked_labels(ys, n, ensemble.num_classes)
+    return table[:, np.arange(n), ys]
+
+
+def checked_labels(ys, n: int, num_classes: int) -> np.ndarray:
+    """`ys` as an int64 vector of n labels, each in [0, num_classes).
+
+    Raises ValueError otherwise; every site that gathers observed labels
+    from a table or from predictive rows checks them here.
+    """
     ys = np.asarray(ys, dtype=np.int64).reshape(-1)
     if ys.shape[0] != n:
         raise ValueError("assignment length must match number of inputs")
-    if ys.min() < 0 or ys.max() >= ensemble.num_classes:
+    if np.any((ys < 0) | (ys >= num_classes)):
         raise ValueError("class indices out of range")
-    return table[:, np.arange(n), ys]
+    return ys
 
 
 def observed_log_likelihood(ensemble: PosteriorEnsemble, examples) -> np.ndarray:

@@ -15,9 +15,9 @@ import pytest
 
 from obayes.acquisition import (
     bald_scores,
-    batch_bald_greedy,
     epig_scores_singleton,
     score_pool,
+    select_batch,
 )
 from obayes.data import (
     DuplicationSpec,
@@ -459,10 +459,13 @@ class TestNumericalRobustness:
         lone = evald.subset([0])
         clones = duplicate_pool(lone, DuplicationSpec(factor=6),
                                 RngStream(seed=41))
-        dup_scores = [score_pool(strategy, dropout_16, clones, evald)
+        everything = np.ones(len(clones), dtype=bool)
+        dup_scores = [score_pool(strategy, dropout_16, clones, evald,
+                                 everything)
                       for strategy in ("bald", "batch_bald", "epig",
                                        "active_sampling")]
-        batch = batch_bald_greedy(dropout_16, clones, 4)
+        batch = select_batch("batch_bald", dropout_16, clones, None, 4,
+                             everything)
         dup_ok = _no_nan(*dup_scores) and len(batch.indices) == 4 and \
             not any(math.isnan(s) for s in batch.scores)
 

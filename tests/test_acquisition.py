@@ -6,11 +6,13 @@ the greedy batch objective notices the copies share their information
 and diversifies to B.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from obayes import acquisition
 from obayes.acquisition import (
     STRATEGIES,
     AcquisitionSequence,
@@ -19,11 +21,11 @@ from obayes.acquisition import (
     active_sampling_scores,
     bald_scores,
     batch_bald_gains,
-    batch_bald_greedy,
     epig_score,
     epig_scores_singleton,
     run_acquisition,
     score_pool,
+    select_batch,
 )
 from obayes.data import Dataset, DuplicationSpec, LabeledExample, duplicate_pool
 from obayes.infometrics import cross_entropy_from_rows
@@ -43,7 +45,7 @@ from obayes.oracle import (
     random_world,
     sample_world_dataset,
 )
-from obayes.predictive import entropy_rows, mixture_log_probs
+from obayes.predictive import entropy_rows, joint_entropy_mc, mixture_log_probs
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +201,15 @@ class TestBald:
         assert np.all(bald_scores(dropout_16, evald.xs) > -1e-10)
 
 
+def _greedy(ensemble, pool_xs, m, allowed=None):
+    """select_batch's batch_bald picks from unlabeled pool inputs."""
+    pool = Dataset(xs=pool_xs, ys=np.zeros(len(pool_xs), dtype=np.int64),
+                   num_classes=ensemble.num_classes)
+    if allowed is None:
+        allowed = np.ones(len(pool), dtype=bool)
+    return select_batch("batch_bald", ensemble, pool, None, m, allowed)
+
+
 class TestBatchBald:
     def test_empty_batch_gain_is_bald(self, ab_family, ab_pool):
         ens = ab_family.uniform_ensemble()
@@ -220,7 +231,7 @@ class TestBatchBald:
 
     def test_greedy_diversifies_topk_does_not(self, ab_family, ab_pool):
         ens = ab_family.uniform_ensemble()
-        batch = batch_bald_greedy(ens, ab_pool, 2)
+        batch = _greedy(ens, ab_pool, 2)
         assert batch.indices == (0, 4)  # one A, one B
         marginal = bald_scores(ens, ab_pool)
         topk = np.argsort(-marginal, kind="stable")[:2]
@@ -228,34 +239,49 @@ class TestBatchBald:
 
     def test_greedy_objective_matches_oracle(self, coin, coin_ensemble,
                                              coin_x):
-        batch = batch_bald_greedy(coin_ensemble, np.tile(coin_x, (2, 1)), 2)
+        batch = _greedy(coin_ensemble, np.tile(coin_x, (2, 1)), 2)
         assert sum(batch.scores) == pytest.approx(
             oracle_batch_objective(coin, [coin_x, coin_x]), abs=1e-10)
 
     def test_tie_break_lowest_index(self, ab_family, ab_pool):
         ens = ab_family.uniform_ensemble()
-        batch = batch_bald_greedy(ens, ab_pool, 1)
+        batch = _greedy(ens, ab_pool, 1)
         assert batch.indices == (0,)    # all four A copies tie
 
-    def test_reselection_allows_repeats(self, coin_ensemble, coin_x):
-        batch = batch_bald_greedy(coin_ensemble, coin_x[None, :], 3,
-                                  allow_reselection=True)
-        assert batch.indices == (0, 0, 0)
-
     def test_batch_larger_than_pool_rejected(self, coin_ensemble, coin_x):
-        with pytest.raises(ValueError, match="batch larger than pool"):
-            batch_bald_greedy(coin_ensemble, coin_x[None, :], 2)
+        with pytest.raises(ValueError, match="pool exhausted"):
+            _greedy(coin_ensemble, coin_x[None, :], 2)
 
     def test_allowed_mask_restricts_picks(self, ab_family, ab_pool):
         ens = ab_family.uniform_ensemble()
         allowed = np.ones(len(ab_pool), dtype=bool)
         allowed[0] = False
-        batch = batch_bald_greedy(ens, ab_pool, 2, allowed=allowed)
+        batch = _greedy(ens, ab_pool, 2, allowed=allowed)
         assert batch.indices == (1, 4)  # lowest allowed A copy, then B
         assert not allowed[0] and allowed[1]   # caller's mask untouched
-        with pytest.raises(ValueError, match="batch larger than pool"):
-            batch_bald_greedy(ens, ab_pool, 2, allowed=allowed & (
+        with pytest.raises(ValueError, match="pool exhausted"):
+            _greedy(ens, ab_pool, 2, allowed=allowed & (
                 np.arange(len(ab_pool)) == 1))
+
+    def test_enumerates_at_the_limit_and_raises_past_it(self):
+        gen = np.random.default_rng(23)
+        for _ in range(5):
+            world = random_world(gen, max_hypotheses=6, max_classes=4,
+                                 max_vocab=4)
+            with np.errstate(divide="ignore"):
+                ens = exact_grid_posterior(grid_family_from_world(world),
+                                           np.log(world.prior), [])
+            xs = np.stack([x for x, _ in sample_world_dataset(world, 4, gen)])
+            # Batch of two plus a candidate: C^3 assignments.
+            limit = world.num_classes ** 3
+            gains = batch_bald_gains(ens, xs, [0, 1], enumeration_limit=limit)
+            base = oracle_batch_objective(world, list(xs[:2]))
+            for i in (2, 3):
+                assert gains[i] == pytest.approx(
+                    oracle_batch_objective(world, [xs[0], xs[1], xs[i]])
+                    - base, abs=1e-9)
+            with pytest.raises(ValueError, match="use joint_entropy_mc"):
+                batch_bald_gains(ens, xs, [0, 1, 2], enumeration_limit=limit)
 
     def test_enumeration_limit_error(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -305,6 +331,32 @@ class TestEpig:
                            coin_x[None, :])
         assert score == pytest.approx(
             oracle_epig(coin, [coin_x, coin_x], [coin_x]), abs=1e-10)
+
+    def test_monte_carlo_branch_agrees_with_exact(self, dropout_16,
+                                                  cluster_data):
+        # Two candidates, three eval points, C = 4. A limit of 4^2
+        # enumerates the candidates' entropy and estimates each eval
+        # point's 4^3-assignment joint with them by Monte Carlo.
+        _, evald = cluster_data
+        cand, ev = evald.xs[:2], evald.xs[2:5]
+        exact = epig_score(dropout_16, cand, ev)
+        rng = RngStream(11)
+        estimate = epig_score(dropout_16, cand, ev, rng=rng,
+                              enumeration_limit=4 ** 2)
+        # The estimate's only noise: one MC joint per eval point, each
+        # drawn from its derived stream.
+        ses = [joint_entropy_mc(dropout_16,
+                                np.concatenate([ev[i:i + 1], cand]),
+                                acquisition.MC_ASSIGNMENT_DRAWS,
+                                rng.derive("epig", i))[1] for i in range(3)]
+        se = math.sqrt(sum(s * s for s in ses)) / 3
+        assert estimate != exact
+        assert abs(estimate - exact) <= 4 * se
+        with pytest.raises(ValueError, match="use joint_entropy_mc"):
+            epig_score(dropout_16, cand, ev, enumeration_limit=4 ** 2)
+        # At the limit every joint is still enumerated.
+        assert epig_score(dropout_16, cand, ev,
+                          enumeration_limit=4 ** 3) == exact
 
     def test_singleton_rows_match_scalar(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -436,15 +488,77 @@ class TestScorePool:
         for strategy in STRATEGIES:
             if strategy == "random":
                 continue
-            scores = score_pool(strategy, dropout_16, pool, eval_set)
+            scores = score_pool(strategy, dropout_16, pool, eval_set,
+                                np.ones(6, dtype=bool))
             assert scores.shape == (6,)
             assert np.all(np.isfinite(scores))
+
+    def test_batch_bald_scores_only_allowed_points(self, dropout_16,
+                                                   cluster_data):
+        pool = cluster_data[1].subset(range(6), "pool")
+        allowed = np.array([True, False, True, True, False, True])
+        scores = score_pool("batch_bald", dropout_16, pool, None, allowed,
+                            batch_indices=[1])
+        assert np.all(np.isneginf(scores[~allowed]))
+        assert np.all(np.isfinite(scores[allowed]))
 
     def test_unknown_strategy_rejected(self, dropout_16, cluster_data):
         _, evald = cluster_data
         pool = evald.subset(range(3), "pool")
         with pytest.raises(ValueError, match="unknown strategy"):
-            score_pool("entropy", dropout_16, pool, pool)
+            score_pool("entropy", dropout_16, pool, pool,
+                       np.ones(3, dtype=bool))
+
+
+class TestSelectBatch:
+    @pytest.fixture
+    def score_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return score_pool(*args, **kwargs)
+
+        monkeypatch.setattr(acquisition, "score_pool", counting)
+        return calls
+
+    @pytest.mark.parametrize("strategy", ["bald", "epig"])
+    def test_marginal_scorers_take_top_k_of_one_scoring(
+            self, strategy, dropout_16, cluster_data, score_calls):
+        pool = cluster_data[1].subset(range(10), "pool")
+        allowed = np.ones(10, dtype=bool)
+        allowed[[1, 6]] = False
+        scores = score_pool(strategy, dropout_16, pool, None, allowed)
+        top = np.argsort(-np.where(allowed, scores, -np.inf),
+                         kind="stable")[:3]
+        score_calls.clear()
+        batch = select_batch(strategy, dropout_16, pool, None, 3, allowed)
+        assert score_calls == [strategy]
+        assert batch.indices == tuple(int(i) for i in top)
+        assert batch.scores == tuple(float(scores[i]) for i in top)
+
+    def test_active_sampling_conditions_on_earlier_picks(
+            self, dropout_16, cluster_data, score_calls):
+        _, evald = cluster_data
+        pool = evald.subset(range(8), "pool")
+        eval_set = evald.subset(range(8, 28), "eval")
+        allowed = np.ones(8, dtype=bool)
+        batch = select_batch("active_sampling", dropout_16, pool, eval_set,
+                             2, allowed)
+        assert score_calls == ["active_sampling"] * 2
+        first = batch.indices[0]
+        again = active_sampling_scores(dropout_16, pool, eval_set,
+                                       [pool.example(first)])
+        masked = np.where(np.arange(8) == first, -np.inf, again)
+        assert batch.indices[1] == int(np.argmax(masked))
+        assert batch.scores[1] == again[batch.indices[1]]
+        assert allowed.all()
+
+    def test_non_positive_batch_rejected(self, dropout_16, cluster_data):
+        pool = cluster_data[1].subset(range(4), "pool")
+        with pytest.raises(ValueError, match="batch size must be positive"):
+            select_batch("bald", dropout_16, pool, None, 0,
+                         np.ones(4, dtype=bool))
 
 
 class TestSequencePersistence:
@@ -453,8 +567,7 @@ class TestSequencePersistence:
             AcquisitionStep(step=i, pool_index=i * 2, original_index=i,
                             y=i % 3, score=0.1 * i, strategy="bald")
             for i in range(4))
-        return AcquisitionSequence(steps=steps, strategy="bald", seed=42,
-                                   origin="unit")
+        return AcquisitionSequence(steps=steps, strategy="bald", seed=42)
 
     def test_round_trip(self, tmp_path):
         seq = self._sequence()
@@ -469,6 +582,16 @@ class TestSequencePersistence:
         seq.save(path)
         sidecar = (tmp_path / "seq.manifest.json").read_text()
         assert '"strategy": "bald"' in sidecar and '"seed": 42' in sidecar
+
+    def test_manifest_with_origin_key_still_loads(self, tmp_path):
+        seq = self._sequence()
+        path = tmp_path / "seq.csv"
+        seq.save(path)
+        sidecar = tmp_path / "seq.manifest.json"
+        manifest = json.loads(sidecar.read_text())
+        assert "origin" not in manifest
+        sidecar.write_text(json.dumps(dict(manifest, origin="unit")))
+        assert AcquisitionSequence.load(path) == seq
 
     def test_non_finite_scores_rejected(self):
         step = AcquisitionStep(step=0, pool_index=0, original_index=0, y=0,
@@ -520,14 +643,6 @@ class TestRunAcquisition:
                               None, 1, 1, RngStream(3))
         assert seq.steps[0].pool_index == 0  # an A copy, highest BALD
 
-    def test_reselection_pathology(self, ab_family, ab_pool):
-        # a marginal scorer with reselection hammers the same original
-        pool = self._ab_dataset(ab_family, ab_pool)
-        seq = run_acquisition("bald", self._grid_factory(ab_family), pool,
-                              None, 4, 10, RngStream(3),
-                              allow_reselection=True)
-        assert seq.pool_indices() == [0, 0, 0, 0]
-
     def test_deterministic_and_persistable(self, tmp_path, ab_family,
                                            ab_pool):
         pool = self._ab_dataset(ab_family, ab_pool)
@@ -549,6 +664,30 @@ class TestRunAcquisition:
                               None, 3, 1, RngStream(9))
         for step in seq.steps:
             assert step.original_index == dup.origin_indices[step.pool_index]
+
+    def test_one_batch_per_retrained_model(self, ab_family, ab_pool):
+        pool = self._ab_dataset(ab_family, ab_pool)
+        grid = self._grid_factory(ab_family)
+        trained = []
+
+        def factory(train, stream):
+            trained.append((len(train), stream))
+            return grid(train, stream)
+
+        rng = RngStream(5)
+        seq = run_acquisition("batch_bald", factory, pool, None, 5, 2, rng)
+        assert trained == [(size, rng.derive("retrain", size))
+                           for size in (0, 2, 4)]
+        picks = seq.pool_indices()
+        allowed = np.ones(len(pool), dtype=bool)
+        for start in (0, 2, 4):
+            model = grid(pool.subset(picks[:start]), None)
+            batch = select_batch("batch_bald", model, pool, None,
+                                 min(2, 5 - start), allowed)
+            assert list(batch.indices) == picks[start:start + 2]
+            assert tuple(s.score for s in seq.steps[start:start + 2]) == \
+                batch.scores
+            allowed[list(batch.indices)] = False
 
     def test_pool_exhaustion_rejected(self, ab_family, ab_pool):
         pool = self._ab_dataset(ab_family, ab_pool)

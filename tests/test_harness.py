@@ -3,10 +3,12 @@
 import json
 import math
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from obayes.harness import experiments
 from obayes.harness.cli import main
 from obayes.harness.config import (
     DataSpec,
@@ -16,7 +18,6 @@ from obayes.harness.config import (
     config_from_json,
     config_hash,
     config_to_json,
-    with_overrides,
 )
 from obayes.harness.experiments import (
     al_with_obi,
@@ -45,7 +46,7 @@ def _tiny_grid_config(**overrides) -> ExperimentConfig:
         strategy="bald", num_steps=10, lookahead=2, trials=1,
         obi_subtrials=1, bootstrap_size=3, eval_start=4, seed_train_size=2,
         seed=5)
-    return with_overrides(base, **overrides)
+    return replace(base, **overrides)
 
 
 def _tiny_net_config(**overrides) -> ExperimentConfig:
@@ -56,7 +57,7 @@ def _tiny_net_config(**overrides) -> ExperimentConfig:
                         ensemble_size=8),
         strategy="bald", num_steps=8, lookahead=2, trials=1, obi_subtrials=1,
         bootstrap_size=8, eval_start=4, seed_train_size=4, seed=3)
-    return with_overrides(base, **overrides)
+    return replace(base, **overrides)
 
 
 class TestConfig:
@@ -337,6 +338,33 @@ class TestCli:
                      "--out", str(tmp_path / "m.npz"), "--seed", "1"])
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--spread", "0"],
+        ["train", "--data", "{pool}", "--epochs", "0"],
+        ["acquire", "--data", "{pool}", "--steps", "0"],
+        ["acquire", "--data", "{pool}", "--retrain-every", "0"],
+        ["acquire", "--data", "{pool}", "--steps", "5"],
+        ["obi-eval", "--steps", "10"],
+        ["al-obi", "--ess-threshold", "0"],
+    ], ids=["spread", "epochs", "steps", "retrain-every", "steps-past-pool",
+            "no-eval-steps", "ess-threshold"])
+    def test_bad_argument_is_config_error_before_training(
+            self, argv, tmp_path, capsys, monkeypatch):
+        pool = tmp_path / "pool.npz"
+        assert main(["gen-data", "--out", str(pool), "--n-per-class", "2",
+                     "--num-classes", "2", "--seed", "1"]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        for name in ("train_mc_dropout", "train_deep_ensemble"):
+            monkeypatch.setattr(experiments, name, no_training)
+        capsys.readouterr()
+        code = main([arg.format(pool=pool) for arg in argv]
+                    + ["--seed", "0", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_oracle_check_passes(self, capsys):
         code = main(["oracle-check", "--worlds", "3", "--seed", "0"])

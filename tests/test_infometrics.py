@@ -86,6 +86,21 @@ class TestCrossEntropyAndAccuracy:
         rows = np.array([[0.0, -math.inf]])
         assert cross_entropy_from_rows(rows, [1]) == math.inf
 
+    @pytest.mark.parametrize("helper", [cross_entropy_from_rows,
+                                        accuracy_from_rows])
+    @pytest.mark.parametrize("y", [-1, 2])
+    def test_label_outside_classes_rejected(self, helper, y):
+        rows = np.log(np.array([[0.9, 0.1]]))
+        with pytest.raises(ValueError, match="class indices out of range"):
+            helper(rows, [y])
+
+    @pytest.mark.parametrize("helper", [cross_entropy_from_rows,
+                                        accuracy_from_rows])
+    def test_label_count_mismatch_rejected(self, helper):
+        rows = np.log(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        with pytest.raises(ValueError, match="assignment length must match"):
+            helper(rows, [0])
+
     def test_argmax_tie_breaks_low(self):
         rows = np.log(np.array([[0.5, 0.5]]))
         assert accuracy_from_rows(rows, [0]) == 1.0

@@ -159,6 +159,19 @@ class TestJointEntropyExact:
         with pytest.raises(ValueError, match="use joint_entropy_mc"):
             joint_entropy_exact(dropout_16, evald.xs[:4], enumeration_limit=100)
 
+    def test_enumerates_at_the_limit_and_raises_past_it(self):
+        gen = np.random.default_rng(5)
+        for _ in range(5):
+            world = random_world(gen, max_hypotheses=6, max_classes=4,
+                                 max_vocab=4)
+            ens = _world_ensemble(world)
+            xs = np.stack([x for x, _ in sample_world_dataset(world, 4, gen)])
+            limit = world.num_classes ** 3
+            assert joint_entropy_exact(ens, xs[:3], limit) == pytest.approx(
+                oracle_joint_entropy(world, list(xs[:3])), abs=1e-9)
+            with pytest.raises(ValueError, match="use joint_entropy_mc"):
+                joint_entropy_exact(ens, xs, limit)
+
     def test_matches_oracle_on_random_worlds(self):
         gen = np.random.default_rng(77)
         for _ in range(10):

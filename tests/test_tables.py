@@ -18,9 +18,8 @@ from obayes import acquisition
 from obayes.acquisition import (
     AcquisitionSequence,
     AcquisitionStep,
-    _masked_argmax,
     batch_bald_gains,
-    batch_bald_greedy,
+    select_batch,
 )
 from obayes.data import LabeledExample
 from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec
@@ -281,11 +280,9 @@ class TestEvaluationCounts:
         assert {size for _, _, size in family_calls} == \
             {cfg.model.ensemble_size}
 
-    def test_batch_bald_greedy_evaluates_pool_once(self, dropout_16,
-                                                   cluster_data,
-                                                   family_calls,
-                                                   monkeypatch):
-        pool_xs = cluster_data[1].xs[:12]
+    def test_select_batch_evaluates_pool_once(self, dropout_16, cluster_data,
+                                              family_calls, monkeypatch):
+        pool = cluster_data[1].subset(range(12), "pool")
         gains_calls = []
 
         def counting_gains(*args, **kwargs):
@@ -293,7 +290,8 @@ class TestEvaluationCounts:
             return batch_bald_gains(*args, **kwargs)
 
         monkeypatch.setattr(acquisition, "batch_bald_gains", counting_gains)
-        batch = batch_bald_greedy(dropout_16, pool_xs, 3)
+        batch = select_batch("batch_bald", dropout_16, pool, None, 3,
+                             np.ones(12, dtype=bool))
         assert len(family_calls) == 1
         assert len(gains_calls) == 3
         assert dropout_16._tables is None
@@ -301,9 +299,9 @@ class TestEvaluationCounts:
         mask = np.ones(12, dtype=bool)
         chosen, scores = [], []
         for _ in range(3):
-            gains = batch_bald_gains(dropout_16, pool_xs, chosen,
+            gains = batch_bald_gains(dropout_16, pool.xs, chosen,
                                      allowed=np.flatnonzero(mask))
-            chosen.append(_masked_argmax(gains, mask))
+            chosen.append(int(np.argmax(gains)))
             scores.append(float(gains[chosen[-1]]))
             mask[chosen[-1]] = False
         assert batch.indices == tuple(chosen)
