@@ -296,33 +296,46 @@ def _zeroed_world(world: GridWorld, gen: np.random.Generator) -> GridWorld:
                      name=f"{world.name} zeroed")
 
 
+def _check_world_pair(world: GridWorld, stream: RngStream,
+                      label: str) -> tuple[list, int]:
+    """Check `world` and its zeroed variant; failures and zero count."""
+    found = _check_world(world, stream.derive("check"), label)
+    zeroed = _zeroed_world(world, stream.derive("zeroed").generator())
+    found_zeroed = _check_world(zeroed, stream.derive("check zeroed"),
+                                f"{label} zeroed")
+    count = int(np.sum(zeroed.tables == 0.0) + np.sum(zeroed.prior == 0.0))
+    print(f"{label} (K={world.num_hypotheses}, C={world.num_classes}): "
+          + ("ok" if not found else "FAIL")
+          + f"; zeroed ({count} zero entries): "
+          + ("ok" if not found_zeroed else "FAIL"))
+    return found + found_zeroed, count
+
+
 def _cmd_oracle_check(args) -> int:
     if args.worlds < 1:
         raise ConfigError("need at least one world")
     failures = _check_world(coin_world(),
                             RngStream(seed=args.seed).derive("coin"), "coin")
     print("coin world: " + ("ok" if not failures else "FAIL"))
-    zeros = 0
+    # One hypothesis: every weight update and mixture runs on S = 1.
+    stream = RngStream(seed=args.seed).derive("single sample")
+    found, zeros = _check_world_pair(
+        random_world(stream.generator(), max_hypotheses=1), stream,
+        "single-sample world")
+    failures += found
     for w in range(args.worlds):
         stream = RngStream(seed=args.seed).derive("world", w)
-        world = random_world(stream.generator())
-        found = _check_world(world, stream.derive("check"), f"world {w}")
-        zeroed = _zeroed_world(world, stream.derive("zeroed").generator())
-        found_zeroed = _check_world(zeroed, stream.derive("check zeroed"),
-                                    f"world {w} zeroed")
-        count = int(np.sum(zeroed.tables == 0.0) + np.sum(zeroed.prior == 0.0))
+        found, count = _check_world_pair(random_world(stream.generator()),
+                                         stream, f"world {w}")
+        failures += found
         zeros += count
-        print(f"world {w} (K={world.num_hypotheses}, C={world.num_classes}): "
-              + ("ok" if not found else "FAIL")
-              + f"; zeroed ({count} zero entries): "
-              + ("ok" if not found_zeroed else "FAIL"))
-        failures += found + found_zeroed
     if failures:
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         raise RuntimeError(f"{len(failures)} oracle mismatches")
-    print(f"all {args.worlds + 1} worlds and {args.worlds} zeroed variants "
-          f"({zeros} zero-probability entries) matched the oracle")
+    print(f"all {args.worlds + 1} worlds and {args.worlds} zeroed variants, "
+          "plus a single-sample world and its zeroed variant "
+          f"({zeros} zero-probability entries), matched the oracle")
     return 0
 
 

@@ -102,7 +102,12 @@ def build_splits(config: ExperimentConfig, root: RngStream):
 
 def model_factory(spec, in_dim: int, num_classes: int,
                   world: GridWorld | None = None):
-    """Deterministic trainer: (train_set, stream) -> PosteriorEnsemble."""
+    """Deterministic trainer: (train_set, stream) -> PosteriorEnsemble.
+
+    Given sequences of same-size training sets and of streams instead, it
+    returns one ensemble per pair, each equal to the one the pair builds
+    alone; MC-dropout networks train as one lockstep group.
+    """
     if spec.kind == "grid":
         if world is None:
             raise ValueError("grid model requires grid data")
@@ -110,8 +115,10 @@ def model_factory(spec, in_dim: int, num_classes: int,
         with np.errstate(divide="ignore"):
             prior = np.log(world.prior)
 
-        def grid_factory(train: Dataset, stream: RngStream):
-            return exact_grid_posterior(family, prior, train.examples())
+        def grid_factory(train, stream):
+            if isinstance(train, Dataset):
+                return exact_grid_posterior(family, prior, train.examples())
+            return [grid_factory(t, s) for t, s in zip(train, stream)]
 
         return grid_factory
 
@@ -120,20 +127,26 @@ def model_factory(spec, in_dim: int, num_classes: int,
                            dropout_rate=spec.dropout_rate
                            if spec.kind == "mc_dropout" else 0.0)
 
-    def net_factory(train: Dataset, stream: RngStream):
-        cfg = TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
-                          learning_rate=spec.learning_rate,
-                          seed=stream.derive("train").stream_id)
+    def net_factory(train, stream):
+        if isinstance(train, Dataset):
+            return net_factory([train], [stream])[0]
+        trains, streams = list(train), list(stream)
+        if len(trains) != len(streams):
+            raise ValueError("one stream per training set")
+        if all(len(t) == 0 for t in trains):
+            init = init_deep_ensemble if spec.kind == "deep_ensemble" \
+                else init_dropout_ensemble
+            return [init(arch, spec.ensemble_size, s.derive("init"))
+                    for s in streams]
+        cfgs = [TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
+                            learning_rate=spec.learning_rate,
+                            seed=s.derive("train").stream_id)
+                for s in streams]
         if spec.kind == "deep_ensemble":
-            if len(train) == 0:
-                return init_deep_ensemble(arch, spec.ensemble_size,
-                                          stream.derive("init"))
-            return train_deep_ensemble(train, arch, cfg, spec.ensemble_size)
-        if len(train) == 0:
-            return init_dropout_ensemble(arch, spec.ensemble_size,
-                                         stream.derive("init"))
-        return train_mc_dropout(train, arch, cfg, spec.ensemble_size,
-                                stream.derive("masks"))
+            return [train_deep_ensemble(t, arch, c, spec.ensemble_size)
+                    for t, c in zip(trains, cfgs)]
+        return train_mc_dropout(trains, arch, cfgs, spec.ensemble_size,
+                                [s.derive("masks") for s in streams])
 
     return net_factory
 
@@ -195,9 +208,11 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     Emits cross-entropy and accuracy for all three branches per cell,
     plus the OBI effective sample size.
 
-    Prefix models are trained in ascending size and only one is alive at
-    a time: its eval-set and lookahead tables are evaluated once, and
-    every bootstrap sub-trial gathers its rows from those tables.
+    Prefix models are trained in ascending size, the sequences' models
+    of one size as one lockstep group, so two (one per sequence) are alive
+    at a time: each one's eval-set and lookahead tables are evaluated
+    once, and every bootstrap sub-trial gathers its rows from those
+    tables. Records are emitted sequence by sequence.
     """
     k = config.lookahead
     t_values = list(range(config.eval_start,
@@ -209,41 +224,50 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     if sequences is None:
         sequences = generate_sequences(config, pool, eval_set, factory, root)
-    records = []
-    for name in sorted(sequences):
-        seq = sequences[name]
-        if len(seq) < config.num_steps:
-            raise ValueError("sequence shorter than num_steps")
-        seq_data = seq.examples(pool)
-        sizes = sorted({t for t in t_values} | {t + k for t in t_values})
-        for trial in range(config.trials):
-            eval_rows = {}
-            obi_cells = {}
-            for size in sizes:
-                state0 = obi_init(factory(
-                    seq_data.subset(range(size), "prefix"),
-                    root.derive("model", name, trial, size)))
-                eval_rows[size] = marginal_log_probs(state0.base, eval_set.xs)
+    names = sorted(sequences)
+    if any(len(sequences[name]) < config.num_steps for name in names):
+        raise ValueError("sequence shorter than num_steps")
+    seq_data = {name: sequences[name].examples(pool) for name in names}
+    sizes = sorted(set(t_values) | {t + k for t in t_values})
+    eval_rows, obi_cells = {}, {}
+    for trial in range(config.trials):
+        for size in sizes:
+            models = factory(
+                [seq_data[name].subset(range(size), "prefix")
+                 for name in names],
+                [root.derive("model", name, trial, size) for name in names])
+            for name, model in zip(names, models):
+                state0 = obi_init(model)
+                eval_rows[name, trial, size] = marginal_log_probs(
+                    state0.base, eval_set.xs)
                 if size not in t_values:
                     continue
-                next_k = [seq_data.example(i) for i in range(size, size + k)]
-                obi_cells[size] = [
+                next_k = [seq_data[name].example(i)
+                          for i in range(size, size + k)]
+                obi_cells[name, trial, size] = [
                     _obi_records(state0, next_k, eval_set,
                                  config.bootstrap_size,
                                  root.derive("bootstrap", name, trial, size,
                                              sub),
                                  dict(trial=trial, sub_trial=sub, step=size,
-                                      n=k, strategy=seq.strategy, name=name))
+                                      n=k, strategy=sequences[name].strategy,
+                                      name=name))
                     for sub in range(config.obi_subtrials)]
+    records = []
+    for name in names:
+        for trial in range(config.trials):
             for t in t_values:
                 for sub in range(config.obi_subtrials):
                     coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
-                                  strategy=seq.strategy, name=name)
-                    records += _eval_records(eval_rows[t], eval_set,
+                                  strategy=sequences[name].strategy,
+                                  name=name)
+                    records += _eval_records(eval_rows[name, trial, t],
+                                             eval_set,
                                              dict(coords, branch="baseline"))
-                    records += _eval_records(eval_rows[t + k], eval_set,
+                    records += _eval_records(eval_rows[name, trial, t + k],
+                                             eval_set,
                                              dict(coords, branch="retrain"))
-                    records += obi_cells[t][sub]
+                    records += obi_cells[name, trial, t][sub]
     return records
 
 
@@ -266,7 +290,9 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
     eval set. Per batch: eval metrics of the current model, the number of
     within-batch duplicates (same original example), and the batch's
     total correlation, both over the full batch and over its distinct
-    originals.
+    originals. The campaigns advance batch by batch: the strategies'
+    models of one batch train as one lockstep group, as do their final
+    models. Records are emitted strategy by strategy.
     """
     root = RngStream(seed=config.seed)
     base_pool, eval_set, seed_train, world = build_splits(config, root)
@@ -281,44 +307,51 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     m = config.acquisition_batch_size
     label = f"R{config.duplication_factor}"
-    records = []
-    for strategy in ("random", "bald", "batch_bald", "epig"):
-        acquired: list = []
-        allowed = np.ones(len(pool), dtype=bool)
-        for b in range(config.num_batches):
-            train = seed_train.concat(pool.subset(acquired, "acquired")) \
-                if acquired else seed_train
-            ensemble = factory(train, root.derive("model", strategy, b)) \
-                .with_tables()
+    strategies = ("random", "bald", "batch_bald", "epig")
+    acquired = {strategy: [] for strategy in strategies}
+    allowed = {strategy: np.ones(len(pool), dtype=bool)
+               for strategy in strategies}
+    records = {strategy: [] for strategy in strategies}
+
+    def fit_all(b: int) -> list:
+        trains = [seed_train.concat(pool.subset(acquired[s], "acquired"))
+                  if acquired[s] else seed_train for s in strategies]
+        return factory(trains, [root.derive("model", s, b)
+                                for s in strategies])
+
+    for b in range(config.num_batches):
+        for strategy, ensemble in zip(strategies, fit_all(b)):
+            ensemble = ensemble.with_tables()
             rows = marginal_log_probs(ensemble, eval_set.xs)
             coords = dict(step=b, strategy=strategy, name=label)
-            records += _eval_records(rows, eval_set, coords)
-            batch = _pick_batch(strategy, ensemble, pool, m, allowed,
+            out = records[strategy]
+            out += _eval_records(rows, eval_set, coords)
+            batch = _pick_batch(strategy, ensemble, pool, m,
+                                allowed[strategy],
                                 root.derive("batch", strategy, b))
             for pick in batch:
-                allowed[pick] = False
-                acquired.append(pick)
+                allowed[strategy][pick] = False
+                acquired[strategy].append(pick)
             batch_origins = [int(origins[i]) for i in batch]
             dup_count = m - len(set(batch_origins))
-            records.append(MetricRecord(metric="duplicate_count",
-                                        value=float(dup_count), **coords))
+            out.append(MetricRecord(metric="duplicate_count",
+                                    value=float(dup_count), **coords))
             tc_full = total_correlation(ensemble, pool.xs[batch])
-            records.append(MetricRecord(metric="total_correlation",
-                                        value=tc_full, **coords))
+            out.append(MetricRecord(metric="total_correlation",
+                                    value=tc_full, **coords))
             distinct = sorted({orig: i for i, orig in
                                zip(batch, batch_origins)}.values())
             tc_distinct = 0.0 if len(distinct) < 2 else \
                 total_correlation(ensemble, pool.xs[distinct])
-            records.append(MetricRecord(metric="total_correlation_distinct",
-                                        value=tc_distinct, **coords))
-        train = seed_train.concat(pool.subset(acquired, "acquired"))
-        final = factory(train, root.derive("model", strategy,
-                                           config.num_batches))
+            out.append(MetricRecord(metric="total_correlation_distinct",
+                                    value=tc_distinct, **coords))
+    for strategy, final in zip(strategies, fit_all(config.num_batches)):
         rows = marginal_log_probs(final, eval_set.xs)
-        records += _eval_records(rows, eval_set,
-                                 dict(step=config.num_batches,
-                                      strategy=strategy, name=label))
-    return records
+        records[strategy] += _eval_records(
+            rows, eval_set, dict(step=config.num_batches, strategy=strategy,
+                                 name=label))
+    return [record for strategy in strategies
+            for record in records[strategy]]
 
 
 def al_with_obi(config: ExperimentConfig) -> list:

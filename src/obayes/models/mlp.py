@@ -5,10 +5,19 @@ independently trained members, evaluated clean) and consistent MC dropout
 (one trained network, S fixed dropout masks attached as parameter
 samples). Masks are sampled once and reused for every input evaluated
 under that sample; resampling per input would break joint predictives.
+
+Training runs in lockstep groups. Fits that share the architecture, the
+training-set size, the epochs, batch size and learning rate train
+together: the gradient and loss kernels take a leading fit axis, so one
+call per step and one Adam update serve every fit still training. Each
+fit keeps its own generator and leaves the group when it stops early or
+diverges, so every fit's parameters have the bits of training it alone;
+a single fit is a group of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,40 +93,61 @@ def init_params(arch: MlpArchitecture, gen: np.random.Generator) -> MlpParams:
     )
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), as a running maximum over the last
+    axis' columns.
+
+    A maximum is exact in any order, so the bits are those of max(); over
+    a handful of classes, C - 1 elementwise maxima cost less than one
+    reduction per row.
+    """
+    top = np.maximum(a[..., 0], a[..., -1])
+    for c in range(1, a.shape[-1] - 1):
+        np.maximum(top, a[..., c], out=top)
+    return top[..., None]
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    z = logits - m
+    z = logits - _row_max(logits)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _forward(params: MlpParams, xs: np.ndarray,
              mask_scale: np.ndarray | None = None):
-    """Pre-activation, hidden, and logits; mask_scale rescales hidden units."""
-    z1 = xs @ params.w1 + params.b1
+    """Pre-activation, hidden, and logits; mask_scale rescales hidden units.
+
+    Every array may carry leading fit axes (see mlp_gradient).
+    """
+    z1 = xs @ params.w1 + params.b1[..., None, :]
     h = np.maximum(z1, 0.0)
-    hd = h if mask_scale is None else h * mask_scale
-    logits = hd @ params.w2 + params.b2
+    hd = h if mask_scale is None else h * mask_scale[..., None, :]
+    logits = hd @ params.w2 + params.b2[..., None, :]
     return z1, hd, logits
 
 
 def mlp_log_probs(params: MlpParams, xs: np.ndarray,
                   mask_scale: np.ndarray | None = None) -> np.ndarray:
     _, _, logits = _forward(params, xs, mask_scale)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     return _log_softmax(logits)
 
 
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
-                       mask_scale: np.ndarray | None = None) -> float:
+                       mask_scale: np.ndarray | None = None):
+    """Mean cross-entropy over the rows; one per fit for stacked fits
+    (see mlp_gradient), as an array of shape (K,)."""
     _, _, logits = _forward(params, xs, mask_scale)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     # _log_softmax's operations, evaluated at the observed labels only.
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)
     lse = np.log(np.exp(z).sum(axis=-1))
-    observed = z[np.arange(len(ys)), ys] - lse
-    return float(-observed.mean())
+    ys = np.asarray(ys)
+    observed = z.reshape(-1, z.shape[-1])[np.arange(ys.size), ys.reshape(-1)]
+    # The negated mean, as np.mean computes it: a sum, then one division.
+    loss = (lse - observed.reshape(lse.shape)).sum(axis=-1) / lse.shape[-1]
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def mlp_gradient(params: MlpParams, xs, ys,
@@ -125,113 +155,265 @@ def mlp_gradient(params: MlpParams, xs, ys,
                  out: MlpParams | None = None) -> MlpParams:
     """Exact gradient of the mean cross-entropy over the batch.
 
+    Stacked fits: parameters (K, D, H), (K, H), (K, H, C), (K, C),
+    inputs (K, B, D), labels (K, B) and masks (K, H) give K gradients,
+    each with the bits of the fit's own unstacked call.
+
     With `out`, the gradient is written into its arrays (which must have
     the parameter shapes) and `out` is returned; otherwise new arrays are
     allocated. Both give the same bits.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim < 2:
+        xs = xs.reshape(1, -1)
     ys = np.asarray(ys, dtype=np.int64)
-    if xs.shape[0] == 0:
+    n = xs.shape[-2]
+    if n == 0:
         raise ValueError("empty reduction")
-    n = xs.shape[0]
     z1, hd, logits = _forward(params, xs, mask_scale)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     if out is None:
         out = MlpParams(*(np.empty_like(a) for a in params.arrays()))
-    probs = np.exp(_log_softmax(logits))
-    dlogits = probs
-    dlogits[np.arange(n), ys] -= 1.0
+    dlogits = np.exp(_log_softmax(logits))
+    dlogits.reshape(-1, dlogits.shape[-1])[np.arange(ys.size),
+                                            ys.reshape(-1)] -= 1.0
     dlogits /= n
-    np.matmul(hd.T, dlogits, out=out.w2)
-    dlogits.sum(axis=0, out=out.b2)
-    dhd = dlogits @ params.w2.T
-    dh = dhd if mask_scale is None else dhd * mask_scale
+    np.matmul(hd.swapaxes(-1, -2), dlogits, out=out.w2)
+    dlogits.sum(axis=-2, out=out.b2)
+    dhd = dlogits @ params.w2.swapaxes(-1, -2)
+    dh = dhd if mask_scale is None else dhd * mask_scale[..., None, :]
     dz1 = dh * (z1 > 0.0)
-    np.matmul(xs.T, dz1, out=out.w1)
-    dz1.sum(axis=0, out=out.b1)
+    np.matmul(xs.swapaxes(-1, -2), dz1, out=out.w1)
+    dz1.sum(axis=-2, out=out.b1)
     return out
 
 
 def _flat_views(arch: MlpArchitecture, flat: np.ndarray) -> MlpParams:
-    """MlpParams whose arrays are views into one flat buffer."""
+    """MlpParams whose arrays are views into flat buffers, one per row of
+    `flat` (P,) or (K, P)."""
     d, h, c = arch.in_dim, arch.hidden, arch.num_classes
+    lead = flat.shape[:-1]
     ends = np.cumsum([d * h, h, h * c, c])
-    w1, b1, w2, b2 = np.split(flat, ends[:-1])
-    return MlpParams(w1=w1.reshape(d, h), b1=b1, w2=w2.reshape(h, c), b2=b2)
+    w1, b1, w2, b2 = np.split(flat, ends[:-1], axis=-1)
+    return MlpParams(w1=w1.reshape(*lead, d, h), b1=b1,
+                     w2=w2.reshape(*lead, h, c), b2=b2)
 
 
-def _train_single(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
-                  stream: RngStream, member: str, use_dropout: bool) -> MlpParams:
-    """Minibatch Adam with early stopping on the full-set loss.
+class _LiveFits:
+    """The fits of a lockstep group that are still training.
 
-    Parameters, gradient and Adam moments are flat buffers allocated once,
-    so each step is one gradient write and one in-place Adam update of
-    every parameter at once. Each epoch draws its permutation and then all
-    of its dropout masks in one call, the same stream as one draw per step.
+    Row j of every per-fit array (`_ROWS`) belongs to fit `fits[j]`. A fit
+    that stops or diverges leaves by dropping its rows, so the stacked
+    calls see live fits only; a stopped fit's parameters are kept as they
+    are.
     """
-    gen = stream.generator()
-    flat = np.concatenate([a.ravel() for a in init_params(arch, gen).arrays()])
-    params = _flat_views(arch, flat)
-    grad_flat = np.empty_like(flat)
-    grad = _flat_views(arch, grad_flat)
-    m, v = np.zeros_like(flat), np.zeros_like(flat)
-    step, denom = np.empty_like(flat), np.empty_like(flat)
-    b1, b2 = _BETA1, _BETA2
-    xs, ys = train.xs, train.ys
-    n = len(train)
-    bs = cfg.batch_size
-    num_batches = -(-n // bs)
-    keep = 1.0 - arch.dropout_rate
-    dropout = use_dropout and arch.dropout_rate > 0.0
-    scales = [None] * num_batches
-    t = 0
-    history = [cross_entropy_loss(params, xs, ys)]
-    for epoch in range(1, cfg.epochs + 1):
-        perm = gen.permutation(n)
-        if dropout:
-            masks = gen.random((num_batches, arch.hidden)) < keep
-            scales = masks.astype(np.float64) / keep
-        xs_epoch, ys_epoch = xs[perm], ys[perm]
-        for b in range(num_batches):
-            batch = slice(b * bs, (b + 1) * bs)
+
+    _ROWS = ("flat", "m", "v", "xs", "ys", "xs_epoch", "ys_epoch", "scales")
+
+    def __init__(self, arch: MlpArchitecture, cfg: TrainConfig, gens: list,
+                 xs: np.ndarray, ys: np.ndarray, dropout: bool):
+        self.arch, self.cfg = arch, cfg
+        self.n = xs.shape[1]
+        self.bounds = [slice(lo, lo + cfg.batch_size)
+                       for lo in range(0, self.n, cfg.batch_size)]
+        self.keep = 1.0 - arch.dropout_rate if dropout else None
+        self.gens = gens
+        self.fits = list(range(len(gens)))
+        self.histories = [[] for _ in gens]
+        self.trained = [None] * len(gens)
+        self.diverged = {}                          # fit -> (epoch, cause)
+        self.flat = np.stack([np.concatenate([a.ravel() for a in
+                                              init_params(arch, gen).arrays()])
+                              for gen in gens])
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.t = 0
+        self.xs, self.ys = xs, ys
+        self.xs_epoch, self.ys_epoch = np.empty_like(xs), np.empty_like(ys)
+        self.scales = np.empty((len(gens), len(self.bounds) if dropout else 0,
+                                arch.hidden))
+        self._views()
+
+    def _views(self):
+        """What the hot path reads, rebuilt whenever the live set changes.
+
+        A lone fit's kernels get its unstacked rows: the same bits, and 2-D
+        operands cost less per numpy call than (1, …) stacks.
+        """
+        sel = 0 if len(self.fits) == 1 else slice(None)
+        self.params = _flat_views(self.arch, self.flat[sel])
+        self.grad_flat = np.empty_like(self.flat)
+        self.grad = _flat_views(self.arch, self.grad_flat[sel])
+        self.step = np.empty_like(self.flat)
+        self.denom = np.empty_like(self.flat)
+        self.full_set = (self.xs[sel], self.ys[sel])
+        # Views of the epoch buffers, which shuffle() refills in place.
+        self.batches = [self._batch(sel, b) for b in range(len(self.bounds))]
+        self.draws = list(zip(self.gens, self.xs, self.ys, self.xs_epoch,
+                              self.ys_epoch, self.scales))
+
+    def _batch(self, r, b: int) -> tuple:
+        """Inputs, labels and mask scales of minibatch b for rows r."""
+        rows = self.bounds[b]
+        return (self.xs_epoch[r, rows], self.ys_epoch[r, rows],
+                None if self.keep is None else self.scales[r, b])
+
+    def views(self, r) -> MlpParams:
+        return _flat_views(self.arch, self.flat[r])
+
+    def shuffle(self):
+        """Each fit's epoch: its permutation and then its dropout masks,
+        drawn from its own generator."""
+        keep = self.keep
+        for gen, xs, ys, xs_epoch, ys_epoch, scales in self.draws:
+            perm = gen.permutation(self.n)
+            if keep is not None:
+                np.divide(gen.random(scales.shape) < keep, keep, out=scales)
+            xs.take(perm, axis=0, out=xs_epoch)
+            ys.take(perm, out=ys_epoch)
+
+    def gradient(self, b: int, epoch: int) -> bool:
+        """Minibatch b's gradient of every live fit, into `grad`; False
+        once no fit is live."""
+        while self.fits:
             try:
-                mlp_gradient(params, xs_epoch[batch], ys_epoch[batch],
-                             scales[b], out=grad)
-            except ValueError as exc:
-                raise _diverged(member, epoch) from exc
-            t += 1
-            # Adam over all parameters at once, one elementwise op at a time
-            # in the per-array update's order, which the bits depend on:
-            # m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
-            # w -= (lr m_hat) / (sqrt(v_hat) + eps).
-            m *= b1
-            np.multiply(1.0 - b1, grad_flat, out=step)
-            m += step
-            v *= b2
-            np.multiply(1.0 - b2, grad_flat, out=step)
-            step *= grad_flat
-            v += step
-            np.divide(m, 1.0 - b1 ** t, out=step)
-            step *= cfg.learning_rate
-            np.divide(v, 1.0 - b2 ** t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += _ADAM_EPS
-            step /= denom
-            flat -= step
-        try:
-            loss = cross_entropy_loss(params, xs, ys)
-        except ValueError as exc:
-            raise _diverged(member, epoch) from exc
-        # Finite logits far enough apart still give an infinite loss.
-        if not np.isfinite(loss):
-            raise _diverged(member, epoch)
-        history.append(loss)
+                mlp_gradient(self.params, *self.batches[b], out=self.grad)
+                return True
+            except ValueError:
+                if not self.find_diverged(lambda r: mlp_gradient(
+                        self.views(r), *self._batch(r, b)), epoch):
+                    raise
+        return False
+
+    def adam_step(self):
+        """Adam over all parameters of every live fit at once, one
+        elementwise op at a time in the per-array update's order, which
+        the bits depend on: m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g,
+        w -= (lr m_hat) / (sqrt(v_hat) + eps)."""
+        self.t += 1
+        b1, b2, t = _BETA1, _BETA2, self.t
+        m, v, grad = self.m, self.v, self.grad_flat
+        step, denom = self.step, self.denom
+        m *= b1
+        np.multiply(1.0 - b1, grad, out=step)
+        m += step
+        v *= b2
+        np.multiply(1.0 - b2, grad, out=step)
+        step *= grad
+        v += step
+        np.divide(m, 1.0 - b1 ** t, out=step)
+        step *= self.cfg.learning_rate
+        np.divide(v, 1.0 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        self.flat -= step
+
+    def record_losses(self, epoch: int):
+        """Append each live fit's full-set loss, then retire the fits that
+        diverged or stopped improving."""
+        while True:
+            try:
+                losses = cross_entropy_loss(self.params, *self.full_set)
+                break
+            except ValueError:
+                if not self.find_diverged(lambda r: cross_entropy_loss(
+                        self.views(r), self.xs[r], self.ys[r]), epoch):
+                    raise
+                if not self.fits:
+                    return
+        if len(self.fits) == 1:
+            losses = (losses,)
+        leaving = []
         p = _EARLY_STOP_PATIENCE
-        if len(history) > p and \
-                history[-1 - p] - history[-1] < _EARLY_STOP_DELTA:
+        for j, (history, loss) in enumerate(zip(self.histories, losses)):
+            # Finite logits far enough apart still give an infinite loss
+            # (the untrained network's loss is not checked).
+            if epoch > 0 and not math.isfinite(loss):
+                self.diverged[self.fits[j]] = (epoch, None)
+                leaving.append(j)
+                continue
+            history.append(float(loss))
+            if len(history) > p and \
+                    history[-1 - p] - history[-1] < _EARLY_STOP_DELTA:
+                leaving.append(j)
+        if leaving:
+            self.retire(leaving)
+
+    def find_diverged(self, call, epoch: int) -> bool:
+        """After a stacked call raised: retire each fit whose own call(rows)
+        raises as diverged; False if none does."""
+        failed = []
+        for j, fit in enumerate(self.fits):
+            try:
+                call(slice(j, j + 1))
+            except ValueError as exc:
+                self.diverged[fit] = (epoch, exc)
+                failed.append(j)
+        self.retire(failed)
+        return bool(failed)
+
+    def retire(self, rows):
+        """Drop `rows` from the live set. The fits after the lowest-index
+        diverged fit drop too: its error is the one the group raises."""
+        for j in rows:
+            if self.fits[j] not in self.diverged:
+                self.trained[self.fits[j]] = self.views(j).copy()
+        first = min(self.diverged, default=len(self.trained))
+        kept = [j for j, fit in enumerate(self.fits)
+                if j not in rows and fit < first]
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[kept])
+        self.fits = [self.fits[j] for j in kept]
+        self.gens = [self.gens[j] for j in kept]
+        self.histories = [self.histories[j] for j in kept]
+        self._views()
+
+
+def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams, members,
+                    use_dropout: bool) -> list:
+    """Minibatch Adam with early stopping on the full-set loss, for K fits
+    at once; returns each fit's parameters.
+
+    The fits share the architecture, the training-set size, and the
+    epochs, batch size and learning rate of `cfgs`; each has its own data
+    and stream. Every step is one stacked gradient call and one in-place
+    Adam update of (K, P) flat buffers, and every epoch one stacked loss
+    call, over the live fits. Each fit draws its permutation and then all
+    of its epoch's dropout masks from its own generator (the same stream
+    as one draw per step), so its parameters have the bits of training it
+    alone, which is the K = 1 case. A fit leaves the live set once its
+    loss stops falling, or once its forward pass or loss is non-finite.
+    The lowest-index diverged fit then raises "training diverged: member
+    …, epoch …", the error that training the fits one after another would
+    raise first.
+    """
+    n = len(trains[0])
+    if any(len(t) != n for t in trains):
+        raise ValueError("lockstep fits need training sets of one size")
+    if len({(c.epochs, c.batch_size, c.learning_rate) for c in cfgs}) > 1:
+        raise ValueError("lockstep fits need one epochs, batch size and "
+                         "learning rate")
+    live = _LiveFits(arch, cfgs[0], [s.generator() for s in streams],
+                     np.stack([t.xs for t in trains]),
+                     np.stack([t.ys for t in trains]),
+                     dropout=use_dropout and arch.dropout_rate > 0.0)
+    live.record_losses(0)
+    for epoch in range(1, cfgs[0].epochs + 1):
+        if not live.fits:
             break
-    return params
+        live.shuffle()
+        for b in range(len(live.bounds)):
+            if not live.gradient(b, epoch):
+                break
+            live.adam_step()
+        live.record_losses(epoch)
+    live.retire(range(len(live.fits)))
+    if live.diverged:
+        first = min(live.diverged)
+        epoch, cause = live.diverged[first]
+        raise _diverged(members[first], epoch) from cause
+    return live.trained
 
 
 def _diverged(member: str, epoch: int) -> ValueError:
@@ -285,25 +467,26 @@ class McDropoutFamily:
             np.matmul(h[None] * scale[lo:lo + chunk, None, :], w2,
                       out=logits[lo:lo + chunk])
         logits += self.params.b2
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise ValueError("non-finite activations in forward pass")
         return _log_softmax(logits)
 
 
 def train_deep_ensemble(train: Dataset, arch: MlpArchitecture,
                         cfg: TrainConfig, num_members: int) -> PosteriorEnsemble:
-    """K members differing only in derived seed (init and batch order)."""
+    """K members differing only in derived seed (init and batch order),
+    trained as one lockstep group."""
     if num_members < 1:
         raise ValueError("need at least one ensemble member")
     if len(train) == 0:
         raise ValueError("empty training set")
     root = RngStream(seed=cfg.seed).derive("deep_ensemble")
-    members = tuple(
-        _train_single(train, arch, cfg, root.derive("member", k),
-                      member=str(k), use_dropout=arch.dropout_rate > 0.0)
-        for k in range(num_members)
-    )
-    return PosteriorEnsemble(samples=members,
+    members = _train_lockstep(
+        [train] * num_members, arch, [cfg] * num_members,
+        [root.derive("member", k) for k in range(num_members)],
+        [str(k) for k in range(num_members)],
+        use_dropout=arch.dropout_rate > 0.0)
+    return PosteriorEnsemble(samples=tuple(members),
                              log_weights=np.zeros(num_members),
                              family=DeepEnsembleFamily(arch))
 
@@ -344,25 +527,40 @@ def init_dropout_ensemble(arch: MlpArchitecture, num_samples: int,
                              family=McDropoutFamily(arch, params))
 
 
-def train_mc_dropout(train: Dataset, arch: MlpArchitecture, cfg: TrainConfig,
-                     num_samples: int, rng: RngStream) -> PosteriorEnsemble:
-    """Train once with dropout, then freeze S masks as parameter samples."""
+def train_mc_dropout(train, arch: MlpArchitecture, cfg, num_samples: int,
+                     rng):
+    """Train once with dropout, then freeze S masks as parameter samples.
+
+    Sequences of same-size training sets, configs and mask streams
+    instead give a list of ensembles, one per fit, trained as one
+    lockstep group; each equals its fit trained alone.
+    """
     if num_samples < 1:
         raise ValueError("need at least one dropout sample")
-    if len(train) == 0:
+    group = not isinstance(train, Dataset)
+    trains, cfgs, rngs = (list(train), list(cfg), list(rng)) if group \
+        else ([train], [cfg], [rng])
+    if not trains or not len(trains) == len(cfgs) == len(rngs):
+        raise ValueError("a fit group needs one training set, config and "
+                         "mask stream per fit")
+    if len(trains[0]) == 0:
         raise ValueError("empty training set")
     if arch.dropout_rate == 0.0 and num_samples > 1:
         raise ValueError("degenerate dropout ensemble: dropout rate is zero")
-    params = _train_single(train, arch, cfg,
-                           RngStream(seed=cfg.seed).derive("mc_dropout"),
-                           member="shared", use_dropout=True)
+    trained = _train_lockstep(
+        trains, arch, cfgs,
+        [RngStream(seed=c.seed).derive("mc_dropout") for c in cfgs],
+        ["shared"] * len(trains), use_dropout=True)
     keep = 1.0 - arch.dropout_rate
-    gen = rng.generator()
-    if arch.dropout_rate == 0.0:
-        masks = (np.ones((1, arch.hidden)),)
-    else:
-        masks = tuple((gen.random(arch.hidden) < keep).astype(np.float64)
-                      for _ in range(num_samples))
-    return PosteriorEnsemble(samples=masks,
-                             log_weights=np.zeros(len(masks)),
-                             family=McDropoutFamily(arch, params))
+    ensembles = []
+    for params, stream in zip(trained, rngs):
+        gen = stream.generator()
+        if arch.dropout_rate == 0.0:
+            masks = (np.ones((1, arch.hidden)),)
+        else:
+            masks = tuple((gen.random(arch.hidden) < keep).astype(np.float64)
+                          for _ in range(num_samples))
+        ensembles.append(PosteriorEnsemble(
+            samples=masks, log_weights=np.zeros(len(masks)),
+            family=McDropoutFamily(arch, params)))
+    return ensembles if group else ensembles[0]

@@ -382,6 +382,16 @@ class TestCli:
         assert total > 0
         assert "3 zeroed variants" in lines[-1]
 
+    def test_oracle_check_covers_a_single_sample_world(self, capsys):
+        # Random worlds hold one hypothesis only by chance; this one always.
+        code = main(["oracle-check", "--worlds", "1", "--seed", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("single-sample world (K=1, ")
+        assert "zeroed (" in lines[1] and lines[1].endswith(": ok")
+        assert "plus a single-sample world and its zeroed variant" \
+            in lines[-1]
+
     def test_obi_eval_flags_bootstraps_of_ruled_out_samples(self, tmp_path,
                                                             capsys):
         # h1 never emits label 1, so once the prefix holds a 1 a bootstrap

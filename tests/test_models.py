@@ -5,7 +5,9 @@ finite differences, the one part of the model stack where a silent
 error would corrupt every downstream experiment. The reference-equality
 tests keep the straightforward per-array versions of the gradient, Adam,
 the training loop and the dropout forward, and require the fused,
-flat-buffer and chunked versions to give the same bits.
+flat-buffer and chunked versions to give the same bits; fits trained in
+one lockstep group must each equal the reference loop run on that fit
+alone.
 """
 
 import math
@@ -41,6 +43,8 @@ from obayes.models.mlp import (
     _CHUNK_ELEMENTS,
     _EARLY_STOP_DELTA,
     _EARLY_STOP_PATIENCE,
+    _row_max,
+    _train_lockstep,
 )
 from obayes.numerics import RngStream
 from obayes.oracle import coin_world, oracle_posterior
@@ -253,10 +257,12 @@ class TestTraining:
     def test_infinite_loss_names_member_and_epoch(self, cluster_data,
                                                    monkeypatch):
         # Finite logits whose range overflows give an infinite loss
-        # without an error from the forward pass.
+        # without an error from the forward pass. The members train in
+        # one group, so each call returns one loss per stacked fit.
         train, _ = cluster_data
         monkeypatch.setattr(mlp_module, "cross_entropy_loss",
-                            lambda *args, **kwargs: math.inf)
+                            lambda params, xs, *args, **kwargs:
+                            np.full(np.shape(xs)[:-2], math.inf))
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
                                dropout_rate=0.0)
         with pytest.raises(ValueError,
@@ -413,16 +419,19 @@ def _reference_adam_step(params, grad, state, cfg):
         a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def _reference_train_single(train, arch, cfg, stream, use_dropout):
+def _reference_train_single(train, arch, cfg, stream, use_dropout,
+                            history=None):
     """Training as it was before the fused step: a fresh gather, mask draw
-    and gradient per minibatch, and per-array Adam."""
+    and gradient per minibatch, and per-array Adam. A `history` list
+    receives the full-set losses, one more than the epochs trained."""
     gen = stream.generator()
     params = init_params(arch, gen)
     xs, ys = train.xs, train.ys
     n = len(train)
     keep = 1.0 - arch.dropout_rate
     state = {"m": [], "v": [], "t": 0}
-    history = [_reference_loss(params, xs, ys)]
+    history = [] if history is None else history
+    history.append(_reference_loss(params, xs, ys))
     for _ in range(cfg.epochs):
         perm = gen.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -513,3 +522,122 @@ class TestFusedHotPathsMatchReference:
                               _reference_log_softmax(logits))
         if n == 1100:
             assert n * arch.hidden > _CHUNK_ELEMENTS
+
+
+class TestRowMax:
+    def test_equals_max_with_ties_and_minus_inf(self):
+        inf = np.inf
+        rows = np.array([[-inf, -inf, -inf, -inf],
+                         [-inf, 2.0, -inf, 2.0],
+                         [3.0, -inf, 3.0, 1.0],
+                         [0.0, -0.0, -1.0, -inf],
+                         [-5.0, -5.0, -5.0, -5.0],
+                         [1e300, -1e300, 7.0, 1e300]])
+        for table in (rows, rows[:, :2], rows[:, :1],
+                      np.stack([rows, rows[::-1]])):
+            assert np.array_equal(_row_max(table),
+                                  table.max(axis=-1, keepdims=True))
+
+
+class TestLockstepMatchesReference:
+    """Each fit of a lockstep group equals the reference loop run on that
+    fit alone, bit for bit."""
+
+    # n = 40 with batches of 32, so every epoch ends on a ragged batch. At
+    # this learning rate every fit stops early, each at its own epoch.
+    N, EPOCHS, LR = 40, 100, 0.05
+
+    def _fits(self, k):
+        full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
+        trains = [full.subset(RngStream(52).derive("fit", i).generator()
+                              .permutation(len(full))[:self.N], "train")
+                  for i in range(k)]
+        cfgs = [TrainConfig(epochs=self.EPOCHS, learning_rate=self.LR,
+                            seed=60 + i) for i in range(k)]
+        return trains, cfgs
+
+    def _reference(self, train, arch, cfg, stream):
+        """The reference fit and the number of epochs it trained."""
+        history = []
+        params = _reference_train_single(train, arch, cfg, stream,
+                                         use_dropout=True, history=history)
+        return params, len(history) - 1
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_mc_dropout_group(self, k):
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=0.3)
+        trains, cfgs = self._fits(k)
+        rngs = [RngStream(70).derive("masks", i) for i in range(k)]
+        ensembles = train_mc_dropout(trains, arch, cfgs, 4, rngs)
+        assert len(ensembles) == k
+        stops = []
+        for ens, train, cfg, rng in zip(ensembles, trains, cfgs, rngs):
+            stream = RngStream(seed=cfg.seed).derive("mc_dropout")
+            params, epochs = self._reference(train, arch, cfg, stream)
+            _assert_params_equal(ens.family.params, params)
+            gen = rng.generator()
+            for mask in ens.samples:
+                assert np.array_equal(mask, gen.random(16) < 0.7)
+            stops.append(epochs)
+        assert len(trains[0]) % 32 != 0
+        assert len(set(stops)) == k and max(stops) < self.EPOCHS
+
+    def test_single_fit_form_is_the_group_of_one(self):
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=0.3)
+        (train,), (cfg,) = self._fits(1)
+        alone = train_mc_dropout(train, arch, cfg, 4, RngStream(70))
+        (grouped,) = train_mc_dropout([train], arch, [cfg], 4,
+                                      [RngStream(70)])
+        _assert_params_equal(alone.family.params, grouped.family.params)
+
+    def test_deep_ensemble_members(self):
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=0.0)
+        (train,), (cfg,) = self._fits(1)
+        ens = train_deep_ensemble(train, arch, cfg, 4)
+        root = RngStream(seed=cfg.seed).derive("deep_ensemble")
+        stops = []
+        for member, params in enumerate(ens.samples):
+            ref, epochs = self._reference(train, arch, cfg,
+                                          root.derive("member", member))
+            _assert_params_equal(params, ref)
+            stops.append(epochs)
+        assert len(set(stops)) > 1 and max(stops) < self.EPOCHS
+
+    def test_unequal_sizes_rejected(self):
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4)
+        (train,), (cfg,) = self._fits(1)
+        with pytest.raises(ValueError, match="one size"):
+            train_mc_dropout([train, train.subset(range(39), "short")], arch,
+                             [cfg, cfg], 4, [RngStream(1), RngStream(2)])
+
+    def test_lowest_index_divergence_is_raised(self):
+        # Fit 2's inputs overflow the untrained network (epoch 0), fit 0's
+        # logits overflow after its first Adam steps (epoch 1), and fit 1
+        # trains. Trained one after another, fit 0 would raise first.
+        base = generate_cluster_dataset(10, 4, 2, 0.4, RngStream(41))
+        with np.errstate(over="ignore"):
+            scaled = [Dataset(xs=base.xs * scale, ys=base.ys, num_classes=4)
+                      for scale in (1e290, 1.0, 1e308)]
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=0.0)
+        cfg = TrainConfig(epochs=5, learning_rate=1e50)
+
+        def train(fits):
+            return _train_lockstep(
+                [scaled[i] for i in fits], arch, [cfg] * len(fits),
+                [RngStream(1).derive("fit", i) for i in fits],
+                [str(i) for i in fits], use_dropout=False)
+
+        with np.errstate(all="ignore"):
+            for fit, epoch in ((2, 0), (0, 1)):
+                with pytest.raises(ValueError, match=f"^training diverged: "
+                                   f"member {fit}, epoch {epoch}$"):
+                    train([fit])
+            assert len(train([1])) == 1
+            with pytest.raises(ValueError) as info:
+                train([0, 1, 2])
+        assert str(info.value) == "training diverged: member 0, epoch 1"
+        assert "non-finite" in str(info.value.__cause__)

@@ -1,0 +1,50 @@
+"""Print the sha256 of every CSV the benchmark's protocols workload writes.
+
+    python3 tools/protocol_digests.py SEED [SEED ...]
+
+Runs ``perfbench.workloads.ProtocolsJob`` (obi-eval, al-obi and
+repeated-pool at the benchmark's full sizes) in this process for each
+seed, and prints one ``label file sha256`` line per CSV, in run order;
+the CLI's own messages go to standard error.
+Two checkouts produce the same bits when their outputs compare equal
+under ``diff``. Run it from the root of a source checkout; it imports the
+``obayes`` sources under ``src/`` and only imports the workload module.
+Exits 1 if any run fails the workload's own checks.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import ProtocolsJob  # noqa: E402
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    status = 0
+    for seed in (int(s) for s in argv):
+        with tempfile.TemporaryDirectory() as workdir:
+            job = ProtocolsJob(seed, "full", Path(workdir))
+            # The CLI reports each run on stdout; keep stdout for digests.
+            with contextlib.redirect_stdout(sys.stderr):
+                codes = job.run()
+            failures, digests = job.check(codes)
+        for failure in failures:
+            print(f"seed {seed}: {failure}", file=sys.stderr)
+            status = 1
+        for label, files in digests.items():
+            for name, digest in files.items():
+                print(f"{label.replace(' ', '-')} {name} {digest}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
