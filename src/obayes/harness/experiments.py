@@ -208,11 +208,11 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     Emits cross-entropy and accuracy for all three branches per cell,
     plus the OBI effective sample size.
 
-    Prefix models are trained in ascending size, the sequences' models
-    of one size as one lockstep group, so two (one per sequence) are alive
-    at a time: each one's eval-set and lookahead tables are evaluated
-    once, and every bootstrap sub-trial gathers its rows from those
-    tables. Records are emitted sequence by sequence.
+    Prefix models are trained in ascending size, every trial's and
+    sequence's model of one size as one lockstep group, so 2 x trials are
+    alive at a time: each one's eval-set and lookahead tables are
+    evaluated once, and every bootstrap sub-trial gathers its rows from
+    those tables. Records are emitted sequence by sequence.
     """
     k = config.lookahead
     t_values = list(range(config.eval_start,
@@ -230,29 +230,30 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     seq_data = {name: sequences[name].examples(pool) for name in names}
     sizes = sorted(set(t_values) | {t + k for t in t_values})
     eval_rows, obi_cells = {}, {}
-    for trial in range(config.trials):
-        for size in sizes:
-            models = factory(
-                [seq_data[name].subset(range(size), "prefix")
-                 for name in names],
-                [root.derive("model", name, trial, size) for name in names])
-            for name, model in zip(names, models):
-                state0 = obi_init(model)
-                eval_rows[name, trial, size] = marginal_log_probs(
-                    state0.base, eval_set.xs)
-                if size not in t_values:
-                    continue
-                next_k = [seq_data[name].example(i)
-                          for i in range(size, size + k)]
-                obi_cells[name, trial, size] = [
-                    _obi_records(state0, next_k, eval_set,
-                                 config.bootstrap_size,
-                                 root.derive("bootstrap", name, trial, size,
-                                             sub),
-                                 dict(trial=trial, sub_trial=sub, step=size,
-                                      n=k, strategy=sequences[name].strategy,
-                                      name=name))
-                    for sub in range(config.obi_subtrials)]
+    cells = [(trial, name) for trial in range(config.trials)
+             for name in names]
+    for size in sizes:
+        models = factory(
+            [seq_data[name].subset(range(size), "prefix")
+             for _, name in cells],
+            [root.derive("model", name, trial, size) for trial, name in cells])
+        for (trial, name), model in zip(cells, models):
+            state0 = obi_init(model)
+            eval_rows[name, trial, size] = marginal_log_probs(
+                state0.base, eval_set.xs)
+            if size not in t_values:
+                continue
+            next_k = [seq_data[name].example(i)
+                      for i in range(size, size + k)]
+            obi_cells[name, trial, size] = [
+                _obi_records(state0, next_k, eval_set,
+                             config.bootstrap_size,
+                             root.derive("bootstrap", name, trial, size,
+                                         sub),
+                             dict(trial=trial, sub_trial=sub, step=size,
+                                  n=k, strategy=sequences[name].strategy,
+                                  name=name))
+                for sub in range(config.obi_subtrials)]
     records = []
     for name in names:
         for trial in range(config.trials):

@@ -21,6 +21,7 @@ from .predictive import (
     _BLOCK,
     ENUMERATION_LIMIT,
     _assignment_block,
+    _assignment_log_probs,
     entropy_rows,
     joint_entropy_exact,
     marginal_log_probs,
@@ -147,11 +148,11 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
         draws = rng.generator().integers(0, m, size=(trials, n))
         blocks = (draws[start:start + _BLOCK]
                   for start in range(0, trials, _BLOCK))
-    observed = observed_log_probs(ensemble, data.xs, data.ys)
-    log_w = ensemble.normalized_log_weights()
-    # Rows of a block index sequences into the data; sums are (S, B).
-    totals = -np.concatenate([mixture_log_probs(log_w, observed[:, b].sum(axis=2))
-                              for b in blocks])
+    # Every point of a sequence indexes the same rows: the data's.
+    rows = [np.ascontiguousarray(
+        observed_log_probs(ensemble, data.xs, data.ys).T)] * n
+    totals = -np.concatenate(list(_assignment_log_probs(
+        rows, blocks, ensemble.normalized_log_weights())))
     if exhaustive:
         return float(totals.mean()), 0.0
     se = 0.0 if trials == 1 else float(totals.std(ddof=1) / np.sqrt(trials))

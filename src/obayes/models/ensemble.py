@@ -12,10 +12,11 @@ depend on the other samples in the call: evaluating any subset of the
 samples on a point set gives, bit for bit, the matching slices of the
 full table. That makes joint predictives over fixed parameter draws
 well-defined, and it is what `take`'s gathered tables and the MC-dropout
-family's sample-chunked forward rely on. Rows are not independent of the
-other inputs: a one-row call may differ in the last bits from the same
-row in a larger call (a matrix-vector kernel can take over at N = 1), so
-tables are reused per whole point set and never gathered by row.
+family's mask-folded forward (one (N, H) @ (H, C) product per sample)
+rely on. Rows are not independent of the other inputs: a one-row call
+may differ in the last bits from the same row in a larger call (a
+matrix-vector kernel can take over at N = 1), so tables are reused per
+whole point set and never gathered by row.
 
 Table memo. Reweighting moves only the log weights, so a fitted model's
 (S, N, C) table for a point set never changes. `ensemble.with_tables()`

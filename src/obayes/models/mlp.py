@@ -26,9 +26,8 @@ from ..data import Dataset
 from ..numerics import RngStream
 from .ensemble import PosteriorEnsemble
 
-# Elements of masked hidden activations McDropoutFamily.log_probs holds at
-# once (512 KiB of float64, a few samples' worth at the usual sizes).
-_CHUNK_ELEMENTS = 2 ** 16
+# From this many rows on, _row_sum adds the C < 8 columns one at a time.
+_COLUMN_SUM_ROWS = 256
 
 # Adam's moment decays and denominator guard.
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -107,9 +106,28 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return top[..., None]
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True) for a C-contiguous `a`, bit for bit.
+
+    numpy adds the fewer than 8 elements of such a row in order, so below
+    C = 8 a running sum over the columns has its bits. On large tables
+    the C - 1 elementwise additions cost a fraction of one reduction per
+    row; on a few rows (a training batch) they cost more.
+    """
+    c = a.shape[-1]
+    if c >= 8 or a.size < _COLUMN_SUM_ROWS * c:
+        return a.sum(axis=-1, keepdims=True)
+    total = a[..., 0] + a[..., 1]
+    for k in range(2, c):
+        total += a[..., k]
+    return total[..., None]
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - _row_max(logits)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, written into `logits` and returned."""
+    logits -= _row_max(logits)
+    logits -= np.log(_row_sum(np.exp(logits)))
+    return logits
 
 
 def _forward(params: MlpParams, xs: np.ndarray,
@@ -142,7 +160,7 @@ def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
         raise ValueError("non-finite activations in forward pass")
     # _log_softmax's operations, evaluated at the observed labels only.
     z = logits - _row_max(logits)
-    lse = np.log(np.exp(z).sum(axis=-1))
+    lse = np.log(_row_sum(np.exp(z))[..., 0])
     ys = np.asarray(ys)
     observed = z.reshape(-1, z.shape[-1])[np.arange(ys.size), ys.reshape(-1)]
     # The negated mean, as np.mean computes it: a sum, then one division.
@@ -175,7 +193,7 @@ def mlp_gradient(params: MlpParams, xs, ys,
         raise ValueError("non-finite activations in forward pass")
     if out is None:
         out = MlpParams(*(np.empty_like(a) for a in params.arrays()))
-    dlogits = np.exp(_log_softmax(logits))
+    dlogits = np.exp(_log_softmax(logits), out=logits)
     dlogits.reshape(-1, dlogits.shape[-1])[np.arange(ys.size),
                                             ys.reshape(-1)] -= 1.0
     dlogits /= n
@@ -452,21 +470,26 @@ class McDropoutFamily:
         return self.arch.num_classes
 
     def log_probs(self, samples, xs) -> np.ndarray:
+        """The (S, N, C) table of the trained network under each mask.
+
+        Each mask is folded into W2, so every sample is one (N, H) @
+        (H, C) product of the rescaled hidden layer with its masked
+        weights. For 0/1 masks every product term is the one that
+        masking the hidden units gives (h * (1 / keep) times w, or a zero
+        of the same sign), so the bits are the same; any other mask is
+        refused.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        masks = np.stack(samples)
+        if masks.shape[1:] != (self.arch.hidden,) or \
+                not ((masks == 0.0) | (masks == 1.0)).all():
+            raise ValueError("dropout samples must be 0/1 masks of width "
+                             f"{self.arch.hidden}")
         keep = 1.0 - self.arch.dropout_rate
-        w2 = self.params.w2
-        z1 = xs @ self.params.w1 + self.params.b1
-        h = np.maximum(z1, 0.0)                         # (N, H)
-        scale = np.stack(samples) / keep                # (S, H)
-        n, width = h.shape
-        logits = np.empty((len(scale), n, w2.shape[1]))  # (S, N, C)
-        # A few samples' masked hidden layers at a time, never all S; each
-        # sample is still its own (N, H) @ (H, C) product.
-        chunk = max(1, _CHUNK_ELEMENTS // (n * width))
-        for lo in range(0, len(scale), chunk):
-            np.matmul(h[None] * scale[lo:lo + chunk, None, :], w2,
-                      out=logits[lo:lo + chunk])
-        logits += self.params.b2
+        p = self.params
+        h = np.maximum(xs @ p.w1 + p.b1, 0.0)               # (N, H)
+        logits = np.matmul(h * (1.0 / keep), masks[:, :, None] * p.w2)
+        logits += p.b2                                      # (S, N, C)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite activations in forward pass")
         return _log_softmax(logits)
@@ -516,10 +539,17 @@ def init_dropout_ensemble(arch: MlpArchitecture, num_samples: int,
         raise ValueError("degenerate dropout ensemble: dropout rate is zero")
     gen = rng.generator()
     params = init_params(arch, gen)
-    keep = 1.0 - arch.dropout_rate
+    return _dropout_ensemble(arch, params, num_samples, gen)
+
+
+def _dropout_ensemble(arch: MlpArchitecture, params: MlpParams,
+                      num_samples: int, gen) -> PosteriorEnsemble:
+    """`params` under S 0/1 masks of width H drawn from `gen`; one all-ones
+    mask at dropout rate zero."""
     if arch.dropout_rate == 0.0:
-        masks = (np.ones((1, arch.hidden)),)
+        masks = (np.ones(arch.hidden),)
     else:
+        keep = 1.0 - arch.dropout_rate
         masks = tuple((gen.random(arch.hidden) < keep).astype(np.float64)
                       for _ in range(num_samples))
     return PosteriorEnsemble(samples=masks,
@@ -551,16 +581,7 @@ def train_mc_dropout(train, arch: MlpArchitecture, cfg, num_samples: int,
         trains, arch, cfgs,
         [RngStream(seed=c.seed).derive("mc_dropout") for c in cfgs],
         ["shared"] * len(trains), use_dropout=True)
-    keep = 1.0 - arch.dropout_rate
-    ensembles = []
-    for params, stream in zip(trained, rngs):
-        gen = stream.generator()
-        if arch.dropout_rate == 0.0:
-            masks = (np.ones((1, arch.hidden)),)
-        else:
-            masks = tuple((gen.random(arch.hidden) < keep).astype(np.float64)
-                          for _ in range(num_samples))
-        ensembles.append(PosteriorEnsemble(
-            samples=masks, log_weights=np.zeros(len(masks)),
-            family=McDropoutFamily(arch, params)))
+    ensembles = [_dropout_ensemble(arch, params, num_samples,
+                                   stream.generator())
+                 for params, stream in zip(trained, rngs)]
     return ensembles if group else ensembles[0]

@@ -48,7 +48,9 @@ def log_sum_exp_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(arr, axis=axis, keepdims=True)
     m = np.where(np.isneginf(m), 0.0, m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(np.sum(np.exp(arr - m), axis=axis)) + np.squeeze(m, axis=axis)
+        shifted = np.subtract(arr, m)
+        np.exp(shifted, out=shifted)
+        out = np.log(np.sum(shifted, axis=axis)) + np.squeeze(m, axis=axis)
     if not np.all(out < np.inf):
         raise ValueError("non-finite input")
     return out

@@ -19,6 +19,9 @@ ENUMERATION_LIMIT = 10 ** 6
 
 # Assignments scored per vectorized block during enumeration.
 _BLOCK = 2048
+# Assignments whose per-sample sums are gathered at a time (at S = 128,
+# 128 KiB per point).
+_GATHER_ROWS = 128
 
 
 def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -35,10 +38,10 @@ def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def entropy_rows(log_rows: np.ndarray) -> np.ndarray:
     """Entropy along the last axis of log-prob rows; -inf entries add 0."""
-    finite = np.isfinite(log_rows)
-    contrib = np.zeros_like(log_rows)
-    contrib[finite] = np.exp(log_rows[finite]) * log_rows[finite]
-    return -contrib.sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        contrib = np.exp(log_rows)
+        contrib *= log_rows                     # NaN where log_rows = -inf
+    return -np.where(np.isfinite(log_rows), contrib, 0.0).sum(axis=-1)
 
 
 def _as_matrix(xs) -> np.ndarray:
@@ -68,6 +71,51 @@ def _assignment_block(start: int, stop: int, n: int, num_classes: int) -> np.nda
     return (ids[:, None] // powers) % num_classes
 
 
+def _assignment_sums(point_rows, block: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Every sample's log-likelihood of a block of assignments, into `out`.
+
+    `point_rows[i]` is point i's (K, S) array: row k holds every sample's
+    log-likelihood of index k at point i (a label, or a data row). Row b
+    of `block` (B, n) assigns index block[b, i] to point i, and row b of
+    `out` (B, S) receives sum_i point_rows[i][block[b, i]]. The sum runs
+    over the points in order, _GATHER_ROWS assignments at a time, so no
+    (B, n, S) gather is built. `table[:, np.arange(n), block].sum(axis=2)`
+    also adds the points in order, so `out.T` has its bits, except at
+    S = 1 and n >= 8, where numpy sums pairwise (a few 1e-13 apart).
+    """
+    for lo in range(0, len(block), _GATHER_ROWS):
+        acc, picks = out[lo:lo + _GATHER_ROWS], block[lo:lo + _GATHER_ROWS]
+        acc[:] = point_rows[0][picks[:, 0]]
+        for i in range(1, block.shape[1]):
+            acc += point_rows[i][picks[:, i]]
+    return out
+
+
+def _assignment_log_probs(point_rows, blocks, log_w: np.ndarray):
+    """Yield ln q of every assignment of each block, shape (B,).
+
+    Equal, bit for bit, to mixture_log_probs(log_w, sums) of the block's
+    (S, B) per-sample sums (see _assignment_sums), but the blocks share
+    one (B, S) buffer: the log weights are added to it in place, and the
+    mixture is taken over its transpose, which holds each assignment's
+    samples contiguously, as the gathered (S, B) sums did. No block may
+    be longer than the first.
+    """
+    buf = None
+    for block in blocks:
+        if buf is None:
+            buf = np.empty((len(block), point_rows[0].shape[1]))
+        sums = _assignment_sums(point_rows, block, buf[:len(block)])
+        sums += log_w
+        yield log_sum_exp_axis(sums.T, axis=0)
+
+
+def _point_major(table: np.ndarray) -> np.ndarray:
+    """An (S, n, C) table as contiguous (n, C, S) rows; see _assignment_sums."""
+    return np.ascontiguousarray(table.transpose(1, 2, 0))
+
+
 def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
                         enumeration_limit: int = ENUMERATION_LIMIT) -> float:
     """Entropy of the joint predictive by full enumeration, in nats."""
@@ -77,13 +125,12 @@ def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
     total = c ** n
     if total > enumeration_limit:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
-    lp = forward_log_probs(ensemble, xs)
-    log_w = ensemble.normalized_log_weights()
+    blocks = (_assignment_block(start, min(start + _BLOCK, total), n, c)
+              for start in range(0, total, _BLOCK))
     acc = 0.0
-    for start in range(0, total, _BLOCK):
-        block = _assignment_block(start, min(start + _BLOCK, total), n, c)
-        # Rows of `block` are assignments; per-sample sums are (S, B).
-        lq = mixture_log_probs(log_w, lp[:, np.arange(n), block].sum(axis=2))
+    for lq in _assignment_log_probs(
+            _point_major(forward_log_probs(ensemble, xs)), blocks,
+            ensemble.normalized_log_weights()):
         acc += float(entropy_rows(lq))
     return acc
 
@@ -108,12 +155,10 @@ def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
     u = gen.random((num_draws, n))
     draws = np.minimum((u[:, :, None] > cdf[js]).sum(axis=2),
                        ensemble.num_classes - 1).astype(np.int64)
-    scores = np.empty(num_draws)
-    for start in range(0, num_draws, _BLOCK):
-        block = draws[start:start + _BLOCK]
-        scores[start:start + _BLOCK] = mixture_log_probs(
-            log_w, lp[:, np.arange(n), block].sum(axis=2))
-    values = -scores
+    blocks = (draws[start:start + _BLOCK]
+              for start in range(0, num_draws, _BLOCK))
+    values = -np.concatenate(list(_assignment_log_probs(_point_major(lp),
+                                                        blocks, log_w)))
     est = float(values.mean())
     se = 0.0 if num_draws == 1 else float(values.std(ddof=1) / np.sqrt(num_draws))
     return est, se

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from obayes.data import Dataset
 from obayes.harness import experiments
 from obayes.harness.cli import main
 from obayes.harness.config import (
@@ -205,6 +206,83 @@ class TestObiVsRetrain:
         assert ess and all(r.branch == "obi" for r in ess)
 
 
+    def test_trials_train_as_one_group_per_size(self, monkeypatch):
+        cfg = _tiny_net_config(trials=3, obi_subtrials=2)
+        root = RngStream(seed=cfg.seed)
+        pool, eval_set, _, world = build_splits(cfg, root)
+        sequences = experiments.generate_sequences(
+            cfg, pool, eval_set,
+            model_factory(cfg.model, pool.dim, pool.num_classes, world), root)
+        expected = _per_trial_obi_eval(cfg, sequences)
+        groups = []
+
+        def spying_model_factory(*args):
+            factory = model_factory(*args)
+
+            def spy(train, stream):
+                trains = [train] if isinstance(train, Dataset) else train
+                groups.append(sorted(len(t) for t in trains))
+                return factory(train, stream)
+            return spy
+
+        monkeypatch.setattr(experiments, "model_factory",
+                            spying_model_factory)
+        assert obi_vs_retrain_eval(cfg, sequences) == expected
+        t_values = range(cfg.eval_start, cfg.num_steps - cfg.lookahead + 1)
+        sizes = sorted(set(t_values) | {t + cfg.lookahead for t in t_values})
+        assert groups == [[size] * 6 for size in sizes]
+
+
+def _per_trial_obi_eval(config, sequences) -> list:
+    """obi_vs_retrain_eval's records with one trial's prefix models of a
+    size trained per factory call, trial after trial."""
+    k = config.lookahead
+    t_values = list(range(config.eval_start, config.num_steps - k + 1))
+    root = RngStream(seed=config.seed)
+    pool, eval_set, _, world = build_splits(config, root)
+    factory = model_factory(config.model, pool.dim, pool.num_classes, world)
+    names = sorted(sequences)
+    seq_data = {name: sequences[name].examples(pool) for name in names}
+    eval_rows, obi_cells = {}, {}
+    for trial in range(config.trials):
+        for size in sorted(set(t_values) | {t + k for t in t_values}):
+            models = factory(
+                [seq_data[name].subset(range(size), "prefix")
+                 for name in names],
+                [root.derive("model", name, trial, size) for name in names])
+            for name, model in zip(names, models):
+                state0 = experiments.obi_init(model)
+                eval_rows[name, trial, size] = experiments.marginal_log_probs(
+                    state0.base, eval_set.xs)
+                if size in t_values:
+                    next_k = [seq_data[name].example(i)
+                              for i in range(size, size + k)]
+                    obi_cells[name, trial, size] = [
+                        experiments._obi_records(
+                            state0, next_k, eval_set, config.bootstrap_size,
+                            root.derive("bootstrap", name, trial, size, sub),
+                            dict(trial=trial, sub_trial=sub, step=size, n=k,
+                                 strategy=sequences[name].strategy,
+                                 name=name))
+                        for sub in range(config.obi_subtrials)]
+    records = []
+    for name in names:
+        for trial in range(config.trials):
+            for t in t_values:
+                for sub in range(config.obi_subtrials):
+                    coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
+                                  strategy=sequences[name].strategy,
+                                  name=name)
+                    records += experiments._eval_records(
+                        eval_rows[name, trial, t], eval_set,
+                        dict(coords, branch="baseline"))
+                    records += experiments._eval_records(
+                        eval_rows[name, trial, t + k], eval_set,
+                        dict(coords, branch="retrain"))
+                    records += obi_cells[name, trial, t][sub]
+    return records
+
+
 class TestRepeatedPool:
     def test_r1_never_duplicates(self):
         cfg = _tiny_net_config(duplication_factor=1, num_batches=3,
@@ -282,7 +360,6 @@ class TestCli:
         code = main(["gen-data", "--out", str(out), "--n-per-class", "3",
                      "--num-classes", "2", "--seed", "1"])
         assert code == 0 and out.exists()
-        from obayes.data import Dataset
         assert len(Dataset.load(out)) == 6
 
     def test_train_and_acquire(self, tmp_path, capsys):

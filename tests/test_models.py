@@ -5,7 +5,7 @@ finite differences, the one part of the model stack where a silent
 error would corrupt every downstream experiment. The reference-equality
 tests keep the straightforward per-array versions of the gradient, Adam,
 the training loop and the dropout forward, and require the fused,
-flat-buffer and chunked versions to give the same bits; fits trained in
+flat-buffer and mask-folded versions to give the same bits; fits trained in
 one lockstep group must each equal the reference loop run on that fit
 alone.
 """
@@ -40,10 +40,10 @@ from obayes.models.mlp import (
     _ADAM_EPS,
     _BETA1,
     _BETA2,
-    _CHUNK_ELEMENTS,
     _EARLY_STOP_DELTA,
     _EARLY_STOP_PATIENCE,
     _row_max,
+    _row_sum,
     _train_lockstep,
 )
 from obayes.numerics import RngStream
@@ -357,6 +357,21 @@ class TestCheckpoint:
         assert np.array_equal(forward_log_probs(ens, probe),
                               forward_log_probs(back, probe))
 
+    @pytest.mark.parametrize("bad", ["width_one", "half"])
+    def test_reloaded_non_binary_masks_rejected(self, tmp_path, dropout_16,
+                                                bad):
+        path = tmp_path / "ens.npz"
+        save_ensemble(path, dropout_16)
+        with np.load(path) as data:
+            arrays = dict(data)
+        masks = arrays["masks"]
+        arrays["masks"] = masks[:, :1] if bad == "width_one" else 0.5 * masks
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        back = load_ensemble(path)
+        with pytest.raises(ValueError, match="0/1 masks"):
+            forward_log_probs(back, np.zeros((3, 2)))
+
     def test_unknown_family_rejected(self, tmp_path, coin_family):
         class Odd:
             tag = "mystery"
@@ -520,8 +535,52 @@ class TestFusedHotPathsMatchReference:
         logits = (h[None] * scale[:, None, :]) @ fam.params.w2 + fam.params.b2
         assert np.array_equal(forward_log_probs(ens, xs),
                               _reference_log_softmax(logits))
-        if n == 1100:
-            assert n * arch.hidden > _CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5, 0.7])
+    @pytest.mark.parametrize("s,n", [(1, 3), (16, 100), (128, 1), (128, 160)])
+    def test_folded_forward_matches_masked_hidden_at_every_rate(self, rate,
+                                                                s, n):
+        # The masks fold into W2; the reference masks and rescales the
+        # hidden units instead, one sample at a time.
+        arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                               dropout_rate=rate)
+        ens = init_dropout_ensemble(arch, 1 if rate == 0.0 else s,
+                                    RngStream(45).derive("s", s))
+        gen = RngStream(46).generator()
+        fam = ens.family
+        fam.params.b1[:] = 0.3 * gen.standard_normal(32)
+        fam.params.b2[:] = gen.standard_normal(4)
+        xs = 2.0 * gen.standard_normal((n, 2))
+        h = np.maximum(xs @ fam.params.w1 + fam.params.b1, 0.0)
+        expected = np.stack([
+            _reference_log_softmax(
+                (h * (mask / (1.0 - rate))) @ fam.params.w2 + fam.params.b2)
+            for mask in ens.samples])
+        assert np.array_equal(fam.log_probs(ens.samples, xs), expected)
+
+    @pytest.mark.parametrize("bad", ["width_one", "half", "wide", "two"])
+    def test_dropout_forward_rejects_non_binary_masks(self, dropout_16, bad):
+        fam = dropout_16.family
+        masks = list(dropout_16.samples)
+        if bad in ("width_one", "wide"):
+            width = 1 if bad == "width_one" else fam.arch.hidden + 1
+            masks = [np.ones(width)] * len(masks)
+        else:
+            masks[3] = masks[3] * (0.5 if bad == "half" else 2.0)
+        with pytest.raises(ValueError, match="0/1 masks"):
+            fam.log_probs(masks, np.zeros((3, 2)))
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("c", [2, 3, 4, 7, 8, 9])
+    @pytest.mark.parametrize("rows", [(1,), (32,), (255,), (256,), (4, 300),
+                                      (128, 200)])
+    def test_equals_sum_over_last_axis(self, c, rows):
+        gen = np.random.default_rng(c)
+        # Terms over many binades, so a changed order shows in the bits.
+        a = gen.random(rows + (c,)) * np.exp(20.0 * gen.standard_normal(
+            rows + (c,)))
+        assert np.array_equal(_row_sum(a), a.sum(axis=-1, keepdims=True))
 
 
 class TestRowMax:

@@ -106,6 +106,64 @@ class TestLogSumExp:
         assert out[0] == -math.inf and out[1] == 0.0
 
 
+def _old_log_sum_exp_axis(arr, axis):
+    """log_sum_exp_axis as it was before it exponentiated in place."""
+    arr = np.asarray(arr, dtype=np.float64)
+    m = np.max(arr, axis=axis, keepdims=True)
+    m = np.where(np.isneginf(m), 0.0, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(np.sum(np.exp(arr - m), axis=axis)) + \
+            np.squeeze(m, axis=axis)
+    if not np.all(out < np.inf):
+        raise ValueError("non-finite input")
+    return out
+
+
+class TestLogSumExpAxisMatchesOld:
+    @staticmethod
+    def _table(shape):
+        gen = np.random.default_rng(len(shape))
+        arr = 30.0 * gen.standard_normal(shape)
+        arr[gen.random(shape) < 0.2] = -math.inf
+        return arr
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (4, 6, 3), (128, 33)])
+    def test_bitwise_on_every_axis(self, shape):
+        arr = self._table(shape)
+        if arr.ndim > 1:
+            # All--inf slices along the first and the last axis.
+            arr[(slice(None),) + (0,) * (arr.ndim - 1)] = -math.inf
+            arr[(1,) * (arr.ndim - 1) + (slice(None),)] = -math.inf
+        for a in (arr, arr.T, arr[::-1]):
+            for axis in range(a.ndim):
+                old = _old_log_sum_exp_axis(a, axis)
+                new = log_sum_exp_axis(a, axis)
+                assert type(new) is type(old)
+                assert np.array_equal(new, old)
+
+    def test_all_neg_inf_input(self):
+        for shape in [(3,), (2, 4), (2, 2, 2)]:
+            arr = np.full(shape, -math.inf)
+            assert np.array_equal(log_sum_exp_axis(arr, -1),
+                                  _old_log_sum_exp_axis(arr, -1))
+            assert np.all(np.isneginf(log_sum_exp_axis(arr, 0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (3, 4, 6)])
+    def test_nan_and_plus_inf_still_raise(self, bad, shape):
+        arr = self._table(shape)
+        arr.reshape(-1)[arr.size // 2] = bad
+        for axis in range(arr.ndim):
+            with pytest.raises(ValueError, match="non-finite input"):
+                log_sum_exp_axis(arr, axis)
+
+    def test_input_left_unchanged(self):
+        arr = self._table((5, 9))
+        before = arr.copy()
+        log_sum_exp_axis(arr, 1)
+        assert np.array_equal(arr, before)
+
+
 class TestLogMatmulExp:
     def _assert_matches(self, out, ref):
         assert np.array_equal(np.isneginf(out), np.isneginf(ref))

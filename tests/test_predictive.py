@@ -20,11 +20,16 @@ from obayes.oracle import (
     sample_world_dataset,
 )
 from obayes.predictive import (
+    _BLOCK,
+    _assignment_log_probs,
+    _assignment_sums,
+    _point_major,
     entropy_rows,
     joint_entropy_exact,
     joint_entropy_mc,
     joint_log_prob,
     marginal_log_probs,
+    mixture_log_probs,
 )
 
 
@@ -218,3 +223,99 @@ class TestJointEntropyMc:
         _, se_small = joint_entropy_mc(coin_ensemble, xs, 1_000, RngStream(5))
         _, se_large = joint_entropy_mc(coin_ensemble, xs, 100_000, RngStream(5))
         assert se_large < se_small / 5  # ~ M^(-1/2)
+
+
+def _gather_then_sum(table, block):
+    """The per-sample assignment sums as they were computed before
+    _assignment_sums: an (S, B, n) gather, then a sum over its last axis."""
+    return table[:, np.arange(block.shape[1]), block].sum(axis=2)
+
+
+def _log_table(gen, s, n, c):
+    table = np.log(gen.dirichlet(np.ones(c), size=(s, n)))
+    table[gen.random((s, n, c)) < 0.02] = -math.inf
+    return table
+
+
+def _sums(point_rows, block):
+    """_assignment_sums into a fresh buffer, as (S, B)."""
+    out = np.empty((len(block), point_rows[0].shape[1]))
+    return _assignment_sums(point_rows, block, out).T
+
+
+class TestAssignmentSums:
+    """The running sum over the points equals the gather-then-sum idiom
+    it replaced, and so do the mixtures taken over its samples."""
+
+    @pytest.mark.parametrize("s", [16, 128])
+    def test_bitwise_equal_to_gather_then_sum(self, s):
+        gen = np.random.default_rng(s)
+        log_w = np.log(gen.dirichlet(np.ones(s)))
+        for n in range(1, 17):
+            table = _log_table(gen, s, n, 4)
+            rows = _point_major(table)
+            for b in (1, 2, 7, 64, 129, 1000, 2048):
+                block = gen.integers(0, 4, size=(b, n))
+                old = _gather_then_sum(table, block)
+                assert np.array_equal(_sums(rows, block), old)
+                new, = _assignment_log_probs(rows, [block], log_w)
+                assert np.array_equal(new, mixture_log_probs(log_w, old))
+
+    @pytest.mark.parametrize("s", [1, 16, 128])
+    def test_blocks_reuse_one_buffer(self, s):
+        # Blocks of _BLOCK assignments and a ragged last one, as the
+        # enumeration and the MC draws split them.
+        gen = np.random.default_rng(7)
+        log_w = np.log(gen.dirichlet(np.ones(s)))
+        table = _log_table(gen, s, 5, 4)
+        draws = gen.integers(0, 4, size=(2 * _BLOCK + 300, 5))
+        blocks = [draws[lo:lo + _BLOCK] for lo in range(0, len(draws), _BLOCK)]
+        got = list(_assignment_log_probs(_point_major(table), iter(blocks),
+                                         log_w))
+        assert [len(lq) for lq in got] == [_BLOCK, _BLOCK, 300]
+        for lq, block in zip(got, blocks):
+            assert np.array_equal(
+                lq, mixture_log_probs(log_w, _gather_then_sum(table, block)))
+
+    def test_shared_rows_index_data(self):
+        # online_learning_loss: every point indexes the same (m, S) rows.
+        gen = np.random.default_rng(3)
+        observed = _log_table(gen, 128, 1, 50)[:, 0]            # (S, m)
+        for n in (1, 5, 16):
+            block = gen.integers(0, 50, size=(300, n))
+            rows = [np.ascontiguousarray(observed.T)] * n
+            old = observed[:, block].sum(axis=2)
+            assert np.array_equal(_sums(rows, block), old)
+
+    def test_single_sample_close_to_pairwise_sum(self):
+        # At S = 1 numpy sums each assignment's n >= 8 terms pairwise.
+        gen = np.random.default_rng(1)
+        for n in range(8, 17):
+            table = _log_table(gen, 1, n, 4)
+            block = gen.integers(0, 4, size=(2048, n))
+            old = _gather_then_sum(table, block)
+            new = _sums(_point_major(table), block)
+            finite = np.isfinite(old)
+            assert np.array_equal(finite, np.isfinite(new))
+            assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12)
+
+
+def _old_entropy_rows(log_rows):
+    finite = np.isfinite(log_rows)
+    contrib = np.zeros_like(log_rows)
+    contrib[finite] = np.exp(log_rows[finite]) * log_rows[finite]
+    return -contrib.sum(axis=-1)
+
+
+class TestEntropyRowsMatchesOld:
+    def test_bitwise_with_minus_inf_and_layouts(self):
+        gen = np.random.default_rng(5)
+        table = _log_table(gen, 16, 30, 4)
+        table[0, 0] = -math.inf
+        for rows in (table, table.transpose(1, 0, 2),
+                     np.asfortranarray(table), table[:, :, ::-1],
+                     table.reshape(-1), table[3]):
+            old = _old_entropy_rows(rows)
+            new = entropy_rows(rows)
+            assert type(new) is type(old)
+            assert np.array_equal(new, old)

@@ -83,8 +83,8 @@ def family_calls(monkeypatch):
 
 class TestFamilyContract:
     """Evaluating a subset of the samples gives the slices of the full
-    table, bit for bit; the chunked dropout forward splits the samples at
-    chunk boundaries that these subsets straddle."""
+    table, bit for bit; the dropout forward folds each mask into W2 and
+    takes one product per sample, whichever samples share the call."""
 
     @pytest.mark.parametrize("n", [1, 2, 200, 1100])
     @pytest.mark.parametrize("kind", ["mc_dropout", "deep_ensemble"])

@@ -1,11 +1,14 @@
-"""Print the sha256 of every CSV the benchmark's protocols workload writes.
+"""Print the sha256 of every output the benchmark's workloads produce.
 
     python3 tools/protocol_digests.py SEED [SEED ...]
 
 Runs ``perfbench.workloads.ProtocolsJob`` (obi-eval, al-obi and
 repeated-pool at the benchmark's full sizes) in this process for each
 seed, and prints one ``label file sha256`` line per CSV, in run order;
-the CLI's own messages go to standard error.
+the CLI's own messages go to standard error. Then runs
+``perfbench.workloads.JointMetricsJob`` at full size for the seed and
+prints its ``outputs`` digest (the sha256 of every estimator value, from
+``JointMetricsJob.check``) as ``joint-metrics-seed-SEED outputs sha256``.
 Two checkouts produce the same bits when their outputs compare equal
 under ``diff``. Run it from the root of a source checkout; it imports the
 ``obayes`` sources under ``src/`` and only imports the workload module.
@@ -22,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench.workloads import ProtocolsJob  # noqa: E402
+from perfbench.workloads import JointMetricsJob, ProtocolsJob  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
@@ -37,7 +40,10 @@ def main(argv: list[str]) -> int:
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
             failures, digests = job.check(codes)
-        for failure in failures:
+        joint = JointMetricsJob(seed, "full")
+        joint_failures, joint_digests = joint.check(joint.run())
+        digests[f"joint-metrics seed {seed}"] = joint_digests
+        for failure in failures + joint_failures:
             print(f"seed {seed}: {failure}", file=sys.stderr)
             status = 1
         for label, files in digests.items():
