@@ -13,8 +13,9 @@ fixed likelihood table with log-space matrix products
 (numerics.log_matmul_exp), taking candidates in blocks of S (the
 ensemble size) so that no temporary outgrows the per-candidate tensor of
 a loop; EPIG and BatchBALD share that joint-entropy kernel
-(`_group_joint_entropies`). Each distinct candidate is scored once and
-its score copied to its exact duplicates, so duplicates tie bitwise.
+(`_group_joint_entropies`); BatchBALD sums its batch with the exact
+enumeration's `predictive._prefix_sums`. Each distinct candidate is
+scored once and its score copied to its duplicates, so they tie bitwise.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .models import (
 from .numerics import RngStream, log_matmul_exp, log_sum_exp_axis
 from .predictive import (
     ENUMERATION_LIMIT,
+    _prefix_sums,
     entropy_rows,
     joint_entropy_exact,
     joint_entropy_mc,
@@ -186,11 +188,9 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
     batch_indices = list(batch_indices)
     if num_classes ** (len(batch_indices) + 1) > enumeration_limit:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
-    # Per-sample log-likelihood of every assignment to the current batch.
-    per_sample = np.zeros((size, 1))
-    for idx in batch_indices:
-        per_sample = (per_sample[:, :, None] + lp[:, idx, None, :]).reshape(
-            size, -1)
+    # (S, C^k) batch sums: the mixture adds the samples in layout order.
+    per_sample = np.ascontiguousarray(_prefix_sums(
+        lp[:, batch_indices].transpose(1, 2, 0), np.zeros((1, size))).T)
     base_joint = entropy_rows(mixture_log_probs(log_w, per_sample))
     gains = np.full(num_pool, -np.inf)
     candidates = np.arange(num_pool) if allowed is None else \

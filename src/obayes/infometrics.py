@@ -18,10 +18,9 @@ from .data import Dataset
 from .models import PosteriorEnsemble, checked_labels, observed_log_probs
 from .numerics import RngStream
 from .predictive import (
-    _BLOCK,
     ENUMERATION_LIMIT,
-    _assignment_block,
     _assignment_log_probs,
+    _enumerated_log_probs,
     entropy_rows,
     joint_entropy_exact,
     marginal_log_probs,
@@ -136,25 +135,19 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
     if len(data) == 0:
         raise ValueError("empty reduction")
     m = len(data)
-    if exhaustive:
-        total = m ** n
-        if total > ENUMERATION_LIMIT:
-            raise ValueError("enumeration limit exceeded")
-        blocks = (_assignment_block(start, min(start + _BLOCK, total), n, m)
-                  for start in range(0, total, _BLOCK))
-    else:
-        if trials < 1:
-            raise ValueError("trials must be positive")
-        draws = rng.generator().integers(0, m, size=(trials, n))
-        blocks = (draws[start:start + _BLOCK]
-                  for start in range(0, trials, _BLOCK))
+    if exhaustive and m ** n > ENUMERATION_LIMIT:
+        raise ValueError("enumeration limit exceeded")
+    if not exhaustive and trials < 1:
+        raise ValueError("trials must be positive")
     # Every point of a sequence indexes the same rows: the data's.
     rows = [np.ascontiguousarray(
         observed_log_probs(ensemble, data.xs, data.ys).T)] * n
-    totals = -np.concatenate(list(_assignment_log_probs(
-        rows, blocks, ensemble.normalized_log_weights())))
+    log_w = ensemble.normalized_log_weights()
     if exhaustive:
+        totals = -np.concatenate(list(_enumerated_log_probs(rows, log_w)))
         return float(totals.mean()), 0.0
+    draws = rng.generator().integers(0, m, size=(trials, n))
+    totals = -np.concatenate(list(_assignment_log_probs(rows, draws, log_w)))
     se = 0.0 if trials == 1 else float(totals.std(ddof=1) / np.sqrt(trials))
     return float(totals.mean()), se
 

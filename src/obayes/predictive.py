@@ -4,7 +4,8 @@ The joint predictive over points x_1..x_n is E_w[prod_i p(y_i|x_i,w)]:
 the likelihood factorizes per parameter sample but the mixture over
 samples does not, which is exactly what the information metrics and the
 batch acquisition objectives exploit. Everything here stays in natural
-log space; entropies are in nats.
+log space; entropies are in nats. Exact enumeration multiplies two half
+tables of per-sample prefix sums in log space (`_enumerated_log_probs`).
 """
 
 from __future__ import annotations
@@ -12,15 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .models import PosteriorEnsemble, forward_log_probs, observed_log_probs
-from .numerics import RngStream, log_sum_exp_axis
+from .numerics import RngStream, log_matmul_exp, log_sum_exp_axis
 
 # C^n assignments above this are refused; callers opt into MC instead.
+# The larger half table then has C^ceil(n/2) <= sqrt(C * limit) rows.
 ENUMERATION_LIMIT = 10 ** 6
 
-# Assignments scored per vectorized block during enumeration.
+# MC draws scored per block; about the assignments per enumerated chunk.
 _BLOCK = 2048
-# Assignments whose per-sample sums are gathered at a time (at S = 128,
-# 128 KiB per point).
+# Draws summed per gather (at S = 128, 128 KiB per point).
 _GATHER_ROWS = 128
 
 
@@ -64,13 +65,6 @@ def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:
                                    per_sample))
 
 
-def _assignment_block(start: int, stop: int, n: int, num_classes: int) -> np.ndarray:
-    """Assignments start..stop-1 decoded base-C, most significant digit first."""
-    ids = np.arange(start, stop, dtype=np.int64)
-    powers = num_classes ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (ids[:, None] // powers) % num_classes
-
-
 def _assignment_sums(point_rows, block: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     """Every sample's log-likelihood of a block of assignments, into `out`.
@@ -92,23 +86,47 @@ def _assignment_sums(point_rows, block: np.ndarray,
     return out
 
 
-def _assignment_log_probs(point_rows, blocks, log_w: np.ndarray):
-    """Yield ln q of every assignment of each block, shape (B,).
+def _assignment_log_probs(point_rows, draws: np.ndarray, log_w: np.ndarray):
+    """Yield ln q of the assignments (B, n) of each block of _BLOCK draws.
 
     Equal, bit for bit, to mixture_log_probs(log_w, sums) of the block's
     (S, B) per-sample sums (see _assignment_sums), but the blocks share
-    one (B, S) buffer: the log weights are added to it in place, and the
-    mixture is taken over its transpose, which holds each assignment's
-    samples contiguously, as the gathered (S, B) sums did. No block may
-    be longer than the first.
+    one (B, S) buffer, whose transpose holds each assignment's samples
+    contiguously, as the gathered (S, B) sums did.
     """
-    buf = None
-    for block in blocks:
-        if buf is None:
-            buf = np.empty((len(block), point_rows[0].shape[1]))
-        sums = _assignment_sums(point_rows, block, buf[:len(block)])
+    buf = np.empty((min(len(draws), _BLOCK), len(log_w)))
+    for lo in range(0, len(draws), _BLOCK):
+        sums = _assignment_sums(point_rows, draws[lo:lo + _BLOCK],
+                                buf[:len(draws) - lo])
         sums += log_w
         yield log_sum_exp_axis(sums.T, axis=0)
+
+
+def _prefix_sums(point_rows, sums=None) -> np.ndarray:
+    """Per-sample sums of every assignment to the points, (R * K^n, S).
+
+    Row r*K + j of level k is row r of level k-1 plus point k's row j;
+    level 0 is `sums`, (R, S), else point 0's (K, S) rows.
+    """
+    for rows in point_rows:
+        sums = rows if sums is None else (
+            sums[:, None] + rows).reshape(-1, rows.shape[1])
+    return sums
+
+
+def _enumerated_log_probs(point_rows, log_w: np.ndarray):
+    """Yield ln q of every assignment to the points, in order, in chunks.
+
+    The left table holds the sums over the first ceil(n/2) points, the
+    right one the log weights plus the sums over the rest, and
+    log_matmul_exp pairs them about _BLOCK assignments at a time.
+    """
+    half = (len(point_rows) + 1) // 2
+    left = _prefix_sums(point_rows[:half])
+    right = _prefix_sums(point_rows[half:], log_w[None, :])
+    step = max(1, _BLOCK // len(right))
+    for lo in range(0, len(left), step):
+        yield log_matmul_exp(left[lo:lo + step], right.T).reshape(-1)
 
 
 def _point_major(table: np.ndarray) -> np.ndarray:
@@ -120,19 +138,11 @@ def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
                         enumeration_limit: int = ENUMERATION_LIMIT) -> float:
     """Entropy of the joint predictive by full enumeration, in nats."""
     xs = _as_matrix(xs)
-    n = xs.shape[0]
-    c = ensemble.num_classes
-    total = c ** n
-    if total > enumeration_limit:
+    if ensemble.num_classes ** len(xs) > enumeration_limit:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
-    blocks = (_assignment_block(start, min(start + _BLOCK, total), n, c)
-              for start in range(0, total, _BLOCK))
-    acc = 0.0
-    for lq in _assignment_log_probs(
-            _point_major(forward_log_probs(ensemble, xs)), blocks,
-            ensemble.normalized_log_weights()):
-        acc += float(entropy_rows(lq))
-    return acc
+    return sum(float(entropy_rows(lq)) for lq in _enumerated_log_probs(
+        _point_major(forward_log_probs(ensemble, xs)),
+        ensemble.normalized_log_weights()))
 
 
 def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
@@ -146,19 +156,16 @@ def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
     if num_draws < 1:
         raise ValueError("need at least one draw")
     xs = _as_matrix(xs)
-    n = xs.shape[0]
     lp = forward_log_probs(ensemble, xs)
     log_w = ensemble.normalized_log_weights()
     gen = rng.generator()
     js = gen.choice(ensemble.size, size=num_draws, p=np.exp(log_w))
     cdf = np.cumsum(np.exp(lp), axis=2)                 # (S, N, C)
-    u = gen.random((num_draws, n))
+    u = gen.random((num_draws, len(xs)))
     draws = np.minimum((u[:, :, None] > cdf[js]).sum(axis=2),
                        ensemble.num_classes - 1).astype(np.int64)
-    blocks = (draws[start:start + _BLOCK]
-              for start in range(0, num_draws, _BLOCK))
     values = -np.concatenate(list(_assignment_log_probs(_point_major(lp),
-                                                        blocks, log_w)))
+                                                        draws, log_w)))
     est = float(values.mean())
     se = 0.0 if num_draws == 1 else float(values.std(ddof=1) / np.sqrt(num_draws))
     return est, se

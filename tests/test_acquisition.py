@@ -31,6 +31,7 @@ from obayes.data import Dataset, DuplicationSpec, LabeledExample, duplicate_pool
 from obayes.infometrics import cross_entropy_from_rows
 from obayes.models import (
     GridLikelihood,
+    PosteriorEnsemble,
     exact_grid_posterior,
     forward_log_probs,
     grid_family_from_world,
@@ -105,6 +106,26 @@ def _batch_bald_loop(ensemble, pool_xs, batch_indices, allowed=None):
         joint = entropy_rows(mixture_log_probs(log_w, extended))
         gains[i] = joint - base_joint - cond[i]
     return gains
+
+
+def _batch_bald_loop_build(ensemble, pool_xs, batch_indices):
+    """batch_bald_gains as it was before the shared prefix-sum helper:
+    the batch's (S, C^k) per-sample sums grown by broadcasting, one point
+    at a time."""
+    lp = forward_log_probs(ensemble, pool_xs)
+    log_w = ensemble.normalized_log_weights()
+    size = ensemble.size
+    per_sample = np.zeros((size, 1))
+    for idx in batch_indices:
+        per_sample = (per_sample[:, :, None] + lp[:, idx, None, :]).reshape(
+            size, -1)
+    base_joint = entropy_rows(mixture_log_probs(log_w, per_sample))
+    first, inverse = acquisition._distinct(lp.transpose(1, 0, 2))
+    distinct = lp[:, first]
+    cond = np.exp(log_w) @ entropy_rows(distinct)
+    joint = acquisition._group_joint_entropies(
+        (log_w[:, None] + per_sample).T, distinct, 1)[:, 0]
+    return (joint - base_joint - cond)[inverse]
 
 
 def _active_sampling_loop(ensemble, pool, eval_set, conditioned_on=()):
@@ -288,6 +309,28 @@ class TestBatchBald:
         with pytest.raises(ValueError, match="use joint_entropy_mc"):
             batch_bald_gains(dropout_16, evald.xs[:8], [0, 1, 2],
                              enumeration_limit=10)
+
+    @pytest.mark.parametrize("size", [1, 7, 16, 128])
+    def test_prefix_sum_build_keeps_the_bits(self, size, dropout_16,
+                                             cluster_data, zero_mass_case):
+        _, evald = cluster_data
+        gen = np.random.default_rng(size)
+        # A random table under random weights, where the mixture's order
+        # of summation over the samples shows in the gains' last bits.
+        table = np.log(gen.dirichlet(np.ones(4), size=(size, 12)))
+        random_ens = PosteriorEnsemble(
+            samples=tuple(range(size)),
+            log_weights=np.log(gen.dirichlet(np.ones(size))),
+            family=GridLikelihood.from_log_tables(table, np.eye(12)))
+        cases = [(random_ens, np.eye(12)),
+                 (dropout_16.take(range(min(size, 16))), evald.xs[:20]),
+                 (zero_mass_case[0], zero_mass_case[1].xs)]
+        for ens, pool_xs in cases:
+            for batch in ([], [3], [3, 11], [3, 11, 0], [5, 5, 2, 9],
+                          [0, 1, 2, 4, 6]):
+                assert np.array_equal(
+                    batch_bald_gains(ens, pool_xs, batch),
+                    _batch_bald_loop_build(ens, pool_xs, batch))
 
 
 class TestEpig:

@@ -18,8 +18,13 @@ from obayes.infometrics import (
     total_correlation,
 )
 from obayes.models import ensemble as ensemble_module
-from obayes.models import GridLikelihood, forward_log_probs, grid_family_from_world
-from obayes.numerics import RngStream
+from obayes.models import (
+    GridLikelihood,
+    forward_log_probs,
+    grid_family_from_world,
+    observed_log_probs,
+)
+from obayes.numerics import RngStream, log_sum_exp_axis
 from obayes.obi import obi_init, obi_observe, obi_predict_batch
 from obayes.oracle import (
     GridWorld,
@@ -201,6 +206,67 @@ class TestOnlineLearningLoss:
         rates = cross_entropy_rate_estimate(coin_ensemble, data, 1, 1,
                                             RngStream(0), exhaustive=True)
         assert rates[0][1] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def _running_sum_oll(ensemble, data, n) -> float:
+    """Exhaustive OLL as it was enumerated before the meet-in-the-middle
+    product: each of the m^n sequences' per-sample sums runs over its
+    points in order, _BLOCK sequences at a time, then one log-sum-exp
+    over the samples per sequence."""
+    col = np.ascontiguousarray(
+        observed_log_probs(ensemble, data.xs, data.ys).T)     # (m, S)
+    log_w = ensemble.normalized_log_weights()
+    m = len(data)
+    total = m ** n
+    log_q = []
+    for lo in range(0, total, _BLOCK):
+        ids = np.arange(lo, min(lo + _BLOCK, total))
+        seqs = (ids[:, None] // m ** np.arange(n - 1, -1, -1)) % m
+        sums = col[seqs[:, 0]].copy()
+        for i in range(1, n):
+            sums += col[seqs[:, i]]
+        sums += log_w
+        log_q.append(log_sum_exp_axis(sums.T, axis=0))
+    return float(-np.concatenate(log_q).mean())
+
+
+class TestExhaustiveOllMatchesRunningSum:
+    """Exhaustive OLL through the meet-in-the-middle product against the
+    running-sum enumeration it replaced, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_many_rows_per_class(self, dropout_16, cluster_data, n):
+        # m = 60 data rows against C = 4 classes; 60^3 spans 106 chunks.
+        _, evald = cluster_data
+        data = evald.subset(range(60), "sixty")
+        for ens in (dropout_16, dropout_16.take([3])):
+            mean, se = online_learning_loss(ens, data, n, 1, RngStream(0),
+                                            exhaustive=True)
+            assert se == 0.0
+            assert mean == pytest.approx(_running_sum_oll(ens, data, n),
+                                         rel=1e-12, abs=0)
+
+    def test_minus_inf_log_weights(self, dropout_16, cluster_data):
+        _, evald = cluster_data
+        data = evald.subset(range(13), "thirteen")
+        log_w = dropout_16.normalized_log_weights().copy()
+        log_w[::3] = -math.inf
+        ens = dropout_16.reweighted(log_w)
+        for n in (1, 2, 4, 5):
+            mean, _ = online_learning_loss(ens, data, n, 1, RngStream(0),
+                                           exhaustive=True)
+            assert mean == pytest.approx(_running_sum_oll(ens, data, n),
+                                         rel=1e-12, abs=0)
+
+    def test_single_row_data(self, dropout_16, cluster_data):
+        # m = 1: one sequence of n copies of the row.
+        _, evald = cluster_data
+        data = evald.subset([7], "one")
+        for n in (1, 2, 9):
+            mean, _ = online_learning_loss(dropout_16, data, n, 1,
+                                           RngStream(0), exhaustive=True)
+            assert mean == pytest.approx(_running_sum_oll(
+                dropout_16, data, n), rel=1e-12, abs=0)
 
 
 def _old_sequence_ce(ensemble, xs, ys) -> float:

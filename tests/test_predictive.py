@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from obayes.models import (
     GridLikelihood,
+    PosteriorEnsemble,
     exact_grid_posterior,
+    forward_log_probs,
     grid_family_from_world,
 )
-from obayes.numerics import RngStream
+from obayes.numerics import RngStream, log_sum_exp_axis
 from obayes.oracle import (
+    GridWorld,
     oracle_joint_entropy,
     oracle_joint_predictive,
     random_world,
@@ -21,9 +24,12 @@ from obayes.oracle import (
 )
 from obayes.predictive import (
     _BLOCK,
+    ENUMERATION_LIMIT,
     _assignment_log_probs,
     _assignment_sums,
+    _enumerated_log_probs,
     _point_major,
+    _prefix_sums,
     entropy_rows,
     joint_entropy_exact,
     joint_entropy_mc,
@@ -258,20 +264,18 @@ class TestAssignmentSums:
                 block = gen.integers(0, 4, size=(b, n))
                 old = _gather_then_sum(table, block)
                 assert np.array_equal(_sums(rows, block), old)
-                new, = _assignment_log_probs(rows, [block], log_w)
+                new, = _assignment_log_probs(rows, block, log_w)
                 assert np.array_equal(new, mixture_log_probs(log_w, old))
 
     @pytest.mark.parametrize("s", [1, 16, 128])
     def test_blocks_reuse_one_buffer(self, s):
-        # Blocks of _BLOCK assignments and a ragged last one, as the
-        # enumeration and the MC draws split them.
+        # Blocks of _BLOCK draws and a ragged last one.
         gen = np.random.default_rng(7)
         log_w = np.log(gen.dirichlet(np.ones(s)))
         table = _log_table(gen, s, 5, 4)
         draws = gen.integers(0, 4, size=(2 * _BLOCK + 300, 5))
         blocks = [draws[lo:lo + _BLOCK] for lo in range(0, len(draws), _BLOCK)]
-        got = list(_assignment_log_probs(_point_major(table), iter(blocks),
-                                         log_w))
+        got = list(_assignment_log_probs(_point_major(table), draws, log_w))
         assert [len(lq) for lq in got] == [_BLOCK, _BLOCK, 300]
         for lq, block in zip(got, blocks):
             assert np.array_equal(
@@ -319,3 +323,172 @@ class TestEntropyRowsMatchesOld:
             new = entropy_rows(rows)
             assert type(new) is type(old)
             assert np.array_equal(new, old)
+
+
+def _running_sum_log_probs(point_rows, log_w, ids):
+    """ln q of the assignments numbered `ids` (base K, first point most
+    significant), as the exact enumeration computed them before its
+    meet-in-the-middle product: each assignment's per-sample sum runs
+    over the points in order, then one log-sum-exp over the samples."""
+    n, k = len(point_rows), len(point_rows[0])
+    digits = (ids[:, None] // k ** np.arange(n - 1, -1, -1)) % k
+    sums = point_rows[0][digits[:, 0]].copy()
+    for i in range(1, n):
+        sums += point_rows[i][digits[:, i]]
+    sums += log_w
+    return log_sum_exp_axis(sums.T, axis=0)
+
+
+def _running_sum_entropy(point_rows, log_w):
+    total = len(point_rows[0]) ** len(point_rows)
+    return sum(float(entropy_rows(_running_sum_log_probs(
+        point_rows, log_w, np.arange(lo, min(lo + _BLOCK, total)))))
+        for lo in range(0, total, _BLOCK))
+
+
+def _table_ensemble(table, log_w):
+    """Ensemble whose likelihood table over np.eye(n) is `table` (S, n, C)."""
+    s, n, _ = table.shape
+    family = GridLikelihood.from_log_tables(table, np.eye(n))
+    return PosteriorEnsemble(samples=tuple(range(s)), log_weights=log_w,
+                             family=family), np.eye(n)
+
+
+def _assert_log_probs_close(new, old):
+    # |d ln q| is q's relative error.
+    assert np.array_equal(np.isneginf(new), np.isneginf(old))
+    finite = np.isfinite(old)
+    assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12)
+
+
+def _max_points(c):
+    n = 1
+    while c ** (n + 1) <= ENUMERATION_LIMIT:
+        n += 1
+    return n
+
+
+class TestEnumerationMatchesRunningSum:
+    """The meet-in-the-middle product against the running-sum enumeration
+    it replaced: every assignment's ln q in order, and the joint entropy
+    to 1e-12 relative."""
+
+    # (assignment, sample) sums the reference computes in full; past
+    # this it checks a sample of assignments and both ends of the order.
+    FULL = 4_000_000
+
+    def _compare(self, gen, table, log_w):
+        ens, xs = _table_ensemble(table, log_w)
+        rows = _point_major(table)
+        log_w = ens.normalized_log_weights()
+        new = np.concatenate(list(_enumerated_log_probs(rows, log_w)))
+        s, n, c = table.shape
+        assert new.shape == (c ** n,)
+        if c ** n * s <= self.FULL:
+            _assert_log_probs_close(new, _running_sum_log_probs(
+                rows, log_w, np.arange(c ** n)))
+            assert joint_entropy_exact(ens, xs) == pytest.approx(
+                _running_sum_entropy(rows, log_w), rel=1e-12, abs=0)
+        else:
+            ids = np.unique(np.concatenate([
+                gen.integers(0, c ** n, 4096), np.arange(_BLOCK + 1),
+                c ** n - 1 - np.arange(_BLOCK + 1)]))
+            _assert_log_probs_close(new[ids], _running_sum_log_probs(
+                rows, log_w, ids))
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    @pytest.mark.parametrize("s", [1, 7, 128])
+    def test_every_size_up_to_the_limit(self, s, c):
+        gen = np.random.default_rng(100 * s + c)
+        log_w = np.log(gen.dirichlet(np.ones(s)))
+        for n in range(1, _max_points(c) + 1):
+            self._compare(gen, _log_table(gen, s, n, c), log_w)
+
+    @pytest.mark.parametrize("s", [7, 128])
+    def test_minus_inf_log_weights(self, s):
+        gen = np.random.default_rng(s)
+        log_w = np.log(gen.dirichlet(np.ones(s)))
+        log_w[gen.permutation(s)[:s // 2]] = -math.inf
+        for c, n in ((2, 7), (3, 5), (4, 6), (10, 3)):
+            self._compare(gen, _log_table(gen, s, n, c), log_w)
+
+    def test_zero_mass_prefixes(self):
+        # Label 0 of the first point and label 1 of the last have no mass
+        # under any sample, so whole left and right half-table rows are
+        # -inf.
+        gen = np.random.default_rng(11)
+        for c, n in ((2, 9), (3, 7), (4, 6)):
+            table = _log_table(gen, 7, n, c)
+            table[:, 0, 0] = -math.inf
+            table[:, -1, 1] = -math.inf
+            log_w = np.log(gen.dirichlet(np.ones(7)))
+            self._compare(gen, table, log_w)
+
+    def test_underflowing_products_are_recomputed(self):
+        # Each half's mass sits on a different sample, so the shifted
+        # product of every pair underflows; ln q is still finite.
+        near, far = -1.0, -900.0
+        table = np.array([[[near, far], [far, near]],
+                          [[far, near], [near, far]]])
+        log_w = np.log([0.5, 0.5])
+        new = np.concatenate(list(_enumerated_log_probs(
+            _point_major(table), log_w)))
+        assert np.all(np.isfinite(new))
+        _assert_log_probs_close(new, _running_sum_log_probs(
+            _point_major(table), log_w, np.arange(4)))
+
+    def test_product_chunks_cross_a_boundary(self):
+        # 3^8: 81 left rows against 81 right rows, 25 left rows per chunk
+        # of about _BLOCK assignments, the last chunk ragged.
+        gen = np.random.default_rng(8)
+        table = _log_table(gen, 7, 8, 3)
+        log_w = np.log(gen.dirichlet(np.ones(7)))
+        chunks = list(_enumerated_log_probs(_point_major(table), log_w))
+        sizes = [len(chunk) for chunk in chunks]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0] <= _BLOCK
+        assert sum(sizes) == 3 ** 8
+        self._compare(gen, table, log_w)
+
+    def test_zeroed_grid_worlds_match_oracle(self):
+        # Zero-probability labels and a zero-prior hypothesis: whole
+        # prefixes of the enumeration carry no mass.
+        gen = np.random.default_rng(21)
+        for _ in range(6):
+            probs = gen.dirichlet(np.ones(3), size=(5, 4))
+            probs[:, 0, 0] = 0.0
+            probs[gen.random((5, 4, 3)) < 0.2] = 0.0
+            probs[:, :, 2] += 1e-3 * (probs.sum(axis=2) == 0)
+            probs /= probs.sum(axis=2, keepdims=True)
+            prior = gen.dirichlet(np.ones(5))
+            prior[gen.integers(5)] = 0.0
+            world = GridWorld(tables=probs, prior=prior / prior.sum(),
+                              vocabulary=np.eye(4))
+            ens = _world_ensemble(world)
+            xs = np.eye(4)[[0, 1, 0, 2, 3, 0]]
+            rows = _point_major(forward_log_probs(ens, xs))
+            assert np.all(np.isneginf(rows[0][0]))
+            h = joint_entropy_exact(ens, xs)
+            assert h == pytest.approx(oracle_joint_entropy(world, list(xs)),
+                                      abs=1e-9)
+            assert h == pytest.approx(_running_sum_entropy(
+                rows, ens.normalized_log_weights()), rel=1e-12, abs=0)
+
+
+class TestPrefixSums:
+    def test_levels_extend_rows_in_order(self):
+        gen = np.random.default_rng(2)
+        rows = _point_major(_log_table(gen, 5, 3, 4))
+        first = gen.normal(size=(2, 5))
+        got = _prefix_sums(rows, first)
+        assert got.shape == (2 * 4 ** 3, 5)
+        for r, a, b, c in np.ndindex(2, 4, 4, 4):
+            expect = ((first[r] + rows[0][a]) + rows[1][b]) + rows[2][c]
+            assert np.array_equal(got[((r * 4 + a) * 4 + b) * 4 + c], expect)
+
+    def test_without_sums_starts_at_point_zero(self):
+        gen = np.random.default_rng(3)
+        rows = _point_major(_log_table(gen, 5, 2, 3))
+        one = _prefix_sums(rows[:1])
+        assert np.shares_memory(one, rows) and np.array_equal(one, rows[0])
+        assert np.array_equal(_prefix_sums(rows),
+                              _prefix_sums(rows[1:], rows[0]))
