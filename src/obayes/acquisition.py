@@ -4,9 +4,11 @@ Strategies: random, BALD (marginal mutual information), batch-greedy
 BALD (joint-entropy objective, immune to duplicated pools), EPIG
 (information about eval-point labels), and active sampling (label-aware
 conditioned eval loss). `score_pool` is the one dispatch from strategy to
-scorer and `select_batch` the one greedy batch picker every protocol
-uses. Selection is deterministic: the argmax wins and exact score ties
-resolve to the lowest pool index.
+scorer, `select_batch` the one greedy batch picker every protocol uses,
+and `acquisition_steps` the one sequential driver: `run_acquisition`
+retrains its model every k picks, and al-obi reweights between
+retrains. Selection is deterministic: the argmax wins and exact score
+ties resolve to the lowest pool index.
 
 EPIG, BatchBALD and active sampling score every candidate against one
 fixed likelihood table with log-space matrix products
@@ -385,24 +387,21 @@ def _masked_argmax(scores: np.ndarray, allowed_mask: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
-                    eval_set: Dataset | None, num_steps: int,
-                    retrain_every: int, rng: RngStream) -> AcquisitionSequence:
-    """Sequential pool selection with periodic retraining.
+def acquisition_steps(strategy: str, pool: Dataset,
+                      eval_set: Dataset | None, num_steps: int,
+                      rng: RngStream, next_model):
+    """Sequential pool selection, yielding each AcquisitionStep in turn.
 
-    ensemble_factory(train_subset, stream) must deterministically build
-    an ensemble from the acquired examples; it is invoked before the
-    first step and after every `retrain_every` picks, and each model
-    picks one `select_batch` of up to `retrain_every` points. The
-    returned sequence fully determines the conditioning stream for
-    downstream evaluation.
+    Before each model's picks, next_model(step, acquired pool indices)
+    returns the scoring ensemble and m; the model picks one
+    `select_batch` of up to m points. The generator is lazy, so a caller
+    may change the model between steps. random follows rng's random
+    order and asks for no model.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
     if num_steps < 1:
         raise ValueError("need at least one acquisition step")
-    if retrain_every < 1:
-        raise ValueError("retrain_every must be positive")
     if num_steps > len(pool):
         raise ValueError("pool exhausted")
     origins = pool.origin_indices if pool.origin_indices is not None \
@@ -410,27 +409,44 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
     random_order = rng.derive("random_order").generator().permutation(len(pool))
     allowed = np.ones(len(pool), dtype=bool)
     acquired: list = []
-    steps = []
-    for start in range(0, num_steps, retrain_every):
-        m = min(retrain_every, num_steps - start)
+    while len(acquired) < num_steps:
+        start = len(acquired)
         if strategy == "random":
-            # Random selection never consults a model, so none is trained.
-            picks = [int(i) for i in random_order[start:start + m]]
-            scores = [0.0] * m
+            picks, scores = [int(random_order[start])], [0.0]
         else:
-            ensemble = ensemble_factory(pool.subset(acquired, "acquired"),
-                                        rng.derive("retrain", start))
-            batch = select_batch(strategy, ensemble, pool, eval_set, m,
-                                 allowed)
+            ensemble, m = next_model(start, acquired)
+            batch = select_batch(strategy, ensemble, pool, eval_set,
+                                 min(m, num_steps - start), allowed)
             picks, scores = batch.indices, batch.scores
         for pick, score in zip(picks, scores):
             fallback = not np.isfinite(score)
-            steps.append(AcquisitionStep(step=len(steps), pool_index=pick,
-                                         original_index=int(origins[pick]),
-                                         y=int(pool.ys[pick]),
-                                         score=0.0 if fallback else score,
-                                         strategy=strategy, fallback=fallback))
             allowed[pick] = False
             acquired.append(pick)
+            yield AcquisitionStep(step=len(acquired) - 1, pool_index=pick,
+                                  original_index=int(origins[pick]),
+                                  y=int(pool.ys[pick]),
+                                  score=0.0 if fallback else score,
+                                  strategy=strategy, fallback=fallback)
+
+
+def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
+                    eval_set: Dataset | None, num_steps: int,
+                    retrain_every: int, rng: RngStream) -> AcquisitionSequence:
+    """`acquisition_steps` with a model retrained every `retrain_every`
+    picks, as ensemble_factory([acquired examples], [rng.derive("retrain",
+    step)]), which must deterministically return a list of one ensemble.
+    The returned sequence fully determines the conditioning stream for
+    downstream evaluation.
+    """
+    if retrain_every < 1:
+        raise ValueError("retrain_every must be positive")
+
+    def retrain(step: int, acquired: list):
+        (ensemble,) = ensemble_factory([pool.subset(acquired, "acquired")],
+                                       [rng.derive("retrain", step)])
+        return ensemble, retrain_every
+
+    steps = acquisition_steps(strategy, pool, eval_set, num_steps, rng,
+                              retrain)
     return AcquisitionSequence(steps=tuple(steps), strategy=strategy,
                                seed=rng.seed)

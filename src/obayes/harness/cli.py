@@ -169,7 +169,8 @@ def _cmd_train(args) -> int:
     spec = _model_spec(args)
     data = Dataset.load(args.data)
     factory = model_factory(spec, data.dim, data.num_classes)
-    ensemble = factory(data, RngStream(seed=args.seed).derive("train-cmd"))
+    (ensemble,) = factory([data],
+                          [RngStream(seed=args.seed).derive("train-cmd")])
     save_ensemble(args.out, ensemble)
     print(f"trained {spec.kind} ensemble of {ensemble.size} on "
           f"{len(data)} examples -> {args.out}")

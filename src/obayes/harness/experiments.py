@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..acquisition import run_acquisition, select_batch
+from ..acquisition import acquisition_steps, run_acquisition, select_batch
 from ..data import Dataset, DuplicationSpec, duplicate_pool, generate_cluster_dataset, load_idx_dataset, split
 from ..infometrics import (
     MetricRecord,
@@ -102,11 +102,10 @@ def build_splits(config: ExperimentConfig, root: RngStream):
 
 def model_factory(spec, in_dim: int, num_classes: int,
                   world: GridWorld | None = None):
-    """Deterministic trainer: (train_set, stream) -> PosteriorEnsemble.
-
-    Given sequences of same-size training sets and of streams instead, it
-    returns one ensemble per pair, each equal to the one the pair builds
-    alone; MC-dropout networks train as one lockstep group.
+    """Deterministic trainer: (training sets, streams) -> a list of one
+    ensemble per set, each equal to the one its set and stream build
+    alone. MC-dropout networks train as one lockstep group, so their sets
+    must share a size; a caller with one set passes a list of one.
     """
     if spec.kind == "grid":
         if world is None:
@@ -115,40 +114,37 @@ def model_factory(spec, in_dim: int, num_classes: int,
         with np.errstate(divide="ignore"):
             prior = np.log(world.prior)
 
-        def grid_factory(train, stream):
-            if isinstance(train, Dataset):
-                return exact_grid_posterior(family, prior, train.examples())
-            return [grid_factory(t, s) for t, s in zip(train, stream)]
+        def fit(trains, streams):
+            return [exact_grid_posterior(family, prior, t.examples())
+                    for t in trains]
+    else:
+        arch = MlpArchitecture(in_dim=in_dim, hidden=spec.hidden,
+                               num_classes=num_classes,
+                               dropout_rate=spec.dropout_rate
+                               if spec.kind == "mc_dropout" else 0.0)
 
-        return grid_factory
+        def fit(trains, streams):
+            if all(len(t) == 0 for t in trains):
+                init = init_deep_ensemble if spec.kind == "deep_ensemble" \
+                    else init_dropout_ensemble
+                return [init(arch, spec.ensemble_size, s.derive("init"))
+                        for s in streams]
+            cfgs = [TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
+                                learning_rate=spec.learning_rate,
+                                seed=s.derive("train").stream_id)
+                    for s in streams]
+            if spec.kind == "deep_ensemble":
+                return [train_deep_ensemble(t, arch, c, spec.ensemble_size)
+                        for t, c in zip(trains, cfgs)]
+            return train_mc_dropout(trains, arch, cfgs, spec.ensemble_size,
+                                    [s.derive("masks") for s in streams])
 
-    arch = MlpArchitecture(in_dim=in_dim, hidden=spec.hidden,
-                           num_classes=num_classes,
-                           dropout_rate=spec.dropout_rate
-                           if spec.kind == "mc_dropout" else 0.0)
-
-    def net_factory(train, stream):
-        if isinstance(train, Dataset):
-            return net_factory([train], [stream])[0]
-        trains, streams = list(train), list(stream)
+    def factory(trains, streams) -> list:
         if len(trains) != len(streams):
             raise ValueError("one stream per training set")
-        if all(len(t) == 0 for t in trains):
-            init = init_deep_ensemble if spec.kind == "deep_ensemble" \
-                else init_dropout_ensemble
-            return [init(arch, spec.ensemble_size, s.derive("init"))
-                    for s in streams]
-        cfgs = [TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
-                            learning_rate=spec.learning_rate,
-                            seed=s.derive("train").stream_id)
-                for s in streams]
-        if spec.kind == "deep_ensemble":
-            return [train_deep_ensemble(t, arch, c, spec.ensemble_size)
-                    for t, c in zip(trains, cfgs)]
-        return train_mc_dropout(trains, arch, cfgs, spec.ensemble_size,
-                                [s.derive("masks") for s in streams])
+        return fit(trains, streams)
 
-    return net_factory
+    return factory
 
 
 def generate_sequences(config: ExperimentConfig, pool: Dataset,
@@ -370,38 +366,31 @@ def al_with_obi(config: ExperimentConfig) -> list:
         raise ConfigError("ess_retrain_threshold must lie in (0, ensemble size]")
     root = RngStream(seed=config.seed)
     pool, eval_set, seed_train, world = build_splits(config, root)
-    base_factory = model_factory(config.model, pool.dim, pool.num_classes, world)
+    factory = model_factory(config.model, pool.dim, pool.num_classes, world)
 
-    def factory(acquired_subset: Dataset, stream: RngStream):
-        return base_factory(seed_train.concat(acquired_subset), stream)
+    def trained_state(acquired: list, stream: RngStream):
+        (ensemble,) = factory(
+            [seed_train.concat(pool.subset(acquired, "acquired"))], [stream])
+        return obi_init(ensemble)
 
-    # Derivation labels mirror run_acquisition so a threshold of S
-    # reproduces its retrain-every-step trajectory exactly.
+    # TestAlWithObi pins these streams to run_acquisition's picks.
     rng = root.derive("acquisition")
-    ensemble = factory(pool.subset([], "acquired"), rng.derive("retrain", 0))
-    state = obi_init(ensemble)
-    random_order = rng.derive("random_order").generator().permutation(len(pool))
-    allowed = np.ones(len(pool), dtype=bool)
+    state = trained_state([], rng.derive("retrain", 0))
     acquired: list = []
     retrain_count = 0
     records = []
-    for step in range(config.num_steps):
-        fallback = False
-        if config.strategy == "random":
-            pick = int(random_order[step])
-        else:
-            batch = select_batch(config.strategy, state.as_ensemble(), pool,
-                                 eval_set, 1, allowed)
-            pick = batch.indices[0]
-            fallback = not np.isfinite(batch.scores[0])
-        allowed[pick] = False
-        acquired.append(pick)
+    # Lazy: each pick scores the state the previous step left.
+    for rec in acquisition_steps(config.strategy, pool, eval_set,
+                                 config.num_steps, rng,
+                                 lambda step, _: (state.as_ensemble(), 1)):
+        acquired.append(rec.pool_index)
         collapsed = False
         try:
-            state = obi_observe(state, pool.example(pick))
+            state = obi_observe(state, pool.example(rec.pool_index))
         except PosteriorCollapseError:
             collapsed = True
-        coords = dict(step=step, strategy=config.strategy, name="obi_policy")
+        coords = dict(step=rec.step, strategy=config.strategy,
+                      name="obi_policy")
         flag = "collapse" if collapsed else ""
         rows = obi_predict_batch(state, eval_set.xs)
         records += _eval_records(rows, eval_set, dict(coords, branch="obi"),
@@ -409,15 +398,14 @@ def al_with_obi(config: ExperimentConfig) -> list:
         records.append(MetricRecord(metric="ess", value=state.ess,
                                     branch="obi", flag=flag, **coords))
         records.append(MetricRecord(metric="acquired_pool_index",
-                                    value=float(pick),
-                                    flag="fallback" if fallback else "",
+                                    value=float(rec.pool_index),
+                                    flag="fallback" if rec.fallback else "",
                                     **coords))
         retrain = collapsed or state.ess < threshold
         if retrain:
             retrain_count += 1
-            ensemble = factory(pool.subset(acquired, "acquired"),
-                               rng.derive("retrain", step + 1))
-            state = obi_init(ensemble)
+            state = trained_state(acquired,
+                                  rng.derive("retrain", rec.step + 1))
         records.append(MetricRecord(metric="retrain_event",
                                     value=float(int(retrain)), **coords))
     records.append(MetricRecord(metric="retrain_count", name="obi_policy",

@@ -12,7 +12,8 @@ together: the gradient and loss kernels take a leading fit axis, so one
 call per step and one Adam update serve every fit still training. Each
 fit keeps its own generator and leaves the group when it stops early or
 diverges, so every fit's parameters have the bits of training it alone;
-a single fit is a group of one.
+a single fit is a group of one. A stacked call that raises retires the
+fits whose logits on its inputs are non-finite, then runs once more.
 """
 
 from __future__ import annotations
@@ -266,18 +267,11 @@ class _LiveFits:
         self.denom = np.empty_like(self.flat)
         self.full_set = (self.xs[sel], self.ys[sel])
         # Views of the epoch buffers, which shuffle() refills in place.
-        self.batches = [self._batch(sel, b) for b in range(len(self.bounds))]
+        self.batches = [(self.xs_epoch[sel, rows], self.ys_epoch[sel, rows],
+                         None if self.keep is None else self.scales[sel, b])
+                        for b, rows in enumerate(self.bounds)]
         self.draws = list(zip(self.gens, self.xs, self.ys, self.xs_epoch,
                               self.ys_epoch, self.scales))
-
-    def _batch(self, r, b: int) -> tuple:
-        """Inputs, labels and mask scales of minibatch b for rows r."""
-        rows = self.bounds[b]
-        return (self.xs_epoch[r, rows], self.ys_epoch[r, rows],
-                None if self.keep is None else self.scales[r, b])
-
-    def views(self, r) -> MlpParams:
-        return _flat_views(self.arch, self.flat[r])
 
     def shuffle(self):
         """Each fit's epoch: its permutation and then its dropout masks,
@@ -293,15 +287,16 @@ class _LiveFits:
     def gradient(self, b: int, epoch: int) -> bool:
         """Minibatch b's gradient of every live fit, into `grad`; False
         once no fit is live."""
-        while self.fits:
-            try:
-                mlp_gradient(self.params, *self.batches[b], out=self.grad)
-                return True
-            except ValueError:
-                if not self.find_diverged(lambda r: mlp_gradient(
-                        self.views(r), *self._batch(r, b)), epoch):
-                    raise
-        return False
+        try:
+            mlp_gradient(self.params, *self.batches[b], out=self.grad)
+        except ValueError as exc:
+            xs, _, scales = self.batches[b]
+            if not self.retire_diverged(exc, epoch, xs, scales):
+                raise
+            if not self.fits:
+                return False
+            mlp_gradient(self.params, *self.batches[b], out=self.grad)
+        return True
 
     def adam_step(self):
         """Adam over all parameters of every live fit at once, one
@@ -330,16 +325,14 @@ class _LiveFits:
     def record_losses(self, epoch: int):
         """Append each live fit's full-set loss, then retire the fits that
         diverged or stopped improving."""
-        while True:
-            try:
-                losses = cross_entropy_loss(self.params, *self.full_set)
-                break
-            except ValueError:
-                if not self.find_diverged(lambda r: cross_entropy_loss(
-                        self.views(r), self.xs[r], self.ys[r]), epoch):
-                    raise
-                if not self.fits:
-                    return
+        try:
+            losses = cross_entropy_loss(self.params, *self.full_set)
+        except ValueError as exc:
+            if not self.retire_diverged(exc, epoch, self.full_set[0], None):
+                raise
+            if not self.fits:
+                return
+            losses = cross_entropy_loss(self.params, *self.full_set)
         if len(self.fits) == 1:
             losses = (losses,)
         leaving = []
@@ -358,25 +351,25 @@ class _LiveFits:
         if leaving:
             self.retire(leaving)
 
-    def find_diverged(self, call, epoch: int) -> bool:
-        """After a stacked call raised: retire each fit whose own call(rows)
-        raises as diverged; False if none does."""
-        failed = []
-        for j, fit in enumerate(self.fits):
-            try:
-                call(slice(j, j + 1))
-            except ValueError as exc:
-                self.diverged[fit] = (epoch, exc)
-                failed.append(j)
-        self.retire(failed)
-        return bool(failed)
+    def retire_diverged(self, exc: ValueError, epoch: int, xs,
+                        scales) -> bool:
+        """After a stacked call on inputs xs raised `exc`: retire each fit
+        whose logits there are non-finite, as diverged with `exc` as the
+        cause; False if no fit's are."""
+        _, _, logits = _forward(self.params, xs, scales)
+        failed = np.flatnonzero(~np.isfinite(logits).all(axis=(-2, -1)))
+        for j in failed:
+            self.diverged[self.fits[j]] = (epoch, exc)
+        self.retire(list(failed))
+        return failed.size > 0
 
     def retire(self, rows):
         """Drop `rows` from the live set. The fits after the lowest-index
         diverged fit drop too: its error is the one the group raises."""
         for j in rows:
             if self.fits[j] not in self.diverged:
-                self.trained[self.fits[j]] = self.views(j).copy()
+                self.trained[self.fits[j]] = _flat_views(
+                    self.arch, self.flat[j]).copy()
         first = min(self.diverged, default=len(self.trained))
         kept = [j for j, fit in enumerate(self.fits)
                 if j not in rows and fit < first]

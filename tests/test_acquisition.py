@@ -661,9 +661,10 @@ class TestSequencePersistence:
 
 class TestRunAcquisition:
     def _grid_factory(self, family):
-        def factory(train, stream):
-            return exact_grid_posterior(
+        def factory(trains, streams):
+            return [exact_grid_posterior(
                 family, np.zeros(family.num_hypotheses), train.examples())
+                for train in trains]
         return factory
 
     def _ab_dataset(self, ab_family, ab_pool):
@@ -713,9 +714,9 @@ class TestRunAcquisition:
         grid = self._grid_factory(ab_family)
         trained = []
 
-        def factory(train, stream):
-            trained.append((len(train), stream))
-            return grid(train, stream)
+        def factory(trains, streams):
+            trained.append((len(trains[0]), streams[0]))
+            return grid(trains, streams)
 
         rng = RngStream(5)
         seq = run_acquisition("batch_bald", factory, pool, None, 5, 2, rng)
@@ -724,7 +725,7 @@ class TestRunAcquisition:
         picks = seq.pool_indices()
         allowed = np.ones(len(pool), dtype=bool)
         for start in (0, 2, 4):
-            model = grid(pool.subset(picks[:start]), None)
+            (model,) = grid([pool.subset(picks[:start])], [None])
             batch = select_batch("batch_bald", model, pool, None,
                                  min(2, 5 - start), allowed)
             assert list(batch.indices) == picks[start:start + 2]
@@ -743,8 +744,9 @@ class TestRunAcquisition:
         with np.errstate(divide="ignore"):
             prior = np.log(collapsing_world.prior)
 
-        def factory(train, stream):
-            return exact_grid_posterior(fam, prior, train.examples())
+        def factory(trains, streams):
+            return [exact_grid_posterior(fam, prior, train.examples())
+                    for train in trains]
 
         x0, x1 = fam.vocabulary
         pool = Dataset(xs=np.stack([x0, x1, x0, x1]), ys=[1, 1, 1, 1],
@@ -765,7 +767,7 @@ class TestRunAcquisition:
         _, evald = cluster_data
         pool = evald.subset(range(8), "pool")
         eval_set = evald.subset(range(8, 28), "eval")
-        seq = run_acquisition("active_sampling", lambda tr, st: dropout_16,
+        seq = run_acquisition("active_sampling", lambda tr, st: [dropout_16],
                               pool, eval_set, 3, 1, RngStream(2))
         assert len(seq) == 3
         assert len(set(seq.pool_indices())) == 3

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from obayes.acquisition import STRATEGIES, run_acquisition
 from obayes.data import Dataset
 from obayes.harness import experiments
 from obayes.harness.cli import main
@@ -170,6 +171,21 @@ class TestBuildSplits:
         assert np.array_equal(a.xs, b.xs)
 
 
+class TestModelFactory:
+    @pytest.mark.parametrize("config", [_tiny_grid_config(),
+                                        _tiny_net_config()],
+                             ids=["grid", "network"])
+    def test_one_ensemble_per_training_set(self, config):
+        root = RngStream(seed=config.seed)
+        pool, _, seed_train, world = build_splits(config, root)
+        factory = model_factory(config.model, pool.dim, pool.num_classes,
+                                world)
+        streams = [root.derive("model", i) for i in range(3)]
+        assert len(factory([seed_train] * 3, streams)) == 3
+        with pytest.raises(ValueError, match="one stream per training set"):
+            factory([seed_train] * 3, streams[:1])
+
+
 class TestObiVsRetrain:
     def test_grid_zero_gap(self):
         # exact grid inference: reweighting IS the retrained posterior
@@ -219,10 +235,9 @@ class TestObiVsRetrain:
         def spying_model_factory(*args):
             factory = model_factory(*args)
 
-            def spy(train, stream):
-                trains = [train] if isinstance(train, Dataset) else train
+            def spy(trains, streams):
                 groups.append(sorted(len(t) for t in trains))
-                return factory(train, stream)
+                return factory(trains, streams)
             return spy
 
         monkeypatch.setattr(experiments, "model_factory",
@@ -317,6 +332,33 @@ class TestAlWithObi:
         records = al_with_obi(cfg)
         events = [r.value for r in records if r.metric == "retrain_event"]
         assert events == [1.0] * 4
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_threshold_of_s_picks_what_run_acquisition_picks(self, seed,
+                                                             strategy):
+        """At threshold S every pick drops the ESS below S, so al-obi
+        retrains after each one, on the streams run_acquisition derives
+        when it retrains every step; both then pick the same points."""
+        base = _tiny_net_config()
+        cfg = replace(base, model=replace(base.model, epochs=10),
+                      num_steps=6, ess_retrain_threshold=8.0,
+                      strategy=strategy, seed=seed)
+        records = al_with_obi(cfg)
+        root = RngStream(seed=seed)
+        pool, eval_set, seed_train, world = build_splits(cfg, root)
+        trainer = model_factory(cfg.model, pool.dim, pool.num_classes, world)
+
+        def factory(trains, streams):
+            return trainer([seed_train.concat(t) for t in trains], streams)
+
+        sequence = run_acquisition(strategy, factory, pool, eval_set, 6, 1,
+                                   root.derive("acquisition"))
+        assert [r.value for r in records if r.metric == "retrain_event"] \
+            == [1.0] * 6
+        assert [int(r.value) for r in records
+                if r.metric == "acquired_pool_index"] == \
+            sequence.pool_indices()
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="ess_retrain_threshold"):

@@ -269,6 +269,25 @@ class TestTraining:
                            match="^training diverged: member 0, epoch 1$"):
             train_deep_ensemble(train, arch, TrainConfig(epochs=3), 2)
 
+    @pytest.mark.parametrize("kernel", ["mlp_gradient", "cross_entropy_loss"])
+    def test_error_that_logits_do_not_explain_is_raised(self, cluster_data,
+                                                        monkeypatch, kernel):
+        # A stacked call that raises while every fit's logits are finite
+        # is not a divergence: its error surfaces, and no call repeats it.
+        train, _ = cluster_data
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise ValueError("unrelated failure")
+
+        monkeypatch.setattr(mlp_module, kernel, failing)
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.0)
+        with pytest.raises(ValueError, match="^unrelated failure$"):
+            train_deep_ensemble(train, arch, TrainConfig(epochs=3), 2)
+        assert len(calls) == 1
+
     def test_deterministic_given_seed(self, cluster_data):
         train, _ = cluster_data
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,

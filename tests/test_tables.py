@@ -337,9 +337,10 @@ def _reference_obi_eval(config: ExperimentConfig, sequences=None) -> list:
         seq_data = seq.examples(pool)
         sizes = sorted(set(t_values) | {t + k for t in t_values})
         for trial in range(config.trials):
-            models = {size: factory(seq_data.subset(range(size), "prefix"),
-                                    root.derive("model", name, trial, size))
-                      for size in sizes}
+            models = {size: factory(
+                [seq_data.subset(range(size), "prefix")],
+                [root.derive("model", name, trial, size)])[0]
+                for size in sizes}
             eval_rows = {size: marginal_log_probs(models[size], eval_set.xs)
                          for size in sizes}
             for t in t_values:

@@ -5,7 +5,9 @@
 Runs ``perfbench.workloads.ProtocolsJob`` (obi-eval, al-obi and
 repeated-pool at the benchmark's full sizes) in this process for each
 seed, and prints one ``label file sha256`` line per CSV, in run order;
-the CLI's own messages go to standard error. Then runs
+the CLI's own messages go to standard error. A protocol run whose label
+an earlier seed already ran (repeated-pool runs at root seeds SEED to
+SEED+4) is skipped, so each label runs and prints once. Then runs
 ``perfbench.workloads.JointMetricsJob`` at full size for the seed and
 prints its ``outputs`` digest (the sha256 of every estimator value, from
 ``JointMetricsJob.check``) as ``joint-metrics-seed-SEED outputs sha256``.
@@ -15,7 +17,7 @@ under ``diff``. Run it from the root of a source checkout; it imports the
 Exits 1 if any run fails the workload's own checks.
 
 With ``--keep DIR`` the outputs stay in DIR: each seed's protocol runs
-under ``DIR/seed-SEED/`` and its joint-metrics values, as JSON, in
+(without the skipped ones) under ``DIR/seed-SEED/`` and its joint-metrics values, as JSON, in
 ``DIR/joint-metrics-seed-SEED.json``. ``tools/output_diff.py`` compares
 two such directories value by value.
 """
@@ -52,9 +54,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
     args = parser.parse_args(argv)
     status = 0
+    done = set()
     for seed in args.seeds:
         with _workdir(args.keep, seed) as workdir:
             job = ProtocolsJob(seed, "full", Path(workdir))
+            job.calls = [call for call in job.calls if call[0] not in done]
+            done.update(label for label, *_ in job.calls)
             # The CLI reports each run on stdout; keep stdout for digests.
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
