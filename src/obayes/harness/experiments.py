@@ -404,8 +404,11 @@ def al_with_obi(config: ExperimentConfig) -> list:
         retrain = collapsed or state.ess < threshold
         if retrain:
             retrain_count += 1
-            state = trained_state(acquired,
-                                  rng.derive("retrain", rec.step + 1))
+            # After the last step the new model would score nothing; only
+            # the event is recorded.
+            if rec.step + 1 < config.num_steps:
+                state = trained_state(acquired,
+                                      rng.derive("retrain", rec.step + 1))
         records.append(MetricRecord(metric="retrain_event",
                                     value=float(int(retrain)), **coords))
     records.append(MetricRecord(metric="retrain_count", name="obi_policy",

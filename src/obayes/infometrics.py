@@ -19,7 +19,7 @@ from .models import PosteriorEnsemble, checked_labels, observed_log_probs
 from .numerics import RngStream
 from .predictive import (
     ENUMERATION_LIMIT,
-    _assignment_log_probs,
+    _drawn_log_probs,
     _enumerated_log_probs,
     entropy_rows,
     joint_entropy_exact,
@@ -147,7 +147,7 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
         totals = -np.concatenate(list(_enumerated_log_probs(rows, log_w)))
         return float(totals.mean()), 0.0
     draws = rng.generator().integers(0, m, size=(trials, n))
-    totals = -np.concatenate(list(_assignment_log_probs(rows, draws, log_w)))
+    totals = -_drawn_log_probs(rows, draws, log_w)
     se = 0.0 if trials == 1 else float(totals.std(ddof=1) / np.sqrt(trials))
     return float(totals.mean()), se
 
@@ -155,9 +155,11 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
 def cross_entropy_rate_estimate(ensemble: PosteriorEnsemble, data: Dataset,
                                 n_max: int, trials: int, rng: RngStream,
                                 exhaustive: bool = False) -> list[tuple[int, float, float]]:
-    """OLL(n)/n for n = 1..n_max, each with its standard error."""
+    """OLL(n)/n for n = 1..n_max, each with its standard error; every n
+    reads one likelihood table of the data."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    ensemble = ensemble.with_tables()
     curve = []
     for n in range(1, n_max + 1):
         value, se = online_learning_loss(ensemble, data, n, trials,
@@ -174,6 +176,8 @@ def summed_marginal_entropies(ensemble: PosteriorEnsemble, xs) -> float:
 
 
 def total_correlation(ensemble: PosteriorEnsemble, xs) -> float:
-    """Sum of marginal entropies minus the joint entropy, by enumeration."""
+    """Sum of marginal entropies minus the joint entropy, by enumeration;
+    both read one likelihood table of the batch."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ensemble = ensemble.with_tables()
     return summed_marginal_entropies(ensemble, xs) - joint_entropy_exact(ensemble, xs)

@@ -28,9 +28,9 @@ rows of every stored table. Gathering is exact because of the stability
 contract above: rows of a sample do not depend on which other samples
 are evaluated with it. Stored tables are read-only, so an in-place
 write raises instead of corrupting later reads. Plain ensembles never
-memoize; `obi_init`, `select_batch` and repeated-pool's batch models opt
-in, because they read the same point sets many times under fixed
-samples.
+memoize; `obi_init`, `select_batch`, repeated-pool's batch models,
+`total_correlation` and `cross_entropy_rate_estimate` opt in, because
+they read the same point sets more than once under fixed samples.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ samples does not, which is exactly what the information metrics and the
 batch acquisition objectives exploit. Everything here stays in natural
 log space; entropies are in nats. Exact enumeration multiplies two half
 tables of per-sample prefix sums in log space (`_enumerated_log_probs`).
+Monte Carlo draws (joint entropies, sampled online learning loss) are
+scored by one kernel, `_drawn_log_probs`: the points split into groups
+of a few points, each group's table of per-sample sums over every
+assignment to it is exponentiated once per call, and a draw's mixture
+is the sum over samples of the product of its groups' rows.
 """
 
 from __future__ import annotations
@@ -13,16 +18,25 @@ from __future__ import annotations
 import numpy as np
 
 from .models import PosteriorEnsemble, forward_log_probs, observed_log_probs
-from .numerics import RngStream, log_matmul_exp, log_sum_exp_axis
+from .numerics import (
+    _MATMUL_FLOOR,
+    RngStream,
+    log_matmul_exp,
+    log_sum_exp_axis,
+)
 
 # C^n assignments above this are refused; callers opt into MC instead.
 # The larger half table then has C^ceil(n/2) <= sqrt(C * limit) rows.
 ENUMERATION_LIMIT = 10 ** 6
 
-# MC draws scored per block; about the assignments per enumerated chunk.
+# An enumerated chunk holds at most _BLOCK * S assignments: no more
+# entries than a (_BLOCK, S) table of per-sample sums.
 _BLOCK = 2048
-# Draws summed per gather (at S = 128, 128 KiB per point).
+# Draws scored per gather (at S = 128, 128 KiB per buffer).
 _GATHER_ROWS = 128
+# Rows of a Monte Carlo group table: a group of g points indexing K rows
+# each has K^g <= _GROUP_ROWS rows (one point per group once K^2 exceeds it).
+_GROUP_ROWS = 256
 
 
 def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -65,43 +79,6 @@ def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:
                                    per_sample))
 
 
-def _assignment_sums(point_rows, block: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-    """Every sample's log-likelihood of a block of assignments, into `out`.
-
-    `point_rows[i]` is point i's (K, S) array: row k holds every sample's
-    log-likelihood of index k at point i (a label, or a data row). Row b
-    of `block` (B, n) assigns index block[b, i] to point i, and row b of
-    `out` (B, S) receives sum_i point_rows[i][block[b, i]]. The sum runs
-    over the points in order, _GATHER_ROWS assignments at a time, so no
-    (B, n, S) gather is built. `table[:, np.arange(n), block].sum(axis=2)`
-    also adds the points in order, so `out.T` has its bits, except at
-    S = 1 and n >= 8, where numpy sums pairwise (a few 1e-13 apart).
-    """
-    for lo in range(0, len(block), _GATHER_ROWS):
-        acc, picks = out[lo:lo + _GATHER_ROWS], block[lo:lo + _GATHER_ROWS]
-        acc[:] = point_rows[0][picks[:, 0]]
-        for i in range(1, block.shape[1]):
-            acc += point_rows[i][picks[:, i]]
-    return out
-
-
-def _assignment_log_probs(point_rows, draws: np.ndarray, log_w: np.ndarray):
-    """Yield ln q of the assignments (B, n) of each block of _BLOCK draws.
-
-    Equal, bit for bit, to mixture_log_probs(log_w, sums) of the block's
-    (S, B) per-sample sums (see _assignment_sums), but the blocks share
-    one (B, S) buffer, whose transpose holds each assignment's samples
-    contiguously, as the gathered (S, B) sums did.
-    """
-    buf = np.empty((min(len(draws), _BLOCK), len(log_w)))
-    for lo in range(0, len(draws), _BLOCK):
-        sums = _assignment_sums(point_rows, draws[lo:lo + _BLOCK],
-                                buf[:len(draws) - lo])
-        sums += log_w
-        yield log_sum_exp_axis(sums.T, axis=0)
-
-
 def _prefix_sums(point_rows, sums=None) -> np.ndarray:
     """Per-sample sums of every assignment to the points, (R * K^n, S).
 
@@ -119,18 +96,85 @@ def _enumerated_log_probs(point_rows, log_w: np.ndarray):
 
     The left table holds the sums over the first ceil(n/2) points, the
     right one the log weights plus the sums over the rest, and
-    log_matmul_exp pairs them about _BLOCK assignments at a time.
+    log_matmul_exp pairs them in chunks of at most _BLOCK * S
+    assignments, so a call of up to that many exponentiates the right
+    table once.
     """
     half = (len(point_rows) + 1) // 2
     left = _prefix_sums(point_rows[:half])
     right = _prefix_sums(point_rows[half:], log_w[None, :])
-    step = max(1, _BLOCK // len(right))
+    step = max(1, _BLOCK * len(log_w) // len(right))
     for lo in range(0, len(left), step):
         yield log_matmul_exp(left[lo:lo + step], right.T).reshape(-1)
 
 
+def _drawn_log_probs(point_rows, draws: np.ndarray,
+                     log_w: np.ndarray) -> np.ndarray:
+    """ln q of each drawn assignment, (B,) for draws (B, n).
+
+    `point_rows[i]` is point i's (K, S) array: row k holds every sample's
+    log-likelihood of index k at point i (a label, or a data row); row b
+    of `draws` assigns index draws[b, i] to point i. The points split into
+    consecutive groups of g points, g the largest with K^g <= _GROUP_ROWS.
+    Each group's (K^g, S) per-sample sums (`_prefix_sums`; the first group
+    also carries the log weights) are shifted row by row by their max and
+    exponentiated once per call; groups of the same arrays share one
+    table. A draw's q is the product of its groups' rows summed over the
+    samples, times its rows' exp(max). As in log_matmul_exp, a draw whose
+    sum falls below _MATMUL_FLOOR while each of its rows carries mass is
+    recomputed in log space, a row without mass gives -inf, and NaN or
+    +inf in a table raises.
+    """
+    # A list holds every point's array for the call, so ids stay unique.
+    point_rows = list(point_rows)
+    k = len(point_rows[0])
+    g = 1
+    while g < len(point_rows) and k ** (g + 1) <= _GROUP_ROWS:
+        g += 1
+    built = {}
+    groups = []             # (log table, exp table, row maxes, draw rows)
+    for lo in range(0, len(point_rows), g):
+        members = point_rows[lo:lo + g]
+        key = (lo == 0,) + tuple(map(id, members))
+        if key not in built:
+            table = _prefix_sums(members, log_w[None, :] if lo == 0 else None)
+            top = table.max(axis=1)
+            if not np.all(top < np.inf):
+                raise ValueError("non-finite input")
+            shift = np.where(np.isneginf(top), 0.0, top)[:, None]
+            built[key] = table, np.exp(table - shift), top
+        rows = draws[:, lo]
+        for i in range(lo + 1, lo + len(members)):
+            rows = rows * k + draws[:, i]
+        groups.append(built[key] + (rows,))
+    # -inf where a row has no mass; log(q) is then finite or -inf. These
+    # gathers also bounds-check every row, so the takes below may clip.
+    top_sum = sum(top[rows] for _, _, top, rows in groups)
+    (_, first, _, first_rows), *rest = groups
+    out = np.empty(len(draws))
+    acc = np.empty((min(len(draws), _GATHER_ROWS), len(log_w)))
+    factor = np.empty_like(acc)
+    for lo in range(0, len(draws), _GATHER_ROWS):
+        hi = min(lo + _GATHER_ROWS, len(draws))
+        a, f = acc[:hi - lo], factor[:hi - lo]
+        np.take(first, first_rows[lo:hi], axis=0, out=a, mode="clip")
+        for _, exp_table, _, rows in rest:
+            np.take(exp_table, rows[lo:hi], axis=0, out=f, mode="clip")
+            a *= f
+        q = a.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            out[lo:hi] = np.log(q) + top_sum[lo:hi]
+        under = lo + np.flatnonzero((q < _MATMUL_FLOOR)
+                                    & np.isfinite(top_sum[lo:hi]))
+        if under.size:
+            out[under] = log_sum_exp_axis(
+                sum(table[rows[under]] for table, _, _, rows in groups),
+                axis=1)
+    return out
+
+
 def _point_major(table: np.ndarray) -> np.ndarray:
-    """An (S, n, C) table as contiguous (n, C, S) rows; see _assignment_sums."""
+    """An (S, n, C) table as contiguous (n, C, S) rows; see _drawn_log_probs."""
     return np.ascontiguousarray(table.transpose(1, 2, 0))
 
 
@@ -143,6 +187,21 @@ def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
     return sum(float(entropy_rows(lq)) for lq in _enumerated_log_probs(
         _point_major(forward_log_probs(ensemble, xs)),
         ensemble.normalized_log_weights()))
+
+
+def _drawn_labels(cdf: np.ndarray, js: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """Labels (B, n) drawn by inverse cdf: for draw b at point i, the count
+    of classes k < C - 1 with cdf[js[b], i, k] < u[b, i].
+
+    `cdf` (S, n, C) is nondecreasing along classes, so this equals the
+    count over all C classes capped at C - 1.
+    """
+    by_class = np.ascontiguousarray(cdf.transpose(2, 0, 1))   # (C, S, n)
+    labels = np.zeros(u.shape, dtype=np.int64)
+    for below in by_class[:-1]:
+        labels += u > below[js]
+    return labels
 
 
 def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
@@ -160,12 +219,9 @@ def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
     log_w = ensemble.normalized_log_weights()
     gen = rng.generator()
     js = gen.choice(ensemble.size, size=num_draws, p=np.exp(log_w))
-    cdf = np.cumsum(np.exp(lp), axis=2)                 # (S, N, C)
     u = gen.random((num_draws, len(xs)))
-    draws = np.minimum((u[:, :, None] > cdf[js]).sum(axis=2),
-                       ensemble.num_classes - 1).astype(np.int64)
-    values = -np.concatenate(list(_assignment_log_probs(_point_major(lp),
-                                                        draws, log_w)))
+    draws = _drawn_labels(np.cumsum(np.exp(lp), axis=2), js, u)
+    values = -_drawn_log_probs(_point_major(lp), draws, log_w)
     est = float(values.mean())
     se = 0.0 if num_draws == 1 else float(values.std(ddof=1) / np.sqrt(num_draws))
     return est, se

@@ -360,6 +360,31 @@ class TestAlWithObi:
                 if r.metric == "acquired_pool_index"] == \
             sequence.pool_indices()
 
+    def test_no_fit_after_the_last_step(self, monkeypatch):
+        # At threshold S every step retrains; the retrain after step 6
+        # would score nothing, so 6 fits serve 6 steps while the records
+        # still show 6 retrain events.
+        fits = []
+
+        def counting_factory(*args):
+            trainer = model_factory(*args)
+
+            def factory(trains, streams):
+                fits.extend(len(t) for t in trains)
+                return trainer(trains, streams)
+            return factory
+
+        monkeypatch.setattr(experiments, "model_factory", counting_factory)
+        base = _tiny_net_config()
+        cfg = replace(base, model=replace(base.model, epochs=10),
+                      num_steps=6, ess_retrain_threshold=8.0)
+        records = al_with_obi(cfg)
+        assert fits == [cfg.seed_train_size + k for k in range(6)]
+        assert [r.value for r in records if r.metric == "retrain_event"] \
+            == [1.0] * 6
+        assert [r.value for r in records if r.metric == "retrain_count"] \
+            == [6.0, 6.0]
+
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="ess_retrain_threshold"):
             al_with_obi(_tiny_net_config(ess_retrain_threshold=100.0))

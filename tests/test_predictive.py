@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obayes import predictive
 from obayes.models import (
     GridLikelihood,
     PosteriorEnsemble,
@@ -24,9 +25,10 @@ from obayes.oracle import (
 )
 from obayes.predictive import (
     _BLOCK,
+    _GATHER_ROWS,
     ENUMERATION_LIMIT,
-    _assignment_log_probs,
-    _assignment_sums,
+    _drawn_labels,
+    _drawn_log_probs,
     _enumerated_log_probs,
     _point_major,
     _prefix_sums,
@@ -35,7 +37,6 @@ from obayes.predictive import (
     joint_entropy_mc,
     joint_log_prob,
     marginal_log_probs,
-    mixture_log_probs,
 )
 
 
@@ -231,77 +232,165 @@ class TestJointEntropyMc:
         assert se_large < se_small / 5  # ~ M^(-1/2)
 
 
-def _gather_then_sum(table, block):
-    """The per-sample assignment sums as they were computed before
-    _assignment_sums: an (S, B, n) gather, then a sum over its last axis."""
-    return table[:, np.arange(block.shape[1]), block].sum(axis=2)
-
-
 def _log_table(gen, s, n, c):
     table = np.log(gen.dirichlet(np.ones(c), size=(s, n)))
     table[gen.random((s, n, c)) < 0.02] = -math.inf
     return table
 
 
-def _sums(point_rows, block):
-    """_assignment_sums into a fresh buffer, as (S, B)."""
-    out = np.empty((len(block), point_rows[0].shape[1]))
-    return _assignment_sums(point_rows, block, out).T
+def _running_sum_of_draws(point_rows, log_w, draws):
+    """ln q of each assignment (B, n) as the Monte Carlo paths computed it
+    before the group tables: each draw's per-sample sum runs over the
+    points in order, then one log-sum-exp over the samples."""
+    sums = point_rows[0][draws[:, 0]].copy()
+    for i in range(1, draws.shape[1]):
+        sums += point_rows[i][draws[:, i]]
+    sums += log_w
+    return log_sum_exp_axis(sums.T, axis=0)
 
 
-class TestAssignmentSums:
-    """The running sum over the points equals the gather-then-sum idiom
-    it replaced, and so do the mixtures taken over its samples."""
+def _assert_log_probs_close(new, old):
+    # |d ln q| is q's relative error.
+    assert np.array_equal(np.isneginf(new), np.isneginf(old))
+    finite = np.isfinite(old)
+    assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12)
 
-    @pytest.mark.parametrize("s", [16, 128])
-    def test_bitwise_equal_to_gather_then_sum(self, s):
-        gen = np.random.default_rng(s)
+
+class TestDrawnLogProbs:
+    """The group-table kernel against the running sum and log-sum-exp it
+    replaced: every draw's q to 1e-12 relative."""
+
+    # One draw, chunks of _GATHER_ROWS draws, and ragged last chunks.
+    COUNTS = (1, _GATHER_ROWS - 1, _GATHER_ROWS, 2 * _GATHER_ROWS + 37)
+
+    def _compare(self, gen, point_rows, log_w, k):
+        n = len(point_rows)
+        for b in self.COUNTS:
+            draws = gen.integers(0, k, size=(b, n))
+            new = _drawn_log_probs(point_rows, draws, log_w)
+            assert new.shape == (b,)
+            _assert_log_probs_close(
+                new, _running_sum_of_draws(point_rows, log_w, draws))
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    @pytest.mark.parametrize("s", [1, 16, 128])
+    def test_labels_of_up_to_16_points(self, s, c):
+        gen = np.random.default_rng(100 * s + c)
         log_w = np.log(gen.dirichlet(np.ones(s)))
         for n in range(1, 17):
-            table = _log_table(gen, s, n, 4)
-            rows = _point_major(table)
-            for b in (1, 2, 7, 64, 129, 1000, 2048):
-                block = gen.integers(0, 4, size=(b, n))
-                old = _gather_then_sum(table, block)
-                assert np.array_equal(_sums(rows, block), old)
-                new, = _assignment_log_probs(rows, block, log_w)
-                assert np.array_equal(new, mixture_log_probs(log_w, old))
+            self._compare(gen, _point_major(_log_table(gen, s, n, c)),
+                          log_w, c)
 
-    @pytest.mark.parametrize("s", [1, 16, 128])
-    def test_blocks_reuse_one_buffer(self, s):
-        # Blocks of _BLOCK draws and a ragged last one.
-        gen = np.random.default_rng(7)
+    @pytest.mark.parametrize("m", [1, 10, 50, 300])
+    def test_shared_rows_index_data(self, m):
+        # online_learning_loss: every point indexes the same (m, S) rows,
+        # one table per group shape; the first group alone is weighted.
+        gen = np.random.default_rng(m)
+        log_w = np.log(gen.dirichlet(np.ones(16)))
+        observed = _log_table(gen, 16, 1, m)[:, 0]                # (S, m)
+        for n in (1, 2, 3, 5, 16):
+            self._compare(gen, [np.ascontiguousarray(observed.T)] * n,
+                          log_w, m)
+
+    @pytest.mark.parametrize("s", [16, 128])
+    def test_minus_inf_log_weights(self, s):
+        gen = np.random.default_rng(s)
         log_w = np.log(gen.dirichlet(np.ones(s)))
-        table = _log_table(gen, s, 5, 4)
-        draws = gen.integers(0, 4, size=(2 * _BLOCK + 300, 5))
-        blocks = [draws[lo:lo + _BLOCK] for lo in range(0, len(draws), _BLOCK)]
-        got = list(_assignment_log_probs(_point_major(table), draws, log_w))
-        assert [len(lq) for lq in got] == [_BLOCK, _BLOCK, 300]
-        for lq, block in zip(got, blocks):
-            assert np.array_equal(
-                lq, mixture_log_probs(log_w, _gather_then_sum(table, block)))
+        log_w[gen.permutation(s)[:s // 2]] = -math.inf
+        for c, n in ((2, 16), (3, 7), (4, 12), (10, 5)):
+            self._compare(gen, _point_major(_log_table(gen, s, n, c)),
+                          log_w, c)
 
-    def test_shared_rows_index_data(self):
-        # online_learning_loss: every point indexes the same (m, S) rows.
-        gen = np.random.default_rng(3)
-        observed = _log_table(gen, 128, 1, 50)[:, 0]            # (S, m)
-        for n in (1, 5, 16):
-            block = gen.integers(0, 50, size=(300, n))
-            rows = [np.ascontiguousarray(observed.T)] * n
-            old = observed[:, block].sum(axis=2)
-            assert np.array_equal(_sums(rows, block), old)
+    def test_zero_mass_rows_give_minus_inf(self):
+        # Label 0 of point 0 and label 1 of point 9 have no mass under any
+        # sample: every draw through either is -inf, the rest finite.
+        gen = np.random.default_rng(4)
+        table = _log_table(gen, 16, 10, 3)
+        table[:, 0, 0] = -math.inf
+        table[:, 9, 1] = -math.inf
+        rows = _point_major(table)
+        log_w = np.log(gen.dirichlet(np.ones(16)))
+        draws = gen.integers(0, 3, size=(500, 10))
+        new = _drawn_log_probs(rows, draws, log_w)
+        dead = (draws[:, 0] == 0) | (draws[:, 9] == 1)
+        assert dead.any() and not dead.all()
+        assert np.all(np.isneginf(new[dead]))
+        _assert_log_probs_close(new, _running_sum_of_draws(rows, log_w, draws))
 
-    def test_single_sample_close_to_pairwise_sum(self):
-        # At S = 1 numpy sums each assignment's n >= 8 terms pairwise.
-        gen = np.random.default_rng(1)
-        for n in range(8, 17):
-            table = _log_table(gen, 1, n, 4)
-            block = gen.integers(0, 4, size=(2048, n))
-            old = _gather_then_sum(table, block)
-            new = _sums(_point_major(table), block)
-            finite = np.isfinite(old)
-            assert np.array_equal(finite, np.isfinite(new))
-            assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12)
+    def test_underflowing_draws_are_recomputed(self):
+        # C = 2: points 0-7 form one group and points 8-15 the next. The
+        # first group's mass sits on sample 0; label 0 of the second puts
+        # its mass on sample 1, so with label 0 at points 8-15 the product
+        # of shifted rows underflows to 0, yet ln q is finite. Label 1
+        # carries mass on both samples; draws with it at points 8-15 do
+        # not underflow, and both kinds share each chunk.
+        near, far = -1.0, -120.0
+        table = np.empty((2, 16, 2))
+        table[0, :8], table[1, :8] = near, far
+        table[0, 8:], table[1, 8:] = [far, near], near
+        rows = _point_major(table)
+        log_w = np.log([0.5, 0.5])
+        gen = np.random.default_rng(6)
+        draws = gen.integers(0, 2, size=(2 * _GATHER_ROWS + 3, 16))
+        draws[:, 8:] = draws[:, 15:]
+        new = _drawn_log_probs(rows, draws, log_w)
+        old = _running_sum_of_draws(rows, log_w, draws)
+        assert np.all(old[draws[:, 15] == 0] < -900)
+        assert np.all(old[draws[:, 15] == 1] > -20)
+        _assert_log_probs_close(new, old)
+
+    def test_rows_far_below_the_floor_need_no_recompute(self, monkeypatch):
+        # Every entry is about -60, so a draw's sums over 16 points are
+        # about -960, far below the floor; shifting each table row by its
+        # max keeps every product near 1, and no draw is recomputed.
+        gen = np.random.default_rng(12)
+        table = -60.0 + gen.random((4, 16, 2))
+        rows = _point_major(table)
+        log_w = np.full(4, -math.log(4))
+        draws = gen.integers(0, 2, size=(300, 16))
+        old = _running_sum_of_draws(rows, log_w, draws)
+        monkeypatch.setattr(predictive, "log_sum_exp_axis", None)
+        new = _drawn_log_probs(rows, draws, log_w)
+        assert np.all(old < -900)
+        _assert_log_probs_close(new, old)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("point", [0, 5])
+    def test_non_finite_input_raises(self, bad, point):
+        gen = np.random.default_rng(9)
+        table = _log_table(gen, 16, 6, 4)
+        table[3, point, 2] = bad
+        draws = gen.integers(0, 4, size=(40, 6))
+        with pytest.raises(ValueError, match="non-finite input"):
+            _drawn_log_probs(_point_major(table), draws,
+                             np.full(16, -math.log(16)))
+
+
+class TestDrawnLabels:
+    @staticmethod
+    def _capped_comparison_sum(cdf, js, u):
+        """The label draw as joint_entropy_mc made it before the running
+        count: a (B, n, C) comparison summed over classes, capped."""
+        return np.minimum((u[:, :, None] > cdf[js]).sum(axis=2),
+                          cdf.shape[2] - 1).astype(np.int64)
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_equal_to_capped_comparison_sum(self, c):
+        gen = np.random.default_rng(c)
+        probs = gen.dirichlet(np.ones(c), size=(16, 9))
+        probs[gen.random((16, 9, c)) < 0.3] = 0.0
+        # Sample 0's cdf ends below 1, so u can exceed every class.
+        probs[0] *= 0.75
+        cdf = np.cumsum(probs, axis=2)
+        js = gen.integers(0, 16, 3000)
+        js[:200] = 0
+        u = gen.random((3000, 9))
+        # Ties: u equal to a cdf entry picks the next class in both.
+        u[:50] = cdf[js[:50], :, 0]
+        new = _drawn_labels(cdf, js, u)
+        assert new.dtype == np.int64
+        assert np.array_equal(new, self._capped_comparison_sum(cdf, js, u))
+        assert (new == c - 1).any()
 
 
 def _old_entropy_rows(log_rows):
@@ -332,11 +421,7 @@ def _running_sum_log_probs(point_rows, log_w, ids):
     over the points in order, then one log-sum-exp over the samples."""
     n, k = len(point_rows), len(point_rows[0])
     digits = (ids[:, None] // k ** np.arange(n - 1, -1, -1)) % k
-    sums = point_rows[0][digits[:, 0]].copy()
-    for i in range(1, n):
-        sums += point_rows[i][digits[:, i]]
-    sums += log_w
-    return log_sum_exp_axis(sums.T, axis=0)
+    return _running_sum_of_draws(point_rows, log_w, digits)
 
 
 def _running_sum_entropy(point_rows, log_w):
@@ -352,13 +437,6 @@ def _table_ensemble(table, log_w):
     family = GridLikelihood.from_log_tables(table, np.eye(n))
     return PosteriorEnsemble(samples=tuple(range(s)), log_weights=log_w,
                              family=family), np.eye(n)
-
-
-def _assert_log_probs_close(new, old):
-    # |d ln q| is q's relative error.
-    assert np.array_equal(np.isneginf(new), np.isneginf(old))
-    finite = np.isfinite(old)
-    assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12)
 
 
 def _max_points(c):
@@ -438,15 +516,16 @@ class TestEnumerationMatchesRunningSum:
             _point_major(table), log_w, np.arange(4)))
 
     def test_product_chunks_cross_a_boundary(self):
-        # 3^8: 81 left rows against 81 right rows, 25 left rows per chunk
-        # of about _BLOCK assignments, the last chunk ragged.
+        # 3^10 at S = 7: 243 left rows against 243 right rows, 58 left
+        # rows per chunk of at most _BLOCK * S assignments, the last
+        # chunk ragged.
         gen = np.random.default_rng(8)
-        table = _log_table(gen, 7, 8, 3)
+        table = _log_table(gen, 7, 10, 3)
         log_w = np.log(gen.dirichlet(np.ones(7)))
         chunks = list(_enumerated_log_probs(_point_major(table), log_w))
         sizes = [len(chunk) for chunk in chunks]
-        assert len(sizes) > 1 and sizes[-1] < sizes[0] <= _BLOCK
-        assert sum(sizes) == 3 ** 8
+        assert sizes == [58 * 243] * 4 + [11 * 243]
+        assert 58 * 243 <= _BLOCK * 7 < 59 * 243
         self._compare(gen, table, log_w)
 
     def test_zeroed_grid_worlds_match_oracle(self):

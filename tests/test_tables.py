@@ -32,7 +32,14 @@ from obayes.harness.experiments import (
     obi_vs_retrain_eval,
 )
 from obayes.harness.io import record_to_row
-from obayes.infometrics import MetricRecord, joint_cross_entropy_sequence
+from obayes.infometrics import (
+    MetricRecord,
+    cross_entropy_rate_estimate,
+    joint_cross_entropy_sequence,
+    online_learning_loss,
+    summed_marginal_entropies,
+    total_correlation,
+)
 from obayes.models import (
     GridLikelihood,
     forward_log_probs,
@@ -55,7 +62,11 @@ from obayes.obi import (
     obi_predict_batch,
 )
 from obayes.oracle import GridWorld
-from obayes.predictive import joint_log_prob, marginal_log_probs
+from obayes.predictive import (
+    joint_entropy_exact,
+    joint_log_prob,
+    marginal_log_probs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +290,24 @@ class TestEvaluationCounts:
         assert len(set(evals)) == len(evals)
         assert {size for _, _, size in family_calls} == \
             {cfg.model.ensemble_size}
+
+    def test_metrics_evaluate_each_point_set_once(self, dropout_16,
+                                                  cluster_data, family_calls):
+        _, evald = cluster_data
+        data = evald.subset(range(12), "twelve")
+        rates = cross_entropy_rate_estimate(dropout_16, data, 4, 8,
+                                            RngStream(2))
+        assert len(family_calls) == 1
+        tc = total_correlation(dropout_16, data.xs[:3])
+        assert len(family_calls) == 2
+        assert dropout_16._tables is None
+        # The same bits as evaluating afresh at every read.
+        assert tc == summed_marginal_entropies(dropout_16, data.xs[:3]) \
+            - joint_entropy_exact(dropout_16, data.xs[:3])
+        for n, rate, se in rates:
+            value, err = online_learning_loss(
+                dropout_16, data, n, 8, RngStream(2).derive("oll", n))
+            assert (rate, se) == (value / n, err / n)
 
     def test_select_batch_evaluates_pool_once(self, dropout_16, cluster_data,
                                               family_calls, monkeypatch):
