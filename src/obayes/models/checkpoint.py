@@ -11,9 +11,15 @@ import json
 
 import numpy as np
 
-from .ensemble import PosteriorEnsemble
+from .ensemble import PosteriorEnsemble, _read_only
 from .grid import GridLikelihood
-from .mlp import DeepEnsembleFamily, McDropoutFamily, MlpArchitecture, MlpParams
+from .mlp import (
+    DeepEnsembleFamily,
+    McDropoutFamily,
+    MlpArchitecture,
+    MlpParams,
+    _frozen,
+)
 
 FORMAT_VERSION = 1
 
@@ -68,12 +74,12 @@ def load_ensemble(path) -> PosteriorEnsemble:
         elif tag == "deep_ensemble":
             arch = _arch_from_meta(meta["arch"])
             family = DeepEnsembleFamily(arch)
-            samples = tuple(_params_from(data, f"member{k}_")
+            samples = tuple(_frozen(_params_from(data, f"member{k}_"))
                             for k in range(meta["num_members"]))
         elif tag == "mc_dropout":
             arch = _arch_from_meta(meta["arch"])
             family = McDropoutFamily(arch, _params_from(data, "shared_"))
-            samples = tuple(data["masks"])
+            samples = tuple(_read_only(data["masks"]))
         else:
             raise ValueError(f"unknown checkpoint family: {tag}")
     return PosteriorEnsemble(samples=samples, log_weights=log_weights,

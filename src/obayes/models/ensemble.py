@@ -18,6 +18,15 @@ may differ in the last bits from the same row in a larger call (a
 matrix-vector kernel can take over at N = 1), so tables are reused per
 whole point set and never gathered by row.
 
+Per-samples constants. A family may keep what it derives from a samples
+tuple and reuse it while it is handed that same tuple: the MC-dropout
+family's folded masks, the deep-ensemble family's stacked members.
+`reweighted` and `with_tables` pass the tuple on, and `take` makes a new
+one. Samples and log weights are therefore immutable: an ensemble keeps
+a private read-only copy of its log weights, normalized once, at
+construction; the masks and members the program builds or loads are
+read-only arrays, and must not be written in place.
+
 Table memo. Reweighting moves only the log weights, so a fitted model's
 (S, N, C) table for a point set never changes. `ensemble.with_tables()`
 gives the same ensemble with an empty memo; `forward_log_probs` then
@@ -52,17 +61,21 @@ class PosteriorEnsemble:
     # Memo of (S, N, C) tables keyed by point set; None: never memoize.
     _tables: dict | None = field(default=None, init=False, repr=False,
                                  compare=False)
+    _normalized: np.ndarray = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=np.float64)
+        # A private copy: the caller's array may change, this one cannot.
+        lw = _read_only(np.array(self.log_weights, dtype=np.float64))
         object.__setattr__(self, "log_weights", lw)
         object.__setattr__(self, "samples", tuple(self.samples))
         if lw.shape != (len(self.samples),):
             raise ValueError("one log weight per parameter sample required")
         if len(self.samples) < 1:
             raise ValueError("ensemble needs at least one parameter sample")
-        # Must be normalizable; raises DegenerateWeightsError otherwise.
-        normalize_log_weights(lw)
+        # Raises DegenerateWeightsError unless normalizable.
+        normalized, _ = normalize_log_weights(lw)
+        object.__setattr__(self, "_normalized", _read_only(normalized))
 
     @property
     def size(self) -> int:
@@ -73,8 +86,9 @@ class PosteriorEnsemble:
         return self.family.num_classes
 
     def normalized_log_weights(self) -> np.ndarray:
-        normalized, _ = normalize_log_weights(self.log_weights)
-        return normalized
+        """The log weights shifted to sum to one in exp; read-only, and
+        computed once, at construction."""
+        return self._normalized
 
     def with_tables(self) -> "PosteriorEnsemble":
         """This ensemble with a table memo; itself if it already has one."""

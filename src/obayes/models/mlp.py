@@ -25,7 +25,7 @@ import numpy as np
 
 from ..data import Dataset
 from ..numerics import RngStream
-from .ensemble import PosteriorEnsemble
+from .ensemble import PosteriorEnsemble, _read_only
 
 # From this many rows on, _row_sum adds the C < 8 columns one at a time.
 _COLUMN_SUM_ROWS = 256
@@ -144,9 +144,19 @@ def _forward(params: MlpParams, xs: np.ndarray,
     return z1, hd, logits
 
 
-def mlp_log_probs(params: MlpParams, xs: np.ndarray,
-                  mask_scale: np.ndarray | None = None) -> np.ndarray:
-    _, _, logits = _forward(params, xs, mask_scale)
+def mlp_log_probs(params: MlpParams, xs: np.ndarray) -> np.ndarray:
+    """Log-probabilities (..., N, C) of the network on xs; the parameters
+    may carry leading sample axes, as in DeepEnsembleFamily.
+
+    _forward's arithmetic with no pre-activations kept for a gradient, so
+    the hidden layer is written in place: a stacked call allocates one
+    (..., N, H) array, not three.
+    """
+    h = xs @ params.w1
+    h += params.b1[..., None, :]
+    np.maximum(h, 0.0, out=h)
+    logits = h @ params.w2
+    logits += params.b2[..., None, :]
     if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     return _log_softmax(logits)
@@ -432,6 +442,30 @@ def _diverged(member: str, epoch: int) -> ValueError:
     return ValueError(f"training diverged: member {member}, epoch {epoch}")
 
 
+def _per_tuple(family, samples, build):
+    """build(samples), reused while `family` is handed the same samples
+    tuple again.
+
+    One entry per family: it holds the tuple, so the identity it is keyed
+    on stays valid, and a new tuple replaces it. A list of samples is
+    built afresh on every call.
+    """
+    kept = family._kept
+    if kept is not None and kept[0] is samples:
+        return kept[1]
+    value = build(samples)
+    if isinstance(samples, tuple):
+        family._kept = (samples, value)
+    return value
+
+
+def _frozen(params: MlpParams) -> MlpParams:
+    """`params` with every array read-only, as a parameter sample."""
+    for a in params.arrays():
+        a.flags.writeable = False
+    return params
+
+
 class DeepEnsembleFamily:
     """Independently trained members, evaluated without dropout."""
 
@@ -439,14 +473,23 @@ class DeepEnsembleFamily:
 
     def __init__(self, arch: MlpArchitecture):
         self.arch = arch
+        self._kept = None               # (samples, stacked members)
 
     @property
     def num_classes(self) -> int:
         return self.arch.num_classes
 
+    def _stack(self, samples) -> MlpParams:
+        """The members' parameters along a leading sample axis."""
+        return MlpParams(*(np.stack(arrays) for arrays in
+                           zip(*(p.arrays() for p in samples))))
+
     def log_probs(self, samples, xs) -> np.ndarray:
+        """The (S, N, C) table: one forward pass of the stacked members,
+        which gives each member's rows the bits of its own pass. The
+        stack is built once per samples tuple (`_per_tuple`)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return np.stack([mlp_log_probs(p, xs) for p in samples])
+        return mlp_log_probs(_per_tuple(self, samples, self._stack), xs)
 
 
 class McDropoutFamily:
@@ -457,10 +500,23 @@ class McDropoutFamily:
     def __init__(self, arch: MlpArchitecture, params: MlpParams):
         self.arch = arch
         self.params = params
+        # Folded into the masked weights that log_probs keeps.
+        params.w2.flags.writeable = False
+        self._kept = None               # (samples, masked weights)
 
     @property
     def num_classes(self) -> int:
         return self.arch.num_classes
+
+    def _fold(self, samples) -> np.ndarray:
+        """The (S, H, C) masked weights: W2 with each mask's dropped rows
+        zeroed. Refuses anything but 0/1 masks of width H."""
+        masks = np.stack(samples)
+        if masks.shape[1:] != (self.arch.hidden,) or \
+                not ((masks == 0.0) | (masks == 1.0)).all():
+            raise ValueError("dropout samples must be 0/1 masks of width "
+                             f"{self.arch.hidden}")
+        return masks[:, :, None] * self.params.w2
 
     def log_probs(self, samples, xs) -> np.ndarray:
         """The (S, N, C) table of the trained network under each mask.
@@ -470,18 +526,16 @@ class McDropoutFamily:
         weights. For 0/1 masks every product term is the one that
         masking the hidden units gives (h * (1 / keep) times w, or a zero
         of the same sign), so the bits are the same; any other mask is
-        refused.
+        refused. The masks are checked and folded once per samples tuple
+        (`_per_tuple`), so a call costs the hidden layer, one batched
+        product and the log-softmax.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        masks = np.stack(samples)
-        if masks.shape[1:] != (self.arch.hidden,) or \
-                not ((masks == 0.0) | (masks == 1.0)).all():
-            raise ValueError("dropout samples must be 0/1 masks of width "
-                             f"{self.arch.hidden}")
+        folded = _per_tuple(self, samples, self._fold)
         keep = 1.0 - self.arch.dropout_rate
         p = self.params
         h = np.maximum(xs @ p.w1 + p.b1, 0.0)               # (N, H)
-        logits = np.matmul(h * (1.0 / keep), masks[:, :, None] * p.w2)
+        logits = np.matmul(h * (1.0 / keep), folded)
         logits += p.b2                                      # (S, N, C)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite activations in forward pass")
@@ -502,7 +556,7 @@ def train_deep_ensemble(train: Dataset, arch: MlpArchitecture,
         [root.derive("member", k) for k in range(num_members)],
         [str(k) for k in range(num_members)],
         use_dropout=arch.dropout_rate > 0.0)
-    return PosteriorEnsemble(samples=tuple(members),
+    return PosteriorEnsemble(samples=tuple(map(_frozen, members)),
                              log_weights=np.zeros(num_members),
                              family=DeepEnsembleFamily(arch))
 
@@ -512,7 +566,8 @@ def init_deep_ensemble(arch: MlpArchitecture, num_members: int,
     """Freshly initialized members, no training; see init_dropout_ensemble."""
     if num_members < 1:
         raise ValueError("need at least one ensemble member")
-    members = tuple(init_params(arch, rng.derive("member", k).generator())
+    members = tuple(_frozen(init_params(arch,
+                                        rng.derive("member", k).generator()))
                     for k in range(num_members))
     return PosteriorEnsemble(samples=members,
                              log_weights=np.zeros(num_members),
@@ -537,13 +592,14 @@ def init_dropout_ensemble(arch: MlpArchitecture, num_samples: int,
 
 def _dropout_ensemble(arch: MlpArchitecture, params: MlpParams,
                       num_samples: int, gen) -> PosteriorEnsemble:
-    """`params` under S 0/1 masks of width H drawn from `gen`; one all-ones
-    mask at dropout rate zero."""
+    """`params` under S read-only 0/1 masks of width H drawn from `gen`;
+    one all-ones mask at dropout rate zero."""
     if arch.dropout_rate == 0.0:
-        masks = (np.ones(arch.hidden),)
+        masks = (_read_only(np.ones(arch.hidden)),)
     else:
         keep = 1.0 - arch.dropout_rate
-        masks = tuple((gen.random(arch.hidden) < keep).astype(np.float64)
+        masks = tuple(_read_only((gen.random(arch.hidden) < keep)
+                                 .astype(np.float64))
                       for _ in range(num_samples))
     return PosteriorEnsemble(samples=masks,
                              log_weights=np.zeros(len(masks)),

@@ -151,7 +151,7 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
     # gathers also bounds-check every row, so the takes below may clip.
     top_sum = sum(top[rows] for _, _, top, rows in groups)
     (_, first, _, first_rows), *rest = groups
-    out = np.empty(len(draws))
+    q = np.empty(len(draws))
     acc = np.empty((min(len(draws), _GATHER_ROWS), len(log_w)))
     factor = np.empty_like(acc)
     for lo in range(0, len(draws), _GATHER_ROWS):
@@ -161,15 +161,15 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
         for _, exp_table, _, rows in rest:
             np.take(exp_table, rows[lo:hi], axis=0, out=f, mode="clip")
             a *= f
-        q = a.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            out[lo:hi] = np.log(q) + top_sum[lo:hi]
-        under = lo + np.flatnonzero((q < _MATMUL_FLOOR)
-                                    & np.isfinite(top_sum[lo:hi]))
-        if under.size:
-            out[under] = log_sum_exp_axis(
-                sum(table[rows[under]] for table, _, _, rows in groups),
-                axis=1)
+        a.sum(axis=1, out=q[lo:hi])
+    under = np.flatnonzero((q < _MATMUL_FLOOR) & np.isfinite(top_sum))
+    with np.errstate(divide="ignore"):
+        out = np.log(q, out=q)
+    out += top_sum
+    for lo in range(0, under.size, _GATHER_ROWS):
+        redo = under[lo:lo + _GATHER_ROWS]
+        out[redo] = log_sum_exp_axis(
+            sum(table[rows[redo]] for table, _, _, rows in groups), axis=1)
     return out
 
 

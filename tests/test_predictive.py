@@ -339,6 +339,33 @@ class TestDrawnLogProbs:
         assert np.all(old[draws[:, 15] == 1] > -20)
         _assert_log_probs_close(new, old)
 
+    def test_recompute_crosses_a_chunk_boundary(self, monkeypatch):
+        # The table above with label 0 at points 8-15 in all but every
+        # 50th draw: more than two chunks' worth of draws underflow, and
+        # the log-space recompute takes them _GATHER_ROWS at a time.
+        near, far = -1.0, -120.0
+        table = np.empty((2, 16, 2))
+        table[0, :8], table[1, :8] = near, far
+        table[0, 8:], table[1, 8:] = [far, near], near
+        rows = _point_major(table)
+        log_w = np.log([0.5, 0.5])
+        draws = np.random.default_rng(7).integers(
+            0, 2, size=(3 * _GATHER_ROWS + 5, 16))
+        draws[:, 8:] = 0
+        draws[::50, 8:] = 1
+        sizes = []
+
+        def counting(a, axis):
+            sizes.append(len(a))
+            return log_sum_exp_axis(a, axis=axis)
+
+        monkeypatch.setattr(predictive, "log_sum_exp_axis", counting)
+        new = _drawn_log_probs(rows, draws, log_w)
+        under = int(np.sum(draws[:, 15] == 0))
+        assert under > 2 * _GATHER_ROWS
+        assert sizes == [_GATHER_ROWS, _GATHER_ROWS, under - 2 * _GATHER_ROWS]
+        _assert_log_probs_close(new, _running_sum_of_draws(rows, log_w, draws))
+
     def test_rows_far_below_the_floor_need_no_recompute(self, monkeypatch):
         # Every entry is about -60, so a draw's sums over 16 points are
         # about -960, far below the floor; shifting each table row by its

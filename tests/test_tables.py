@@ -42,17 +42,21 @@ from obayes.infometrics import (
 )
 from obayes.models import (
     GridLikelihood,
+    PosteriorEnsemble,
     forward_log_probs,
     observed_log_likelihood,
     observed_log_probs,
 )
+from obayes.models import ensemble as ensemble_module
 from obayes.models.mlp import (
     McDropoutFamily,
     MlpArchitecture,
+    TrainConfig,
     init_deep_ensemble,
     init_dropout_ensemble,
+    train_deep_ensemble,
 )
-from obayes.numerics import RngStream
+from obayes.numerics import RngStream, normalize_log_weights
 from obayes.obi import (
     PosteriorCollapseError,
     obi_bootstrap,
@@ -186,6 +190,83 @@ class TestMemo:
         evals = [c for c in family_calls if c[1] == evald.xs.tobytes()]
         assert len(evals) == 1
         assert not np.array_equal(first, second)
+
+
+class TestEnsembleConstants:
+    """What a family derives from a samples tuple is built once, and the
+    samples and log weights it is derived from cannot change later."""
+
+    @pytest.mark.parametrize("kind,build", [("mc_dropout", "_fold"),
+                                            ("deep_ensemble", "_stack")])
+    def test_samples_tuple_is_prepared_once(self, kind, build, cluster_data,
+                                            monkeypatch):
+        arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                               dropout_rate=0.3)
+        init = RngStream(14).derive(kind)
+        ens = init_dropout_ensemble(arch, 16, init) if kind == "mc_dropout" \
+            else init_deep_ensemble(arch, 5, init)
+        builds = []
+        original = getattr(type(ens.family), build)
+
+        def counting(self, samples):
+            builds.append(samples)
+            return original(self, samples)
+
+        monkeypatch.setattr(type(ens.family), build, counting)
+        xs = cluster_data[1].xs
+        tilted = ens.reweighted(np.linspace(-1.0, 0.0, ens.size))
+        for view in (ens, tilted, ens.with_tables(), tilted.with_tables()):
+            for points in (xs[:1], xs[:6], xs[:30]):
+                forward_log_probs(view, points)
+        assert len(builds) == 1 and builds[0] is ens.samples
+        # A list is prepared afresh on every call, with the same bits.
+        for points in (xs[:1], xs[:30]):
+            assert np.array_equal(
+                ens.family.log_probs(list(ens.samples), points),
+                forward_log_probs(ens, points))
+        assert len(builds) == 3
+        forward_log_probs(ens.take([0, 2, 3]), xs[:6])
+        assert len(builds) == 4
+
+    def test_program_samples_are_read_only(self, dropout_16, cluster_data):
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.5)
+        trained = train_deep_ensemble(cluster_data[0], arch,
+                                      TrainConfig(epochs=3, seed=2), 2)
+        fresh = init_deep_ensemble(arch, 2, RngStream(15))
+        masks = init_dropout_ensemble(arch, 4, RngStream(16))
+        one_mask = init_dropout_ensemble(
+            MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                            dropout_rate=0.0), 1, RngStream(17))
+        arrays = [dropout_16.samples[0], masks.samples[3],
+                  one_mask.samples[0], dropout_16.family.params.w2]
+        arrays += [a for ens in (trained, fresh) for member in ens.samples
+                   for a in member.arrays()]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # The dropout family folds W2 only; its biases stay writable.
+        params = dropout_16.family.params
+        assert params.b1.flags.writeable and params.b2.flags.writeable
+
+    def test_log_weights_are_a_read_only_copy(self, coin_ensemble):
+        lw = np.log([0.2, 0.3, 0.1])
+        ens = PosteriorEnsemble(samples=coin_ensemble.samples,
+                                log_weights=lw, family=coin_ensemble.family)
+        lw[0] = 0.0
+        assert ens.log_weights[0] == np.log(0.2)
+        for a in (ens.log_weights, ens.normalized_log_weights()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_weights_are_normalized_once(self, coin_ensemble, monkeypatch):
+        lw = np.log([1.0, 2.0, 5.0])
+        expected, _ = normalize_log_weights(lw)
+        ens = coin_ensemble.reweighted(lw)
+        # Normalizing again would call None.
+        monkeypatch.setattr(ensemble_module, "normalize_log_weights", None)
+        assert np.array_equal(ens.normalized_log_weights(), expected)
+        assert ens.normalized_log_weights() is ens.normalized_log_weights()
 
 
 class TestObservedLabelGather:

@@ -11,7 +11,13 @@ SEED+4) is skipped, so each label runs and prints once. Then runs
 ``perfbench.workloads.JointMetricsJob`` at full size for the seed and
 prints its ``outputs`` digest (the sha256 of every estimator value, from
 ``JointMetricsJob.check``) as ``joint-metrics-seed-SEED outputs sha256``.
-Two checkouts produce the same bits when their outputs compare equal
+Last, for each ``--model`` (``mc_dropout``, ``deep_ensemble``), runs a
+small ``obayes train`` and an ``obayes acquire`` per strategy on data
+generated from the seed, and prints ``train-MODEL-seed-SEED model.npz
+sha256`` (the digest of every saved array, by name, so the archive's
+timestamps do not count) and ``acquire-MODEL-STRATEGY-seed-SEED
+sequence.csv sha256``; no benchmark workload runs a deep ensemble. Two
+checkouts produce the same bits when their outputs compare equal
 under ``diff``. Run it from the root of a source checkout; it imports the
 ``obayes`` sources under ``src/`` and only imports the workload module.
 Exits 1 if any run fails the workload's own checks.
@@ -19,13 +25,15 @@ Exits 1 if any run fails the workload's own checks.
 With ``--keep DIR`` the outputs stay in DIR: each seed's protocol runs
 (without the skipped ones) under ``DIR/seed-SEED/`` and its joint-metrics values, as JSON, in
 ``DIR/joint-metrics-seed-SEED.json``. ``tools/output_diff.py`` compares
-two such directories value by value.
+two such directories value by value. The small train and acquire runs
+are not kept.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys
 import tempfile
@@ -34,7 +42,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench.workloads import JointMetricsJob, ProtocolsJob  # noqa: E402
+import numpy as np  # noqa: E402
+
+from perfbench.workloads import (  # noqa: E402
+    JointMetricsJob,
+    ProtocolsJob,
+    sha256_file,
+)
+
+# The small CLI runs: models, and flags shared by train and acquire.
+MODELS = ("mc_dropout", "deep_ensemble")
+SMALL_MODEL = ["--hidden", "16", "--epochs", "20", "--ensemble-size", "8"]
 
 
 def _workdir(keep: Path | None, seed: int):
@@ -43,6 +61,50 @@ def _workdir(keep: Path | None, seed: int):
     path = keep / f"seed-{seed}"
     path.mkdir(parents=True, exist_ok=True)
     return contextlib.nullcontext(str(path))
+
+
+def _npz_digest(path: Path) -> str:
+    """sha256 over every array of an .npz: name, dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    with np.load(path) as data:
+        for name in sorted(data.files):
+            arr = data[name]
+            digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def _cli_digests(seed: int) -> tuple[list, dict]:
+    """Failures and digests of the small train and acquire runs."""
+    from obayes.acquisition import STRATEGIES
+    from obayes.harness.cli import main
+
+    failures, digests = [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        pool, eval_data = Path(tmp) / "pool.npz", Path(tmp) / "eval.npz"
+        for path, data_seed in ((pool, seed), (eval_data, seed + 1)):
+            if main(["gen-data", "--out", str(path), "--n-per-class", "8",
+                     "--seed", str(data_seed)]) != 0:
+                return [f"gen-data seed {data_seed} failed"], digests
+        for model in MODELS:
+            flags = ["--model", model, *SMALL_MODEL, "--seed", str(seed)]
+            runs = [(f"train {model} seed {seed}", "model.npz",
+                     ["train", "--data", str(pool)] + flags)]
+            runs += [(f"acquire {model} {strategy} seed {seed}",
+                      "sequence.csv",
+                      ["acquire", "--data", str(pool), "--eval-data",
+                       str(eval_data), "--strategy", strategy, "--steps",
+                       "4", "--retrain-every", "2"] + flags)
+                     for strategy in STRATEGIES]
+            for label, name, argv in runs:
+                out = Path(tmp) / f"{label.replace(' ', '-')}-{name}"
+                code = main(argv + ["--out", str(out)])
+                if code != 0:
+                    failures.append(f"{label}: exit code {code}")
+                    continue
+                digests[label] = {name: _npz_digest(out) if name ==
+                                  "model.npz" else sha256_file(out)}
+    return failures, digests
 
 
 def main(argv: list[str]) -> int:
@@ -63,6 +125,7 @@ def main(argv: list[str]) -> int:
             # The CLI reports each run on stdout; keep stdout for digests.
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
+                cli_failures, cli_digests = _cli_digests(seed)
             failures, digests = job.check(codes)
         joint = JointMetricsJob(seed, "full")
         outputs = joint.run()
@@ -71,7 +134,8 @@ def main(argv: list[str]) -> int:
             (args.keep / f"joint-metrics-seed-{seed}.json").write_text(
                 json.dumps(outputs, indent=1) + "\n")
         digests[f"joint-metrics seed {seed}"] = joint_digests
-        for failure in failures + joint_failures:
+        digests.update(cli_digests)
+        for failure in failures + joint_failures + cli_failures:
             print(f"seed {seed}: {failure}", file=sys.stderr)
             status = 1
         for label, files in digests.items():
