@@ -13,13 +13,7 @@ import numpy as np
 
 from .ensemble import PosteriorEnsemble, _read_only
 from .grid import GridLikelihood
-from .mlp import (
-    DeepEnsembleFamily,
-    McDropoutFamily,
-    MlpArchitecture,
-    MlpParams,
-    _frozen,
-)
+from .mlp import DeepEnsembleFamily, McDropoutFamily, MlpArchitecture, MlpParams
 
 FORMAT_VERSION = 1
 
@@ -74,7 +68,7 @@ def load_ensemble(path) -> PosteriorEnsemble:
         elif tag == "deep_ensemble":
             arch = _arch_from_meta(meta["arch"])
             family = DeepEnsembleFamily(arch)
-            samples = tuple(_frozen(_params_from(data, f"member{k}_"))
+            samples = tuple(_params_from(data, f"member{k}_")
                             for k in range(meta["num_members"]))
         elif tag == "mc_dropout":
             arch = _arch_from_meta(meta["arch"])

@@ -19,13 +19,13 @@ matrix-vector kernel can take over at N = 1), so tables are reused per
 whole point set and never gathered by row.
 
 Per-samples constants. A family may keep what it derives from a samples
-tuple and reuse it while it is handed that same tuple: the MC-dropout
-family's folded masks, the deep-ensemble family's stacked members.
-`reweighted` and `with_tables` pass the tuple on, and `take` makes a new
-one. Samples and log weights are therefore immutable: an ensemble keeps
-a private read-only copy of its log weights, normalized once, at
-construction; the masks and members the program builds or loads are
-read-only arrays, and must not be written in place.
+tuple and reuse it while it is handed that same tuple, as the MC-dropout
+family keeps its folded masks. It keeps them only for a tuple of
+read-only arrays, so they cannot go stale. `reweighted` and
+`with_tables` pass the tuple on, and `take` makes a new one. Log weights
+are immutable too: an ensemble keeps a private read-only copy of them,
+normalized once, at construction. The masks the program builds or loads
+are read-only arrays.
 
 Table memo. Reweighting moves only the log weights, so a fitted model's
 (S, N, C) table for a point set never changes. `ensemble.with_tables()`

@@ -144,19 +144,9 @@ def _forward(params: MlpParams, xs: np.ndarray,
     return z1, hd, logits
 
 
-def mlp_log_probs(params: MlpParams, xs: np.ndarray) -> np.ndarray:
-    """Log-probabilities (..., N, C) of the network on xs; the parameters
-    may carry leading sample axes, as in DeepEnsembleFamily.
-
-    _forward's arithmetic with no pre-activations kept for a gradient, so
-    the hidden layer is written in place: a stacked call allocates one
-    (..., N, H) array, not three.
-    """
-    h = xs @ params.w1
-    h += params.b1[..., None, :]
-    np.maximum(h, 0.0, out=h)
-    logits = h @ params.w2
-    logits += params.b2[..., None, :]
+def mlp_log_probs(params: MlpParams, xs: np.ndarray,
+                  mask_scale: np.ndarray | None = None) -> np.ndarray:
+    _, _, logits = _forward(params, xs, mask_scale)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     return _log_softmax(logits)
@@ -442,30 +432,6 @@ def _diverged(member: str, epoch: int) -> ValueError:
     return ValueError(f"training diverged: member {member}, epoch {epoch}")
 
 
-def _per_tuple(family, samples, build):
-    """build(samples), reused while `family` is handed the same samples
-    tuple again.
-
-    One entry per family: it holds the tuple, so the identity it is keyed
-    on stays valid, and a new tuple replaces it. A list of samples is
-    built afresh on every call.
-    """
-    kept = family._kept
-    if kept is not None and kept[0] is samples:
-        return kept[1]
-    value = build(samples)
-    if isinstance(samples, tuple):
-        family._kept = (samples, value)
-    return value
-
-
-def _frozen(params: MlpParams) -> MlpParams:
-    """`params` with every array read-only, as a parameter sample."""
-    for a in params.arrays():
-        a.flags.writeable = False
-    return params
-
-
 class DeepEnsembleFamily:
     """Independently trained members, evaluated without dropout."""
 
@@ -473,23 +439,14 @@ class DeepEnsembleFamily:
 
     def __init__(self, arch: MlpArchitecture):
         self.arch = arch
-        self._kept = None               # (samples, stacked members)
 
     @property
     def num_classes(self) -> int:
         return self.arch.num_classes
 
-    def _stack(self, samples) -> MlpParams:
-        """The members' parameters along a leading sample axis."""
-        return MlpParams(*(np.stack(arrays) for arrays in
-                           zip(*(p.arrays() for p in samples))))
-
     def log_probs(self, samples, xs) -> np.ndarray:
-        """The (S, N, C) table: one forward pass of the stacked members,
-        which gives each member's rows the bits of its own pass. The
-        stack is built once per samples tuple (`_per_tuple`)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return mlp_log_probs(_per_tuple(self, samples, self._stack), xs)
+        return np.stack([mlp_log_probs(p, xs) for p in samples])
 
 
 class McDropoutFamily:
@@ -502,21 +459,38 @@ class McDropoutFamily:
         self.params = params
         # Folded into the masked weights that log_probs keeps.
         params.w2.flags.writeable = False
-        self._kept = None               # (samples, masked weights)
+        self._kept = None               # (samples, w2, masked weights)
 
     @property
     def num_classes(self) -> int:
         return self.arch.num_classes
 
-    def _fold(self, samples) -> np.ndarray:
-        """The (S, H, C) masked weights: W2 with each mask's dropped rows
+    def _fold(self, samples, w2: np.ndarray) -> np.ndarray:
+        """The (S, H, C) masked weights: w2 with each mask's dropped rows
         zeroed. Refuses anything but 0/1 masks of width H."""
         masks = np.stack(samples)
         if masks.shape[1:] != (self.arch.hidden,) or \
                 not ((masks == 0.0) | (masks == 1.0)).all():
             raise ValueError("dropout samples must be 0/1 masks of width "
                              f"{self.arch.hidden}")
-        return masks[:, :, None] * self.params.w2
+        return masks[:, :, None] * w2
+
+    def _folded(self, samples) -> np.ndarray:
+        """_fold's weights, kept for the next call with the same samples
+        tuple and w2 when neither can change: a tuple of read-only masks
+        and a read-only w2. One entry; it holds the tuple, so the
+        identity it is keyed on stays valid. Anything else (a list, a
+        writable mask or w2) is folded afresh on every call."""
+        w2 = self.params.w2
+        kept = self._kept
+        if kept is not None and kept[0] is samples and kept[1] is w2:
+            return kept[2]
+        folded = self._fold(samples, w2)
+        if isinstance(samples, tuple) and not w2.flags.writeable and all(
+                isinstance(m, np.ndarray) and not m.flags.writeable
+                for m in samples):
+            self._kept = (samples, w2, folded)
+        return folded
 
     def log_probs(self, samples, xs) -> np.ndarray:
         """The (S, N, C) table of the trained network under each mask.
@@ -526,12 +500,12 @@ class McDropoutFamily:
         weights. For 0/1 masks every product term is the one that
         masking the hidden units gives (h * (1 / keep) times w, or a zero
         of the same sign), so the bits are the same; any other mask is
-        refused. The masks are checked and folded once per samples tuple
-        (`_per_tuple`), so a call costs the hidden layer, one batched
+        refused. Read-only masks are checked and folded once per samples
+        tuple (`_folded`), so a call costs the hidden layer, one batched
         product and the log-softmax.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        folded = _per_tuple(self, samples, self._fold)
+        folded = self._folded(samples)
         keep = 1.0 - self.arch.dropout_rate
         p = self.params
         h = np.maximum(xs @ p.w1 + p.b1, 0.0)               # (N, H)
@@ -556,7 +530,7 @@ def train_deep_ensemble(train: Dataset, arch: MlpArchitecture,
         [root.derive("member", k) for k in range(num_members)],
         [str(k) for k in range(num_members)],
         use_dropout=arch.dropout_rate > 0.0)
-    return PosteriorEnsemble(samples=tuple(map(_frozen, members)),
+    return PosteriorEnsemble(samples=tuple(members),
                              log_weights=np.zeros(num_members),
                              family=DeepEnsembleFamily(arch))
 
@@ -566,8 +540,7 @@ def init_deep_ensemble(arch: MlpArchitecture, num_members: int,
     """Freshly initialized members, no training; see init_dropout_ensemble."""
     if num_members < 1:
         raise ValueError("need at least one ensemble member")
-    members = tuple(_frozen(init_params(arch,
-                                        rng.derive("member", k).generator()))
+    members = tuple(init_params(arch, rng.derive("member", k).generator())
                     for k in range(num_members))
     return PosteriorEnsemble(samples=members,
                              log_weights=np.zeros(num_members),

@@ -18,7 +18,6 @@ import pytest
 from obayes.data import Dataset, LabeledExample, generate_cluster_dataset
 from obayes.models import (
     GridLikelihood,
-    PosteriorEnsemble,
     exact_grid_posterior,
     forward_log_probs,
     grid_family_from_world,
@@ -31,7 +30,6 @@ from obayes.models.mlp import (
     MlpParams,
     TrainConfig,
     cross_entropy_loss,
-    init_deep_ensemble,
     init_dropout_ensemble,
     init_params,
     mlp_gradient,
@@ -379,21 +377,11 @@ class TestCheckpoint:
         assert np.array_equal(forward_log_probs(ens, probe),
                               forward_log_probs(back, probe))
 
-    @pytest.mark.parametrize("kind", ["deep", "dropout"])
-    def test_reloaded_samples_are_read_only(self, kind, tmp_path,
-                                            cluster_data, dropout_16):
-        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
-                               dropout_rate=0.0)
-        ens = init_deep_ensemble(arch, 2, RngStream(8)) if kind == "deep" \
-            else dropout_16
+    def test_reloaded_masks_are_read_only(self, tmp_path, dropout_16):
         path = tmp_path / "ens.npz"
-        save_ensemble(path, ens)
+        save_ensemble(path, dropout_16)
         back = load_ensemble(path)
-        arrays = list(back.samples) if kind == "dropout" else \
-            [a for member in back.samples for a in member.arrays()]
-        if kind == "dropout":
-            arrays.append(back.family.params.w2)
-        for a in arrays:
+        for a in (*back.samples, back.family.params.w2):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -598,26 +586,6 @@ class TestFusedHotPathsMatchReference:
             for mask in ens.samples])
         assert np.array_equal(fam.log_probs(ens.samples, xs), expected)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 200])
-    @pytest.mark.parametrize("s", [1, 5, 16])
-    def test_stacked_deep_ensemble_forward_matches_members(self, s, n):
-        # The members' parameters stack along a sample axis; the reference
-        # is a plain pass per member.
-        arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
-                               dropout_rate=0.0)
-        gen = RngStream(47).derive("s", s).generator()
-        members = []
-        for _ in range(s):
-            p = init_params(arch, gen)
-            members.append(MlpParams(p.w1, 0.3 * gen.standard_normal(32),
-                                     p.w2, gen.standard_normal(4)))
-        ens = PosteriorEnsemble(samples=members, log_weights=np.zeros(s),
-                                family=DeepEnsembleFamily(arch))
-        xs = 2.0 * gen.standard_normal((n, 2))
-        expected = np.stack([_reference_log_probs(p, xs) for p in members])
-        assert np.array_equal(forward_log_probs(ens, xs), expected)
-        assert np.array_equal(ens.family.log_probs(members, xs), expected)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_deep_ensemble_forward_rejects_non_finite_logits(self, bad):
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
@@ -625,12 +593,10 @@ class TestFusedHotPathsMatchReference:
         gen = RngStream(48).generator()
         members = [init_params(arch, gen) for _ in range(3)]
         members[1].b2[2] = bad
-        fam = DeepEnsembleFamily(arch)
-        for samples in (members, tuple(members)):
-            with pytest.raises(ValueError,
-                               match="^non-finite activations in forward "
-                                     "pass$"):
-                fam.log_probs(samples, gen.standard_normal((4, 2)))
+        with pytest.raises(ValueError,
+                           match="^non-finite activations in forward pass$"):
+            DeepEnsembleFamily(arch).log_probs(members,
+                                               gen.standard_normal((4, 2)))
 
     @pytest.mark.parametrize("bad", ["width_one", "half", "wide", "two"])
     def test_dropout_forward_rejects_non_binary_masks(self, dropout_16, bad):

@@ -51,10 +51,9 @@ from obayes.models import ensemble as ensemble_module
 from obayes.models.mlp import (
     McDropoutFamily,
     MlpArchitecture,
-    TrainConfig,
+    MlpParams,
     init_deep_ensemble,
     init_dropout_ensemble,
-    train_deep_ensemble,
 )
 from obayes.numerics import RngStream, normalize_log_weights
 from obayes.obi import (
@@ -196,53 +195,71 @@ class TestEnsembleConstants:
     """What a family derives from a samples tuple is built once, and the
     samples and log weights it is derived from cannot change later."""
 
-    @pytest.mark.parametrize("kind,build", [("mc_dropout", "_fold"),
-                                            ("deep_ensemble", "_stack")])
-    def test_samples_tuple_is_prepared_once(self, kind, build, cluster_data,
-                                            monkeypatch):
+    def test_samples_tuple_is_folded_once(self, cluster_data, monkeypatch):
         arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
                                dropout_rate=0.3)
-        init = RngStream(14).derive(kind)
-        ens = init_dropout_ensemble(arch, 16, init) if kind == "mc_dropout" \
-            else init_deep_ensemble(arch, 5, init)
-        builds = []
-        original = getattr(type(ens.family), build)
+        ens = init_dropout_ensemble(arch, 16, RngStream(14))
+        folds = []
+        original = McDropoutFamily._fold
 
-        def counting(self, samples):
-            builds.append(samples)
-            return original(self, samples)
+        def counting(self, samples, w2):
+            folds.append(samples)
+            return original(self, samples, w2)
 
-        monkeypatch.setattr(type(ens.family), build, counting)
+        monkeypatch.setattr(McDropoutFamily, "_fold", counting)
         xs = cluster_data[1].xs
         tilted = ens.reweighted(np.linspace(-1.0, 0.0, ens.size))
         for view in (ens, tilted, ens.with_tables(), tilted.with_tables()):
             for points in (xs[:1], xs[:6], xs[:30]):
                 forward_log_probs(view, points)
-        assert len(builds) == 1 and builds[0] is ens.samples
-        # A list is prepared afresh on every call, with the same bits.
+        assert len(folds) == 1 and folds[0] is ens.samples
+        # A list is folded afresh on every call, with the same bits.
         for points in (xs[:1], xs[:30]):
             assert np.array_equal(
                 ens.family.log_probs(list(ens.samples), points),
                 forward_log_probs(ens, points))
-        assert len(builds) == 3
+        assert len(folds) == 3
         forward_log_probs(ens.take([0, 2, 3]), xs[:6])
-        assert len(builds) == 4
+        assert len(folds) == 4
 
-    def test_program_samples_are_read_only(self, dropout_16, cluster_data):
+    def test_changeable_inputs_are_folded_on_every_call(self, cluster_data):
+        arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                               dropout_rate=0.5)
+        ens = init_dropout_ensemble(arch, 4, RngStream(18))
+        fam = ens.family
+        xs = cluster_data[1].xs[:5]
+        # A tuple of writable masks, changed in place between two calls.
+        masks = tuple(m.copy() for m in ens.samples)
+        before = fam.log_probs(masks, xs)
+        assert np.array_equal(before, forward_log_probs(ens, xs))
+        masks[0][:] = 1.0 - masks[0]
+        after = fam.log_probs(masks, xs)
+        assert np.array_equal(after, fam.log_probs(list(masks), xs))
+        assert not np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1:], before[1:])
+        # A family whose params are rebound folds the new w2, and a
+        # writable w2 is folded on every call.
+        old = fam.params
+        w2 = 2.0 * old.w2
+        fam.params = MlpParams(old.w1, old.b1, w2, old.b2)
+        reference = McDropoutFamily(
+            arch, MlpParams(old.w1, old.b1, 2.0 * old.w2, old.b2))
+        doubled = fam.log_probs(ens.samples, xs)
+        assert np.array_equal(doubled,
+                              reference.log_probs(list(ens.samples), xs))
+        assert not np.array_equal(doubled, before)
+        w2 *= 0.5
+        assert np.array_equal(fam.log_probs(ens.samples, xs), before)
+
+    def test_program_samples_are_read_only(self, dropout_16):
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
                                dropout_rate=0.5)
-        trained = train_deep_ensemble(cluster_data[0], arch,
-                                      TrainConfig(epochs=3, seed=2), 2)
-        fresh = init_deep_ensemble(arch, 2, RngStream(15))
         masks = init_dropout_ensemble(arch, 4, RngStream(16))
         one_mask = init_dropout_ensemble(
             MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
                             dropout_rate=0.0), 1, RngStream(17))
-        arrays = [dropout_16.samples[0], masks.samples[3],
-                  one_mask.samples[0], dropout_16.family.params.w2]
-        arrays += [a for ens in (trained, fresh) for member in ens.samples
-                   for a in member.arrays()]
-        for a in arrays:
+        for a in (dropout_16.samples[0], masks.samples[3],
+                  one_mask.samples[0], dropout_16.family.params.w2):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         # The dropout family folds W2 only; its biases stay writable.
