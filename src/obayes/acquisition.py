@@ -18,6 +18,8 @@ a loop; EPIG and BatchBALD share that joint-entropy kernel
 (`_group_joint_entropies`); BatchBALD sums its batch with the exact
 enumeration's `predictive._prefix_sums`. Each distinct candidate is
 scored once and its score copied to its duplicates, so they tie bitwise.
+BALD ties without that: its sums over the samples are einsums, which
+give equal columns equal bits.
 """
 
 from __future__ import annotations
@@ -41,16 +43,10 @@ from .predictive import (
     ENUMERATION_LIMIT,
     _prefix_sums,
     entropy_rows,
-    joint_entropy_exact,
-    joint_entropy_mc,
-    marginal_log_probs,
     mixture_log_probs,
 )
 
 STRATEGIES = ("random", "bald", "batch_bald", "epig", "active_sampling")
-
-# Label-assignment draws when a conditional entropy cannot be enumerated.
-MC_ASSIGNMENT_DRAWS = 1024
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def bald_scores(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     lp = forward_log_probs(ensemble, xs)
     log_w = ensemble.normalized_log_weights()
     marginal = entropy_rows(mixture_log_probs(log_w, lp))     # (N,)
-    conditional = np.exp(log_w) @ entropy_rows(lp)            # (S,)@(S, N)
+    conditional = np.einsum("s,sn->n", np.exp(log_w), entropy_rows(lp))
     return marginal - conditional
 
 
@@ -232,39 +228,6 @@ def epig_scores_singleton(ensemble: PosteriorEnsemble, pool_xs,
         (log_w[:, None, None] + lp_e).reshape(size, -1).T, lp_p,
         num_eval)                                             # (U, N)
     return np.mean(h_eval + h_pool[:, None] - h_pair, axis=1)[inverse]
-
-
-def epig_score(ensemble: PosteriorEnsemble, candidate_xs, eval_xs,
-               rng: RngStream | None = None,
-               mc_draws: int = MC_ASSIGNMENT_DRAWS,
-               enumeration_limit: int = ENUMERATION_LIMIT) -> float:
-    """Mean information a candidate set's labels carry about eval labels.
-
-    Computed as mean_x H[Y|x] + H[Y_cand] - H[Y, Y_cand | x, x_cand];
-    joint entropies are enumerated when feasible, otherwise estimated by
-    MC with a derived stream per term.
-    """
-    candidate_xs = np.atleast_2d(np.asarray(candidate_xs, dtype=np.float64))
-    eval_xs = np.atleast_2d(np.asarray(eval_xs, dtype=np.float64))
-    if candidate_xs.shape[0] == 0 or eval_xs.shape[0] == 0:
-        raise ValueError("empty reduction")
-    c = ensemble.num_classes
-
-    def entropy_of(xs, label):
-        if c ** xs.shape[0] <= enumeration_limit:
-            return joint_entropy_exact(ensemble, xs, enumeration_limit)
-        if rng is None:
-            raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
-        return joint_entropy_mc(ensemble, xs, mc_draws,
-                                rng.derive("epig", label))[0]
-
-    h_cand = entropy_of(candidate_xs, -1)
-    h_eval = entropy_rows(marginal_log_probs(ensemble, eval_xs))
-    total = 0.0
-    for i in range(eval_xs.shape[0]):
-        joint = entropy_of(np.concatenate([eval_xs[i:i + 1], candidate_xs]), i)
-        total += float(h_eval[i]) + h_cand - joint
-    return total / eval_xs.shape[0]
 
 
 def active_sampling_scores(ensemble: PosteriorEnsemble, pool: Dataset,

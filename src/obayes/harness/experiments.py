@@ -172,11 +172,11 @@ def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
                  rng: RngStream, coords: dict) -> list:
     """OBI branch of one cell: reweight on next_k, bootstrap, evaluate.
 
-    The bootstrap replays next_k on its subset from the gathered rows of
-    the lookahead table, which the full state evaluates once per prefix
-    model. The cell collapses when the subset holds only samples the
-    prefix already ruled out (their weights are all -inf), or when next_k
-    rules out every sample left.
+    The bootstrap masks the prefix model's weights to its subset and
+    replays next_k from the lookahead table, which the full state
+    evaluates once per prefix model. The cell collapses when the subset
+    holds only samples the prefix already ruled out (their weights are
+    all -inf), or when next_k rules out every sample left.
     """
     try:
         conditioned = obi_bootstrap(obi_observe_many(state0, next_k),
@@ -207,8 +207,9 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     Prefix models are trained in ascending size, every trial's and
     sequence's model of one size as one lockstep group, so 2 x trials are
     alive at a time: each one's eval-set and lookahead tables are
-    evaluated once, and every bootstrap sub-trial gathers its rows from
-    those tables. Records are emitted sequence by sequence.
+    evaluated once, and every bootstrap sub-trial, a weight mask over the
+    prefix model, reads those tables. Records are emitted sequence by
+    sequence.
     """
     k = config.lookahead
     t_values = list(range(config.eval_start,

@@ -11,35 +11,34 @@ evaluate. Evaluation must be deterministic, and a sample's rows must not
 depend on the other samples in the call: evaluating any subset of the
 samples on a point set gives, bit for bit, the matching slices of the
 full table. That makes joint predictives over fixed parameter draws
-well-defined, and it is what `take`'s gathered tables and the MC-dropout
-family's mask-folded forward (one (N, H) @ (H, C) product per sample)
-rely on. Rows are not independent of the other inputs: a one-row call
-may differ in the last bits from the same row in a larger call (a
-matrix-vector kernel can take over at N = 1), so tables are reused per
-whole point set and never gathered by row.
+well-defined, and it is what the MC-dropout family's mask-folded forward
+(one (N, H) @ (H, C) product per sample) relies on. Rows are not
+independent of the other inputs: a one-row call may differ in the last
+bits from the same row in a larger call (a matrix-vector kernel can take
+over at N = 1), so tables are reused per whole point set and never
+gathered by row.
 
 Per-samples constants. A family may keep what it derives from a samples
 tuple and reuse it while it is handed that same tuple, as the MC-dropout
 family keeps its folded masks. It keeps them only for a tuple of
 read-only arrays, so they cannot go stale. `reweighted` and
-`with_tables` pass the tuple on, and `take` makes a new one. Log weights
-are immutable too: an ensemble keeps a private read-only copy of them,
-normalized once, at construction. The masks the program builds or loads
-are read-only arrays.
+`with_tables` pass the tuple on. Log weights are immutable too: an
+ensemble keeps a private read-only copy of them, normalized once, at
+construction. The masks the program builds or loads are read-only
+arrays.
 
 Table memo. Reweighting moves only the log weights, so a fitted model's
 (S, N, C) table for a point set never changes. `ensemble.with_tables()`
 gives the same ensemble with an empty memo; `forward_log_probs` then
 evaluates each distinct point set once and serves later calls from the
 memo. The memo lives as long as the ensembles that share it:
-`reweighted` shares it, and `take` gives the sub-ensemble the gathered
-rows of every stored table. Gathering is exact because of the stability
-contract above: rows of a sample do not depend on which other samples
-are evaluated with it. Stored tables are read-only, so an in-place
-write raises instead of corrupting later reads. Plain ensembles never
-memoize; `obi_init`, `select_batch`, repeated-pool's batch models,
-`total_correlation` and `cross_entropy_rate_estimate` opt in, because
-they read the same point sets more than once under fixed samples.
+`reweighted` shares it, so a subset of the samples is expressed as -inf
+log weights outside it, never as a smaller ensemble. Stored tables are
+read-only, so an in-place write raises instead of corrupting later
+reads. Plain ensembles never memoize; `obi_init`, `select_batch`,
+repeated-pool's batch models, `total_correlation` and
+`cross_entropy_rate_estimate` opt in, because they read the same point
+sets more than once under fixed samples.
 """
 
 from __future__ import annotations
@@ -94,23 +93,14 @@ class PosteriorEnsemble:
         """This ensemble with a table memo; itself if it already has one."""
         if self._tables is not None:
             return self
-        return self._with_memo(self.samples, self.log_weights, {})
+        return self._with_memo(self.log_weights, {})
 
     def reweighted(self, log_weights) -> "PosteriorEnsemble":
         """Same samples and family under different weights."""
-        return self._with_memo(self.samples, log_weights, self._tables)
+        return self._with_memo(log_weights, self._tables)
 
-    def take(self, indices) -> "PosteriorEnsemble":
-        """Sub-ensemble over a subset of parameter samples."""
-        indices = np.asarray(indices, dtype=np.int64)
-        tables = None if self._tables is None else \
-            {key: _read_only(table[indices])
-             for key, table in self._tables.items()}
-        return self._with_memo(tuple(self.samples[i] for i in indices),
-                               self.log_weights[indices], tables)
-
-    def _with_memo(self, samples, log_weights, tables) -> "PosteriorEnsemble":
-        out = PosteriorEnsemble(samples=samples, log_weights=log_weights,
+    def _with_memo(self, log_weights, tables) -> "PosteriorEnsemble":
+        out = PosteriorEnsemble(samples=self.samples, log_weights=log_weights,
                                 family=self.family)
         object.__setattr__(out, "_tables", tables)
         return out

@@ -29,9 +29,9 @@ def log_sum_exp(xs) -> float:
         arr = arr.reshape(-1)
     if arr.size == 0:
         raise ValueError("empty reduction")
-    if np.isnan(arr).any() or np.isposinf(arr).any():
+    m = arr.max()
+    if not m < np.inf:              # max propagates NaN
         raise ValueError("non-finite input")
-    m = np.max(arr)
     if m == -np.inf:
         return -np.inf
     # Single pass after max-subtraction; summation in input order.
@@ -103,24 +103,20 @@ def normalize_log_weights(log_weights) -> tuple[np.ndarray, float]:
     DegenerateWeightsError when no entry carries mass.
     """
     arr = np.asarray(log_weights, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empty reduction")
-    if np.isnan(arr).any() or np.isposinf(arr).any():
-        raise ValueError("non-finite input")
-    if not np.any(arr > -np.inf):
+    log_z = log_sum_exp(arr)        # rejects empty input, NaN and +inf
+    if log_z == -np.inf:
         raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
-    log_z = log_sum_exp(arr)
     return arr - log_z, log_z
 
 
 def effective_sample_size(log_weights) -> float:
-    """ESS = (sum w)^2 / sum w^2 of the normalized weights; lies in [1, S]."""
-    arr = np.asarray(log_weights, dtype=np.float64)
-    normalized, _ = normalize_log_weights(arr)
+    """ESS = (sum w)^2 / sum w^2 of the normalized weights; lies in [1, K]
+    for K weights with mass, so -inf entries (masked samples) never count."""
+    normalized, _ = normalize_log_weights(log_weights)
     finite = normalized[normalized > -np.inf]
     ess = float(np.exp(-log_sum_exp(2.0 * finite)))
-    # Mathematically in [1, S]; trim float drift at the boundaries.
-    return min(max(ess, 1.0), float(arr.size))
+    # Mathematically in [1, K]; trim float drift at the boundaries.
+    return min(max(ess, 1.0), float(finite.size))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Because the samples stay fixed, `obi_init` gives its base a table memo
 (`PosteriorEnsemble.with_tables`). Every state observed from it, and
 every ensemble it predicts with, shares that memo, so each point set
 (pool, eval set) is evaluated once per fitted model rather than once per
-step. A bootstrap's sub-ensemble starts from the gathered rows of the
-base's tables, which equal a fresh subset forward bit for bit under the
-family's stability contract. The memo is dropped with the last state
-that refers to the base.
+step. A bootstrap restricts the base to a subset of its samples through
+the weights alone, with -inf outside the subset, so it keeps the base
+and reads the same tables. The memo is dropped with the last state that
+refers to the base.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class ObiState:
                 "one cumulative log weight per parameter sample required")
 
     def as_ensemble(self) -> PosteriorEnsemble:
-        """The base samples under the current normalized weights."""
-        normalized, _ = normalize_log_weights(self.cumulative_log_weights)
-        return self.base.reweighted(normalized)
+        """The base samples under the current weights, which the ensemble
+        normalizes."""
+        return self.base.reweighted(self.cumulative_log_weights)
 
     @property
     def num_observed(self) -> int:
@@ -95,16 +95,21 @@ def obi_predict_batch(state: ObiState, xs) -> np.ndarray:
 def obi_bootstrap(state: ObiState, subset_size: int, rng) -> ObiState:
     """Rebuild the state on a without-replacement subsample of the base.
 
-    Base weights renormalize over the subset and the observation stream is
-    replayed, so the result is exactly the state that subset would have
-    reached on its own. Tables the base has already evaluated are
-    gathered for the subset, not evaluated again.
+    The subsample is a weight mask: base weights outside it are -inf and
+    the rest renormalize over it (DegenerateWeightsError if none carries
+    mass), and the observation stream is replayed, so the result is
+    exactly the state that subset would have reached on its own. The
+    state keeps the base, so the replay and every prediction read the
+    base's tables.
     """
     size = state.base.size
     if not 1 <= subset_size <= size:
         raise ValueError("subset size must lie in [1, ensemble size]")
-    gen = rng.generator()
-    # Sorted so a full-size subset is the identity, not a permutation.
-    indices = np.sort(gen.choice(size, size=subset_size, replace=False))
-    subset = state.base.take(indices)
-    return obi_observe_many(obi_init(subset), state.observed)
+    indices = rng.generator().choice(size, size=subset_size, replace=False)
+    masked = np.full(size, -np.inf)
+    masked[indices] = state.base.log_weights[indices]
+    weights, _ = normalize_log_weights(masked)
+    start = ObiState(base=state.base, observed=(),
+                     cumulative_log_weights=weights,
+                     ess=effective_sample_size(weights))
+    return obi_observe_many(start, state.observed)

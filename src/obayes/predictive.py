@@ -10,7 +10,7 @@ Monte Carlo draws (joint entropies, sampled online learning loss) are
 scored by one kernel, `_drawn_log_probs`: the points split into groups
 of a few points, each group's table of per-sample sums over every
 assignment to it is exponentiated once per call, and a draw's mixture
-is the sum over samples of the product of its groups' rows.
+is the weighted sum over samples of the product of its groups' rows.
 """
 
 from __future__ import annotations
@@ -45,10 +45,28 @@ def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
     `log_w` is (S,) and broadcasts over every trailing axis of `table`,
     so an (S, N, C) likelihood table gives (N, C) mixture rows and an
     (S, A) table of per-sample assignment log-likelihoods gives (A,).
+    The weights must be normalized and the entries log-probabilities
+    (at most 0), so no exponential can overflow and the mixture is one
+    exp pass and one matrix-vector product. The product is an einsum,
+    not BLAS: it sums every column in the same order, so equal columns
+    give equal bits wherever they sit (a BLAS kernel sums its last few
+    columns another way). Entries whose mixture falls below
+    _MATMUL_FLOOR are recomputed by log_sum_exp_axis, so underflow never
+    turns a representable value into -inf; an entry with no mass is
+    exactly -inf, and NaN or +inf raises.
     """
-    log_w = np.asarray(log_w)
-    return log_sum_exp_axis(
-        log_w.reshape(log_w.shape + (1,) * (table.ndim - 1)) + table, axis=0)
+    log_w = np.asarray(log_w, dtype=np.float64)
+    flat = np.asarray(table, dtype=np.float64).reshape(len(log_w), -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.einsum("s,sm->m", np.exp(log_w), np.exp(flat))
+        out = np.log(q)
+    # NaN or +inf in a column (or in the weights) reaches its output.
+    if not np.all(out < np.inf):
+        raise ValueError("non-finite input")
+    low = np.flatnonzero(q < _MATMUL_FLOOR)
+    if low.size:
+        out[low] = log_sum_exp_axis(log_w[:, None] + flat[:, low], axis=0)
+    return out.reshape(np.shape(table)[1:])
 
 
 def entropy_rows(log_rows: np.ndarray) -> np.ndarray:
@@ -116,14 +134,14 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
     log-likelihood of index k at point i (a label, or a data row); row b
     of `draws` assigns index draws[b, i] to point i. The points split into
     consecutive groups of g points, g the largest with K^g <= _GROUP_ROWS.
-    Each group's (K^g, S) per-sample sums (`_prefix_sums`; the first group
-    also carries the log weights) are shifted row by row by their max and
-    exponentiated once per call; groups of the same arrays share one
-    table. A draw's q is the product of its groups' rows summed over the
-    samples, times its rows' exp(max). As in log_matmul_exp, a draw whose
-    sum falls below _MATMUL_FLOOR while each of its rows carries mass is
-    recomputed in log space, a row without mass gives -inf, and NaN or
-    +inf in a table raises.
+    Each group's (K^g, S) per-sample sums (`_prefix_sums`) are shifted row
+    by row by their max and exponentiated once per call; groups of the
+    same arrays share one table. A draw's q is the product of its groups'
+    rows times the weights, summed over the samples, times its rows'
+    exp(max). As in log_matmul_exp, a draw whose sum falls below
+    _MATMUL_FLOOR while each of its rows carries mass is recomputed in
+    log space, a row without mass gives -inf, and NaN or +inf in a table
+    raises.
     """
     # A list holds every point's array for the call, so ids stay unique.
     point_rows = list(point_rows)
@@ -135,9 +153,9 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
     groups = []             # (log table, exp table, row maxes, draw rows)
     for lo in range(0, len(point_rows), g):
         members = point_rows[lo:lo + g]
-        key = (lo == 0,) + tuple(map(id, members))
+        key = tuple(map(id, members))
         if key not in built:
-            table = _prefix_sums(members, log_w[None, :] if lo == 0 else None)
+            table = _prefix_sums(members)
             top = table.max(axis=1)
             if not np.all(top < np.inf):
                 raise ValueError("non-finite input")
@@ -151,6 +169,7 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
     # gathers also bounds-check every row, so the takes below may clip.
     top_sum = sum(top[rows] for _, _, top, rows in groups)
     (_, first, _, first_rows), *rest = groups
+    weights = np.exp(log_w)
     q = np.empty(len(draws))
     acc = np.empty((min(len(draws), _GATHER_ROWS), len(log_w)))
     factor = np.empty_like(acc)
@@ -161,7 +180,7 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
         for _, exp_table, _, rows in rest:
             np.take(exp_table, rows[lo:hi], axis=0, out=f, mode="clip")
             a *= f
-        a.sum(axis=1, out=q[lo:hi])
+        np.matmul(a, weights, out=q[lo:hi])
     under = np.flatnonzero((q < _MATMUL_FLOOR) & np.isfinite(top_sum))
     with np.errstate(divide="ignore"):
         out = np.log(q, out=q)
@@ -169,7 +188,8 @@ def _drawn_log_probs(point_rows, draws: np.ndarray,
     for lo in range(0, under.size, _GATHER_ROWS):
         redo = under[lo:lo + _GATHER_ROWS]
         out[redo] = log_sum_exp_axis(
-            sum(table[rows[redo]] for table, _, _, rows in groups), axis=1)
+            sum(table[rows[redo]] for table, _, _, rows in groups) + log_w,
+            axis=1)
     return out
 
 

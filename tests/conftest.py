@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 
 from obayes.data import generate_cluster_dataset
-from obayes.models import grid_family_from_world
+from obayes.models import PosteriorEnsemble, grid_family_from_world
 from obayes.models.mlp import MlpArchitecture, TrainConfig, train_mc_dropout
 from obayes.numerics import RngStream
 from obayes.oracle import GridWorld, coin_world
+
+
+def sub_ensemble(ensemble, indices) -> PosteriorEnsemble:
+    """A plain ensemble over some of `ensemble`'s samples, in order."""
+    indices = list(indices)
+    return PosteriorEnsemble(samples=[ensemble.samples[i] for i in indices],
+                             log_weights=ensemble.log_weights[indices],
+                             family=ensemble.family)
 
 
 @pytest.fixture(scope="session")

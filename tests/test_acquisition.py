@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sub_ensemble
 from obayes import acquisition
 from obayes.acquisition import (
     STRATEGIES,
@@ -21,7 +22,6 @@ from obayes.acquisition import (
     active_sampling_scores,
     bald_scores,
     batch_bald_gains,
-    epig_score,
     epig_scores_singleton,
     run_acquisition,
     score_pool,
@@ -37,6 +37,7 @@ from obayes.models import (
     grid_family_from_world,
     observed_log_likelihood,
 )
+from obayes.models.mlp import MlpArchitecture, init_dropout_ensemble
 from obayes.numerics import RngStream, log_sum_exp_axis
 from obayes.obi import obi_init, obi_observe, obi_predict_batch
 from obayes.oracle import (
@@ -46,7 +47,12 @@ from obayes.oracle import (
     random_world,
     sample_world_dataset,
 )
-from obayes.predictive import entropy_rows, joint_entropy_mc, mixture_log_probs
+from obayes.predictive import (
+    entropy_rows,
+    joint_entropy_exact,
+    marginal_log_probs,
+    mixture_log_probs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +213,7 @@ class TestBald:
             oracle_bald(coin, coin_x), abs=1e-12)
 
     def test_single_sample_zero(self, coin_ensemble, coin_x):
-        one = coin_ensemble.take([1])
+        one = sub_ensemble(coin_ensemble, [1])
         assert _bald(one, coin_x) == pytest.approx(0.0, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, dropout_16, cluster_data):
@@ -323,7 +329,8 @@ class TestBatchBald:
             log_weights=np.log(gen.dirichlet(np.ones(size))),
             family=GridLikelihood.from_log_tables(table, np.eye(12)))
         cases = [(random_ens, np.eye(12)),
-                 (dropout_16.take(range(min(size, 16))), evald.xs[:20]),
+                 (sub_ensemble(dropout_16, range(min(size, 16))),
+                  evald.xs[:20]),
                  (zero_mass_case[0], zero_mass_case[1].xs)]
         for ens, pool_xs in cases:
             for batch in ([], [3], [3, 11], [3, 11, 0], [5, 5, 2, 9],
@@ -333,10 +340,21 @@ class TestBatchBald:
                     _batch_bald_loop_build(ens, pool_xs, batch))
 
 
+def _epig_exact(ensemble, candidate_x, eval_xs) -> float:
+    """EPIG of one candidate from exactly enumerated pair entropies:
+    mean over eval points of H[Y_e] + H[Y_c] - H[Y_e, Y_c]."""
+    h_cand = joint_entropy_exact(ensemble, candidate_x[None, :])
+    h_eval = entropy_rows(marginal_log_probs(ensemble, eval_xs))
+    pairs = [joint_entropy_exact(ensemble, np.stack([x, candidate_x]))
+             for x in eval_xs]
+    return float(np.mean(h_eval + h_cand - np.array(pairs)))
+
+
 class TestEpig:
     def test_self_pair_equals_tc(self, coin_ensemble, coin_x):
         from obayes.infometrics import total_correlation
-        score = epig_score(coin_ensemble, coin_x[None, :], coin_x[None, :])
+        score = epig_scores_singleton(coin_ensemble, coin_x[None, :],
+                                      coin_x[None, :])[0]
         assert score == pytest.approx(
             total_correlation(coin_ensemble, np.tile(coin_x, (2, 1))),
             abs=1e-12)
@@ -352,8 +370,8 @@ class TestEpig:
         ens = fam.uniform_ensemble()
         flat, b = fam.vocabulary[2], fam.vocabulary[1]
         assert _bald(ens, flat) == pytest.approx(0.0, abs=1e-12)
-        assert epig_score(ens, flat[None, :], b[None, :]) == pytest.approx(
-            0.0, abs=1e-10)
+        assert epig_scores_singleton(ens, flat[None, :], b[None, :])[0] == \
+            pytest.approx(0.0, abs=1e-10)
 
     def test_matches_oracle_singleton(self):
         gen = np.random.default_rng(19)
@@ -365,41 +383,8 @@ class TestEpig:
                 ens = exact_grid_posterior(fam, np.log(world.prior), [])
             pairs = sample_world_dataset(world, 3, gen)
             cand, ev = pairs[0][0], np.stack([p[0] for p in pairs[1:]])
-            assert epig_score(ens, cand[None, :], ev) == pytest.approx(
-                oracle_epig(world, [cand], list(ev)), abs=1e-9)
-
-    def test_matches_oracle_batch_candidates(self, coin, coin_ensemble,
-                                             coin_x):
-        score = epig_score(coin_ensemble, np.tile(coin_x, (2, 1)),
-                           coin_x[None, :])
-        assert score == pytest.approx(
-            oracle_epig(coin, [coin_x, coin_x], [coin_x]), abs=1e-10)
-
-    def test_monte_carlo_branch_agrees_with_exact(self, dropout_16,
-                                                  cluster_data):
-        # Two candidates, three eval points, C = 4. A limit of 4^2
-        # enumerates the candidates' entropy and estimates each eval
-        # point's 4^3-assignment joint with them by Monte Carlo.
-        _, evald = cluster_data
-        cand, ev = evald.xs[:2], evald.xs[2:5]
-        exact = epig_score(dropout_16, cand, ev)
-        rng = RngStream(11)
-        estimate = epig_score(dropout_16, cand, ev, rng=rng,
-                              enumeration_limit=4 ** 2)
-        # The estimate's only noise: one MC joint per eval point, each
-        # drawn from its derived stream.
-        ses = [joint_entropy_mc(dropout_16,
-                                np.concatenate([ev[i:i + 1], cand]),
-                                acquisition.MC_ASSIGNMENT_DRAWS,
-                                rng.derive("epig", i))[1] for i in range(3)]
-        se = math.sqrt(sum(s * s for s in ses)) / 3
-        assert estimate != exact
-        assert abs(estimate - exact) <= 4 * se
-        with pytest.raises(ValueError, match="use joint_entropy_mc"):
-            epig_score(dropout_16, cand, ev, enumeration_limit=4 ** 2)
-        # At the limit every joint is still enumerated.
-        assert epig_score(dropout_16, cand, ev,
-                          enumeration_limit=4 ** 3) == exact
+            assert epig_scores_singleton(ens, cand[None, :], ev)[0] == \
+                pytest.approx(oracle_epig(world, [cand], list(ev)), abs=1e-9)
 
     def test_singleton_rows_match_scalar(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -407,8 +392,7 @@ class TestEpig:
         rows = epig_scores_singleton(dropout_16, pool_xs, eval_xs)
         for i in range(4):
             assert rows[i] == pytest.approx(
-                epig_score(dropout_16, pool_xs[i][None, :], eval_xs),
-                abs=1e-10)
+                _epig_exact(dropout_16, pool_xs[i], eval_xs), abs=1e-10)
 
     def test_nonnegative(self, dropout_16, cluster_data):
         _, evald = cluster_data
@@ -487,7 +471,8 @@ class TestScorersMatchLoops:
 
     def test_single_sample_ensemble(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        self._check(dropout_16.take([5]), evald.subset(range(9), "pool"),
+        self._check(sub_ensemble(dropout_16, [5]),
+                    evald.subset(range(9), "pool"),
                     evald.subset(range(9, 20), "eval"), [evald.example(30)],
                     [[], [1], [1, 2], [1, 2, 3]], [0, 4, 8])
 
@@ -506,7 +491,7 @@ class TestScorersMatchLoops:
         # Without scoring each distinct candidate once, BLAS breaks some
         # of these ties in the last bit.
         _, evald = cluster_data
-        ens = dropout_16.take(range(size))
+        ens = sub_ensemble(dropout_16, range(size))
         pool = duplicate_pool(evald.subset(range(9), "base"),
                               DuplicationSpec(4), RngStream(4))
         eval_set = evald.subset(range(9, 9 + num_eval), "eval")
@@ -521,6 +506,58 @@ class TestScorersMatchLoops:
             for name, row in scores.items():
                 assert np.array_equal(row[group],
                                       np.full(group.size, row[group[0]])), name
+
+
+class TestMixtureTies:
+    """Duplicated pool rows at any position get the bits of their first
+    copy in marginal rows and BALD, whose sums over the samples run in the
+    same order for every column."""
+
+    @staticmethod
+    def _assert_ties(ens, pool):
+        table = forward_log_probs(ens, pool.xs)
+        rows = marginal_log_probs(ens, pool.xs)
+        bald = bald_scores(ens, pool.xs)
+        for origin in np.unique(pool.origin_indices):
+            group = np.flatnonzero(pool.origin_indices == origin)
+            assert group.size > 1
+            first = group[:1]
+            assert np.array_equal(table[:, group],
+                                  np.repeat(table[:, first], group.size, 1))
+            assert np.array_equal(rows[group],
+                                  np.repeat(rows[first], group.size, 0))
+            assert np.array_equal(bald[group],
+                                  np.repeat(bald[first], group.size))
+
+    @pytest.mark.parametrize("size", [1, 5, 7, 16, 128])
+    def test_trained_rows(self, size, dropout_16, cluster_data):
+        _, evald = cluster_data
+        if size <= 16:
+            ens = sub_ensemble(dropout_16, range(size))
+        else:
+            arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
+                                   dropout_rate=0.5)
+            ens = init_dropout_ensemble(arch, size, RngStream(21))
+        # 25 originals, 6 copies each: 150 rows, not a multiple of 4.
+        for stream in range(3):
+            self._assert_ties(ens, duplicate_pool(
+                evald.subset(range(25), "base"), DuplicationSpec(6),
+                RngStream(stream)))
+
+    @pytest.mark.parametrize("size", [1, 7, 128])
+    def test_three_classes(self, size):
+        # C = 3 and 7 x 5 rows: the flattened (N * C) columns end
+        # mid-row.
+        gen = np.random.default_rng(size)
+        table = np.log(gen.dirichlet(np.ones(3), size=(size, 7)))
+        fam = GridLikelihood.from_log_tables(table, np.eye(7))
+        ens = PosteriorEnsemble(samples=tuple(range(size)),
+                                log_weights=np.log(gen.dirichlet(
+                                    np.ones(size))), family=fam)
+        base = Dataset(xs=np.eye(7), ys=np.zeros(7, dtype=np.int64),
+                       num_classes=3)
+        self._assert_ties(ens, duplicate_pool(base, DuplicationSpec(5),
+                                              RngStream(size)))
 
 
 class TestScorePool:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sub_ensemble
 from obayes.data import Dataset, LabeledExample
 from obayes.infometrics import (
     JointCeResult,
@@ -239,7 +240,7 @@ class TestExhaustiveOllMatchesRunningSum:
         # m = 60 data rows against C = 4 classes; 60^3 spans 106 chunks.
         _, evald = cluster_data
         data = evald.subset(range(60), "sixty")
-        for ens in (dropout_16, dropout_16.take([3])):
+        for ens in (dropout_16, sub_ensemble(dropout_16, [3])):
             mean, se = online_learning_loss(ens, data, n, 1, RngStream(0),
                                             exhaustive=True)
             assert se == 0.0
@@ -315,7 +316,7 @@ class TestTableSequenceMetrics:
 
     def test_single_sample_ensemble(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        one = dropout_16.take([3])
+        one = sub_ensemble(dropout_16, [3])
         seq = list(evald.examples())[:7]
         out = joint_cross_entropy_sequence(one, seq)
         lp = forward_log_probs(one, evald.xs[:7])[0]
@@ -406,7 +407,7 @@ class TestTotalCorrelation:
 
     def test_single_sample_zero(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        one = dropout_16.take([5])
+        one = sub_ensemble(dropout_16, [5])
         assert total_correlation(one, evald.xs[:4]) == pytest.approx(
             0.0, abs=1e-9)
 

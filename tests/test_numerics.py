@@ -265,6 +265,11 @@ class TestEffectiveSampleSize:
         ess = effective_sample_size([0.0, -math.inf, -math.inf])
         assert ess == pytest.approx(1.0)
 
+    def test_bounded_by_the_weights_with_mass(self):
+        # Three equal weights give 3 + 4.4e-16 before the clamp; the five
+        # -inf entries (masked samples) do not raise the bound.
+        assert effective_sample_size([0.0] * 3 + [-math.inf] * 5) == 3.0
+
     @given(log_weight_lists)
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_one_and_s(self, lw):

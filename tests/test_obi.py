@@ -5,13 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sub_ensemble
 from obayes.data import LabeledExample
 from obayes.models import (
     GridLikelihood,
+    PosteriorEnsemble,
     exact_grid_posterior,
     grid_family_from_world,
 )
-from obayes.numerics import RngStream, effective_sample_size
+from obayes.numerics import (
+    DegenerateWeightsError,
+    RngStream,
+    effective_sample_size,
+)
 from obayes.obi import (
     ObiState,
     PosteriorCollapseError,
@@ -135,7 +141,7 @@ class TestBootstrap:
         # predictive is (0.04 + 0.64) / (0.2 + 0.8) = 0.68
         state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
         sub = obi_bootstrap(state, 2, RngStream(0))
-        assert sub.base.size == 2
+        assert np.isfinite(sub.cumulative_log_weights).sum() == 2
         assert math.exp(_row(sub, coin_x)[1]) == pytest.approx(
             0.68, abs=1e-12)
 
@@ -162,6 +168,76 @@ class TestBootstrap:
             obi_bootstrap(state, 0, RngStream(0))
         with pytest.raises(ValueError):
             obi_bootstrap(state, 4, RngStream(0))
+
+
+def _take_bootstrap(state, subset_size, rng):
+    """obi_bootstrap as it was before weight masks: a plain sub-ensemble
+    of the drawn samples, initialized afresh, with the stream replayed."""
+    indices = np.sort(rng.generator().choice(
+        state.base.size, size=subset_size, replace=False))
+    return obi_observe_many(obi_init(sub_ensemble(state.base, indices)),
+                            state.observed)
+
+
+def _outcome(bootstrap, state, size, stream, xs):
+    """Predictions and ESS of one bootstrap, or the type it raised."""
+    try:
+        sub = bootstrap(state, size, stream)
+    except ValueError as err:
+        return type(err)
+    return obi_predict_batch(sub, xs), sub.ess
+
+
+class TestBootstrapMatchesSubEnsemble:
+    """The weight mask against the sub-ensemble it replaced: predictions
+    and ESS to 1e-12, and the same exceptions."""
+
+    def _compare(self, state, size, xs):
+        outcomes = []
+        for i in range(8):
+            old = _outcome(_take_bootstrap, state, size, RngStream(i), xs)
+            new = _outcome(obi_bootstrap, state, size, RngStream(i), xs)
+            if isinstance(old, type) or isinstance(new, type):
+                assert new is old
+            else:
+                assert np.allclose(new[0], old[0], rtol=0, atol=1e-12)
+                assert new[1] == pytest.approx(old[1], rel=1e-12)
+            outcomes.append(old)
+        return outcomes
+
+    @pytest.mark.parametrize("size", [1, 5, 8, 16])
+    def test_dropout_16(self, size, dropout_16, cluster_data):
+        _, evald = cluster_data
+        for observed in (0, 3, 12):
+            state = obi_observe_many(obi_init(dropout_16),
+                                     list(evald.examples())[:observed])
+            self._compare(state, size, evald.xs[20:45])
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_coin_world(self, size, coin_ensemble, coin_x):
+        for times in (0, 1, 4):
+            state = obi_observe_many(obi_init(coin_ensemble),
+                                     _heads(coin_x, times))
+            self._compare(state, size, coin_x[None, :])
+
+    def test_subset_of_ruled_out_samples(self, coin_ensemble, coin_x):
+        prior = PosteriorEnsemble(samples=coin_ensemble.samples,
+                                  log_weights=[0.0, -math.inf, -math.inf],
+                                  family=coin_ensemble.family)
+        outcomes = self._compare(obi_init(prior), 1, coin_x[None, :])
+        assert DegenerateWeightsError in outcomes
+        assert any(not isinstance(o, type) for o in outcomes)
+
+    def test_impossible_replay(self):
+        # h1 never emits label 1, so a subset holding only h1 collapses
+        # on the replayed observation while the full state does not.
+        fam = GridLikelihood(np.array([[[0.5, 0.5]], [[1.0, 0.0]],
+                                       [[0.2, 0.8]]]), np.eye(1))
+        state = obi_observe(obi_init(fam.uniform_ensemble()),
+                            LabeledExample(x=np.ones(1), y=1))
+        outcomes = self._compare(state, 1, np.ones((1, 1)))
+        assert PosteriorCollapseError in outcomes
+        assert any(not isinstance(o, type) for o in outcomes)
 
 
 class TestEss:

@@ -51,6 +51,44 @@ def test_moved_coordinates_are_not_value_changes(tmp_path, capsys):
     assert "rows differ beyond their values" in capsys.readouterr().out
 
 
+SEQUENCE = ("step,pool_index,original_index,y,score,strategy,seed,"
+            "fallback\n")
+
+
+def _sequences(root: Path, picks=(3, 7), scores=("0.5", "0.25")):
+    cli = root / "seed-0" / "cli"
+    cli.mkdir(parents=True)
+    for strategy in ("bald", "epig"):
+        rows = "".join(f"{i},{p},{p},1,{s},{strategy},0,0\n"
+                       for i, (p, s) in enumerate(zip(picks, scores)))
+        (cli / f"acquire-{strategy}-seed-0-sequence.csv").write_text(
+            SEQUENCE + rows)
+    return root
+
+
+def test_sequence_scores_are_compared_and_summarized(tmp_path, capsys):
+    a = _sequences(tmp_path / "a")
+    b = _sequences(tmp_path / "b", scores=("0.5", "0.125"))
+    assert output_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "seed-0/cli/acquire-bald-seed-0-sequence.csv score: max abs 0.125, "
+        "max rel 0.5",
+        "seed-0/cli/acquire-epig-seed-0-sequence.csv score: max abs 0.125, "
+        "max rel 0.5",
+        "largest sequence score difference: 0.125"]
+
+
+def test_changed_picks_are_named(tmp_path, capsys):
+    a = _sequences(tmp_path / "a")
+    b = _sequences(tmp_path / "b", picks=(3, 8))
+    assert output_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "seed-0/cli/acquire-bald-seed-0-sequence.csv: pool_index differs",
+        "seed-0/cli/acquire-epig-seed-0-sequence.csv: pool_index differs"]
+
+
 @pytest.mark.parametrize("old, new, gaps", [
     ([1.0, float("inf")], [1.0, float("inf")], (0.0, 0.0)),
     ([float("inf")], [3.0], (float("inf"), float("inf"))),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sub_ensemble
 from obayes import predictive
 from obayes.models import (
     GridLikelihood,
@@ -78,7 +79,7 @@ class TestMarginal:
         assert entropy_rows(row) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_sample_is_member(self, coin_ensemble, coin_x):
-        one = coin_ensemble.take([2])
+        one = sub_ensemble(coin_ensemble, [2])
         row = _marginal_row(one, coin_x)
         assert math.exp(row[1]) == pytest.approx(0.8, abs=1e-12)
 
@@ -87,6 +88,86 @@ class TestMarginal:
         rows = marginal_log_probs(dropout_16, evald.xs[:12])
         sums = np.log(np.exp(rows).sum(axis=1))
         assert np.max(np.abs(sums)) < 1e-9
+
+
+def _log_weights(gen, s, dead=0.0):
+    """Normalized random log weights, a share `dead` of them -inf."""
+    w = gen.dirichlet(np.ones(s))
+    w[gen.random(s) < dead] = 0.0
+    if not w.any():
+        w[0] = 1.0
+    with np.errstate(divide="ignore"):
+        return np.log(w / w.sum())
+
+
+class TestMixtureLogProbs:
+    """One exp pass and one matrix-vector product against the log-sum-exp
+    it replaced, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("trailing", [(), (9,), (9, 4)])
+    @pytest.mark.parametrize("s", [1, 7, 16, 128])
+    def test_matches_log_sum_exp(self, s, trailing):
+        gen = np.random.default_rng(s + len(trailing))
+        for dead in (0.0, 0.4):
+            log_w = _log_weights(gen, s, dead)
+            table = -50.0 * gen.random((s,) + trailing)
+            table[gen.random(table.shape) < 0.1] = -math.inf
+            ref = log_sum_exp_axis(
+                log_w.reshape((s,) + (1,) * len(trailing)) + table, axis=0)
+            new = predictive.mixture_log_probs(log_w, table)
+            assert new.shape == trailing
+            assert np.array_equal(np.isneginf(new), np.isneginf(ref))
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(new[finite] - ref[finite])
+                          <= 1e-12 * np.abs(ref[finite]))
+
+    def test_column_without_mass_is_minus_inf(self):
+        gen = np.random.default_rng(3)
+        log_w = _log_weights(gen, 16)
+        log_w[:4] = -math.inf
+        log_w -= log_sum_exp_axis(log_w, axis=0)
+        table = np.log(gen.dirichlet(np.ones(4), size=(16, 5)))
+        table[:, 1, 2] = -math.inf          # no sample gives it mass
+        table[4:, 3, 0] = -math.inf         # only samples of weight zero do
+        out = predictive.mixture_log_probs(log_w, table)
+        assert out[1, 2] == -math.inf and out[3, 0] == -math.inf
+        assert np.isfinite(np.delete(out.reshape(-1), [6, 12])).all()
+
+    def test_underflowing_columns_are_recomputed(self, monkeypatch):
+        # Every term of column 1 sits near -800, where exp underflows to
+        # 0; only that column goes through log_sum_exp_axis.
+        gen = np.random.default_rng(8)
+        log_w = _log_weights(gen, 16)
+        table = -10.0 * gen.random((16, 3))
+        table[:, 1] = -800.0 + gen.random(16)
+        calls = []
+
+        def counting(a, axis):
+            calls.append(a.shape)
+            return log_sum_exp_axis(a, axis=axis)
+
+        monkeypatch.setattr(predictive, "log_sum_exp_axis", counting)
+        out = predictive.mixture_log_probs(log_w, table)
+        assert calls == [(16, 1)]
+        ref = log_sum_exp_axis(log_w[:, None] + table, axis=0)
+        assert -802.0 < out[1] < -798.0
+        assert np.all(np.abs(out - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["table", "zero-weight row",
+                                       "weights"])
+    def test_non_finite_input_raises(self, bad, where):
+        gen = np.random.default_rng(11)
+        log_w = _log_weights(gen, 8)
+        log_w[5] = -math.inf
+        log_w -= log_sum_exp_axis(log_w, axis=0)
+        table = np.log(gen.dirichlet(np.ones(3), size=(8, 4)))
+        if where == "weights":
+            log_w[2] = bad
+        else:
+            table[5 if where == "zero-weight row" else 2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite input"):
+            predictive.mixture_log_probs(log_w, table)
 
 
 class TestJointLogProb:
@@ -160,7 +241,7 @@ class TestJointEntropyExact:
 
     def test_single_sample_factorizes(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        one = dropout_16.take([3])
+        one = sub_ensemble(dropout_16, [3])
         xs = evald.xs[:4]
         h = joint_entropy_exact(one, xs)
         per_point = entropy_rows(marginal_log_probs(one, xs)).sum()
@@ -212,7 +293,7 @@ class TestJointEntropyMc:
     def test_single_sample_tracks_factorized_entropy(self, dropout_16,
                                                      cluster_data):
         _, evald = cluster_data
-        one = dropout_16.take([0])
+        one = sub_ensemble(dropout_16, [0])
         xs = evald.xs[:3]
         exact = joint_entropy_exact(one, xs)
         est, se = joint_entropy_mc(one, xs, 50_000, RngStream(4))
@@ -284,7 +365,7 @@ class TestDrawnLogProbs:
     @pytest.mark.parametrize("m", [1, 10, 50, 300])
     def test_shared_rows_index_data(self, m):
         # online_learning_loss: every point indexes the same (m, S) rows,
-        # one table per group shape; the first group alone is weighted.
+        # one table per group shape.
         gen = np.random.default_rng(m)
         log_w = np.log(gen.dirichlet(np.ones(16)))
         observed = _log_table(gen, 16, 1, m)[:, 0]                # (S, m)

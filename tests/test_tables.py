@@ -2,11 +2,11 @@
 
 Covers the family contract the memo relies on (a sample's rows do not
 depend on the other samples in the call), the memo itself (read-only
-tables, gathers for sub-ensembles, sharing across reweightings), the
+tables, sharing across reweightings and weight masks), the
 validated observed-label gather every labeled quantity reads, how
 often each protocol evaluates a family, and a differential check of
-obi-eval against the loop it replaced, which evaluated every bootstrap
-subset afresh.
+obi-eval against the loop it replaced, which held every prefix model at
+once and bootstrapped before observing.
 """
 
 import collections
@@ -14,6 +14,7 @@ import collections
 import numpy as np
 import pytest
 
+from conftest import sub_ensemble
 from obayes import acquisition
 from obayes.acquisition import (
     AcquisitionSequence,
@@ -137,22 +138,25 @@ class TestMemo:
         assert np.array_equal(table, forward_log_probs(dropout_16, xs))
 
     @pytest.mark.parametrize("subset_size", [1, 7, 128])
-    def test_take_gathers_fresh_subset_forward(self, dropout_128,
-                                               cluster_data, family_calls,
-                                               subset_size):
+    def test_weight_mask_reads_the_base_table(self, dropout_128,
+                                              cluster_data, family_calls,
+                                              subset_size):
+        # A subset of the samples is -inf weights outside it: it reads
+        # the base's table, and mixes as a fresh subset forward does.
         xs = cluster_data[1].xs
         gen = np.random.default_rng(subset_size)
         idx = np.sort(gen.choice(128, size=subset_size, replace=False))
         memo = dropout_128.with_tables()
-        forward_log_probs(memo, xs)
-        sub = memo.take(idx)
-        before = len(family_calls)
-        gathered = forward_log_probs(sub, xs)
-        assert len(family_calls) == before      # served from the memo
-        assert not gathered.flags.writeable
-        fresh = forward_log_probs(dropout_128.take(idx), xs)
-        assert len(family_calls) == before + 1
-        assert np.array_equal(gathered, fresh)
+        table = forward_log_probs(memo, xs)
+        mask = np.full(128, -np.inf)
+        mask[idx] = 0.0
+        masked = memo.reweighted(mask)
+        assert forward_log_probs(masked, xs) is table
+        assert len(family_calls) == 1           # served from the memo
+        sub = sub_ensemble(dropout_128, idx)
+        assert np.array_equal(forward_log_probs(sub, xs), table[idx])
+        assert np.allclose(marginal_log_probs(masked, xs),
+                           marginal_log_probs(sub, xs), rtol=0, atol=1e-12)
 
     def test_reweighted_shares_memo(self, dropout_16, cluster_data,
                                     family_calls):
@@ -171,7 +175,7 @@ class TestMemo:
                                          family_calls):
         xs = cluster_data[1].xs[:5]
         for ens in (dropout_16, dropout_16.reweighted(np.zeros(16)),
-                    dropout_16.take([0, 3])):
+                    sub_ensemble(dropout_16, [0, 3])):
             first = forward_log_probs(ens, xs)
             assert first.flags.writeable
             assert forward_log_probs(ens, xs) is not first
@@ -219,7 +223,7 @@ class TestEnsembleConstants:
                 ens.family.log_probs(list(ens.samples), points),
                 forward_log_probs(ens, points))
         assert len(folds) == 3
-        forward_log_probs(ens.take([0, 2, 3]), xs[:6])
+        forward_log_probs(sub_ensemble(ens, [0, 2, 3]), xs[:6])
         assert len(folds) == 4
 
     def test_changeable_inputs_are_folded_on_every_call(self, cluster_data):
@@ -362,7 +366,7 @@ class TestEvaluationCounts:
                                   cfg.num_steps - cfg.lookahead + 1)}
         sizes |= {t + cfg.lookahead for t in sizes}
         # Two sequences, one model per prefix size and trial; the
-        # bootstrap subsets gather and never evaluate.
+        # bootstrap subsets are weight masks and never evaluate.
         assert len(evals) == 2 * cfg.trials * len(sizes)
         assert len(set(evals)) == len(evals)
         assert {size for _, size in evals} == {cfg.model.ensemble_size}
@@ -383,7 +387,7 @@ class TestEvaluationCounts:
         evals = [(id(family), key) for family, key, _ in family_calls
                  if key in lookaheads]
         # One evaluation per prefix model (sequence, trial, t), which the
-        # bootstrap sub-trials gather; no subset is ever evaluated.
+        # bootstrap sub-trials read; no subset is ever evaluated.
         assert len(evals) == 2 * cfg.trials * len(t_values)
         assert len(set(evals)) == len(evals)
         assert {size for _, _, size in family_calls} == \
@@ -450,7 +454,8 @@ def _net_config(**overrides) -> ExperimentConfig:
 
 def _reference_obi_eval(config: ExperimentConfig, sequences=None) -> list:
     """obi-eval as it was before the table memo: all prefix models held
-    at once, and each bootstrap sub-trial evaluating its own subset."""
+    at once, and each bootstrap sub-trial drawn from the unconditioned
+    state and conditioned afterwards."""
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)

@@ -6,7 +6,10 @@ Both directories come from ``tools/protocol_digests.py --keep DIR`` run
 in two checkouts on the same seeds. For each CSV (every protocol run's
 ``metrics.csv`` and ``curves.csv``) the tool prints the largest absolute
 and relative difference of ``value`` per (run, metric), and for each
-``joint-metrics-seed-N.json`` the same per estimator output. Only groups
+``joint-metrics-seed-N.json`` the same per estimator output. An
+acquisition ``sequence.csv`` is compared by its ``score`` column, unless
+its picks (``pool_index``) differ, which the tool names as such; the
+largest score difference over all sequences is printed last. Only groups
 that differ are printed. Relative differences are |a - b| / max(|a|, |b|).
 Exits 1 if anything differs.
 """
@@ -40,7 +43,8 @@ def _flatten(value) -> list:
 
 
 def _groups(path: Path) -> tuple[list, dict]:
-    """Each row's fields but its value, and the values per metric."""
+    """Each row's fields but its value, and the values per metric; a
+    sequence's rows are its picks and its one group is its scores."""
     if path.suffix == ".json":
         outputs = json.loads(path.read_text())
         return [], {name: _flatten(v) for name, v in outputs.items()}
@@ -48,7 +52,10 @@ def _groups(path: Path) -> tuple[list, dict]:
         rows = list(csv.DictReader(fh))
     groups = defaultdict(list)
     for row in rows:
-        groups[row["metric"]].append(float(row.pop("value")))
+        if "metric" in row:
+            groups[row["metric"]].append(float(row.pop("value")))
+        else:
+            groups["score"].append(float(row.pop("score")))
     return rows, groups
 
 
@@ -58,20 +65,28 @@ def main(argv: list[str]) -> int:
         return 2
     old_dir, new_dir = (Path(a) for a in argv)
     moved = 0
+    score_gaps = []
     for old in sorted(old_dir.rglob("*.csv")) + sorted(old_dir.glob("*.json")):
         label = old.relative_to(old_dir)
         (old_rows, old_groups), (new_rows, new_groups) = (
             _groups(old), _groups(new_dir / label))
         if old_rows != new_rows:
-            print(f"{label}: rows differ beyond their values")
+            picks = [[row.get("pool_index") for row in rows]
+                     for rows in (old_rows, new_rows)]
+            print(f"{label}: " + ("pool_index differs" if picks[0] != picks[1]
+                                  else "rows differ beyond their values"))
             moved += 1
             continue
         for metric, values in old_groups.items():
             gap, rel = _gaps(values, new_groups[metric])
+            if metric == "score":
+                score_gaps.append(gap)
             if gap or rel:
                 print(f"{label} {metric}: max abs {gap:.3g}, "
                       f"max rel {rel:.3g}")
                 moved += 1
+    if score_gaps:
+        print(f"largest sequence score difference: {max(score_gaps):.3g}")
     print(f"{moved} differing groups", file=sys.stderr)
     return 1 if moved else 0
 

@@ -23,10 +23,10 @@ under ``diff``. Run it from the root of a source checkout; it imports the
 Exits 1 if any run fails the workload's own checks.
 
 With ``--keep DIR`` the outputs stay in DIR: each seed's protocol runs
-(without the skipped ones) under ``DIR/seed-SEED/`` and its joint-metrics values, as JSON, in
-``DIR/joint-metrics-seed-SEED.json``. ``tools/output_diff.py`` compares
-two such directories value by value. The small train and acquire runs
-are not kept.
+(without the skipped ones) under ``DIR/seed-SEED/``, its small train and
+acquire outputs under ``DIR/seed-SEED/cli/``, and its joint-metrics
+values, as JSON, in ``DIR/joint-metrics-seed-SEED.json``.
+``tools/output_diff.py`` compares two such directories value by value.
 """
 
 from __future__ import annotations
@@ -74,36 +74,36 @@ def _npz_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _cli_digests(seed: int) -> tuple[list, dict]:
-    """Failures and digests of the small train and acquire runs."""
+def _cli_digests(seed: int, out_dir: Path) -> tuple[list, dict]:
+    """Failures and digests of the small train and acquire runs, whose
+    data and outputs are written to `out_dir`."""
     from obayes.acquisition import STRATEGIES
     from obayes.harness.cli import main
 
     failures, digests = [], {}
-    with tempfile.TemporaryDirectory() as tmp:
-        pool, eval_data = Path(tmp) / "pool.npz", Path(tmp) / "eval.npz"
-        for path, data_seed in ((pool, seed), (eval_data, seed + 1)):
-            if main(["gen-data", "--out", str(path), "--n-per-class", "8",
-                     "--seed", str(data_seed)]) != 0:
-                return [f"gen-data seed {data_seed} failed"], digests
-        for model in MODELS:
-            flags = ["--model", model, *SMALL_MODEL, "--seed", str(seed)]
-            runs = [(f"train {model} seed {seed}", "model.npz",
-                     ["train", "--data", str(pool)] + flags)]
-            runs += [(f"acquire {model} {strategy} seed {seed}",
-                      "sequence.csv",
-                      ["acquire", "--data", str(pool), "--eval-data",
-                       str(eval_data), "--strategy", strategy, "--steps",
-                       "4", "--retrain-every", "2"] + flags)
-                     for strategy in STRATEGIES]
-            for label, name, argv in runs:
-                out = Path(tmp) / f"{label.replace(' ', '-')}-{name}"
-                code = main(argv + ["--out", str(out)])
-                if code != 0:
-                    failures.append(f"{label}: exit code {code}")
-                    continue
-                digests[label] = {name: _npz_digest(out) if name ==
-                                  "model.npz" else sha256_file(out)}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pool, eval_data = out_dir / "pool.npz", out_dir / "eval.npz"
+    for path, data_seed in ((pool, seed), (eval_data, seed + 1)):
+        if main(["gen-data", "--out", str(path), "--n-per-class", "8",
+                 "--seed", str(data_seed)]) != 0:
+            return [f"gen-data seed {data_seed} failed"], digests
+    for model in MODELS:
+        flags = ["--model", model, *SMALL_MODEL, "--seed", str(seed)]
+        runs = [(f"train {model} seed {seed}", "model.npz",
+                 ["train", "--data", str(pool)] + flags)]
+        runs += [(f"acquire {model} {strategy} seed {seed}", "sequence.csv",
+                  ["acquire", "--data", str(pool), "--eval-data",
+                   str(eval_data), "--strategy", strategy, "--steps", "4",
+                   "--retrain-every", "2"] + flags)
+                 for strategy in STRATEGIES]
+        for label, name, argv in runs:
+            out = out_dir / f"{label.replace(' ', '-')}-{name}"
+            code = main(argv + ["--out", str(out)])
+            if code != 0:
+                failures.append(f"{label}: exit code {code}")
+                continue
+            digests[label] = {name: _npz_digest(out) if name == "model.npz"
+                              else sha256_file(out)}
     return failures, digests
 
 
@@ -125,7 +125,8 @@ def main(argv: list[str]) -> int:
             # The CLI reports each run on stdout; keep stdout for digests.
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
-                cli_failures, cli_digests = _cli_digests(seed)
+                cli_failures, cli_digests = _cli_digests(
+                    seed, Path(workdir) / "cli")
             failures, digests = job.check(codes)
         joint = JointMetricsJob(seed, "full")
         outputs = joint.run()
