@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import predictive
 from .data import Dataset
 from .models import (
     PosteriorEnsemble,
@@ -40,7 +41,6 @@ from .models import (
 )
 from .numerics import RngStream, log_matmul_exp, log_sum_exp_axis
 from .predictive import (
-    ENUMERATION_LIMIT,
     _prefix_sums,
     entropy_rows,
     mixture_log_probs,
@@ -170,8 +170,7 @@ def _group_joint_entropies(left: np.ndarray, table: np.ndarray,
 
 
 def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
-                     batch_indices, allowed=None,
-                     enumeration_limit: int = ENUMERATION_LIMIT) -> np.ndarray:
+                     batch_indices, allowed=None) -> np.ndarray:
     """Greedy joint-information gain of adding each pool point to a batch.
 
     The batch objective is H_q[Y_batch] - sum_i E_w H[Y_i|x_i,w]; the gain
@@ -184,7 +183,7 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
     log_w = ensemble.normalized_log_weights()
     size, num_pool, num_classes = lp.shape
     batch_indices = list(batch_indices)
-    if num_classes ** (len(batch_indices) + 1) > enumeration_limit:
+    if num_classes ** (len(batch_indices) + 1) > predictive.ENUMERATION_LIMIT:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
     # (S, C^k) batch sums: the mixture adds the samples in layout order.
     per_sample = np.ascontiguousarray(_prefix_sums(

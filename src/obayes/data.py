@@ -125,17 +125,6 @@ class Dataset:
             )
 
 
-@dataclass(frozen=True)
-class DuplicationSpec:
-    """Repeated-pool construction: every example appears `factor` times."""
-
-    factor: int
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ValueError("duplication factor must be >= 1")
-
-
 def _cluster_means(num_classes: int, dim: int) -> np.ndarray:
     """Unit-norm cluster centers, evenly spread on the first two axes."""
     means = np.zeros((num_classes, dim))
@@ -177,20 +166,22 @@ def generate_cluster_dataset(n_per_class: int, num_classes: int, dim: int,
     return Dataset(xs=xs, ys=ys, num_classes=num_classes, provenance=provenance)
 
 
-def duplicate_pool(pool: Dataset, spec: DuplicationSpec, rng: RngStream) -> Dataset:
-    """Repeat every example `factor` times and shuffle the copies.
+def duplicate_pool(pool: Dataset, factor: int, rng: RngStream) -> Dataset:
+    """Repeat every example `factor` (>= 1) times and shuffle the copies.
 
     Shuffling interleaves duplicates so a naive top-k selector actually
     meets them; origin_indices maps each copy back to its source row.
     """
+    if factor < 1:
+        raise ValueError("duplication factor must be >= 1")
     n = len(pool)
-    origin = np.repeat(np.arange(n, dtype=np.int64), spec.factor)
+    origin = np.repeat(np.arange(n, dtype=np.int64), factor)
     perm = rng.generator().permutation(origin.size)
     origin = origin[perm]
     provenance = {
         **pool.provenance,
         "derived": "duplicate_pool",
-        "duplication_factor": spec.factor,
+        "duplication_factor": factor,
         "shuffle_seed": rng.seed,
         "shuffle_stream_id": rng.stream_id,
     }

@@ -70,6 +70,14 @@ class ModelSpec:
             raise ValueError("epochs and batch size must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.hidden < 1:
+            raise ValueError("hidden width must be positive")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout rate must lie in [0, 1)")
+        if (self.kind == "mc_dropout" and self.ensemble_size > 1
+                and self.dropout_rate == 0.0):
+            raise ValueError("degenerate dropout ensemble: dropout rate "
+                             "is zero")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..acquisition import acquisition_steps, run_acquisition, select_batch
-from ..data import Dataset, DuplicationSpec, duplicate_pool, generate_cluster_dataset, load_idx_dataset, split
+from ..data import Dataset, duplicate_pool, generate_cluster_dataset, load_idx_dataset, split
 from ..infometrics import (
     MetricRecord,
     accuracy_from_rows,
@@ -38,7 +38,6 @@ from ..obi import (
     PosteriorCollapseError,
     obi_bootstrap,
     obi_init,
-    obi_observe,
     obi_observe_many,
     obi_predict_batch,
 )
@@ -169,29 +168,39 @@ def _eval_records(rows, eval_set, base: dict, flag: str = "") -> list:
 
 
 def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
-                 rng: RngStream, coords: dict) -> list:
-    """OBI branch of one cell: reweight on next_k, bootstrap, evaluate.
+                 streams: list, coords: dict) -> list:
+    """OBI branch of one cell: one record list per bootstrap sub-trial.
 
-    The bootstrap masks the prefix model's weights to its subset and
-    replays next_k from the lookahead table, which the full state
-    evaluates once per prefix model. The cell collapses when the subset
-    holds only samples the prefix already ruled out (their weights are
-    all -inf), or when next_k rules out every sample left.
+    The prefix model's state observes next_k once; each sub-trial then
+    masks that conditioned state to the subset its stream draws, and
+    reads the eval-set table the prefix model evaluates once. A
+    sub-trial collapses when its subset holds only samples without base
+    mass, or only samples next_k or the prefix ruled out; when next_k
+    rules out every sample, every sub-trial collapses.
     """
+    def collapse(at):
+        return [MetricRecord(metric=metric, value=value, branch="obi",
+                             flag="collapse", **at)
+                for metric, value in (("cross_entropy", float("inf")),
+                                      ("accuracy", 0.0), ("ess", 0.0))]
+
+    at = [dict(coords, sub_trial=sub) for sub in range(len(streams))]
     try:
-        conditioned = obi_bootstrap(obi_observe_many(state0, next_k),
-                                    bootstrap_size, rng)
-    except (DegenerateWeightsError, PosteriorCollapseError):
-        return [MetricRecord(metric="cross_entropy", value=float("inf"),
-                             branch="obi", flag="collapse", **coords),
-                MetricRecord(metric="accuracy", value=0.0, branch="obi",
-                             flag="collapse", **coords),
-                MetricRecord(metric="ess", value=0.0, branch="obi",
-                             flag="collapse", **coords)]
-    rows = obi_predict_batch(conditioned, eval_set.xs)
-    return (_eval_records(rows, eval_set, dict(coords, branch="obi"))
-            + [MetricRecord(metric="ess", value=conditioned.ess,
-                            branch="obi", **coords)])
+        conditioned = obi_observe_many(state0, next_k)
+    except PosteriorCollapseError:
+        return [collapse(c) for c in at]
+    cell = []
+    for stream, c in zip(streams, at):
+        try:
+            state = obi_bootstrap(conditioned, bootstrap_size, stream)
+        except (DegenerateWeightsError, PosteriorCollapseError):
+            cell.append(collapse(c))
+            continue
+        rows = obi_predict_batch(state, eval_set.xs)
+        cell.append(_eval_records(rows, eval_set, dict(c, branch="obi"))
+                    + [MetricRecord(metric="ess", value=state.ess,
+                                    branch="obi", **c)])
+    return cell
 
 
 def obi_vs_retrain_eval(config: ExperimentConfig,
@@ -200,7 +209,8 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
 
     For each prefix length t (from eval_start), each trial trains models
     on the first t and first t+k sequence points; OBI reweights the
-    t-model with the k points in between, once per bootstrap sub-trial.
+    t-model once with the k points in between, and each bootstrap
+    sub-trial masks that state to a subset of its samples.
     Emits cross-entropy and accuracy for all three branches per cell,
     plus the OBI effective sample size.
 
@@ -219,6 +229,10 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
+    if (config.model.kind == "grid"
+            and config.bootstrap_size > world.num_hypotheses):
+        raise ConfigError(f"bootstrap_size {config.bootstrap_size} exceeds "
+                          f"the world's {world.num_hypotheses} hypotheses")
     if sequences is None:
         sequences = generate_sequences(config, pool, eval_set, factory, root)
     names = sorted(sequences)
@@ -242,15 +256,12 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
                 continue
             next_k = [seq_data[name].example(i)
                       for i in range(size, size + k)]
-            obi_cells[name, trial, size] = [
-                _obi_records(state0, next_k, eval_set,
-                             config.bootstrap_size,
-                             root.derive("bootstrap", name, trial, size,
-                                         sub),
-                             dict(trial=trial, sub_trial=sub, step=size,
-                                  n=k, strategy=sequences[name].strategy,
-                                  name=name))
-                for sub in range(config.obi_subtrials)]
+            obi_cells[name, trial, size] = _obi_records(
+                state0, next_k, eval_set, config.bootstrap_size,
+                [root.derive("bootstrap", name, trial, size, sub)
+                 for sub in range(config.obi_subtrials)],
+                dict(trial=trial, step=size, n=k,
+                     strategy=sequences[name].strategy, name=name))
     records = []
     for name in names:
         for trial in range(config.trials):
@@ -295,8 +306,7 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
     root = RngStream(seed=config.seed)
     base_pool, eval_set, seed_train, world = build_splits(config, root)
     if config.duplication_factor > 1:
-        pool = duplicate_pool(base_pool,
-                              DuplicationSpec(config.duplication_factor),
+        pool = duplicate_pool(base_pool, config.duplication_factor,
                               root.derive("duplicate"))
     else:
         pool = base_pool
@@ -387,7 +397,7 @@ def al_with_obi(config: ExperimentConfig) -> list:
         acquired.append(rec.pool_index)
         collapsed = False
         try:
-            state = obi_observe(state, pool.example(rec.pool_index))
+            state = obi_observe_many(state, [pool.example(rec.pool_index)])
         except PosteriorCollapseError:
             collapsed = True
         coords = dict(step=rec.step, strategy=config.strategy,

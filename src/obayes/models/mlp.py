@@ -144,9 +144,8 @@ def _forward(params: MlpParams, xs: np.ndarray,
     return z1, hd, logits
 
 
-def mlp_log_probs(params: MlpParams, xs: np.ndarray,
-                  mask_scale: np.ndarray | None = None) -> np.ndarray:
-    _, _, logits = _forward(params, xs, mask_scale)
+def mlp_log_probs(params: MlpParams, xs: np.ndarray) -> np.ndarray:
+    _, _, logits = _forward(params, xs)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     return _log_softmax(logits)

@@ -77,13 +77,6 @@ def entropy_rows(log_rows: np.ndarray) -> np.ndarray:
     return -np.where(np.isfinite(log_rows), contrib, 0.0).sum(axis=-1)
 
 
-def _as_matrix(xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None] if xs.shape[0] > 1 else xs[None, :]
-    return np.atleast_2d(xs)
-
-
 def marginal_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     """Log mixture predictive for each input row; shape (N, C)."""
     return mixture_log_probs(ensemble.normalized_log_weights(),
@@ -92,7 +85,7 @@ def marginal_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
 
 def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:
     """Log joint predictive of one label assignment over the inputs."""
-    per_sample = observed_log_probs(ensemble, _as_matrix(xs), ys).sum(axis=1)
+    per_sample = observed_log_probs(ensemble, xs, ys).sum(axis=1)
     return float(mixture_log_probs(ensemble.normalized_log_weights(),
                                    per_sample))
 
@@ -198,11 +191,11 @@ def _point_major(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(table.transpose(1, 2, 0))
 
 
-def joint_entropy_exact(ensemble: PosteriorEnsemble, xs,
-                        enumeration_limit: int = ENUMERATION_LIMIT) -> float:
-    """Entropy of the joint predictive by full enumeration, in nats."""
-    xs = _as_matrix(xs)
-    if ensemble.num_classes ** len(xs) > enumeration_limit:
+def joint_entropy_exact(ensemble: PosteriorEnsemble, xs) -> float:
+    """Entropy of the joint predictive by full enumeration, in nats; at
+    most ENUMERATION_LIMIT assignments."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if ensemble.num_classes ** len(xs) > ENUMERATION_LIMIT:
         raise ValueError("enumeration limit exceeded; use joint_entropy_mc")
     return sum(float(entropy_rows(lq)) for lq in _enumerated_log_probs(
         _point_major(forward_log_probs(ensemble, xs)),
@@ -234,12 +227,11 @@ def joint_entropy_mc(ensemble: PosteriorEnsemble, xs, num_draws: int,
     """
     if num_draws < 1:
         raise ValueError("need at least one draw")
-    xs = _as_matrix(xs)
     lp = forward_log_probs(ensemble, xs)
     log_w = ensemble.normalized_log_weights()
     gen = rng.generator()
     js = gen.choice(ensemble.size, size=num_draws, p=np.exp(log_w))
-    u = gen.random((num_draws, len(xs)))
+    u = gen.random((num_draws, lp.shape[1]))
     draws = _drawn_labels(np.cumsum(np.exp(lp), axis=2), js, u)
     values = -_drawn_log_probs(_point_major(lp), draws, log_w)
     est = float(values.mean())

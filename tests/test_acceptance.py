@@ -20,7 +20,6 @@ from obayes.acquisition import (
     select_batch,
 )
 from obayes.data import (
-    DuplicationSpec,
     LabeledExample,
     duplicate_pool,
     generate_cluster_dataset,
@@ -43,7 +42,6 @@ from obayes.numerics import RngStream
 from obayes.obi import (
     PosteriorCollapseError,
     obi_init,
-    obi_observe,
     obi_observe_many,
     obi_predict_batch,
 )
@@ -376,8 +374,7 @@ class TestDuplicationInflatesCorrelation:
         ensemble = train_mc_dropout(train, arch, fit, 16,
                                     root.derive("masks"))
         base = generate_cluster_dataset(1, 4, 2, 1.0, root.derive("pool"))
-        pool8 = duplicate_pool(base, DuplicationSpec(factor=8),
-                               root.derive("dup"))
+        pool8 = duplicate_pool(base, 8, root.derive("dup"))
         gen = root.derive("batches").generator()
         tc_distinct = [total_correlation(
             ensemble, base.xs[gen.choice(4, size=4, replace=False)])
@@ -416,8 +413,8 @@ class TestNumericalRobustness:
         partial = GridLikelihood(tables=np.array([[[1.0, 0.0]],
                                                   [[0.5, 0.5]]]),
                                  vocabulary=vocab)
-        state = obi_observe(obi_init(partial.uniform_ensemble()),
-                            LabeledExample(x, 1))
+        state = obi_observe_many(obi_init(partial.uniform_ensemble()),
+                                 [LabeledExample(x, 1)])
         rows = obi_predict_batch(state, vocab)
         inf_ok = np.isfinite(state.ess) and _no_nan(
             rows, bald_scores(state.as_ensemble(), vocab))
@@ -425,8 +422,8 @@ class TestNumericalRobustness:
                                                [[1.0, 0.0]]]),
                               vocabulary=vocab)
         with pytest.raises(PosteriorCollapseError):
-            obi_observe(obi_init(dead.uniform_ensemble()),
-                        LabeledExample(x, 1))
+            obi_observe_many(obi_init(dead.uniform_ensemble()),
+                             [LabeledExample(x, 1)])
 
         single_grid = GridLikelihood(tables=np.array([[[0.7, 0.3]]]),
                                      vocabulary=vocab).uniform_ensemble()
@@ -438,8 +435,9 @@ class TestNumericalRobustness:
             bald_scores(single_grid, vocab),
             total_correlation(single_grid, np.repeat(vocab, 3, axis=0)),
             epig_scores_singleton(single_grid, vocab, vocab),
-            obi_predict_batch(obi_observe(obi_init(single_grid),
-                                          LabeledExample(x, 1)), vocab),
+            obi_predict_batch(obi_observe_many(obi_init(single_grid),
+                                               [LabeledExample(x, 1)]),
+                              vocab),
             bald_scores(single_net, net_x),
             total_correlation(single_net, net_x),
             epig_scores_singleton(single_net, net_x, net_x))
@@ -457,8 +455,7 @@ class TestNumericalRobustness:
 
         _, evald = cluster_data
         lone = evald.subset([0])
-        clones = duplicate_pool(lone, DuplicationSpec(factor=6),
-                                RngStream(seed=41))
+        clones = duplicate_pool(lone, 6, RngStream(seed=41))
         everything = np.ones(len(clones), dtype=bool)
         dup_scores = [score_pool(strategy, dropout_16, clones, evald,
                                  everything)

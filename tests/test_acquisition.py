@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import sub_ensemble
-from obayes import acquisition
+from obayes import acquisition, predictive
 from obayes.acquisition import (
     STRATEGIES,
     AcquisitionSequence,
@@ -27,7 +27,7 @@ from obayes.acquisition import (
     score_pool,
     select_batch,
 )
-from obayes.data import Dataset, DuplicationSpec, LabeledExample, duplicate_pool
+from obayes.data import Dataset, LabeledExample, duplicate_pool
 from obayes.infometrics import cross_entropy_from_rows
 from obayes.models import (
     GridLikelihood,
@@ -39,7 +39,7 @@ from obayes.models import (
 )
 from obayes.models.mlp import MlpArchitecture, init_dropout_ensemble
 from obayes.numerics import RngStream, log_sum_exp_axis
-from obayes.obi import obi_init, obi_observe, obi_predict_batch
+from obayes.obi import obi_init, obi_observe_many, obi_predict_batch
 from obayes.oracle import (
     oracle_bald,
     oracle_batch_objective,
@@ -178,8 +178,8 @@ def zero_mass_case():
     tables[[1, 2], 0, 0] = 0.5
     tables /= tables.sum(axis=2, keepdims=True)
     fam = GridLikelihood(tables, np.eye(4))
-    state = obi_observe(obi_init(fam.uniform_ensemble()),
-                        LabeledExample(x=fam.vocabulary[0], y=0))
+    state = obi_observe_many(obi_init(fam.uniform_ensemble()),
+                             [LabeledExample(x=fam.vocabulary[0], y=0)])
     ens = state.as_ensemble()
     assert np.any(np.isneginf(ens.normalized_log_weights()))
     pool = Dataset(xs=np.repeat(fam.vocabulary, 3, axis=0),
@@ -290,7 +290,7 @@ class TestBatchBald:
             _greedy(ens, ab_pool, 2, allowed=allowed & (
                 np.arange(len(ab_pool)) == 1))
 
-    def test_enumerates_at_the_limit_and_raises_past_it(self):
+    def test_enumerates_at_the_limit_and_raises_past_it(self, monkeypatch):
         gen = np.random.default_rng(23)
         for _ in range(5):
             world = random_world(gen, max_hypotheses=6, max_classes=4,
@@ -300,21 +300,23 @@ class TestBatchBald:
                                            np.log(world.prior), [])
             xs = np.stack([x for x, _ in sample_world_dataset(world, 4, gen)])
             # Batch of two plus a candidate: C^3 assignments.
-            limit = world.num_classes ** 3
-            gains = batch_bald_gains(ens, xs, [0, 1], enumeration_limit=limit)
+            monkeypatch.setattr(predictive, "ENUMERATION_LIMIT",
+                                world.num_classes ** 3)
+            gains = batch_bald_gains(ens, xs, [0, 1])
             base = oracle_batch_objective(world, list(xs[:2]))
             for i in (2, 3):
                 assert gains[i] == pytest.approx(
                     oracle_batch_objective(world, [xs[0], xs[1], xs[i]])
                     - base, abs=1e-9)
             with pytest.raises(ValueError, match="use joint_entropy_mc"):
-                batch_bald_gains(ens, xs, [0, 1, 2], enumeration_limit=limit)
+                batch_bald_gains(ens, xs, [0, 1, 2])
 
-    def test_enumeration_limit_error(self, dropout_16, cluster_data):
+    def test_enumeration_limit_error(self, dropout_16, cluster_data,
+                                     monkeypatch):
         _, evald = cluster_data
+        monkeypatch.setattr(predictive, "ENUMERATION_LIMIT", 10)
         with pytest.raises(ValueError, match="use joint_entropy_mc"):
-            batch_bald_gains(dropout_16, evald.xs[:8], [0, 1, 2],
-                             enumeration_limit=10)
+            batch_bald_gains(dropout_16, evald.xs[:8], [0, 1, 2])
 
     @pytest.mark.parametrize("size", [1, 7, 16, 128])
     def test_prefix_sum_build_keeps_the_bits(self, size, dropout_16,
@@ -439,7 +441,8 @@ class TestActiveSampling:
         rows = active_sampling_scores(dropout_16, pool, eval_set)
         for i in range(5):
             # negated eval CE after reweighting on the candidate's label
-            state = obi_observe(obi_init(dropout_16), pool.example(i))
+            state = obi_observe_many(obi_init(dropout_16),
+                                     [pool.example(i)])
             ce = cross_entropy_from_rows(
                 obi_predict_batch(state, eval_set.xs), eval_set.ys)
             assert rows[i] == pytest.approx(-ce, abs=1e-10)
@@ -492,8 +495,8 @@ class TestScorersMatchLoops:
         # of these ties in the last bit.
         _, evald = cluster_data
         ens = sub_ensemble(dropout_16, range(size))
-        pool = duplicate_pool(evald.subset(range(9), "base"),
-                              DuplicationSpec(4), RngStream(4))
+        pool = duplicate_pool(evald.subset(range(9), "base"), 4,
+                              RngStream(4))
         eval_set = evald.subset(range(9, 9 + num_eval), "eval")
         scores = {
             "epig": epig_scores_singleton(ens, pool.xs, pool.xs),
@@ -541,8 +544,7 @@ class TestMixtureTies:
         # 25 originals, 6 copies each: 150 rows, not a multiple of 4.
         for stream in range(3):
             self._assert_ties(ens, duplicate_pool(
-                evald.subset(range(25), "base"), DuplicationSpec(6),
-                RngStream(stream)))
+                evald.subset(range(25), "base"), 6, RngStream(stream)))
 
     @pytest.mark.parametrize("size", [1, 7, 128])
     def test_three_classes(self, size):
@@ -556,8 +558,7 @@ class TestMixtureTies:
                                     np.ones(size))), family=fam)
         base = Dataset(xs=np.eye(7), ys=np.zeros(7, dtype=np.int64),
                        num_classes=3)
-        self._assert_ties(ens, duplicate_pool(base, DuplicationSpec(5),
-                                              RngStream(size)))
+        self._assert_ties(ens, duplicate_pool(base, 5, RngStream(size)))
 
 
 class TestScorePool:
@@ -740,7 +741,7 @@ class TestRunAcquisition:
 
     def test_origin_indices_recorded(self, ab_family, ab_pool):
         base = Dataset(xs=ab_family.vocabulary, ys=[1, 0], num_classes=2)
-        dup = duplicate_pool(base, DuplicationSpec(factor=3), RngStream(8))
+        dup = duplicate_pool(base, 3, RngStream(8))
         seq = run_acquisition("bald", self._grid_factory(ab_family), dup,
                               None, 3, 1, RngStream(9))
         for step in seq.steps:

@@ -7,7 +7,6 @@ import pytest
 
 from obayes.data import (
     Dataset,
-    DuplicationSpec,
     LabeledExample,
     duplicate_pool,
     generate_cluster_dataset,
@@ -99,7 +98,7 @@ class TestClusterGeneration:
 class TestDuplication:
     def test_factor_one_is_permutation(self):
         pool = generate_cluster_dataset(6, 2, 2, 0.3, RngStream(4))
-        dup = duplicate_pool(pool, DuplicationSpec(factor=1), RngStream(5))
+        dup = duplicate_pool(pool, 1, RngStream(5))
         assert len(dup) == len(pool)
         order = np.argsort(dup.origin_indices)
         assert np.array_equal(dup.xs[order], pool.xs)
@@ -107,7 +106,7 @@ class TestDuplication:
 
     def test_factor_r_copies_every_row(self):
         pool = generate_cluster_dataset(4, 2, 2, 0.3, RngStream(4))
-        dup = duplicate_pool(pool, DuplicationSpec(factor=4), RngStream(5))
+        dup = duplicate_pool(pool, 4, RngStream(5))
         assert len(dup) == 4 * len(pool)
         counts = np.bincount(dup.origin_indices, minlength=len(pool))
         assert np.all(counts == 4)
@@ -115,8 +114,9 @@ class TestDuplication:
             assert np.array_equal(copy_row, pool.xs[src])
 
     def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            DuplicationSpec(factor=0)
+        pool = generate_cluster_dataset(4, 2, 2, 0.3, RngStream(4))
+        with pytest.raises(ValueError, match="duplication factor"):
+            duplicate_pool(pool, 0, RngStream(5))
 
 
 def _write_idx(tmp_path, images, labels):

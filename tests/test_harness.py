@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from obayes import obi
 from obayes.acquisition import STRATEGIES, run_acquisition
 from obayes.data import Dataset
 from obayes.harness import experiments
@@ -247,6 +248,27 @@ class TestObiVsRetrain:
         sizes = sorted(set(t_values) | {t + cfg.lookahead for t in t_values})
         assert groups == [[size] * 6 for size in sizes]
 
+    def test_observes_once_per_cell(self, monkeypatch):
+        cfg = _tiny_net_config(trials=2, obi_subtrials=3)
+        observed = []
+        observe = obi.obi_observe_many
+
+        def spy(state, examples):
+            observed.append(len(examples))
+            return observe(state, examples)
+
+        def no_observe(*args):
+            raise AssertionError("obi_bootstrap observed")
+
+        # obi_bootstrap would reach the module's name, which fails.
+        monkeypatch.setattr(experiments, "obi_observe_many", spy)
+        monkeypatch.setattr(obi, "obi_observe_many", no_observe)
+        records = obi_vs_retrain_eval(cfg)
+        t_values = range(cfg.eval_start, cfg.num_steps - cfg.lookahead + 1)
+        assert observed == [cfg.lookahead] * (2 * cfg.trials * len(t_values))
+        assert sum(r.metric == "ess" for r in records) == \
+            len(observed) * cfg.obi_subtrials
+
 
 def _per_trial_obi_eval(config, sequences) -> list:
     """obi_vs_retrain_eval's records with one trial's prefix models of a
@@ -272,14 +294,12 @@ def _per_trial_obi_eval(config, sequences) -> list:
                 if size in t_values:
                     next_k = [seq_data[name].example(i)
                               for i in range(size, size + k)]
-                    obi_cells[name, trial, size] = [
-                        experiments._obi_records(
-                            state0, next_k, eval_set, config.bootstrap_size,
-                            root.derive("bootstrap", name, trial, size, sub),
-                            dict(trial=trial, sub_trial=sub, step=size, n=k,
-                                 strategy=sequences[name].strategy,
-                                 name=name))
-                        for sub in range(config.obi_subtrials)]
+                    obi_cells[name, trial, size] = experiments._obi_records(
+                        state0, next_k, eval_set, config.bootstrap_size,
+                        [root.derive("bootstrap", name, trial, size, sub)
+                         for sub in range(config.obi_subtrials)],
+                        dict(trial=trial, step=size, n=k,
+                             strategy=sequences[name].strategy, name=name))
     records = []
     for name in names:
         for trial in range(config.trials):
@@ -509,6 +529,51 @@ class TestCli:
                     + ["--seed", "0", "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, model, message", [
+        (["--dropout", "1.5"], {"dropout_rate": 1.5},
+         "dropout rate must lie in"),
+        (["--hidden", "0"], {"hidden": 0}, "hidden width"),
+        (["--dropout", "0", "--ensemble-size", "4"],
+         {"dropout_rate": 0.0, "ensemble_size": 4},
+         "degenerate dropout ensemble"),
+    ], ids=["dropout-above-one", "hidden-zero", "degenerate-dropout"])
+    def test_bad_model_setting_is_config_error(self, flags, model, message,
+                                               tmp_path, capsys,
+                                               monkeypatch):
+        pool = tmp_path / "pool.npz"
+        assert main(["gen-data", "--out", str(pool), "--n-per-class", "2",
+                     "--num-classes", "2", "--seed", "1"]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        for name in ("train_mc_dropout", "train_deep_ensemble"):
+            monkeypatch.setattr(experiments, name, no_training)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": dict(model, kind="mc_dropout"),
+                                   "bootstrap_size": 4}))
+        capsys.readouterr()
+        for argv in (["train", "--data", str(pool), *flags,
+                      "--out", str(tmp_path / "m.npz")],
+                     ["obi-eval", "--config", str(cfg),
+                      "--out", str(tmp_path / "run")]):
+            assert main(argv + ["--seed", "0"]) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_grid_bootstrap_past_the_hypotheses_is_config_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"kind": "grid"},
+                                   "model": {"kind": "grid"},
+                                   "num_steps": 10, "eval_start": 4}))
+        out = tmp_path / "run"
+        assert main(["obi-eval", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert "exceeds the world's 3 hypotheses" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_oracle_check_passes(self, capsys):
         code = main(["oracle-check", "--worlds", "3", "--seed", "0"])

@@ -26,7 +26,7 @@ from obayes.models import (
     observed_log_probs,
 )
 from obayes.numerics import RngStream, log_sum_exp_axis
-from obayes.obi import obi_init, obi_observe, obi_predict_batch
+from obayes.obi import obi_init, obi_observe_many, obi_predict_batch
 from obayes.oracle import (
     GridWorld,
     coin_world,
@@ -113,8 +113,8 @@ class TestCrossEntropyAndAccuracy:
         assert accuracy_from_rows(rows, [1]) == 0.0
 
     def test_reweighted_rows_ce_and_accuracy(self, coin_ensemble, coin_x):
-        state = obi_observe(obi_init(coin_ensemble),
-                            LabeledExample(x=coin_x, y=1))
+        state = obi_observe_many(obi_init(coin_ensemble),
+                                 [LabeledExample(x=coin_x, y=1)])
         data = _coin_dataset(coin_x, [1, 1, 1])
         rows = obi_predict_batch(state, data.xs)
         ce = cross_entropy_from_rows(rows, data.ys)

@@ -23,7 +23,6 @@ from obayes.obi import (
     PosteriorCollapseError,
     obi_bootstrap,
     obi_init,
-    obi_observe,
     obi_observe_many,
     obi_predict_batch,
 )
@@ -49,7 +48,7 @@ class TestInitAndObserve:
         assert state.ess == pytest.approx(3.0, abs=1e-12)
 
     def test_one_heads_reweights(self, coin_ensemble, coin_x):
-        state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
+        state = obi_observe_many(obi_init(coin_ensemble), _heads(coin_x))
         weights = state.as_ensemble().normalized_log_weights()
         assert np.allclose(np.exp(weights), [2 / 15, 5 / 15, 8 / 15],
                            atol=1e-12)
@@ -60,7 +59,7 @@ class TestInitAndObserve:
         batched = obi_observe_many(obi_init(coin_ensemble), obs)
         state = obi_init(coin_ensemble)
         for ex in obs:
-            state = obi_observe(state, ex)
+            state = obi_observe_many(state, [ex])
         assert np.allclose(batched.cumulative_log_weights,
                            state.cumulative_log_weights, atol=1e-12)
         assert batched.num_observed == state.num_observed == 4
@@ -82,11 +81,11 @@ class TestInitAndObserve:
         state = obi_init(fam.uniform_ensemble())
         with pytest.raises(PosteriorCollapseError,
                            match="impossible under all samples"):
-            obi_observe(state, LabeledExample(x=np.ones(1), y=1))
+            obi_observe_many(state, [LabeledExample(x=np.ones(1), y=1)])
 
     def test_base_ensemble_untouched(self, coin_ensemble, coin_x):
         before = coin_ensemble.normalized_log_weights().copy()
-        obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
+        obi_observe_many(obi_init(coin_ensemble), _heads(coin_x))
         assert np.array_equal(coin_ensemble.normalized_log_weights(), before)
 
 
@@ -98,7 +97,7 @@ class TestPredict:
             abs=1e-15)
 
     def test_after_one_heads(self, coin_ensemble, coin_x):
-        state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
+        state = obi_observe_many(obi_init(coin_ensemble), _heads(coin_x))
         assert math.exp(_row(state, coin_x)[1]) == pytest.approx(
             0.62, abs=1e-12)
 
@@ -129,7 +128,7 @@ class TestPredict:
 
 class TestBootstrap:
     def test_full_size_is_identity(self, coin_ensemble, coin_x):
-        state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
+        state = obi_observe_many(obi_init(coin_ensemble), _heads(coin_x))
         sub = obi_bootstrap(state, 3, RngStream(5))
         assert np.allclose(sub.cumulative_log_weights,
                            state.cumulative_log_weights, atol=1e-12)
@@ -139,7 +138,7 @@ class TestBootstrap:
     def test_two_of_three_hypotheses(self, coin_ensemble, coin_x):
         # RngStream(0) draws hypotheses {0.2, 0.8}; after y=1 the
         # predictive is (0.04 + 0.64) / (0.2 + 0.8) = 0.68
-        state = obi_observe(obi_init(coin_ensemble), _heads(coin_x)[0])
+        state = obi_observe_many(obi_init(coin_ensemble), _heads(coin_x))
         sub = obi_bootstrap(state, 2, RngStream(0))
         assert np.isfinite(sub.cumulative_log_weights).sum() == 2
         assert math.exp(_row(sub, coin_x)[1]) == pytest.approx(
@@ -160,7 +159,11 @@ class TestBootstrap:
         state = obi_observe_many(obi_init(dropout_16), obs)
         sub = obi_bootstrap(state, 8, RngStream(9))
         assert sub.num_observed == 4
-        assert sub.observed == state.observed
+        # The mask keeps the conditioned weights of the drawn samples.
+        kept = np.isfinite(sub.cumulative_log_weights)
+        assert kept.sum() == 8
+        assert np.array_equal(sub.cumulative_log_weights[kept],
+                              state.cumulative_log_weights[kept])
 
     def test_size_validated(self, coin_ensemble):
         state = obi_init(coin_ensemble)
@@ -170,33 +173,38 @@ class TestBootstrap:
             obi_bootstrap(state, 4, RngStream(0))
 
 
-def _take_bootstrap(state, subset_size, rng):
-    """obi_bootstrap as it was before weight masks: a plain sub-ensemble
-    of the drawn samples, initialized afresh, with the stream replayed."""
+def _take_bootstrap(state, observed, subset_size, rng):
+    """obi_bootstrap as a plain sub-ensemble of the drawn samples,
+    initialized afresh, that observes `observed`, the examples `state`
+    has observed."""
     indices = np.sort(rng.generator().choice(
         state.base.size, size=subset_size, replace=False))
     return obi_observe_many(obi_init(sub_ensemble(state.base, indices)),
-                            state.observed)
+                            observed)
 
 
-def _outcome(bootstrap, state, size, stream, xs):
+def _outcome(bootstrap, xs):
     """Predictions and ESS of one bootstrap, or the type it raised."""
     try:
-        sub = bootstrap(state, size, stream)
+        sub = bootstrap()
     except ValueError as err:
         return type(err)
     return obi_predict_batch(sub, xs), sub.ess
 
 
 class TestBootstrapMatchesSubEnsemble:
-    """The weight mask against the sub-ensemble it replaced: predictions
-    and ESS to 1e-12, and the same exceptions."""
+    """The weight mask against the sub-ensemble it stands for, which
+    observes the examples afresh: predictions and ESS to 1e-12, and the
+    same exceptions."""
 
-    def _compare(self, state, size, xs):
+    def _compare(self, ensemble, observed, size, xs):
+        state = obi_observe_many(obi_init(ensemble), observed)
         outcomes = []
         for i in range(8):
-            old = _outcome(_take_bootstrap, state, size, RngStream(i), xs)
-            new = _outcome(obi_bootstrap, state, size, RngStream(i), xs)
+            old = _outcome(lambda: _take_bootstrap(state, observed, size,
+                                                   RngStream(i)), xs)
+            new = _outcome(lambda: obi_bootstrap(state, size, RngStream(i)),
+                           xs)
             if isinstance(old, type) or isinstance(new, type):
                 assert new is old
             else:
@@ -209,33 +217,31 @@ class TestBootstrapMatchesSubEnsemble:
     def test_dropout_16(self, size, dropout_16, cluster_data):
         _, evald = cluster_data
         for observed in (0, 3, 12):
-            state = obi_observe_many(obi_init(dropout_16),
-                                     list(evald.examples())[:observed])
-            self._compare(state, size, evald.xs[20:45])
+            self._compare(dropout_16, list(evald.examples())[:observed],
+                          size, evald.xs[20:45])
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_coin_world(self, size, coin_ensemble, coin_x):
         for times in (0, 1, 4):
-            state = obi_observe_many(obi_init(coin_ensemble),
-                                     _heads(coin_x, times))
-            self._compare(state, size, coin_x[None, :])
+            self._compare(coin_ensemble, _heads(coin_x, times), size,
+                          coin_x[None, :])
 
     def test_subset_of_ruled_out_samples(self, coin_ensemble, coin_x):
         prior = PosteriorEnsemble(samples=coin_ensemble.samples,
                                   log_weights=[0.0, -math.inf, -math.inf],
                                   family=coin_ensemble.family)
-        outcomes = self._compare(obi_init(prior), 1, coin_x[None, :])
+        outcomes = self._compare(prior, [], 1, coin_x[None, :])
         assert DegenerateWeightsError in outcomes
         assert any(not isinstance(o, type) for o in outcomes)
 
     def test_impossible_replay(self):
         # h1 never emits label 1, so a subset holding only h1 collapses
-        # on the replayed observation while the full state does not.
+        # on the observation while the full state does not.
         fam = GridLikelihood(np.array([[[0.5, 0.5]], [[1.0, 0.0]],
                                        [[0.2, 0.8]]]), np.eye(1))
-        state = obi_observe(obi_init(fam.uniform_ensemble()),
-                            LabeledExample(x=np.ones(1), y=1))
-        outcomes = self._compare(state, 1, np.ones((1, 1)))
+        outcomes = self._compare(fam.uniform_ensemble(),
+                                 [LabeledExample(x=np.ones(1), y=1)], 1,
+                                 np.ones((1, 1)))
         assert PosteriorCollapseError in outcomes
         assert any(not isinstance(o, type) for o in outcomes)
 
@@ -251,7 +257,7 @@ class TestEss:
         state = obi_init(coin_ensemble)
         values = [state.ess]
         for _ in range(6):
-            state = obi_observe(state, _heads(coin_x)[0])
+            state = obi_observe_many(state, _heads(coin_x))
             values.append(state.ess)
         assert values[-1] < values[0]
         assert values[-1] == pytest.approx(
@@ -261,5 +267,5 @@ class TestEss:
 class TestStateValidation:
     def test_weight_length_mismatch_rejected(self, coin_ensemble):
         with pytest.raises(ValueError):
-            ObiState(base=coin_ensemble, observed=(),
+            ObiState(base=coin_ensemble, num_observed=0,
                      cumulative_log_weights=np.zeros(5), ess=5.0)

@@ -247,23 +247,26 @@ class TestJointEntropyExact:
         per_point = entropy_rows(marginal_log_probs(one, xs)).sum()
         assert h == pytest.approx(per_point, abs=1e-10)
 
-    def test_enumeration_limit_enforced(self, dropout_16, cluster_data):
+    def test_enumeration_limit_enforced(self, dropout_16, cluster_data,
+                                        monkeypatch):
         _, evald = cluster_data
+        monkeypatch.setattr(predictive, "ENUMERATION_LIMIT", 100)
         with pytest.raises(ValueError, match="use joint_entropy_mc"):
-            joint_entropy_exact(dropout_16, evald.xs[:4], enumeration_limit=100)
+            joint_entropy_exact(dropout_16, evald.xs[:4])
 
-    def test_enumerates_at_the_limit_and_raises_past_it(self):
+    def test_enumerates_at_the_limit_and_raises_past_it(self, monkeypatch):
         gen = np.random.default_rng(5)
         for _ in range(5):
             world = random_world(gen, max_hypotheses=6, max_classes=4,
                                  max_vocab=4)
             ens = _world_ensemble(world)
             xs = np.stack([x for x, _ in sample_world_dataset(world, 4, gen)])
-            limit = world.num_classes ** 3
-            assert joint_entropy_exact(ens, xs[:3], limit) == pytest.approx(
+            monkeypatch.setattr(predictive, "ENUMERATION_LIMIT",
+                                world.num_classes ** 3)
+            assert joint_entropy_exact(ens, xs[:3]) == pytest.approx(
                 oracle_joint_entropy(world, list(xs[:3])), abs=1e-9)
             with pytest.raises(ValueError, match="use joint_entropy_mc"):
-                joint_entropy_exact(ens, xs, limit)
+                joint_entropy_exact(ens, xs)
 
     def test_matches_oracle_on_random_worlds(self):
         gen = np.random.default_rng(77)
@@ -335,6 +338,26 @@ def _assert_log_probs_close(new, old):
     assert np.array_equal(np.isneginf(new), np.isneginf(old))
     finite = np.isfinite(old)
     assert np.all(np.abs(new[finite] - old[finite]) <= 1e-12)
+
+
+class TestOneDimensionalInput:
+    """A 1-D input is one point, as in forward_log_probs: it gives the
+    bits of its (1, d) form."""
+
+    def test_joint_log_prob(self, dropout_16, cluster_data):
+        x = cluster_data[1].xs[3]
+        assert joint_log_prob(dropout_16, x, [1]) == \
+            joint_log_prob(dropout_16, x[None, :], [1])
+
+    def test_joint_entropy_exact(self, dropout_16, cluster_data):
+        x = cluster_data[1].xs[3]
+        assert joint_entropy_exact(dropout_16, x) == \
+            joint_entropy_exact(dropout_16, x[None, :])
+
+    def test_joint_entropy_mc(self, dropout_16, cluster_data):
+        x = cluster_data[1].xs[3]
+        assert joint_entropy_mc(dropout_16, x, 64, RngStream(2)) == \
+            joint_entropy_mc(dropout_16, x[None, :], 64, RngStream(2))
 
 
 class TestDrawnLogProbs:

@@ -61,7 +61,6 @@ from obayes.obi import (
     PosteriorCollapseError,
     obi_bootstrap,
     obi_init,
-    obi_observe,
     obi_observe_many,
     obi_predict_batch,
 )
@@ -306,7 +305,7 @@ class TestObservedLabelGather:
             observed_log_probs(coin_ensemble, np.stack([coin_x, coin_x]), [1])
 
     @pytest.mark.parametrize("label", ["below", "at_c"])
-    @pytest.mark.parametrize("caller", ["obi_observe",
+    @pytest.mark.parametrize("caller", ["obi_observe_many",
                                         "observed_log_likelihood",
                                         "joint_cross_entropy_sequence",
                                         "joint_log_prob"])
@@ -315,8 +314,8 @@ class TestObservedLabelGather:
         y = -1 if label == "below" else coin_ensemble.num_classes
         example = LabeledExample(x=coin_x, y=y)
         calls = {
-            "obi_observe": lambda: obi_observe(obi_init(coin_ensemble),
-                                               example),
+            "obi_observe_many": lambda: obi_observe_many(
+                obi_init(coin_ensemble), [example]),
             "observed_log_likelihood": lambda: observed_log_likelihood(
                 coin_ensemble, [example]),
             "joint_cross_entropy_sequence":
