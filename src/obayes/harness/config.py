@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("eval_start must be non-negative")
         if self.bootstrap_size > self.model.ensemble_size:
             raise ValueError("bootstrap_size cannot exceed ensemble size")
+        if self.model.kind == "grid" and self.data.kind != "grid":
+            raise ValueError("grid model requires grid data")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 

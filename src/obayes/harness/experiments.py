@@ -99,6 +99,13 @@ def build_splits(config: ExperimentConfig, root: RngStream):
     return pool, eval_set, seed_train, None
 
 
+def _check_budget(picks: int, pool: Dataset, what: str) -> None:
+    """Raise ConfigError unless the pool holds `picks` distinct points."""
+    if picks > len(pool):
+        raise ConfigError(f"pool exhausted: {what} {picks} exceeds the "
+                          f"{len(pool)} pool points")
+
+
 def model_factory(spec, in_dim: int, num_classes: int,
                   world: GridWorld | None = None):
     """Deterministic trainer: (training sets, streams) -> a list of one
@@ -107,8 +114,6 @@ def model_factory(spec, in_dim: int, num_classes: int,
     must share a size; a caller with one set passes a list of one.
     """
     if spec.kind == "grid":
-        if world is None:
-            raise ValueError("grid model requires grid data")
         family = grid_family_from_world(world)
         with np.errstate(divide="ignore"):
             prior = np.log(world.prior)
@@ -228,6 +233,7 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
         raise ConfigError("eval_start leaves no evaluation steps")
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)
+    _check_budget(config.num_steps, pool, "num_steps")
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     if (config.model.kind == "grid"
             and config.bootstrap_size > world.num_hypotheses):
@@ -310,6 +316,8 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
                               root.derive("duplicate"))
     else:
         pool = base_pool
+    _check_budget(config.num_batches * config.acquisition_batch_size, pool,
+                  "num_batches x acquisition_batch_size")
     origins = pool.origin_indices if pool.origin_indices is not None \
         else np.arange(len(pool))
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
@@ -372,11 +380,14 @@ def al_with_obi(config: ExperimentConfig) -> list:
     retraining after every acquisition.
     """
     threshold = config.ess_retrain_threshold
-    size = config.model.ensemble_size
-    if not 0.0 < threshold <= size:
-        raise ConfigError("ess_retrain_threshold must lie in (0, ensemble size]")
     root = RngStream(seed=config.seed)
     pool, eval_set, seed_train, world = build_splits(config, root)
+    size = world.num_hypotheses if config.model.kind == "grid" \
+        else config.model.ensemble_size
+    if not 0.0 < threshold <= size:
+        raise ConfigError(f"ess_retrain_threshold {threshold} must lie in "
+                          f"(0, {size}], the ensemble size")
+    _check_budget(config.num_steps, pool, "num_steps")
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
 
     def trained_state(acquired: list, stream: RngStream):

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .ensemble import PosteriorEnsemble, _read_only
+from .ensemble import PosteriorEnsemble
 from .grid import GridLikelihood
 from .mlp import DeepEnsembleFamily, McDropoutFamily, MlpArchitecture, MlpParams
 
@@ -34,19 +34,18 @@ def save_ensemble(path, ensemble: PosteriorEnsemble) -> None:
     if fam.tag == "grid":
         arrays["log_tables"] = fam.log_tables
         arrays["vocabulary"] = fam.vocabulary
-        arrays["hypotheses"] = np.array([int(s) for s in ensemble.samples],
-                                        dtype=np.int64)
+        arrays["hypotheses"] = np.arange(fam.size, dtype=np.int64)
     elif fam.tag == "deep_ensemble":
         meta["arch"] = _arch_meta(fam.arch)
-        for k, p in enumerate(ensemble.samples):
+        for k, p in enumerate(fam.members):
             for name, arr in _param_arrays(p).items():
                 arrays[f"member{k}_{name}"] = arr
-        meta["num_members"] = len(ensemble.samples)
+        meta["num_members"] = fam.size
     elif fam.tag == "mc_dropout":
         meta["arch"] = _arch_meta(fam.arch)
         for name, arr in _param_arrays(fam.params).items():
             arrays[f"shared_{name}"] = arr
-        arrays["masks"] = np.stack(ensemble.samples)
+        arrays["masks"] = fam.masks
     else:
         raise ValueError(f"cannot serialize ensemble family: {fam.tag}")
     arrays["header"] = _header_bytes(meta)
@@ -62,22 +61,21 @@ def load_ensemble(path) -> PosteriorEnsemble:
         tag = meta["tag"]
         log_weights = data["log_weights"]
         if tag == "grid":
-            family = GridLikelihood.from_log_tables(data["log_tables"],
-                                                    data["vocabulary"])
-            samples = tuple(int(h) for h in data["hypotheses"])
+            # Older files may hold a subset of the hypotheses.
+            family = GridLikelihood.from_log_tables(
+                data["log_tables"][data["hypotheses"]], data["vocabulary"])
         elif tag == "deep_ensemble":
-            arch = _arch_from_meta(meta["arch"])
-            family = DeepEnsembleFamily(arch)
-            samples = tuple(_params_from(data, f"member{k}_")
-                            for k in range(meta["num_members"]))
+            family = DeepEnsembleFamily(
+                _arch_from_meta(meta["arch"]),
+                [_params_from(data, f"member{k}_")
+                 for k in range(meta["num_members"])])
         elif tag == "mc_dropout":
-            arch = _arch_from_meta(meta["arch"])
-            family = McDropoutFamily(arch, _params_from(data, "shared_"))
-            samples = tuple(_read_only(data["masks"]))
+            family = McDropoutFamily(_arch_from_meta(meta["arch"]),
+                                     _params_from(data, "shared_"),
+                                     data["masks"])
         else:
             raise ValueError(f"unknown checkpoint family: {tag}")
-    return PosteriorEnsemble(samples=samples, log_weights=log_weights,
-                             family=family)
+    return PosteriorEnsemble(family=family, log_weights=log_weights)
 
 
 def _arch_meta(arch: MlpArchitecture) -> dict:

@@ -1,31 +1,28 @@
 """Weighted parameter ensembles and their batched likelihood evaluation.
 
-A likelihood family is any object with
+A likelihood family owns its S parameter samples and has
 
-    tag          -- short string identifying the family
-    num_classes  -- C
-    log_probs(samples, xs) -> (S, N, C) normalized log-probabilities
+    tag           -- short string identifying the family
+    num_classes   -- C
+    size          -- S
+    log_probs(xs) -> (S, N, C) normalized log-probabilities
 
-where `samples` are opaque parameter states the family knows how to
-evaluate. Evaluation must be deterministic, and a sample's rows must not
-depend on the other samples in the call: evaluating any subset of the
-samples on a point set gives, bit for bit, the matching slices of the
-full table. That makes joint predictives over fixed parameter draws
-well-defined, and it is what the MC-dropout family's mask-folded forward
-(one (N, H) @ (H, C) product per sample) relies on. Rows are not
-independent of the other inputs: a one-row call may differ in the last
-bits from the same row in a larger call (a matrix-vector kernel can take
-over at N = 1), so tables are reused per whole point set and never
-gathered by row.
+Evaluation must be deterministic, and a sample's rows must not depend on
+the other samples: a family built over a subset of the samples gives,
+bit for bit, the matching slices of the full table on any point set.
+That makes joint predictives over fixed parameter draws well-defined,
+and it is what the MC-dropout family's mask-folded forward (one (N, H)
+@ (H, C) product per sample) relies on. Rows are not independent of the
+other inputs: a one-row call may differ in the last bits from the same
+row in a larger call (a matrix-vector kernel can take over at N = 1), so
+tables are reused per whole point set and never gathered by row.
 
-Per-samples constants. A family may keep what it derives from a samples
-tuple and reuse it while it is handed that same tuple, as the MC-dropout
-family keeps its folded masks. It keeps them only for a tuple of
-read-only arrays, so they cannot go stale. `reweighted` and
-`with_tables` pass the tuple on. Log weights are immutable too: an
-ensemble keeps a private read-only copy of them, normalized once, at
-construction. The masks the program builds or loads are read-only
-arrays.
+A family derives what it needs from its samples once, at construction:
+the MC-dropout family checks its masks and folds them into W2, and keeps
+the masks and W2 read-only, so the folded weights cannot go stale. An
+ensemble is a family and one log weight per sample. Log weights are
+immutable too: an ensemble keeps a private read-only copy of them,
+normalized once, at construction.
 
 Table memo. Reweighting moves only the log weights, so a fitted model's
 (S, N, C) table for a point set never changes. `ensemble.with_tables()`
@@ -52,11 +49,11 @@ from ..numerics import normalize_log_weights
 
 @dataclass(frozen=True)
 class PosteriorEnsemble:
-    """Samples from an approximate parameter posterior with log weights."""
+    """A family's parameter samples, one log weight each: an approximate
+    parameter posterior."""
 
-    samples: tuple
-    log_weights: np.ndarray
     family: object
+    log_weights: np.ndarray
     # Memo of (S, N, C) tables keyed by point set; None: never memoize.
     _tables: dict | None = field(default=None, init=False, repr=False,
                                  compare=False)
@@ -67,10 +64,9 @@ class PosteriorEnsemble:
         # A private copy: the caller's array may change, this one cannot.
         lw = _read_only(np.array(self.log_weights, dtype=np.float64))
         object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if lw.shape != (len(self.samples),):
+        if lw.shape != (self.size,):
             raise ValueError("one log weight per parameter sample required")
-        if len(self.samples) < 1:
+        if self.size < 1:
             raise ValueError("ensemble needs at least one parameter sample")
         # Raises DegenerateWeightsError unless normalizable.
         normalized, _ = normalize_log_weights(lw)
@@ -78,7 +74,7 @@ class PosteriorEnsemble:
 
     @property
     def size(self) -> int:
-        return len(self.samples)
+        return self.family.size
 
     @property
     def num_classes(self) -> int:
@@ -96,12 +92,11 @@ class PosteriorEnsemble:
         return self._with_memo(self.log_weights, {})
 
     def reweighted(self, log_weights) -> "PosteriorEnsemble":
-        """Same samples and family under different weights."""
+        """The same family under different weights."""
         return self._with_memo(log_weights, self._tables)
 
     def _with_memo(self, log_weights, tables) -> "PosteriorEnsemble":
-        out = PosteriorEnsemble(samples=self.samples, log_weights=log_weights,
-                                family=self.family)
+        out = PosteriorEnsemble(family=self.family, log_weights=log_weights)
         object.__setattr__(out, "_tables", tables)
         return out
 
@@ -126,7 +121,7 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     key = None if memo is None else (xs.shape, xs.tobytes())
     if key is not None and key in memo:
         return memo[key]
-    out = ensemble.family.log_probs(ensemble.samples, xs)
+    out = ensemble.family.log_probs(xs)
     if out.shape != (ensemble.size, xs.shape[0], ensemble.num_classes):
         raise ValueError("family returned log-probs of the wrong shape")
     if key is not None:

@@ -16,45 +16,46 @@ from .ensemble import PosteriorEnsemble, observed_log_likelihood
 
 
 class GridLikelihood:
-    """Likelihood tables indexed by (hypothesis, vocabulary slot, class)."""
+    """Likelihood tables indexed by (hypothesis, vocabulary slot, class);
+    each hypothesis is one parameter sample."""
 
     tag = "grid"
 
     def __init__(self, tables, vocabulary):
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.ndim != 3:
-            raise ValueError("tables must be (K, V, C)")
-        vocabulary = np.atleast_2d(np.asarray(vocabulary, dtype=np.float64))
-        if vocabulary.shape[0] != tables.shape[1]:
-            raise ValueError("vocabulary length must match table width")
         with np.errstate(divide="ignore"):
-            log_tables = np.log(tables)
+            log_tables = np.log(np.asarray(tables, dtype=np.float64))
+        self._build(log_tables, vocabulary)
         # Renormalize rows in log space so downstream checks see exact rows.
-        log_tables = log_tables - log_sum_exp_axis(log_tables, axis=2)[..., None]
-        self.log_tables = log_tables
-        self.vocabulary = vocabulary
-        self._lookup = {vocabulary[v].tobytes(): v
-                        for v in range(vocabulary.shape[0])}
+        self.log_tables = log_tables - log_sum_exp_axis(log_tables,
+                                                        axis=2)[..., None]
 
     @classmethod
     def from_log_tables(cls, log_tables, vocabulary) -> "GridLikelihood":
         """Rebuild from stored log tables without a probability round trip."""
-        log_tables = np.asarray(log_tables, dtype=np.float64)
+        obj = cls.__new__(cls)
+        obj._build(np.asarray(log_tables, dtype=np.float64), vocabulary)
+        return obj
+
+    def _build(self, log_tables: np.ndarray, vocabulary) -> None:
+        """Check the shapes, then keep the tables and the lookup of each
+        vocabulary row's slot."""
         if log_tables.ndim != 3:
             raise ValueError("tables must be (K, V, C)")
-        obj = cls.__new__(cls)
-        obj.log_tables = log_tables
-        obj.vocabulary = np.atleast_2d(np.asarray(vocabulary, dtype=np.float64))
-        obj._lookup = {obj.vocabulary[v].tobytes(): v
-                       for v in range(obj.vocabulary.shape[0])}
-        return obj
+        vocabulary = np.atleast_2d(np.asarray(vocabulary, dtype=np.float64))
+        if vocabulary.shape[0] != log_tables.shape[1]:
+            raise ValueError("vocabulary length must match table width")
+        self.log_tables = log_tables
+        self.vocabulary = vocabulary
+        self._lookup = {vocabulary[v].tobytes(): v
+                        for v in range(vocabulary.shape[0])}
 
     @property
     def num_classes(self) -> int:
         return self.log_tables.shape[2]
 
     @property
-    def num_hypotheses(self) -> int:
+    def size(self) -> int:
+        """The number of hypotheses."""
         return self.log_tables.shape[0]
 
     def vocab_indices(self, xs: np.ndarray) -> np.ndarray:
@@ -69,16 +70,11 @@ class GridLikelihood:
             out[i] = self._lookup[key]
         return out
 
-    def log_probs(self, samples, xs) -> np.ndarray:
-        idx = self.vocab_indices(xs)
-        hyp = np.asarray(samples, dtype=np.int64)
-        return self.log_tables[hyp][:, idx, :]
+    def log_probs(self, xs) -> np.ndarray:
+        return self.log_tables[:, self.vocab_indices(xs)]
 
     def uniform_ensemble(self) -> PosteriorEnsemble:
-        k = self.num_hypotheses
-        return PosteriorEnsemble(samples=tuple(range(k)),
-                                 log_weights=np.zeros(k),
-                                 family=self)
+        return PosteriorEnsemble(family=self, log_weights=np.zeros(self.size))
 
 
 def exact_grid_posterior(family: GridLikelihood, prior_log_weights,
@@ -90,7 +86,7 @@ def exact_grid_posterior(family: GridLikelihood, prior_log_weights,
     posterior restricted to the grid.
     """
     prior = np.asarray(prior_log_weights, dtype=np.float64)
-    if prior.shape != (family.num_hypotheses,):
+    if prior.shape != (family.size,):
         raise ValueError("one prior log weight per hypothesis required")
     uniform = family.uniform_ensemble()
     log_w = prior + observed_log_likelihood(uniform, observed)

@@ -436,79 +436,68 @@ class DeepEnsembleFamily:
 
     tag = "deep_ensemble"
 
-    def __init__(self, arch: MlpArchitecture):
+    def __init__(self, arch: MlpArchitecture, members):
         self.arch = arch
+        self.members = tuple(members)
 
     @property
     def num_classes(self) -> int:
         return self.arch.num_classes
 
-    def log_probs(self, samples, xs) -> np.ndarray:
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def log_probs(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return np.stack([mlp_log_probs(p, xs) for p in samples])
+        return np.stack([mlp_log_probs(p, xs) for p in self.members])
 
 
 class McDropoutFamily:
-    """One trained network; parameter samples are fixed dropout masks."""
+    """One trained network; parameter samples are fixed dropout masks.
+
+    The (S, H) 0/1 masks are checked and folded into W2 once, here: the
+    (S, H, C) masked weights are W2 with each mask's dropped rows zeroed.
+    The family keeps read-only copies of the masks, and makes W2 read-only,
+    so the folded weights cannot go stale.
+    """
 
     tag = "mc_dropout"
 
-    def __init__(self, arch: MlpArchitecture, params: MlpParams):
+    def __init__(self, arch: MlpArchitecture, params: MlpParams, masks):
+        masks = _read_only(np.array(masks, dtype=np.float64))
+        if masks.ndim != 2 or masks.shape[1] != arch.hidden or \
+                not ((masks == 0.0) | (masks == 1.0)).all():
+            raise ValueError("dropout samples must be 0/1 masks of width "
+                             f"{arch.hidden}")
         self.arch = arch
         self.params = params
-        # Folded into the masked weights that log_probs keeps.
+        self.masks = masks
         params.w2.flags.writeable = False
-        self._kept = None               # (samples, w2, masked weights)
+        self._masked_w2 = masks[:, :, None] * params.w2
 
     @property
     def num_classes(self) -> int:
         return self.arch.num_classes
 
-    def _fold(self, samples, w2: np.ndarray) -> np.ndarray:
-        """The (S, H, C) masked weights: w2 with each mask's dropped rows
-        zeroed. Refuses anything but 0/1 masks of width H."""
-        masks = np.stack(samples)
-        if masks.shape[1:] != (self.arch.hidden,) or \
-                not ((masks == 0.0) | (masks == 1.0)).all():
-            raise ValueError("dropout samples must be 0/1 masks of width "
-                             f"{self.arch.hidden}")
-        return masks[:, :, None] * w2
+    @property
+    def size(self) -> int:
+        return self.masks.shape[0]
 
-    def _folded(self, samples) -> np.ndarray:
-        """_fold's weights, kept for the next call with the same samples
-        tuple and w2 when neither can change: a tuple of read-only masks
-        and a read-only w2. One entry; it holds the tuple, so the
-        identity it is keyed on stays valid. Anything else (a list, a
-        writable mask or w2) is folded afresh on every call."""
-        w2 = self.params.w2
-        kept = self._kept
-        if kept is not None and kept[0] is samples and kept[1] is w2:
-            return kept[2]
-        folded = self._fold(samples, w2)
-        if isinstance(samples, tuple) and not w2.flags.writeable and all(
-                isinstance(m, np.ndarray) and not m.flags.writeable
-                for m in samples):
-            self._kept = (samples, w2, folded)
-        return folded
-
-    def log_probs(self, samples, xs) -> np.ndarray:
+    def log_probs(self, xs) -> np.ndarray:
         """The (S, N, C) table of the trained network under each mask.
 
-        Each mask is folded into W2, so every sample is one (N, H) @
-        (H, C) product of the rescaled hidden layer with its masked
-        weights. For 0/1 masks every product term is the one that
-        masking the hidden units gives (h * (1 / keep) times w, or a zero
-        of the same sign), so the bits are the same; any other mask is
-        refused. Read-only masks are checked and folded once per samples
-        tuple (`_folded`), so a call costs the hidden layer, one batched
-        product and the log-softmax.
+        Every sample is one (N, H) @ (H, C) product of the rescaled hidden
+        layer with its masked weights. For 0/1 masks every product term is
+        the one that masking the hidden units gives (h * (1 / keep) times
+        w, or a zero of the same sign), so the bits are the same; a call
+        costs the hidden layer, one batched product and the log-softmax.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        folded = self._folded(samples)
         keep = 1.0 - self.arch.dropout_rate
         p = self.params
         h = np.maximum(xs @ p.w1 + p.b1, 0.0)               # (N, H)
-        logits = np.matmul(h * (1.0 / keep), folded)
+        logits = np.matmul(h * (1.0 / keep), self._masked_w2)
         logits += p.b2                                      # (S, N, C)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite activations in forward pass")
@@ -529,9 +518,8 @@ def train_deep_ensemble(train: Dataset, arch: MlpArchitecture,
         [root.derive("member", k) for k in range(num_members)],
         [str(k) for k in range(num_members)],
         use_dropout=arch.dropout_rate > 0.0)
-    return PosteriorEnsemble(samples=tuple(members),
-                             log_weights=np.zeros(num_members),
-                             family=DeepEnsembleFamily(arch))
+    return PosteriorEnsemble(family=DeepEnsembleFamily(arch, members),
+                             log_weights=np.zeros(num_members))
 
 
 def init_deep_ensemble(arch: MlpArchitecture, num_members: int,
@@ -539,11 +527,10 @@ def init_deep_ensemble(arch: MlpArchitecture, num_members: int,
     """Freshly initialized members, no training; see init_dropout_ensemble."""
     if num_members < 1:
         raise ValueError("need at least one ensemble member")
-    members = tuple(init_params(arch, rng.derive("member", k).generator())
-                    for k in range(num_members))
-    return PosteriorEnsemble(samples=members,
-                             log_weights=np.zeros(num_members),
-                             family=DeepEnsembleFamily(arch))
+    members = [init_params(arch, rng.derive("member", k).generator())
+               for k in range(num_members)]
+    return PosteriorEnsemble(family=DeepEnsembleFamily(arch, members),
+                             log_weights=np.zeros(num_members))
 
 
 def init_dropout_ensemble(arch: MlpArchitecture, num_samples: int,
@@ -564,18 +551,13 @@ def init_dropout_ensemble(arch: MlpArchitecture, num_samples: int,
 
 def _dropout_ensemble(arch: MlpArchitecture, params: MlpParams,
                       num_samples: int, gen) -> PosteriorEnsemble:
-    """`params` under S read-only 0/1 masks of width H drawn from `gen`;
-    one all-ones mask at dropout rate zero."""
-    if arch.dropout_rate == 0.0:
-        masks = (_read_only(np.ones(arch.hidden)),)
-    else:
-        keep = 1.0 - arch.dropout_rate
-        masks = tuple(_read_only((gen.random(arch.hidden) < keep)
-                                 .astype(np.float64))
-                      for _ in range(num_samples))
-    return PosteriorEnsemble(samples=masks,
-                             log_weights=np.zeros(len(masks)),
-                             family=McDropoutFamily(arch, params))
+    """`params` under S 0/1 masks of width H drawn from `gen`; one
+    all-ones mask at dropout rate zero."""
+    keep = 1.0 - arch.dropout_rate
+    masks = np.ones((1, arch.hidden)) if arch.dropout_rate == 0.0 \
+        else gen.random((num_samples, arch.hidden)) < keep
+    return PosteriorEnsemble(family=McDropoutFamily(arch, params, masks),
+                             log_weights=np.zeros(len(masks)))
 
 
 def train_mc_dropout(train, arch: MlpArchitecture, cfg, num_samples: int,

@@ -8,8 +8,8 @@ can branch (reweight vs retrain) from the same starting point. A state
 is its weight vector: it keeps the base, how many examples it has
 observed and their summed log-likelihood per sample, never the examples.
 
-Because the samples stay fixed, `obi_init` gives its base a table memo
-(`PosteriorEnsemble.with_tables`). Every state observed from it, and
+Because a family's samples are fixed, `obi_init` gives its base a table
+memo (`PosteriorEnsemble.with_tables`). Every state observed from it, and
 every ensemble it predicts with, shares that memo, so each point set
 (pool, eval set) is evaluated once per fitted model rather than once per
 step. A bootstrap restricts a state to a subset of its samples by

@@ -9,18 +9,36 @@ import numpy as np
 import pytest
 
 from obayes.data import generate_cluster_dataset
-from obayes.models import PosteriorEnsemble, grid_family_from_world
-from obayes.models.mlp import MlpArchitecture, TrainConfig, train_mc_dropout
+from obayes.models import (
+    GridLikelihood,
+    PosteriorEnsemble,
+    grid_family_from_world,
+)
+from obayes.models.mlp import (
+    DeepEnsembleFamily,
+    McDropoutFamily,
+    MlpArchitecture,
+    TrainConfig,
+    train_mc_dropout,
+)
 from obayes.numerics import RngStream
 from obayes.oracle import GridWorld, coin_world
 
 
 def sub_ensemble(ensemble, indices) -> PosteriorEnsemble:
-    """A plain ensemble over some of `ensemble`'s samples, in order."""
+    """A plain ensemble over some of `ensemble`'s samples, in order: a
+    family built over those samples alone."""
     indices = list(indices)
-    return PosteriorEnsemble(samples=[ensemble.samples[i] for i in indices],
-                             log_weights=ensemble.log_weights[indices],
-                             family=ensemble.family)
+    fam = ensemble.family
+    if isinstance(fam, GridLikelihood):
+        sub = GridLikelihood.from_log_tables(fam.log_tables[indices],
+                                             fam.vocabulary)
+    elif isinstance(fam, McDropoutFamily):
+        sub = McDropoutFamily(fam.arch, fam.params, fam.masks[indices])
+    else:
+        sub = DeepEnsembleFamily(fam.arch, [fam.members[i] for i in indices])
+    return PosteriorEnsemble(family=sub,
+                             log_weights=ensemble.log_weights[indices])
 
 
 @pytest.fixture(scope="session")

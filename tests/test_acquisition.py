@@ -327,9 +327,8 @@ class TestBatchBald:
         # of summation over the samples shows in the gains' last bits.
         table = np.log(gen.dirichlet(np.ones(4), size=(size, 12)))
         random_ens = PosteriorEnsemble(
-            samples=tuple(range(size)),
-            log_weights=np.log(gen.dirichlet(np.ones(size))),
-            family=GridLikelihood.from_log_tables(table, np.eye(12)))
+            family=GridLikelihood.from_log_tables(table, np.eye(12)),
+            log_weights=np.log(gen.dirichlet(np.ones(size))))
         cases = [(random_ens, np.eye(12)),
                  (sub_ensemble(dropout_16, range(min(size, 16))),
                   evald.xs[:20]),
@@ -553,9 +552,8 @@ class TestMixtureTies:
         gen = np.random.default_rng(size)
         table = np.log(gen.dirichlet(np.ones(3), size=(size, 7)))
         fam = GridLikelihood.from_log_tables(table, np.eye(7))
-        ens = PosteriorEnsemble(samples=tuple(range(size)),
-                                log_weights=np.log(gen.dirichlet(
-                                    np.ones(size))), family=fam)
+        ens = PosteriorEnsemble(family=fam, log_weights=np.log(
+            gen.dirichlet(np.ones(size))))
         base = Dataset(xs=np.eye(7), ys=np.zeros(7, dtype=np.int64),
                        num_classes=3)
         self._assert_ties(ens, duplicate_pool(base, 5, RngStream(size)))
@@ -701,7 +699,7 @@ class TestRunAcquisition:
     def _grid_factory(self, family):
         def factory(trains, streams):
             return [exact_grid_posterior(
-                family, np.zeros(family.num_hypotheses), train.examples())
+                family, np.zeros(family.size), train.examples())
                 for train in trains]
         return factory
 

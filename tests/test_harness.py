@@ -575,6 +575,53 @@ class TestCli:
         assert "exceeds the world's 3 hypotheses" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("command, raw, flags", [
+        ("obi-eval", {"data": {"kind": "grid"}, "model": {"kind": "grid"}},
+         []),
+        ("al-obi", {}, ["--steps", "200"]),
+        ("repeated-pool", {"data": {"kind": "grid"},
+                           "model": {"kind": "grid"}}, []),
+    ], ids=["obi-eval-coin", "al-obi-steps", "repeated-pool-coin"])
+    def test_budget_past_the_pool_is_config_error_before_training(
+            self, command, raw, flags, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiments, "model_factory", no_training)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), *flags, "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert "pool exhausted" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold, code", [(None, 1), (2.0, 0)])
+    def test_grid_ess_threshold_checked_against_the_hypotheses(
+            self, threshold, code, tmp_path, capsys):
+        # The coin world has 3 hypotheses, whatever ensemble_size says.
+        raw = {"data": {"kind": "grid"}, "model": {"kind": "grid"},
+               "num_steps": 6}
+        if threshold is not None:
+            raw["ess_retrain_threshold"] = threshold
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["al-obi", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "must lie in (0, 3]" in err
+        assert (out / "metrics.csv").exists() == (code == 0)
+
+    def test_grid_model_on_non_grid_data_is_config_error(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "grid"}}))
+        assert main(["obi-eval", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "grid model requires grid data" in capsys.readouterr().err
+
     def test_oracle_check_passes(self, capsys):
         code = main(["oracle-check", "--worlds", "3", "--seed", "0"])
         assert code == 0

@@ -26,6 +26,7 @@ from obayes.models import mlp as mlp_module
 from obayes.models.checkpoint import load_ensemble, save_ensemble
 from obayes.models.mlp import (
     DeepEnsembleFamily,
+    McDropoutFamily,
     MlpArchitecture,
     MlpParams,
     TrainConfig,
@@ -97,7 +98,19 @@ class TestGridPosterior:
 
     def test_unknown_input_rejected(self, coin_family):
         with pytest.raises(ValueError):
-            coin_family.log_probs((0,), np.array([[123.0]]))
+            coin_family.log_probs(np.array([[123.0]]))
+
+    @pytest.mark.parametrize("build", [
+        GridLikelihood,
+        lambda t, v: GridLikelihood.from_log_tables(np.log(t), v),
+    ], ids=["tables", "log_tables"])
+    def test_both_constructors_check_shapes(self, build):
+        # Stored log tables come from outside the program: a vocabulary
+        # longer than the tables are wide fails here, not at a lookup.
+        with pytest.raises(ValueError, match="vocabulary length"):
+            build(np.full((2, 3, 2), 0.5), np.eye(4))
+        with pytest.raises(ValueError, match=r"\(K, V, C\)"):
+            build(np.full((3, 2), 0.5), np.eye(3))
 
 
 class TestForwardLogProbs:
@@ -223,7 +236,7 @@ class TestTraining:
                                dropout_rate=0.0)
         ens = train_deep_ensemble(train, arch, TrainConfig(epochs=30, seed=5), 1)
         out = forward_log_probs(ens, evald.xs[:8])
-        direct = mlp_log_probs(ens.samples[0], evald.xs[:8])
+        direct = mlp_log_probs(ens.family.members[0], evald.xs[:8])
         assert np.array_equal(out[0], direct)
 
     def test_training_reduces_loss(self, cluster_data):
@@ -232,7 +245,7 @@ class TestTraining:
                                dropout_rate=0.0)
         cfg = TrainConfig(epochs=40, seed=11)
         ens = train_deep_ensemble(train, arch, cfg, 2)
-        for member in ens.samples:
+        for member in ens.family.members:
             final = cross_entropy_loss(member, train.xs, train.ys)
             assert final < math.log(4)  # below uniform-guess loss
 
@@ -296,7 +309,7 @@ class TestTraining:
         cfg = TrainConfig(epochs=15, seed=17)
         a = train_deep_ensemble(train, arch, cfg, 2)
         b = train_deep_ensemble(train, arch, cfg, 2)
-        for pa, pb in zip(a.samples, b.samples):
+        for pa, pb in zip(a.family.members, b.family.members):
             for qa, qb in zip(pa.arrays(), pb.arrays()):
                 assert np.array_equal(qa, qb)
 
@@ -381,7 +394,7 @@ class TestCheckpoint:
         path = tmp_path / "ens.npz"
         save_ensemble(path, dropout_16)
         back = load_ensemble(path)
-        for a in (*back.samples, back.family.params.w2):
+        for a in (back.family.masks, back.family.params.w2):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -396,17 +409,16 @@ class TestCheckpoint:
         arrays["masks"] = masks[:, :1] if bad == "width_one" else 0.5 * masks
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        back = load_ensemble(path)
         with pytest.raises(ValueError, match="0/1 masks"):
-            forward_log_probs(back, np.zeros((3, 2)))
+            load_ensemble(path)
 
     def test_unknown_family_rejected(self, tmp_path, coin_family):
         class Odd:
             tag = "mystery"
             num_classes = 2
+            size = 3
         ens = coin_family.uniform_ensemble()
-        odd = type(ens)(samples=ens.samples, log_weights=ens.log_weights,
-                        family=Odd())
+        odd = type(ens)(family=Odd(), log_weights=ens.log_weights)
         with pytest.raises(ValueError, match="cannot serialize"):
             save_ensemble(tmp_path / "x.npz", odd)
 
@@ -521,7 +533,7 @@ class TestFusedHotPathsMatchReference:
             arch = MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
                                    dropout_rate=0.0)
             ens = train_deep_ensemble(train, arch, cfg, 2)
-            trained = list(ens.samples)
+            trained = list(ens.family.members)
             root = RngStream(seed=cfg.seed).derive("deep_ensemble")
             streams = [root.derive("member", k) for k in range(2)]
         for params, stream in zip(trained, streams):
@@ -559,7 +571,7 @@ class TestFusedHotPathsMatchReference:
         xs = RngStream(44).generator().standard_normal((n, 2))
         fam = ens.family
         h = np.maximum(xs @ fam.params.w1 + fam.params.b1, 0.0)
-        scale = np.stack(ens.samples) / (1.0 - arch.dropout_rate)
+        scale = fam.masks / (1.0 - arch.dropout_rate)
         logits = (h[None] * scale[:, None, :]) @ fam.params.w2 + fam.params.b2
         assert np.array_equal(forward_log_probs(ens, xs),
                               _reference_log_softmax(logits))
@@ -583,8 +595,8 @@ class TestFusedHotPathsMatchReference:
         expected = np.stack([
             _reference_log_softmax(
                 (h * (mask / (1.0 - rate))) @ fam.params.w2 + fam.params.b2)
-            for mask in ens.samples])
-        assert np.array_equal(fam.log_probs(ens.samples, xs), expected)
+            for mask in fam.masks])
+        assert np.array_equal(fam.log_probs(xs), expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_deep_ensemble_forward_rejects_non_finite_logits(self, bad):
@@ -595,20 +607,20 @@ class TestFusedHotPathsMatchReference:
         members[1].b2[2] = bad
         with pytest.raises(ValueError,
                            match="^non-finite activations in forward pass$"):
-            DeepEnsembleFamily(arch).log_probs(members,
-                                               gen.standard_normal((4, 2)))
+            DeepEnsembleFamily(arch, members).log_probs(
+                gen.standard_normal((4, 2)))
 
     @pytest.mark.parametrize("bad", ["width_one", "half", "wide", "two"])
     def test_dropout_forward_rejects_non_binary_masks(self, dropout_16, bad):
         fam = dropout_16.family
-        masks = list(dropout_16.samples)
+        masks = list(fam.masks)
         if bad in ("width_one", "wide"):
             width = 1 if bad == "width_one" else fam.arch.hidden + 1
             masks = [np.ones(width)] * len(masks)
         else:
             masks[3] = masks[3] * (0.5 if bad == "half" else 2.0)
         with pytest.raises(ValueError, match="0/1 masks"):
-            fam.log_probs(masks, np.zeros((3, 2)))
+            McDropoutFamily(fam.arch, fam.params, masks)
 
 
 class TestRowSum:
@@ -676,7 +688,7 @@ class TestLockstepMatchesReference:
             params, epochs = self._reference(train, arch, cfg, stream)
             _assert_params_equal(ens.family.params, params)
             gen = rng.generator()
-            for mask in ens.samples:
+            for mask in ens.family.masks:
                 assert np.array_equal(mask, gen.random(16) < 0.7)
             stops.append(epochs)
         assert len(trains[0]) % 32 != 0
@@ -698,7 +710,7 @@ class TestLockstepMatchesReference:
         ens = train_deep_ensemble(train, arch, cfg, 4)
         root = RngStream(seed=cfg.seed).derive("deep_ensemble")
         stops = []
-        for member, params in enumerate(ens.samples):
+        for member, params in enumerate(ens.family.members):
             ref, epochs = self._reference(train, arch, cfg,
                                           root.derive("member", member))
             _assert_params_equal(params, ref)

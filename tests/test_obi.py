@@ -71,7 +71,7 @@ class TestInitAndObserve:
         obs = [LabeledExample(x=x, y=y)
                for x, y in sample_world_dataset(world, 5, gen)]
         state = obi_observe_many(obi_init(fam.uniform_ensemble()), obs)
-        direct = exact_grid_posterior(fam, np.zeros(fam.num_hypotheses), obs)
+        direct = exact_grid_posterior(fam, np.zeros(fam.size), obs)
         assert np.allclose(state.as_ensemble().normalized_log_weights(),
                            direct.normalized_log_weights(), atol=1e-12)
 
@@ -227,9 +227,8 @@ class TestBootstrapMatchesSubEnsemble:
                           coin_x[None, :])
 
     def test_subset_of_ruled_out_samples(self, coin_ensemble, coin_x):
-        prior = PosteriorEnsemble(samples=coin_ensemble.samples,
-                                  log_weights=[0.0, -math.inf, -math.inf],
-                                  family=coin_ensemble.family)
+        prior = PosteriorEnsemble(family=coin_ensemble.family,
+                                  log_weights=[0.0, -math.inf, -math.inf])
         outcomes = self._compare(prior, [], 1, coin_x[None, :])
         assert DegenerateWeightsError in outcomes
         assert any(not isinstance(o, type) for o in outcomes)

@@ -564,10 +564,10 @@ def _running_sum_entropy(point_rows, log_w):
 
 def _table_ensemble(table, log_w):
     """Ensemble whose likelihood table over np.eye(n) is `table` (S, n, C)."""
-    s, n, _ = table.shape
-    family = GridLikelihood.from_log_tables(table, np.eye(n))
-    return PosteriorEnsemble(samples=tuple(range(s)), log_weights=log_w,
-                             family=family), np.eye(n)
+    n = table.shape[1]
+    return PosteriorEnsemble(
+        family=GridLikelihood.from_log_tables(table, np.eye(n)),
+        log_weights=log_w), np.eye(n)
 
 
 def _max_points(c):

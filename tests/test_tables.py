@@ -52,7 +52,6 @@ from obayes.models import ensemble as ensemble_module
 from obayes.models.mlp import (
     McDropoutFamily,
     MlpArchitecture,
-    MlpParams,
     init_deep_ensemble,
     init_dropout_ensemble,
 )
@@ -85,9 +84,10 @@ def family_calls(monkeypatch):
     calls = []
 
     def counting(original):
-        def log_probs(self, samples, xs):
-            calls.append((self, np.asarray(xs).tobytes(), len(samples)))
-            return original(self, samples, xs)
+        def log_probs(self, xs):
+            table = original(self, xs)
+            calls.append((self, np.asarray(xs).tobytes(), table.shape[0]))
+            return table
         return log_probs
 
     for cls in (McDropoutFamily, GridLikelihood):
@@ -96,9 +96,9 @@ def family_calls(monkeypatch):
 
 
 class TestFamilyContract:
-    """Evaluating a subset of the samples gives the slices of the full
+    """A family over a subset of the samples gives the slices of the full
     table, bit for bit; the dropout forward folds each mask into W2 and
-    takes one product per sample, whichever samples share the call."""
+    takes one product per sample, whichever samples share the family."""
 
     @pytest.mark.parametrize("n", [1, 2, 200, 1100])
     @pytest.mark.parametrize("kind", ["mc_dropout", "deep_ensemble"])
@@ -114,12 +114,12 @@ class TestFamilyContract:
                                    dropout_rate=0.0)
             ens = init_deep_ensemble(arch, 9, init)
         xs = RngStream(13).generator().standard_normal((n, 2))
-        full = ens.family.log_probs(ens.samples, xs)
+        full = ens.family.log_probs(xs)
         gen = np.random.default_rng(n)
         for idx in ([ens.size - 1], np.arange(ens.size)[::-1],
                     gen.choice(ens.size, size=ens.size // 2 + 1,
                                replace=False)):
-            part = ens.family.log_probs([ens.samples[i] for i in idx], xs)
+            part = sub_ensemble(ens, idx).family.log_probs(xs)
             assert np.array_equal(part, full[idx])
 
 
@@ -195,64 +195,9 @@ class TestMemo:
 
 
 class TestEnsembleConstants:
-    """What a family derives from a samples tuple is built once, and the
-    samples and log weights it is derived from cannot change later."""
-
-    def test_samples_tuple_is_folded_once(self, cluster_data, monkeypatch):
-        arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
-                               dropout_rate=0.3)
-        ens = init_dropout_ensemble(arch, 16, RngStream(14))
-        folds = []
-        original = McDropoutFamily._fold
-
-        def counting(self, samples, w2):
-            folds.append(samples)
-            return original(self, samples, w2)
-
-        monkeypatch.setattr(McDropoutFamily, "_fold", counting)
-        xs = cluster_data[1].xs
-        tilted = ens.reweighted(np.linspace(-1.0, 0.0, ens.size))
-        for view in (ens, tilted, ens.with_tables(), tilted.with_tables()):
-            for points in (xs[:1], xs[:6], xs[:30]):
-                forward_log_probs(view, points)
-        assert len(folds) == 1 and folds[0] is ens.samples
-        # A list is folded afresh on every call, with the same bits.
-        for points in (xs[:1], xs[:30]):
-            assert np.array_equal(
-                ens.family.log_probs(list(ens.samples), points),
-                forward_log_probs(ens, points))
-        assert len(folds) == 3
-        forward_log_probs(sub_ensemble(ens, [0, 2, 3]), xs[:6])
-        assert len(folds) == 4
-
-    def test_changeable_inputs_are_folded_on_every_call(self, cluster_data):
-        arch = MlpArchitecture(in_dim=2, hidden=32, num_classes=4,
-                               dropout_rate=0.5)
-        ens = init_dropout_ensemble(arch, 4, RngStream(18))
-        fam = ens.family
-        xs = cluster_data[1].xs[:5]
-        # A tuple of writable masks, changed in place between two calls.
-        masks = tuple(m.copy() for m in ens.samples)
-        before = fam.log_probs(masks, xs)
-        assert np.array_equal(before, forward_log_probs(ens, xs))
-        masks[0][:] = 1.0 - masks[0]
-        after = fam.log_probs(masks, xs)
-        assert np.array_equal(after, fam.log_probs(list(masks), xs))
-        assert not np.array_equal(after[0], before[0])
-        assert np.array_equal(after[1:], before[1:])
-        # A family whose params are rebound folds the new w2, and a
-        # writable w2 is folded on every call.
-        old = fam.params
-        w2 = 2.0 * old.w2
-        fam.params = MlpParams(old.w1, old.b1, w2, old.b2)
-        reference = McDropoutFamily(
-            arch, MlpParams(old.w1, old.b1, 2.0 * old.w2, old.b2))
-        doubled = fam.log_probs(ens.samples, xs)
-        assert np.array_equal(doubled,
-                              reference.log_probs(list(ens.samples), xs))
-        assert not np.array_equal(doubled, before)
-        w2 *= 0.5
-        assert np.array_equal(fam.log_probs(ens.samples, xs), before)
+    """What a family derives from its samples is built once, at
+    construction, and the samples and log weights it is derived from
+    cannot change later."""
 
     def test_program_samples_are_read_only(self, dropout_16):
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
@@ -261,18 +206,30 @@ class TestEnsembleConstants:
         one_mask = init_dropout_ensemble(
             MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
                             dropout_rate=0.0), 1, RngStream(17))
-        for a in (dropout_16.samples[0], masks.samples[3],
-                  one_mask.samples[0], dropout_16.family.params.w2):
+        for a in (dropout_16.family.masks, masks.family.masks,
+                  one_mask.family.masks, dropout_16.family.params.w2):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         # The dropout family folds W2 only; its biases stay writable.
         params = dropout_16.family.params
         assert params.b1.flags.writeable and params.b2.flags.writeable
 
+    def test_masks_are_a_private_copy(self, cluster_data):
+        # Changing the caller's masks after construction moves no table.
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.5)
+        fam = init_dropout_ensemble(arch, 4, RngStream(18)).family
+        masks = fam.masks.copy()
+        copy = McDropoutFamily(arch, fam.params, masks)
+        xs = cluster_data[1].xs[:5]
+        before = copy.log_probs(xs)
+        assert np.array_equal(before, fam.log_probs(xs))
+        masks[0] = 1.0 - masks[0]
+        assert np.array_equal(copy.log_probs(xs), before)
+
     def test_log_weights_are_a_read_only_copy(self, coin_ensemble):
         lw = np.log([0.2, 0.3, 0.1])
-        ens = PosteriorEnsemble(samples=coin_ensemble.samples,
-                                log_weights=lw, family=coin_ensemble.family)
+        ens = PosteriorEnsemble(family=coin_ensemble.family, log_weights=lw)
         lw[0] = 0.0
         assert ens.log_weights[0] == np.log(0.2)
         for a in (ens.log_weights, ens.normalized_log_weights()):

@@ -7,7 +7,10 @@ repeated-pool at the benchmark's full sizes) in this process for each
 seed, and prints one ``label file sha256`` line per CSV, in run order;
 the CLI's own messages go to standard error. A protocol run whose label
 an earlier seed already ran (repeated-pool runs at root seeds SEED to
-SEED+4) is skipped, so each label runs and prints once. Then runs
+SEED+4) is skipped, so each label runs and prints once. After them come
+a small obi-eval and al-obi of a grid model on the coin world (``GRID``),
+which no benchmark workload runs, as ``grid-COMMAND-seed-SEED`` lines,
+with the same checks. Then runs
 ``perfbench.workloads.JointMetricsJob`` at full size for the seed and
 prints its ``outputs`` digest (the sha256 of every estimator value, from
 ``JointMetricsJob.check``) as ``joint-metrics-seed-SEED outputs sha256``.
@@ -47,12 +50,17 @@ import numpy as np  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     JointMetricsJob,
     ProtocolsJob,
+    expected_records,
     sha256_file,
 )
 
 # The small CLI runs: models, and flags shared by train and acquire.
 MODELS = ("mc_dropout", "deep_ensemble")
 SMALL_MODEL = ["--hidden", "16", "--epochs", "20", "--ensemble-size", "8"]
+# The small grid runs: the coin world's 3 hypotheses, a pool of 12.
+GRID = {"data": {"kind": "grid"}, "model": {"kind": "grid"},
+        "num_steps": 10, "lookahead": 2, "eval_start": 4, "trials": 2,
+        "obi_subtrials": 2, "bootstrap_size": 2, "ess_retrain_threshold": 2.0}
 
 
 def _workdir(keep: Path | None, seed: int):
@@ -61,6 +69,23 @@ def _workdir(keep: Path | None, seed: int):
     path = keep / f"seed-{seed}"
     path.mkdir(parents=True, exist_ok=True)
     return contextlib.nullcontext(str(path))
+
+
+def _grid_calls(seed: int, workdir: Path) -> list:
+    """ProtocolsJob calls of the small grid obi-eval and al-obi."""
+    from obayes.harness.config import config_from_dict, config_to_json
+
+    config = config_from_dict(GRID)
+    config_path = workdir / "grid.json"
+    config_path.write_text(config_to_json(config))
+    calls = []
+    for command in ("obi-eval", "al-obi"):
+        out = workdir / f"grid-{command}-seed-{seed}"
+        calls.append((f"grid {command} seed {seed}",
+                      [command, "--config", str(config_path),
+                       "--seed", str(seed), "--out", str(out)],
+                      out, expected_records(command, config)))
+    return calls
 
 
 def _npz_digest(path: Path) -> str:
@@ -122,6 +147,7 @@ def main(argv: list[str]) -> int:
             job = ProtocolsJob(seed, "full", Path(workdir))
             job.calls = [call for call in job.calls if call[0] not in done]
             done.update(label for label, *_ in job.calls)
+            job.calls += _grid_calls(seed, Path(workdir))
             # The CLI reports each run on stdout; keep stdout for digests.
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
