@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .config import (
     ExperimentConfig,
     ModelSpec,
     RunManifest,
-    load_config,
+    config_from_dict,
 )
 from .experiments import (
     al_with_obi,
@@ -42,6 +41,31 @@ from .experiments import (
     repeated_pool_benchmark,
 )
 from .io import emit_results
+
+
+# Each protocol flag: the config field it overrides ("model." for the
+# ModelSpec's) and its type. A protocol command takes the flags it reads.
+_FLAGS = {
+    "--trials": ("trials", int),
+    "--steps": ("num_steps", int),
+    "--lookahead": ("lookahead", int),
+    "--strategy": ("strategy", str),
+    "--ensemble-size": ("model.ensemble_size", int),
+    "--bootstrap-size": ("bootstrap_size", int),
+    "--duplication": ("duplication_factor", int),
+    "--ess-threshold": ("ess_retrain_threshold", float),
+}
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """train's and acquire's model flags, defaulting to ModelSpec's."""
+    spec = ModelSpec()
+    p.add_argument("--model", default=spec.kind,
+                   choices=["mc_dropout", "deep_ensemble"])
+    p.add_argument("--hidden", type=int, default=spec.hidden)
+    p.add_argument("--dropout", type=float, default=spec.dropout_rate)
+    p.add_argument("--epochs", type=int, default=spec.epochs)
+    p.add_argument("--ensemble-size", type=int, default=spec.ensemble_size)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,12 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an ensemble on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", default="mc_dropout",
-                   choices=["mc_dropout", "deep_ensemble"])
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--ensemble-size", type=int, default=128)
+    _add_model_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -77,36 +96,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="bald")
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--retrain-every", type=int, default=1)
-    p.add_argument("--model", default="mc_dropout",
-                   choices=["mc_dropout", "deep_ensemble"])
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--ensemble-size", type=int, default=128)
+    _add_model_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="sequence CSV path")
     p.set_defaults(func=_cmd_acquire)
 
-    for name, func, help_text in (
-            ("obi-eval", _cmd_obi_eval,
+    for name, runner, flags, help_text in (
+            ("obi-eval", obi_vs_retrain_eval,
+             ("--trials", "--steps", "--lookahead", "--strategy",
+              "--ensemble-size", "--bootstrap-size"),
              "compare reweighting against retraining along sequences"),
-            ("repeated-pool", _cmd_repeated_pool,
+            ("repeated-pool", repeated_pool_benchmark,
+             ("--ensemble-size", "--duplication"),
              "duplicated-pool acquisition benchmark"),
-            ("al-obi", _cmd_al_obi,
+            ("al-obi", al_with_obi,
+             ("--steps", "--strategy", "--ensemble-size", "--ess-threshold"),
              "acquisition with reweighting between retrains")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--lookahead", type=int)
-        p.add_argument("--strategy")
-        p.add_argument("--ensemble-size", type=int)
-        p.add_argument("--bootstrap-size", type=int)
-        p.add_argument("--duplication", type=int)
-        p.add_argument("--ess-threshold", type=float)
-        p.set_defaults(func=func)
+        for flag in flags:
+            field, kind = _FLAGS[flag]
+            p.add_argument(flag, dest=field, type=kind)
+        p.set_defaults(func=_run_experiment, runner=runner)
 
     p = sub.add_parser("oracle-check",
                        help="cross-check estimators against brute-force enumeration")
@@ -117,28 +130,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    """The --config file's settings (or the defaults) under the flags given."""
     try:
-        config = load_config(args.config) if args.config else ExperimentConfig()
-        overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.steps is not None:
-            overrides["num_steps"] = args.steps
-        if args.lookahead is not None:
-            overrides["lookahead"] = args.lookahead
-        if args.strategy is not None:
-            overrides["strategy"] = args.strategy
-        if args.bootstrap_size is not None:
-            overrides["bootstrap_size"] = args.bootstrap_size
-        if args.duplication is not None:
-            overrides["duplication_factor"] = args.duplication
-        if args.ess_threshold is not None:
-            overrides["ess_retrain_threshold"] = args.ess_threshold
-        overrides["seed"] = args.seed
-        model = config.model
-        if args.ensemble_size is not None:
-            model = replace(model, ensemble_size=args.ensemble_size)
-        return replace(config, model=model, **overrides)
+        raw = {}
+        if args.config:
+            with open(args.config) as fh:
+                raw = dict(json.load(fh))
+        for field, _ in _FLAGS.values():
+            value = getattr(args, field, None)
+            if value is not None:
+                section, _, key = field.rpartition(".")
+                (raw.setdefault(section, {}) if section else raw)[key] = value
+        return config_from_dict(dict(raw, seed=args.seed))
     except (ValueError, TypeError, KeyError, OSError,
             json.JSONDecodeError) as err:
         raise ConfigError(str(err)) from err
@@ -200,25 +203,13 @@ def _cmd_acquire(args) -> int:
     return 0
 
 
-def _run_experiment(args, runner, label: str) -> int:
+def _run_experiment(args) -> int:
     config = _experiment_config(args)
-    records = runner(config)
+    records = args.runner(config)
     paths = emit_results(records, RunManifest.create(config), args.out)
-    print(f"{label}: {len(records)} records -> "
+    print(f"{args.command}: {len(records)} records -> "
           + ", ".join(str(p) for p in paths))
     return 0
-
-
-def _cmd_obi_eval(args) -> int:
-    return _run_experiment(args, obi_vs_retrain_eval, "obi-eval")
-
-
-def _cmd_repeated_pool(args) -> int:
-    return _run_experiment(args, repeated_pool_benchmark, "repeated-pool")
-
-
-def _cmd_al_obi(args) -> int:
-    return _run_experiment(args, al_with_obi, "al-obi")
 
 
 def _check_world(world, rng: RngStream, label: str) -> list:

@@ -43,10 +43,20 @@ class DataSpec:
     def __post_init__(self):
         if self.kind not in ("clusters", "idx", "grid"):
             raise ValueError(f"unknown data kind: {self.kind}")
-        if self.kind == "clusters" and (self.n_per_class < 1 or self.num_classes < 2):
-            raise ValueError("cluster sizes must be positive")
-        if self.kind == "idx" and (self.images_path is None or self.labels_path is None):
-            raise ValueError("idx data needs images_path and labels_path")
+        if self.kind == "clusters":
+            if (min(self.n_per_class, self.eval_per_class, self.dim) < 1
+                    or self.num_classes < 2):
+                raise ValueError("cluster sizes must be positive")
+            if not self.spread > 0:
+                raise ValueError("cluster spread must be positive")
+        if self.kind == "grid" and min(self.grid_pool_size,
+                                       self.grid_eval_size) < 1:
+            raise ValueError("grid pool and eval sizes must be positive")
+        if self.kind == "idx":
+            if self.images_path is None or self.labels_path is None:
+                raise ValueError("idx data needs images_path and labels_path")
+            if self.limit is not None and self.limit < 1:
+                raise ValueError("idx limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,6 @@ class ExperimentConfig:
             raise ValueError("lookahead must be non-negative")
         if self.eval_start < 0:
             raise ValueError("eval_start must be non-negative")
-        if self.bootstrap_size > self.model.ensemble_size:
-            raise ValueError("bootstrap_size cannot exceed ensemble size")
         if self.model.kind == "grid" and self.data.kind != "grid":
             raise ValueError("grid model requires grid data")
         if not 0 <= self.seed < 2 ** 64:

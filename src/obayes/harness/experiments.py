@@ -106,6 +106,13 @@ def _check_budget(picks: int, pool: Dataset, what: str) -> None:
                           f"{len(pool)} pool points")
 
 
+def _model_size(config: ExperimentConfig, world: GridWorld | None) -> int:
+    """Samples in the protocol's models: a grid model holds every one of
+    the world's hypotheses, whatever ensemble_size says."""
+    return world.num_hypotheses if config.model.kind == "grid" \
+        else config.model.ensemble_size
+
+
 def model_factory(spec, in_dim: int, num_classes: int,
                   world: GridWorld | None = None):
     """Deterministic trainer: (training sets, streams) -> a list of one
@@ -234,11 +241,11 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     root = RngStream(seed=config.seed)
     pool, eval_set, _, world = build_splits(config, root)
     _check_budget(config.num_steps, pool, "num_steps")
-    factory = model_factory(config.model, pool.dim, pool.num_classes, world)
-    if (config.model.kind == "grid"
-            and config.bootstrap_size > world.num_hypotheses):
+    size = _model_size(config, world)
+    if config.bootstrap_size > size:
         raise ConfigError(f"bootstrap_size {config.bootstrap_size} exceeds "
-                          f"the world's {world.num_hypotheses} hypotheses")
+                          f"the model size {size}")
+    factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     if sequences is None:
         sequences = generate_sequences(config, pool, eval_set, factory, root)
     names = sorted(sequences)
@@ -382,11 +389,10 @@ def al_with_obi(config: ExperimentConfig) -> list:
     threshold = config.ess_retrain_threshold
     root = RngStream(seed=config.seed)
     pool, eval_set, seed_train, world = build_splits(config, root)
-    size = world.num_hypotheses if config.model.kind == "grid" \
-        else config.model.ensemble_size
+    size = _model_size(config, world)
     if not 0.0 < threshold <= size:
         raise ConfigError(f"ess_retrain_threshold {threshold} must lie in "
-                          f"(0, {size}], the ensemble size")
+                          f"(0, {size}], the model size")
     _check_budget(config.num_steps, pool, "num_steps")
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
 

@@ -8,6 +8,7 @@ reloaded ensemble reproduces predictions exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -36,13 +37,13 @@ def save_ensemble(path, ensemble: PosteriorEnsemble) -> None:
         arrays["vocabulary"] = fam.vocabulary
         arrays["hypotheses"] = np.arange(fam.size, dtype=np.int64)
     elif fam.tag == "deep_ensemble":
-        meta["arch"] = _arch_meta(fam.arch)
+        meta["arch"] = asdict(fam.arch)
         for k, p in enumerate(fam.members):
             for name, arr in _param_arrays(p).items():
                 arrays[f"member{k}_{name}"] = arr
         meta["num_members"] = fam.size
     elif fam.tag == "mc_dropout":
-        meta["arch"] = _arch_meta(fam.arch)
+        meta["arch"] = asdict(fam.arch)
         for name, arr in _param_arrays(fam.params).items():
             arrays[f"shared_{name}"] = arr
         arrays["masks"] = fam.masks
@@ -66,11 +67,11 @@ def load_ensemble(path) -> PosteriorEnsemble:
                 data["log_tables"][data["hypotheses"]], data["vocabulary"])
         elif tag == "deep_ensemble":
             family = DeepEnsembleFamily(
-                _arch_from_meta(meta["arch"]),
+                MlpArchitecture(**meta["arch"]),
                 [_params_from(data, f"member{k}_")
                  for k in range(meta["num_members"])])
         elif tag == "mc_dropout":
-            family = McDropoutFamily(_arch_from_meta(meta["arch"]),
+            family = McDropoutFamily(MlpArchitecture(**meta["arch"]),
                                      _params_from(data, "shared_"),
                                      data["masks"])
         else:
@@ -78,25 +79,10 @@ def load_ensemble(path) -> PosteriorEnsemble:
     return PosteriorEnsemble(family=family, log_weights=log_weights)
 
 
-def _arch_meta(arch: MlpArchitecture) -> dict:
-    return {"in_dim": arch.in_dim, "hidden": arch.hidden,
-            "num_classes": arch.num_classes,
-            "dropout_rate": arch.dropout_rate,
-            "init_scale": arch.init_scale}
-
-
-def _arch_from_meta(meta: dict) -> MlpArchitecture:
-    return MlpArchitecture(in_dim=meta["in_dim"], hidden=meta["hidden"],
-                           num_classes=meta["num_classes"],
-                           dropout_rate=meta["dropout_rate"],
-                           init_scale=meta["init_scale"])
-
-
 def _param_arrays(params: MlpParams) -> dict:
-    return {"w1": params.w1, "b1": params.b1,
-            "w2": params.w2, "b2": params.b2}
+    return {f.name: getattr(params, f.name) for f in fields(MlpParams)}
 
 
 def _params_from(data, prefix: str) -> MlpParams:
-    return MlpParams(w1=data[prefix + "w1"], b1=data[prefix + "b1"],
-                     w2=data[prefix + "w2"], b2=data[prefix + "b2"])
+    return MlpParams(**{f.name: data[prefix + f.name]
+                        for f in fields(MlpParams)})

@@ -230,11 +230,12 @@ class _LiveFits:
     _ROWS = ("flat", "m", "v", "xs", "ys", "xs_epoch", "ys_epoch", "scales")
 
     def __init__(self, arch: MlpArchitecture, cfg: TrainConfig, gens: list,
-                 xs: np.ndarray, ys: np.ndarray, dropout: bool):
+                 xs: np.ndarray, ys: np.ndarray):
         self.arch, self.cfg = arch, cfg
         self.n = xs.shape[1]
         self.bounds = [slice(lo, lo + cfg.batch_size)
                        for lo in range(0, self.n, cfg.batch_size)]
+        dropout = arch.dropout_rate > 0.0
         self.keep = 1.0 - arch.dropout_rate if dropout else None
         self.gens = gens
         self.fits = list(range(len(gens)))
@@ -380,8 +381,8 @@ class _LiveFits:
         self._views()
 
 
-def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams, members,
-                    use_dropout: bool) -> list:
+def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
+                    members) -> list:
     """Minibatch Adam with early stopping on the full-set loss, for K fits
     at once; returns each fit's parameters.
 
@@ -406,8 +407,7 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams, members,
                          "learning rate")
     live = _LiveFits(arch, cfgs[0], [s.generator() for s in streams],
                      np.stack([t.xs for t in trains]),
-                     np.stack([t.ys for t in trains]),
-                     dropout=use_dropout and arch.dropout_rate > 0.0)
+                     np.stack([t.ys for t in trains]))
     live.record_losses(0)
     for epoch in range(1, cfgs[0].epochs + 1):
         if not live.fits:
@@ -516,8 +516,7 @@ def train_deep_ensemble(train: Dataset, arch: MlpArchitecture,
     members = _train_lockstep(
         [train] * num_members, arch, [cfg] * num_members,
         [root.derive("member", k) for k in range(num_members)],
-        [str(k) for k in range(num_members)],
-        use_dropout=arch.dropout_rate > 0.0)
+        [str(k) for k in range(num_members)])
     return PosteriorEnsemble(family=DeepEnsembleFamily(arch, members),
                              log_weights=np.zeros(num_members))
 
@@ -583,7 +582,7 @@ def train_mc_dropout(train, arch: MlpArchitecture, cfg, num_samples: int,
     trained = _train_lockstep(
         trains, arch, cfgs,
         [RngStream(seed=c.seed).derive("mc_dropout") for c in cfgs],
-        ["shared"] * len(trains), use_dropout=True)
+        ["shared"] * len(trains))
     ensembles = [_dropout_ensemble(arch, params, num_samples,
                                    stream.generator())
                  for params, stream in zip(trained, rngs)]

@@ -3,6 +3,7 @@
 import json
 import math
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from obayes import obi
 from obayes.acquisition import STRATEGIES, run_acquisition
 from obayes.data import Dataset
-from obayes.harness import experiments
+from obayes.harness import cli, experiments
 from obayes.harness.cli import main
 from obayes.harness.config import (
+    ConfigError,
     DataSpec,
     ExperimentConfig,
     ModelSpec,
@@ -39,6 +41,29 @@ from obayes.harness.io import (
 from obayes.infometrics import MetricRecord
 from obayes.numerics import RngStream
 from obayes.oracle import GridWorld
+
+
+# Each flag a protocol command reads: (command, flag, value, the
+# ExperimentConfig fields it sets).
+FLAG_CASES = [
+    ("obi-eval", "--trials", "3", {"trials": 3}),
+    ("obi-eval", "--steps", "9", {"num_steps": 9}),
+    ("obi-eval", "--lookahead", "3", {"lookahead": 3}),
+    ("obi-eval", "--strategy", "epig", {"strategy": "epig"}),
+    ("obi-eval", "--ensemble-size", "96",
+     {"model": ModelSpec(ensemble_size=96)}),
+    ("obi-eval", "--bootstrap-size", "7", {"bootstrap_size": 7}),
+    ("repeated-pool", "--ensemble-size", "16",
+     {"model": ModelSpec(ensemble_size=16)}),
+    ("repeated-pool", "--duplication", "3", {"duplication_factor": 3}),
+    ("al-obi", "--steps", "9", {"num_steps": 9}),
+    ("al-obi", "--strategy", "epig", {"strategy": "epig"}),
+    ("al-obi", "--ensemble-size", "16",
+     {"model": ModelSpec(ensemble_size=16)}),
+    ("al-obi", "--ess-threshold", "2.5", {"ess_retrain_threshold": 2.5}),
+]
+PROTOCOL_FLAGS = {command: {f for c, f, *_ in FLAG_CASES if c == command}
+                  for command, *_ in FLAG_CASES}
 
 
 def _tiny_grid_config(**overrides) -> ExperimentConfig:
@@ -74,10 +99,6 @@ class TestConfig:
         a = _tiny_net_config(seed=1)
         b = _tiny_net_config(seed=2)
         assert config_hash(a) != config_hash(b)
-
-    def test_bootstrap_bound_enforced(self):
-        with pytest.raises(ValueError, match="bootstrap_size"):
-            _tiny_net_config(bootstrap_size=9)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown data kind"):
@@ -222,6 +243,15 @@ class TestObiVsRetrain:
         ess = [r for r in records if r.metric == "ess"]
         assert ess and all(r.branch == "obi" for r in ess)
 
+    def test_bootstrap_past_the_model_is_config_error_before_training(
+            self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiments, "model_factory", no_training)
+        with pytest.raises(ConfigError,
+                           match="^bootstrap_size 9 exceeds the model size 8$"):
+            obi_vs_retrain_eval(_tiny_net_config(bootstrap_size=9))
 
     def test_trials_train_as_one_group_per_size(self, monkeypatch):
         cfg = _tiny_net_config(trials=3, obi_subtrials=2)
@@ -572,7 +602,8 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["obi-eval", "--config", str(cfg), "--seed", "0",
                      "--out", str(out)]) == 1
-        assert "exceeds the world's 3 hypotheses" in capsys.readouterr().err
+        assert "bootstrap_size 64 exceeds the model size 3" \
+            in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("command, raw, flags", [
@@ -621,6 +652,80 @@ class TestCli:
         assert main(["obi-eval", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "run")]) == 1
         assert "grid model requires grid data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value, expected", FLAG_CASES,
+                             ids=[c + f for c, f, *_ in FLAG_CASES])
+    def test_protocol_flag_sets_its_field(self, command, flag, value,
+                                          expected, tmp_path, capsys,
+                                          monkeypatch):
+        seen = []
+        for name in ("obi_vs_retrain_eval", "repeated_pool_benchmark",
+                     "al_with_obi"):
+            monkeypatch.setattr(cli, name,
+                                lambda config: seen.append(config) or [])
+        assert main([command, flag, value, "--seed", "4",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert seen == [replace(ExperimentConfig(seed=4), **expected)]
+
+    @pytest.mark.parametrize("command", sorted(PROTOCOL_FLAGS))
+    def test_protocol_takes_only_the_flags_it_reads(self, command, tmp_path,
+                                                    capsys):
+        assert main([command, "--help"]) == 0
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert shown == PROTOCOL_FLAGS[command] | {"--help", "--config",
+                                                   "--seed", "--out"}
+        for flag in set().union(*PROTOCOL_FLAGS.values()) \
+                - PROTOCOL_FLAGS[command]:
+            assert main([command, flag, "1", "--seed", "0",
+                         "--out", str(tmp_path / "run")]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, raw, flags", [
+        ("al-obi", {"num_steps": 2}, []),
+        ("repeated-pool", {"num_batches": 1, "acquisition_batch_size": 2},
+         ["--duplication", "2"]),
+    ], ids=["al-obi", "repeated-pool"])
+    def test_ensemble_below_the_bootstrap_size_runs(self, command, raw,
+                                                    flags, tmp_path, capsys):
+        # Neither protocol bootstraps, so obi-eval's bootstrap_size (64 by
+        # default) does not bound their ensembles.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(
+            raw, data={"n_per_class": 4, "eval_per_class": 4},
+            model={"hidden": 8, "epochs": 5}, seed_train_size=4)))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--ensemble-size", "16",
+                     *flags, "--seed", "0", "--out", str(out)]) == 0
+        assert read_records(out / "metrics.csv")
+
+    @pytest.mark.parametrize("data, message", [
+        ({"spread": 0}, "cluster spread must be positive"),
+        ({"eval_per_class": 0}, "cluster sizes must be positive"),
+        ({"dim": 0}, "cluster sizes must be positive"),
+        ({"kind": "grid", "grid_pool_size": 0},
+         "grid pool and eval sizes must be positive"),
+        ({"kind": "grid", "grid_eval_size": 0},
+         "grid pool and eval sizes must be positive"),
+        ({"kind": "idx", "images_path": "images", "labels_path": "labels",
+          "limit": 0}, "idx limit must be positive"),
+    ], ids=["spread", "eval-per-class", "dim", "grid-pool", "grid-eval",
+            "idx-limit"])
+    def test_bad_data_setting_is_config_error_before_training(
+            self, data, message, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiments, "model_factory", no_training)
+        model = {"kind": "grid"} if data.get("kind") == "grid" else {}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": data, "model": model,
+                                   "ess_retrain_threshold": 2.0}))
+        out = tmp_path / "run"
+        assert main(["al-obi", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_check_passes(self, capsys):
         code = main(["oracle-check", "--worlds", "3", "--seed", "0"])

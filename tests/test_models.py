@@ -740,7 +740,7 @@ class TestLockstepMatchesReference:
             return _train_lockstep(
                 [scaled[i] for i in fits], arch, [cfg] * len(fits),
                 [RngStream(1).derive("fit", i) for i in fits],
-                [str(i) for i in fits], use_dropout=False)
+                [str(i) for i in fits])
 
         with np.errstate(all="ignore"):
             for fit, epoch in ((2, 0), (0, 1)):
