@@ -6,7 +6,6 @@ from .config import (
     ModelSpec,
     RunManifest,
     config_hash,
-    load_config,
 )
 from .experiments import (
     al_with_obi,
@@ -23,7 +22,6 @@ __all__ = [
     "ModelSpec",
     "RunManifest",
     "config_hash",
-    "load_config",
     "al_with_obi",
     "build_splits",
     "model_factory",

@@ -30,11 +30,11 @@ from ..predictive import joint_entropy_exact, marginal_log_probs
 from .config import (
     ConfigError,
     ExperimentConfig,
-    ModelSpec,
     RunManifest,
     config_from_dict,
 )
 from .experiments import (
+    _check_budget,
     al_with_obi,
     model_factory,
     obi_vs_retrain_eval,
@@ -43,29 +43,29 @@ from .experiments import (
 from .io import emit_results
 
 
-# Each protocol flag: the config field it overrides ("model." for the
-# ModelSpec's) and its type. A protocol command takes the flags it reads.
+# Each config flag: the config field it overrides ("data." and "model."
+# for the DataSpec's and ModelSpec's) and its type. A command takes the
+# flags it reads.
 _FLAGS = {
+    "--n-per-class": ("data.n_per_class", int),
+    "--num-classes": ("data.num_classes", int),
+    "--dim": ("data.dim", int),
+    "--spread": ("data.spread", float),
+    "--model": ("model.kind", str),
+    "--hidden": ("model.hidden", int),
+    "--dropout": ("model.dropout_rate", float),
+    "--epochs": ("model.epochs", int),
+    "--ensemble-size": ("model.ensemble_size", int),
     "--trials": ("trials", int),
     "--steps": ("num_steps", int),
     "--lookahead": ("lookahead", int),
     "--strategy": ("strategy", str),
-    "--ensemble-size": ("model.ensemble_size", int),
     "--bootstrap-size": ("bootstrap_size", int),
     "--duplication": ("duplication_factor", int),
     "--ess-threshold": ("ess_retrain_threshold", float),
 }
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    """train's and acquire's model flags, defaulting to ModelSpec's."""
-    spec = ModelSpec()
-    p.add_argument("--model", default=spec.kind,
-                   choices=["mc_dropout", "deep_ensemble"])
-    p.add_argument("--hidden", type=int, default=spec.hidden)
-    p.add_argument("--dropout", type=float, default=spec.dropout_rate)
-    p.add_argument("--epochs", type=int, default=spec.epochs)
-    p.add_argument("--ensemble-size", type=int, default=spec.ensemble_size)
+_MODEL_FLAGS = ("--model", "--hidden", "--dropout", "--epochs",
+                "--ensemble-size")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,32 +74,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Online Bayesian inference experiments over posterior ensembles.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("gen-data", help="generate a synthetic cluster dataset")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-per-class", type=int, default=40)
-    p.add_argument("--num-classes", type=int, default=4)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--spread", type=float, default=0.45)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_gen_data)
+    def command(name, help_text, flags, func, out_help=None, **defaults):
+        """A subcommand taking --seed, `flags` from the table and --out."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, required=True)
+        for flag in flags:
+            field, kind = _FLAGS[flag]
+            p.add_argument(flag, dest=field, type=kind)
+        p.add_argument("--out", required=True, help=out_help)
+        p.set_defaults(func=func, parser=p, **defaults)
+        return p
 
-    p = sub.add_parser("train", help="train an ensemble on a dataset")
+    command("gen-data", "generate a synthetic cluster dataset",
+            ("--n-per-class", "--num-classes", "--dim", "--spread"),
+            _cmd_gen_data)
+    p = command("train", "train an ensemble on a dataset", _MODEL_FLAGS,
+                _cmd_train)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("acquire", help="run an acquisition loop over a pool")
+    # acquire's own defaults, not the config's.
+    p = command("acquire", "run an acquisition loop over a pool",
+                ("--strategy", "--steps") + _MODEL_FLAGS, _cmd_acquire,
+                "sequence CSV path", strategy="bald", num_steps=10)
     p.add_argument("--data", required=True, help="pool dataset (.npz)")
     p.add_argument("--eval-data", help="held-out dataset for label-aware scoring")
-    p.add_argument("--strategy", default="bald")
-    p.add_argument("--steps", type=int, default=10)
     p.add_argument("--retrain-every", type=int, default=1)
-    _add_model_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="sequence CSV path")
-    p.set_defaults(func=_cmd_acquire)
 
     for name, runner, flags, help_text in (
             ("obi-eval", obi_vs_retrain_eval,
@@ -112,20 +110,15 @@ def _build_parser() -> argparse.ArgumentParser:
             ("al-obi", al_with_obi,
              ("--steps", "--strategy", "--ensemble-size", "--ess-threshold"),
              "acquisition with reweighting between retrains")):
-        p = sub.add_parser(name, help=help_text)
+        p = command(name, help_text, flags, _run_experiment,
+                    "output directory", runner=runner)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", required=True, help="output directory")
-        for flag in flags:
-            field, kind = _FLAGS[flag]
-            p.add_argument(flag, dest=field, type=kind)
-        p.set_defaults(func=_run_experiment, runner=runner)
 
     p = sub.add_parser("oracle-check",
                        help="cross-check estimators against brute-force enumeration")
     p.add_argument("--worlds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle_check)
+    p.set_defaults(func=_cmd_oracle_check, parser=p)
     return parser
 
 
@@ -133,7 +126,7 @@ def _experiment_config(args) -> ExperimentConfig:
     """The --config file's settings (or the defaults) under the flags given."""
     try:
         raw = {}
-        if args.config:
+        if getattr(args, "config", None):
             with open(args.config) as fh:
                 raw = dict(json.load(fh))
         for field, _ in _FLAGS.values():
@@ -148,58 +141,45 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        data = generate_cluster_dataset(
-            args.n_per_class, args.num_classes, args.dim, args.spread,
-            RngStream(seed=args.seed).derive("gen-data"))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    config = _experiment_config(args)
+    d = config.data
+    data = generate_cluster_dataset(
+        d.n_per_class, d.num_classes, d.dim, d.spread,
+        RngStream(seed=config.seed).derive("gen-data"))
     data.save(args.out)
     print(f"wrote {len(data)} examples to {args.out}")
     return 0
 
 
-def _model_spec(args) -> ModelSpec:
-    try:
-        return ModelSpec(kind=args.model, hidden=args.hidden,
-                         dropout_rate=args.dropout, epochs=args.epochs,
-                         ensemble_size=args.ensemble_size)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
 def _cmd_train(args) -> int:
-    spec = _model_spec(args)
+    config = _experiment_config(args)
     data = Dataset.load(args.data)
-    factory = model_factory(spec, data.dim, data.num_classes)
+    factory = model_factory(config.model, data.dim, data.num_classes)
     (ensemble,) = factory([data],
-                          [RngStream(seed=args.seed).derive("train-cmd")])
+                          [RngStream(seed=config.seed).derive("train-cmd")])
     save_ensemble(args.out, ensemble)
-    print(f"trained {spec.kind} ensemble of {ensemble.size} on "
+    print(f"trained {config.model.kind} ensemble of {ensemble.size} on "
           f"{len(data)} examples -> {args.out}")
     return 0
 
 
 def _cmd_acquire(args) -> int:
-    from ..acquisition import STRATEGIES, run_acquisition
-    if args.strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy: {args.strategy}")
-    if args.steps < 1 or args.retrain_every < 1:
-        raise ConfigError("steps and retrain-every must be positive")
-    spec = _model_spec(args)
+    from ..acquisition import run_acquisition
+    config = _experiment_config(args)
+    if args.retrain_every < 1:
+        raise ConfigError("retrain-every must be positive")
     pool = Dataset.load(args.data)
     eval_set = Dataset.load(args.eval_data) if args.eval_data else None
-    if args.strategy == "active_sampling" and eval_set is None:
+    if config.strategy == "active_sampling" and eval_set is None:
         raise ConfigError("active_sampling requires --eval-data")
-    if args.steps > len(pool):
-        raise ConfigError(f"pool exhausted: {args.steps} steps but "
-                          f"{len(pool)} pool points")
-    factory = model_factory(spec, pool.dim, pool.num_classes)
-    sequence = run_acquisition(args.strategy, factory, pool, eval_set,
-                               args.steps, args.retrain_every,
-                               RngStream(seed=args.seed).derive("acquire"))
+    _check_budget(config.num_steps, pool, "num_steps")
+    factory = model_factory(config.model, pool.dim, pool.num_classes)
+    sequence = run_acquisition(config.strategy, factory, pool, eval_set,
+                               config.num_steps, args.retrain_every,
+                               RngStream(seed=config.seed).derive("acquire"))
     sequence.save(args.out)
-    print(f"acquired {len(sequence)} examples with {args.strategy} -> {args.out}")
+    print(f"acquired {len(sequence)} examples with {config.strategy} "
+          f"-> {args.out}")
     return 0
 
 
@@ -306,17 +286,20 @@ def _check_world_pair(world: GridWorld, stream: RngStream,
 def _cmd_oracle_check(args) -> int:
     if args.worlds < 1:
         raise ConfigError("need at least one world")
-    failures = _check_world(coin_world(),
-                            RngStream(seed=args.seed).derive("coin"), "coin")
+    try:
+        root = RngStream(seed=args.seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    failures = _check_world(coin_world(), root.derive("coin"), "coin")
     print("coin world: " + ("ok" if not failures else "FAIL"))
     # One hypothesis: every weight update and mixture runs on S = 1.
-    stream = RngStream(seed=args.seed).derive("single sample")
+    stream = root.derive("single sample")
     found, zeros = _check_world_pair(
         random_world(stream.generator(), max_hypotheses=1), stream,
         "single-sample world")
     failures += found
     for w in range(args.worlds):
-        stream = RngStream(seed=args.seed).derive("world", w)
+        stream = root.derive("world", w)
         found, count = _check_world_pair(random_world(stream.generator()),
                                          stream, f"world {w}")
         failures += found
@@ -334,7 +317,11 @@ def _cmd_oracle_check(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # The command's own usage names the flags it takes.
+            getattr(args, "parser", parser).error(
+                "unrecognized arguments: " + " ".join(unknown))
     except SystemExit as exc:
         return 0 if not exc.code else 1
     if not getattr(args, "func", None):

@@ -145,11 +145,6 @@ def config_from_json(text: str) -> ExperimentConfig:
     return config_from_dict(json.loads(text))
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_json(fh.read())
-
-
 def config_hash(config: ExperimentConfig) -> str:
     canonical = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

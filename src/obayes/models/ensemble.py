@@ -112,7 +112,9 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     Returns an (S, N, C) array; every [j, i, :] row is a normalized
     categorical log-distribution. A memoizing ensemble (see
     `PosteriorEnsemble.with_tables`) returns its stored, read-only table
-    for a point set it has seen.
+    for a point set it has seen. Every family's table is checked here:
+    a wrong shape, NaN or +inf raises ValueError, and -inf is a zero
+    probability.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[0] == 0:
@@ -121,9 +123,13 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     key = None if memo is None else (xs.shape, xs.tobytes())
     if key is not None and key in memo:
         return memo[key]
-    out = ensemble.family.log_probs(xs)
+    # A NaN made on the way is rejected below, without a warning first.
+    with np.errstate(invalid="ignore"):
+        out = ensemble.family.log_probs(xs)
     if out.shape != (ensemble.size, xs.shape[0], ensemble.num_classes):
         raise ValueError("family returned log-probs of the wrong shape")
+    if not (out < np.inf).all():
+        raise ValueError("family returned NaN or +inf log-probs")
     if key is not None:
         memo[key] = _read_only(out)
     return out

@@ -144,13 +144,6 @@ def _forward(params: MlpParams, xs: np.ndarray,
     return z1, hd, logits
 
 
-def mlp_log_probs(params: MlpParams, xs: np.ndarray) -> np.ndarray:
-    _, _, logits = _forward(params, xs)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite activations in forward pass")
-    return _log_softmax(logits)
-
-
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
                        mask_scale: np.ndarray | None = None):
     """Mean cross-entropy over the rows; one per fit for stacked fits
@@ -450,7 +443,8 @@ class DeepEnsembleFamily:
 
     def log_probs(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return np.stack([mlp_log_probs(p, xs) for p in self.members])
+        return np.stack([_log_softmax(_forward(p, xs)[2])
+                         for p in self.members])
 
 
 class McDropoutFamily:
@@ -499,8 +493,6 @@ class McDropoutFamily:
         h = np.maximum(xs @ p.w1 + p.b1, 0.0)               # (N, H)
         logits = np.matmul(h * (1.0 / keep), self._masked_w2)
         logits += p.b2                                      # (S, N, C)
-        if not np.isfinite(logits).all():
-            raise ValueError("non-finite activations in forward pass")
         return _log_softmax(logits)
 
 

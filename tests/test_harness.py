@@ -43,9 +43,24 @@ from obayes.numerics import RngStream
 from obayes.oracle import GridWorld
 
 
-# Each flag a protocol command reads: (command, flag, value, the
-# ExperimentConfig fields it sets).
+# Each flag a command reads: (command, flag, value, the ExperimentConfig
+# fields it sets). acquire's strategy and steps default to its own values.
+ACQUIRE_DEFAULTS = {"strategy": "bald", "num_steps": 10}
 FLAG_CASES = [
+    ("gen-data", "--n-per-class", "3", {"data": DataSpec(n_per_class=3)}),
+    ("gen-data", "--num-classes", "3", {"data": DataSpec(num_classes=3)}),
+    ("gen-data", "--dim", "5", {"data": DataSpec(dim=5)}),
+    ("gen-data", "--spread", "0.3", {"data": DataSpec(spread=0.3)}),
+    *[(command, flag, value, dict(defaults, model=ModelSpec(**field)))
+      for command, defaults in (("train", {}), ("acquire", ACQUIRE_DEFAULTS))
+      for flag, value, field in (
+          ("--model", "deep_ensemble", {"kind": "deep_ensemble"}),
+          ("--hidden", "8", {"hidden": 8}),
+          ("--dropout", "0.25", {"dropout_rate": 0.25}),
+          ("--epochs", "7", {"epochs": 7}),
+          ("--ensemble-size", "16", {"ensemble_size": 16}))],
+    ("acquire", "--strategy", "epig", dict(ACQUIRE_DEFAULTS, strategy="epig")),
+    ("acquire", "--steps", "4", dict(ACQUIRE_DEFAULTS, num_steps=4)),
     ("obi-eval", "--trials", "3", {"trials": 3}),
     ("obi-eval", "--steps", "9", {"num_steps": 9}),
     ("obi-eval", "--lookahead", "3", {"lookahead": 3}),
@@ -62,8 +77,24 @@ FLAG_CASES = [
      {"model": ModelSpec(ensemble_size=16)}),
     ("al-obi", "--ess-threshold", "2.5", {"ess_retrain_threshold": 2.5}),
 ]
-PROTOCOL_FLAGS = {command: {f for c, f, *_ in FLAG_CASES if c == command}
-                  for command, *_ in FLAG_CASES}
+COMMAND_FLAGS = {command: {f for c, f, *_ in FLAG_CASES if c == command}
+                 for command, *_ in FLAG_CASES}
+PROTOCOLS = ("obi-eval", "repeated-pool", "al-obi")
+# Each command's arguments outside the flag table for a run: train and
+# acquire name a dataset that does not exist, so they stop (exit 2) only
+# once they read it. OTHER_OPTIONS are the optional ones.
+RUN_ARGS = {
+    "gen-data": ["--out", "{tmp}/d.npz"],
+    "train": ["--data", "{tmp}/absent.npz", "--out", "{tmp}/m.npz"],
+    "acquire": ["--data", "{tmp}/absent.npz", "--out", "{tmp}/s.csv"],
+    **{command: ["--out", "{tmp}/run"] for command in PROTOCOLS},
+}
+OTHER_OPTIONS = {"acquire": {"--eval-data", "--retrain-every"},
+                 **{command: {"--config"} for command in PROTOCOLS}}
+
+
+def _run_args(command, tmp_path) -> list:
+    return [a.format(tmp=tmp_path) for a in RUN_ARGS[command]]
 
 
 def _tiny_grid_config(**overrides) -> ExperimentConfig:
@@ -653,33 +684,86 @@ class TestCli:
                      "--out", str(tmp_path / "run")]) == 1
         assert "grid model requires grid data" in capsys.readouterr().err
 
+    @staticmethod
+    def _configs_built(monkeypatch) -> list:
+        """The configs the protocols' runners receive, or that gen-data,
+        train and acquire build; the runners only record theirs."""
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return []
+
+        for name in ("obi_vs_retrain_eval", "repeated_pool_benchmark",
+                     "al_with_obi"):
+            monkeypatch.setattr(cli, name, record)
+        build = cli._experiment_config
+
+        def recorded(args):
+            config = build(args)
+            if args.command not in PROTOCOLS:
+                record(config)
+            return config
+
+        monkeypatch.setattr(cli, "_experiment_config", recorded)
+        return seen
+
     @pytest.mark.parametrize("command, flag, value, expected", FLAG_CASES,
                              ids=[c + f for c, f, *_ in FLAG_CASES])
     def test_protocol_flag_sets_its_field(self, command, flag, value,
                                           expected, tmp_path, capsys,
                                           monkeypatch):
-        seen = []
-        for name in ("obi_vs_retrain_eval", "repeated_pool_benchmark",
-                     "al_with_obi"):
-            monkeypatch.setattr(cli, name,
-                                lambda config: seen.append(config) or [])
-        assert main([command, flag, value, "--seed", "4",
-                     "--out", str(tmp_path / "run")]) == 0
+        seen = self._configs_built(monkeypatch)
+        code = main([command, flag, value, "--seed", "4",
+                     *_run_args(command, tmp_path)])
+        assert code == (2 if command in ("train", "acquire") else 0)
         assert seen == [replace(ExperimentConfig(seed=4), **expected)]
 
-    @pytest.mark.parametrize("command", sorted(PROTOCOL_FLAGS))
+    def test_acquire_keeps_its_own_defaults(self, tmp_path, capsys,
+                                            monkeypatch):
+        seen = self._configs_built(monkeypatch)
+        assert main(["acquire", "--seed", "4",
+                     *_run_args("acquire", tmp_path)]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+        assert seen == [replace(ExperimentConfig(seed=4), strategy="bald",
+                                num_steps=10)]
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_protocol_takes_only_the_flags_it_reads(self, command, tmp_path,
                                                     capsys):
         assert main([command, "--help"]) == 0
         shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        assert shown == PROTOCOL_FLAGS[command] | {"--help", "--config",
-                                                   "--seed", "--out"}
-        for flag in set().union(*PROTOCOL_FLAGS.values()) \
-                - PROTOCOL_FLAGS[command]:
-            assert main([command, flag, "1", "--seed", "0",
-                         "--out", str(tmp_path / "run")]) == 1
+        run_args = _run_args(command, tmp_path)
+        assert shown == (COMMAND_FLAGS[command] | {"--help", "--seed"}
+                         | {a for a in run_args if a.startswith("--")}
+                         | OTHER_OPTIONS.get(command, set()))
+        for flag in set().union(*COMMAND_FLAGS.values()) \
+                - COMMAND_FLAGS[command]:
+            assert main([command, flag, "1", "--seed", "0", *run_args]) == 1
             assert "unrecognized arguments" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_flag_shows_the_command_usage(self, tmp_path, capsys):
+        assert main(["repeated-pool", "--lookahead", "3", "--seed", "0",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: obayes repeated-pool ")
+        assert "unrecognized arguments: --lookahead 3" in err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--seed", "-1"], "seed must be an unsigned 64-bit"),
+        ("acquire", ["--seed", "-1"], "seed must be an unsigned 64-bit"),
+        ("train", ["--model", "grid", "--seed", "0"],
+         "grid model requires grid data"),
+    ], ids=["train-seed", "acquire-seed", "train-grid-model"])
+    def test_bad_setting_is_config_error_before_the_data_is_read(
+            self, command, flags, message, tmp_path, capsys):
+        assert main([command, *flags, *_run_args(command, tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_oracle_check_seed_outside_64_bits_is_config_error(self, capsys):
+        assert main(["oracle-check", "--worlds", "1", "--seed", "-1"]) == 1
+        assert "unsigned 64-bit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, raw, flags", [
         ("al-obi", {"num_steps": 2}, []),

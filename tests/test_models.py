@@ -18,6 +18,7 @@ import pytest
 from obayes.data import Dataset, LabeledExample, generate_cluster_dataset
 from obayes.models import (
     GridLikelihood,
+    PosteriorEnsemble,
     exact_grid_posterior,
     forward_log_probs,
     grid_family_from_world,
@@ -34,7 +35,6 @@ from obayes.models.mlp import (
     init_dropout_ensemble,
     init_params,
     mlp_gradient,
-    mlp_log_probs,
     train_deep_ensemble,
     train_mc_dropout,
 )
@@ -137,6 +137,36 @@ class TestForwardLogProbs:
         with pytest.raises(ValueError, match="empty"):
             forward_log_probs(ens, np.empty((0, 1)))
 
+    @staticmethod
+    def _three_members_with_b2(value):
+        """A deep ensemble whose member 1 has output bias 2 at `value`,
+        and four inputs."""
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.0)
+        gen = RngStream(48).generator()
+        members = [init_params(arch, gen) for _ in range(3)]
+        members[1].b2[2] = value
+        return (PosteriorEnsemble(family=DeepEnsembleFamily(arch, members),
+                                  log_weights=np.zeros(3)),
+                gen.standard_normal((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_deep_ensemble_forward_rejects_non_finite_logits(self, bad):
+        ens, xs = self._three_members_with_b2(bad)
+        with pytest.raises(ValueError,
+                           match=r"^family returned NaN or \+inf log-probs$"):
+            forward_log_probs(ens, xs)
+
+    def test_minus_inf_logit_is_a_zero_probability(self):
+        # The softmax's limit: the class gets probability zero.
+        ens, xs = self._three_members_with_b2(-np.inf)
+        table = forward_log_probs(ens, xs)
+        dead = np.zeros(table.shape, dtype=bool)
+        dead[1, :, 2] = True
+        assert np.isneginf(table[dead]).all()
+        assert np.isfinite(table[~dead]).all()
+        np.testing.assert_allclose(np.exp(table).sum(axis=2), 1.0)
+
 
 class TestGradient:
     def test_zero_network_output_bias(self):
@@ -236,7 +266,7 @@ class TestTraining:
                                dropout_rate=0.0)
         ens = train_deep_ensemble(train, arch, TrainConfig(epochs=30, seed=5), 1)
         out = forward_log_probs(ens, evald.xs[:8])
-        direct = mlp_log_probs(ens.family.members[0], evald.xs[:8])
+        direct = _reference_log_probs(ens.family.members[0], evald.xs[:8])
         assert np.array_equal(out[0], direct)
 
     def test_training_reduces_loss(self, cluster_data):
@@ -597,18 +627,6 @@ class TestFusedHotPathsMatchReference:
                 (h * (mask / (1.0 - rate))) @ fam.params.w2 + fam.params.b2)
             for mask in fam.masks])
         assert np.array_equal(fam.log_probs(xs), expected)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_deep_ensemble_forward_rejects_non_finite_logits(self, bad):
-        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
-                               dropout_rate=0.0)
-        gen = RngStream(48).generator()
-        members = [init_params(arch, gen) for _ in range(3)]
-        members[1].b2[2] = bad
-        with pytest.raises(ValueError,
-                           match="^non-finite activations in forward pass$"):
-            DeepEnsembleFamily(arch, members).log_probs(
-                gen.standard_normal((4, 2)))
 
     @pytest.mark.parametrize("bad", ["width_one", "half", "wide", "two"])
     def test_dropout_forward_rejects_non_binary_masks(self, dropout_16, bad):

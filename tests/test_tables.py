@@ -19,10 +19,11 @@ from obayes import acquisition
 from obayes.acquisition import (
     AcquisitionSequence,
     AcquisitionStep,
+    active_sampling_scores,
     batch_bald_gains,
     select_batch,
 )
-from obayes.data import LabeledExample
+from obayes.data import Dataset, LabeledExample
 from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec
 from obayes.harness.experiments import (
     _eval_records,
@@ -282,6 +283,41 @@ class TestObservedLabelGather:
                 coin_ensemble, coin_x[None, :], [y]),
         }
         with pytest.raises(ValueError, match="class indices out of range"):
+            calls[caller]()
+
+    @pytest.mark.parametrize("caller", [
+        "obi_observe_many", "joint_log_prob", "active_sampling_scores",
+        "joint_cross_entropy_sequence", "online_learning_loss-mc",
+        "online_learning_loss-exhaustive"])
+    def test_a_nan_entry_off_the_gathered_labels_is_rejected(self, caller):
+        class NanFamily:
+            """Four uniform two-class samples with a NaN at [1, 2, 1]."""
+            tag, num_classes, size = "nan", 2, 4
+
+            def log_probs(self, xs):
+                table = np.full((4, len(xs), 2), np.log(0.5))
+                table[1, 2, 1] = np.nan
+                return table
+
+        ens = PosteriorEnsemble(family=NanFamily(), log_weights=np.zeros(4))
+        # Every label is 0, so no gather reads the NaN entry itself.
+        data = Dataset(xs=np.arange(3.0)[:, None], ys=np.zeros(3, int),
+                       num_classes=2)
+        rng = RngStream(7)
+        calls = {
+            "obi_observe_many": lambda: obi_observe_many(
+                obi_init(ens), list(data.examples())),
+            "joint_log_prob": lambda: joint_log_prob(ens, data.xs, data.ys),
+            "active_sampling_scores": lambda: active_sampling_scores(
+                ens, data, data),
+            "joint_cross_entropy_sequence":
+                lambda: joint_cross_entropy_sequence(ens, data.examples()),
+            "online_learning_loss-mc": lambda: online_learning_loss(
+                ens, data, 2, 4, rng),
+            "online_learning_loss-exhaustive": lambda: online_learning_loss(
+                ens, data, 2, 4, rng, exhaustive=True),
+        }
+        with pytest.raises(ValueError, match=r"NaN or \+inf log-probs"):
             calls[caller]()
 
 
