@@ -50,24 +50,6 @@ STRATEGIES = ("random", "bald", "batch_bald", "epig", "active_sampling")
 
 
 @dataclass(frozen=True)
-class CandidateBatch:
-    """Pool indices chosen for one batch, with per-pick greedy scores."""
-
-    indices: tuple
-    scores: tuple
-
-    def __post_init__(self):
-        if len(self.indices) < 1:
-            raise ValueError("batch must contain at least one index")
-        if len(self.indices) != len(self.scores):
-            raise ValueError("one score per index required")
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class AcquisitionStep:
     step: int
     pool_index: int
@@ -290,8 +272,9 @@ def score_pool(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
 
 def select_batch(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
                  eval_set: Dataset | None, m: int,
-                 allowed: np.ndarray) -> CandidateBatch:
-    """m greedy picks among the allowed pool points under one strategy.
+                 allowed: np.ndarray) -> tuple[list, list]:
+    """m greedy picks among the allowed pool points under one strategy,
+    and each pick's score.
 
     Each pick is the best-scoring allowed point that is not yet in the
     batch; ties go to the lowest index. batch_bald and active_sampling
@@ -320,7 +303,7 @@ def select_batch(strategy: str, ensemble: PosteriorEnsemble, pool: Dataset,
         picks.append(pick)
         scores.append(float(pool_scores[pick]))
         mask[pick] = False
-    return CandidateBatch(indices=tuple(picks), scores=tuple(scores))
+    return picks, scores
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,9 +360,8 @@ def acquisition_steps(strategy: str, pool: Dataset,
             picks, scores = [int(random_order[start])], [0.0]
         else:
             ensemble, m = next_model(start, acquired)
-            batch = select_batch(strategy, ensemble, pool, eval_set,
-                                 min(m, num_steps - start), allowed)
-            picks, scores = batch.indices, batch.scores
+            picks, scores = select_batch(strategy, ensemble, pool, eval_set,
+                                         min(m, num_steps - start), allowed)
         for pick, score in zip(picks, scores):
             fallback = not np.isfinite(score)
             allowed[pick] = False

@@ -129,8 +129,6 @@ def _cluster_means(num_classes: int, dim: int) -> np.ndarray:
     """Unit-norm cluster centers, evenly spread on the first two axes."""
     means = np.zeros((num_classes, dim))
     if dim == 1:
-        if num_classes == 1:
-            return means
         means[:, 0] = np.linspace(-1.0, 1.0, num_classes)
         return means
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes

@@ -168,10 +168,10 @@ def _cmd_acquire(args) -> int:
     config = _experiment_config(args)
     if args.retrain_every < 1:
         raise ConfigError("retrain-every must be positive")
+    if config.strategy == "active_sampling" and not args.eval_data:
+        raise ConfigError("active_sampling requires --eval-data")
     pool = Dataset.load(args.data)
     eval_set = Dataset.load(args.eval_data) if args.eval_data else None
-    if config.strategy == "active_sampling" and eval_set is None:
-        raise ConfigError("active_sampling requires --eval-data")
     _check_budget(config.num_steps, pool, "num_steps")
     factory = model_factory(config.model, pool.dim, pool.num_classes)
     sequence = run_acquisition(config.strategy, factory, pool, eval_set,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,6 +21,23 @@ from ..acquisition import STRATEGIES
 
 class ConfigError(ValueError):
     """Configuration or argument problem; the CLI exits 1 on it."""
+
+
+# The values each annotation names: a bool is neither an int nor a float.
+_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
+def _check_types(spec) -> None:
+    """Raise ValueError unless each int, float, str or `| None` field of
+    the dataclass `spec` holds a value its annotation names."""
+    for f in fields(spec):
+        kinds = f.type.split(" | ")
+        if not set(kinds) <= _TYPES.keys():
+            continue    # a nested spec, which checks itself
+        value = getattr(spec, f.name)
+        allowed = tuple(_TYPES[kind] for kind in kinds)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +58,7 @@ class DataSpec:
     grid_eval_size: int = 64
 
     def __post_init__(self):
+        _check_types(self)
         if self.kind not in ("clusters", "idx", "grid"):
             raise ValueError(f"unknown data kind: {self.kind}")
         if self.kind == "clusters":
@@ -72,6 +90,7 @@ class ModelSpec:
     ensemble_size: int = 128
 
     def __post_init__(self):
+        _check_types(self)
         if self.kind not in ("mc_dropout", "deep_ensemble", "grid"):
             raise ValueError(f"unknown model kind: {self.kind}")
         if self.ensemble_size < 1:
@@ -109,6 +128,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         positive = {"num_steps": self.num_steps, "trials": self.trials,
                     "obi_subtrials": self.obi_subtrials,
                     "bootstrap_size": self.bootstrap_size,
@@ -124,6 +144,8 @@ class ExperimentConfig:
             raise ValueError("lookahead must be non-negative")
         if self.eval_start < 0:
             raise ValueError("eval_start must be non-negative")
+        if self.seed_train_size < 0:
+            raise ValueError("seed_train_size must be non-negative")
         if self.model.kind == "grid" and self.data.kind != "grid":
             raise ValueError("grid model requires grid data")
         if not 0 <= self.seed < 2 ** 64:
@@ -139,10 +161,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     data = DataSpec(**raw.pop("data", {}))
     model = ModelSpec(**raw.pop("model", {}))
     return ExperimentConfig(data=data, model=model, **raw)
-
-
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_dict(json.loads(text))
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -171,17 +171,34 @@ def generate_sequences(config: ExperimentConfig, pool: Dataset,
     return {"active": active, "random": random_seq}
 
 
-def _eval_records(rows, eval_set, base: dict, flag: str = "") -> list:
-    ce = cross_entropy_from_rows(rows, eval_set.ys)
-    acc = accuracy_from_rows(rows, eval_set.ys)
+def _scores(rows, eval_set) -> tuple:
+    """(cross-entropy, accuracy) of predictive rows on the eval labels."""
+    return (cross_entropy_from_rows(rows, eval_set.ys),
+            accuracy_from_rows(rows, eval_set.ys))
+
+
+def _records(scores, coords: dict, flag: str = "", ess=None) -> list:
+    """The cross-entropy and accuracy records of `scores` at `coords`,
+    then an ESS record when `ess` is given. An infinite cross-entropy is
+    flagged collapse."""
+    ce, acc = scores
     ce_flag = flag or ("collapse" if np.isinf(ce) else "")
-    return [MetricRecord(metric="cross_entropy", value=ce, flag=ce_flag, **base),
-            MetricRecord(metric="accuracy", value=acc, flag=flag, **base)]
+    records = [MetricRecord(metric="cross_entropy", value=ce, flag=ce_flag,
+                            **coords),
+               MetricRecord(metric="accuracy", value=acc, flag=flag, **coords)]
+    if ess is not None:
+        records.append(MetricRecord(metric="ess", value=ess, flag=flag,
+                                    **coords))
+    return records
 
 
-def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
-                 streams: list, coords: dict) -> list:
-    """OBI branch of one cell: one record list per bootstrap sub-trial.
+# A collapsed OBI sub-trial's (cross-entropy, accuracy, ESS, flag).
+_COLLAPSED = (float("inf"), 0.0, 0.0, "collapse")
+
+
+def _obi_scores(state0, next_k, eval_set, bootstrap_size: int,
+                streams: list) -> list:
+    """OBI branch of one cell: (ce, acc, ess, flag) per bootstrap sub-trial.
 
     The prefix model's state observes next_k once; each sub-trial then
     masks that conditioned state to the subset its stream draws, and
@@ -190,28 +207,19 @@ def _obi_records(state0, next_k, eval_set, bootstrap_size: int,
     mass, or only samples next_k or the prefix ruled out; when next_k
     rules out every sample, every sub-trial collapses.
     """
-    def collapse(at):
-        return [MetricRecord(metric=metric, value=value, branch="obi",
-                             flag="collapse", **at)
-                for metric, value in (("cross_entropy", float("inf")),
-                                      ("accuracy", 0.0), ("ess", 0.0))]
-
-    at = [dict(coords, sub_trial=sub) for sub in range(len(streams))]
     try:
         conditioned = obi_observe_many(state0, next_k)
     except PosteriorCollapseError:
-        return [collapse(c) for c in at]
+        return [_COLLAPSED] * len(streams)
     cell = []
-    for stream, c in zip(streams, at):
+    for stream in streams:
         try:
             state = obi_bootstrap(conditioned, bootstrap_size, stream)
         except (DegenerateWeightsError, PosteriorCollapseError):
-            cell.append(collapse(c))
+            cell.append(_COLLAPSED)
             continue
         rows = obi_predict_batch(state, eval_set.xs)
-        cell.append(_eval_records(rows, eval_set, dict(c, branch="obi"))
-                    + [MetricRecord(metric="ess", value=state.ess,
-                                    branch="obi", **c)])
+        cell.append((*_scores(rows, eval_set), state.ess, ""))
     return cell
 
 
@@ -230,8 +238,9 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     sequence's model of one size as one lockstep group, so 2 x trials are
     alive at a time: each one's eval-set and lookahead tables are
     evaluated once, and every bootstrap sub-trial, a weight mask over the
-    prefix model, reads those tables. Records are emitted sequence by
-    sequence.
+    prefix model, reads those tables. Each prefix model's cross-entropy
+    and accuracy are computed once and serve as the baseline or retrain
+    records of every sub-trial. Records are emitted sequence by sequence.
     """
     k = config.lookahead
     t_values = list(range(config.eval_start,
@@ -253,7 +262,7 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
         raise ValueError("sequence shorter than num_steps")
     seq_data = {name: sequences[name].examples(pool) for name in names}
     sizes = sorted(set(t_values) | {t + k for t in t_values})
-    eval_rows, obi_cells = {}, {}
+    eval_scores, obi_cells = {}, {}
     cells = [(trial, name) for trial in range(config.trials)
              for name in names]
     for size in sizes:
@@ -263,18 +272,16 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
             [root.derive("model", name, trial, size) for trial, name in cells])
         for (trial, name), model in zip(cells, models):
             state0 = obi_init(model)
-            eval_rows[name, trial, size] = marginal_log_probs(
-                state0.base, eval_set.xs)
+            eval_scores[name, trial, size] = _scores(
+                marginal_log_probs(state0.base, eval_set.xs), eval_set)
             if size not in t_values:
                 continue
             next_k = [seq_data[name].example(i)
                       for i in range(size, size + k)]
-            obi_cells[name, trial, size] = _obi_records(
+            obi_cells[name, trial, size] = _obi_scores(
                 state0, next_k, eval_set, config.bootstrap_size,
                 [root.derive("bootstrap", name, trial, size, sub)
-                 for sub in range(config.obi_subtrials)],
-                dict(trial=trial, step=size, n=k,
-                     strategy=sequences[name].strategy, name=name))
+                 for sub in range(config.obi_subtrials)])
     records = []
     for name in names:
         for trial in range(config.trials):
@@ -283,13 +290,13 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
                     coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
                                   strategy=sequences[name].strategy,
                                   name=name)
-                    records += _eval_records(eval_rows[name, trial, t],
-                                             eval_set,
-                                             dict(coords, branch="baseline"))
-                    records += _eval_records(eval_rows[name, trial, t + k],
-                                             eval_set,
-                                             dict(coords, branch="retrain"))
-                    records += obi_cells[name, trial, t][sub]
+                    records += _records(eval_scores[name, trial, t],
+                                        dict(coords, branch="baseline"))
+                    records += _records(eval_scores[name, trial, t + k],
+                                        dict(coords, branch="retrain"))
+                    ce, acc, ess, flag = obi_cells[name, trial, t][sub]
+                    records += _records((ce, acc), dict(coords, branch="obi"),
+                                        flag, ess)
     return records
 
 
@@ -301,8 +308,7 @@ def _pick_batch(strategy: str, ensemble, pool: Dataset, m: int,
             raise ValueError("pool exhausted")
         gen = stream.generator()
         return [int(i) for i in gen.choice(candidates, size=m, replace=False)]
-    return list(select_batch(strategy, ensemble, pool, None, m,
-                             allowed).indices)
+    return select_batch(strategy, ensemble, pool, None, m, allowed)[0]
 
 
 def repeated_pool_benchmark(config: ExperimentConfig) -> list:
@@ -345,10 +351,10 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
     for b in range(config.num_batches):
         for strategy, ensemble in zip(strategies, fit_all(b)):
             ensemble = ensemble.with_tables()
-            rows = marginal_log_probs(ensemble, eval_set.xs)
             coords = dict(step=b, strategy=strategy, name=label)
             out = records[strategy]
-            out += _eval_records(rows, eval_set, coords)
+            out += _records(_scores(marginal_log_probs(ensemble, eval_set.xs),
+                                    eval_set), coords)
             batch = _pick_batch(strategy, ensemble, pool, m,
                                 allowed[strategy],
                                 root.derive("batch", strategy, b))
@@ -369,10 +375,9 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
             out.append(MetricRecord(metric="total_correlation_distinct",
                                     value=tc_distinct, **coords))
     for strategy, final in zip(strategies, fit_all(config.num_batches)):
-        rows = marginal_log_probs(final, eval_set.xs)
-        records[strategy] += _eval_records(
-            rows, eval_set, dict(step=config.num_batches, strategy=strategy,
-                                 name=label))
+        records[strategy] += _records(
+            _scores(marginal_log_probs(final, eval_set.xs), eval_set),
+            dict(step=config.num_batches, strategy=strategy, name=label))
     return [record for strategy in strategies
             for record in records[strategy]]
 
@@ -421,10 +426,8 @@ def al_with_obi(config: ExperimentConfig) -> list:
                       name="obi_policy")
         flag = "collapse" if collapsed else ""
         rows = obi_predict_batch(state, eval_set.xs)
-        records += _eval_records(rows, eval_set, dict(coords, branch="obi"),
-                                 flag=flag)
-        records.append(MetricRecord(metric="ess", value=state.ess,
-                                    branch="obi", flag=flag, **coords))
+        records += _records(_scores(rows, eval_set),
+                            dict(coords, branch="obi"), flag, state.ess)
         records.append(MetricRecord(metric="acquired_pool_index",
                                     value=float(rec.pool_index),
                                     flag="fallback" if rec.fallback else "",

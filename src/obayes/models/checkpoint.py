@@ -63,8 +63,8 @@ def load_ensemble(path) -> PosteriorEnsemble:
         log_weights = data["log_weights"]
         if tag == "grid":
             # Older files may hold a subset of the hypotheses.
-            family = GridLikelihood.from_log_tables(
-                data["log_tables"][data["hypotheses"]], data["vocabulary"])
+            family = GridLikelihood(data["log_tables"][data["hypotheses"]],
+                                    data["vocabulary"])
         elif tag == "deep_ensemble":
             family = DeepEnsembleFamily(
                 MlpArchitecture(**meta["arch"]),

@@ -21,29 +21,17 @@ class GridLikelihood:
 
     tag = "grid"
 
-    def __init__(self, tables, vocabulary):
-        with np.errstate(divide="ignore"):
-            log_tables = np.log(np.asarray(tables, dtype=np.float64))
-        self._build(log_tables, vocabulary)
-        # Renormalize rows in log space so downstream checks see exact rows.
-        self.log_tables = log_tables - log_sum_exp_axis(log_tables,
-                                                        axis=2)[..., None]
-
-    @classmethod
-    def from_log_tables(cls, log_tables, vocabulary) -> "GridLikelihood":
-        """Rebuild from stored log tables without a probability round trip."""
-        obj = cls.__new__(cls)
-        obj._build(np.asarray(log_tables, dtype=np.float64), vocabulary)
-        return obj
-
-    def _build(self, log_tables: np.ndarray, vocabulary) -> None:
-        """Check the shapes, then keep the tables and the lookup of each
-        vocabulary row's slot."""
+    def __init__(self, log_tables, vocabulary):
+        """`log_tables` are (K, V, C) log-probabilities, each row's exp
+        summing to 1 within 1e-9; `vocabulary` holds the V input rows."""
+        log_tables = np.asarray(log_tables, dtype=np.float64)
         if log_tables.ndim != 3:
             raise ValueError("tables must be (K, V, C)")
         vocabulary = np.atleast_2d(np.asarray(vocabulary, dtype=np.float64))
         if vocabulary.shape[0] != log_tables.shape[1]:
             raise ValueError("vocabulary length must match table width")
+        if not np.all(np.abs(np.exp(log_tables).sum(axis=2) - 1.0) <= 1e-9):
+            raise ValueError("table rows must be normalized log-probabilities")
         self.log_tables = log_tables
         self.vocabulary = vocabulary
         self._lookup = {vocabulary[v].tobytes(): v
@@ -97,4 +85,9 @@ def exact_grid_posterior(family: GridLikelihood, prior_log_weights,
 
 def grid_family_from_world(world) -> GridLikelihood:
     """Build the main-path grid family from an oracle GridWorld fixture."""
-    return GridLikelihood(tables=world.tables, vocabulary=world.vocabulary)
+    with np.errstate(divide="ignore"):
+        log_tables = np.log(np.asarray(world.tables, dtype=np.float64))
+    # Renormalize rows in log space so downstream checks see exact rows.
+    return GridLikelihood(
+        log_tables - log_sum_exp_axis(log_tables, axis=2)[..., None],
+        world.vocabulary)

@@ -25,14 +25,20 @@ from obayes.numerics import RngStream
 from obayes.oracle import GridWorld, coin_world
 
 
+def grid_family(tables, vocabulary) -> GridLikelihood:
+    """The grid family whose likelihood tables (K, V, C) are the
+    probability `tables`: the constructor takes their logs."""
+    with np.errstate(divide="ignore"):
+        return GridLikelihood(np.log(tables), vocabulary)
+
+
 def sub_ensemble(ensemble, indices) -> PosteriorEnsemble:
     """A plain ensemble over some of `ensemble`'s samples, in order: a
     family built over those samples alone."""
     indices = list(indices)
     fam = ensemble.family
     if isinstance(fam, GridLikelihood):
-        sub = GridLikelihood.from_log_tables(fam.log_tables[indices],
-                                             fam.vocabulary)
+        sub = GridLikelihood(fam.log_tables[indices], fam.vocabulary)
     elif isinstance(fam, McDropoutFamily):
         sub = McDropoutFamily(fam.arch, fam.params, fam.masks[indices])
     else:

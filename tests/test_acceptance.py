@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import grid_family
 from obayes.acquisition import (
     bald_scores,
     epig_scores_singleton,
@@ -29,7 +30,6 @@ from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec, config_
 from obayes.harness.experiments import obi_vs_retrain_eval, repeated_pool_benchmark
 from obayes.infometrics import joint_cross_entropy_sequence, total_correlation
 from obayes.models import exact_grid_posterior, grid_family_from_world, train_mc_dropout
-from obayes.models.grid import GridLikelihood
 from obayes.models.mlp import (
     MlpArchitecture,
     TrainConfig,
@@ -410,23 +410,19 @@ class TestNumericalRobustness:
         # rest of the ensemble finite; zero under all must raise, not NaN.
         vocab = np.array([[0.0]])
         x = np.array([0.0])
-        partial = GridLikelihood(tables=np.array([[[1.0, 0.0]],
-                                                  [[0.5, 0.5]]]),
-                                 vocabulary=vocab)
+        partial = grid_family(np.array([[[1.0, 0.0]], [[0.5, 0.5]]]), vocab)
         state = obi_observe_many(obi_init(partial.uniform_ensemble()),
                                  [LabeledExample(x, 1)])
         rows = obi_predict_batch(state, vocab)
         inf_ok = np.isfinite(state.ess) and _no_nan(
             rows, bald_scores(state.as_ensemble(), vocab))
-        dead = GridLikelihood(tables=np.array([[[1.0, 0.0]],
-                                               [[1.0, 0.0]]]),
-                              vocabulary=vocab)
+        dead = grid_family(np.array([[[1.0, 0.0]], [[1.0, 0.0]]]), vocab)
         with pytest.raises(PosteriorCollapseError):
             obi_observe_many(obi_init(dead.uniform_ensemble()),
                              [LabeledExample(x, 1)])
 
-        single_grid = GridLikelihood(tables=np.array([[[0.7, 0.3]]]),
-                                     vocabulary=vocab).uniform_ensemble()
+        single_grid = grid_family(np.array([[[0.7, 0.3]]]),
+                                  vocab).uniform_ensemble()
         single_net = init_dropout_ensemble(
             MlpArchitecture(in_dim=2, hidden=8, num_classes=4), 1,
             RngStream(seed=31))
@@ -461,10 +457,10 @@ class TestNumericalRobustness:
                                  everything)
                       for strategy in ("bald", "batch_bald", "epig",
                                        "active_sampling")]
-        batch = select_batch("batch_bald", dropout_16, clones, None, 4,
-                             everything)
-        dup_ok = _no_nan(*dup_scores) and len(batch.indices) == 4 and \
-            not any(math.isnan(s) for s in batch.scores)
+        picks, scores = select_batch("batch_bald", dropout_16, clones, None,
+                                     4, everything)
+        dup_ok = _no_nan(*dup_scores) and len(picks) == 4 and \
+            not any(math.isnan(s) for s in scores)
 
         ok = (gap_plain < 1e-4 and gap_masked < 1e-4 and inf_ok
               and single_ok and zero_k_ok and dup_ok)

@@ -12,13 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sub_ensemble
+from conftest import grid_family, sub_ensemble
 from obayes import acquisition, predictive
 from obayes.acquisition import (
     STRATEGIES,
     AcquisitionSequence,
     AcquisitionStep,
-    CandidateBatch,
     active_sampling_scores,
     bald_scores,
     batch_bald_gains,
@@ -69,7 +68,7 @@ def ab_family():
         [[0.999, 0.001], [0.7, 0.3]],   # h1
         [[0.999, 0.001], [0.3, 0.7]],   # h2
     ])
-    return GridLikelihood(tables, np.eye(2))
+    return grid_family(tables, np.eye(2))
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +176,7 @@ def zero_mass_case():
     tables[[0, 3], 0, 0] = 0.0
     tables[[1, 2], 0, 0] = 0.5
     tables /= tables.sum(axis=2, keepdims=True)
-    fam = GridLikelihood(tables, np.eye(4))
+    fam = grid_family(tables, np.eye(4))
     state = obi_observe_many(obi_init(fam.uniform_ensemble()),
                              [LabeledExample(x=fam.vocabulary[0], y=0)])
     ens = state.as_ensemble()
@@ -258,22 +257,22 @@ class TestBatchBald:
 
     def test_greedy_diversifies_topk_does_not(self, ab_family, ab_pool):
         ens = ab_family.uniform_ensemble()
-        batch = _greedy(ens, ab_pool, 2)
-        assert batch.indices == (0, 4)  # one A, one B
+        picks, _ = _greedy(ens, ab_pool, 2)
+        assert picks == [0, 4]          # one A, one B
         marginal = bald_scores(ens, ab_pool)
         topk = np.argsort(-marginal, kind="stable")[:2]
         assert set(topk) == {0, 1}      # two copies of A
 
     def test_greedy_objective_matches_oracle(self, coin, coin_ensemble,
                                              coin_x):
-        batch = _greedy(coin_ensemble, np.tile(coin_x, (2, 1)), 2)
-        assert sum(batch.scores) == pytest.approx(
+        _, scores = _greedy(coin_ensemble, np.tile(coin_x, (2, 1)), 2)
+        assert sum(scores) == pytest.approx(
             oracle_batch_objective(coin, [coin_x, coin_x]), abs=1e-10)
 
     def test_tie_break_lowest_index(self, ab_family, ab_pool):
         ens = ab_family.uniform_ensemble()
-        batch = _greedy(ens, ab_pool, 1)
-        assert batch.indices == (0,)    # all four A copies tie
+        picks, _ = _greedy(ens, ab_pool, 1)
+        assert picks == [0]             # all four A copies tie
 
     def test_batch_larger_than_pool_rejected(self, coin_ensemble, coin_x):
         with pytest.raises(ValueError, match="pool exhausted"):
@@ -283,8 +282,8 @@ class TestBatchBald:
         ens = ab_family.uniform_ensemble()
         allowed = np.ones(len(ab_pool), dtype=bool)
         allowed[0] = False
-        batch = _greedy(ens, ab_pool, 2, allowed=allowed)
-        assert batch.indices == (1, 4)  # lowest allowed A copy, then B
+        picks, _ = _greedy(ens, ab_pool, 2, allowed=allowed)
+        assert picks == [1, 4]          # lowest allowed A copy, then B
         assert not allowed[0] and allowed[1]   # caller's mask untouched
         with pytest.raises(ValueError, match="pool exhausted"):
             _greedy(ens, ab_pool, 2, allowed=allowed & (
@@ -327,7 +326,7 @@ class TestBatchBald:
         # of summation over the samples shows in the gains' last bits.
         table = np.log(gen.dirichlet(np.ones(4), size=(size, 12)))
         random_ens = PosteriorEnsemble(
-            family=GridLikelihood.from_log_tables(table, np.eye(12)),
+            family=GridLikelihood(table, np.eye(12)),
             log_weights=np.log(gen.dirichlet(np.ones(size))))
         cases = [(random_ens, np.eye(12)),
                  (sub_ensemble(dropout_16, range(min(size, 16))),
@@ -367,7 +366,7 @@ class TestEpig:
             [[0.999, 0.001], [0.7, 0.3], [0.5, 0.5]],
             [[0.999, 0.001], [0.3, 0.7], [0.5, 0.5]],
         ])
-        fam = GridLikelihood(tables, np.eye(3))
+        fam = grid_family(tables, np.eye(3))
         ens = fam.uniform_ensemble()
         flat, b = fam.vocabulary[2], fam.vocabulary[1]
         assert _bald(ens, flat) == pytest.approx(0.0, abs=1e-12)
@@ -421,7 +420,7 @@ class TestActiveSampling:
 
     def test_collapse_gives_inf_ce(self):
         tables = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
-        fam = GridLikelihood(tables, np.eye(1))
+        fam = grid_family(tables, np.eye(1))
         x = np.ones(1)
         eval_set = Dataset(xs=x[None, :], ys=[0], num_classes=2)
         impossible = LabeledExample(x=x, y=1)
@@ -551,7 +550,7 @@ class TestMixtureTies:
         # mid-row.
         gen = np.random.default_rng(size)
         table = np.log(gen.dirichlet(np.ones(3), size=(size, 7)))
-        fam = GridLikelihood.from_log_tables(table, np.eye(7))
+        fam = GridLikelihood(table, np.eye(7))
         ens = PosteriorEnsemble(family=fam, log_weights=np.log(
             gen.dirichlet(np.ones(size))))
         base = Dataset(xs=np.eye(7), ys=np.zeros(7, dtype=np.int64),
@@ -611,10 +610,11 @@ class TestSelectBatch:
         top = np.argsort(-np.where(allowed, scores, -np.inf),
                          kind="stable")[:3]
         score_calls.clear()
-        batch = select_batch(strategy, dropout_16, pool, None, 3, allowed)
+        picks, picked = select_batch(strategy, dropout_16, pool, None, 3,
+                                     allowed)
         assert score_calls == [strategy]
-        assert batch.indices == tuple(int(i) for i in top)
-        assert batch.scores == tuple(float(scores[i]) for i in top)
+        assert picks == [int(i) for i in top]
+        assert picked == [float(scores[i]) for i in top]
 
     def test_active_sampling_conditions_on_earlier_picks(
             self, dropout_16, cluster_data, score_calls):
@@ -622,15 +622,15 @@ class TestSelectBatch:
         pool = evald.subset(range(8), "pool")
         eval_set = evald.subset(range(8, 28), "eval")
         allowed = np.ones(8, dtype=bool)
-        batch = select_batch("active_sampling", dropout_16, pool, eval_set,
-                             2, allowed)
+        picks, scores = select_batch("active_sampling", dropout_16, pool,
+                                     eval_set, 2, allowed)
         assert score_calls == ["active_sampling"] * 2
-        first = batch.indices[0]
+        first = picks[0]
         again = active_sampling_scores(dropout_16, pool, eval_set,
                                        [pool.example(first)])
         masked = np.where(np.arange(8) == first, -np.inf, again)
-        assert batch.indices[1] == int(np.argmax(masked))
-        assert batch.scores[1] == again[batch.indices[1]]
+        assert picks[1] == int(np.argmax(masked))
+        assert scores[1] == again[picks[1]]
         assert allowed.all()
 
     def test_non_positive_batch_rejected(self, dropout_16, cluster_data):
@@ -762,12 +762,11 @@ class TestRunAcquisition:
         allowed = np.ones(len(pool), dtype=bool)
         for start in (0, 2, 4):
             (model,) = grid([pool.subset(picks[:start])], [None])
-            batch = select_batch("batch_bald", model, pool, None,
-                                 min(2, 5 - start), allowed)
-            assert list(batch.indices) == picks[start:start + 2]
-            assert tuple(s.score for s in seq.steps[start:start + 2]) == \
-                batch.scores
-            allowed[list(batch.indices)] = False
+            batch, scores = select_batch("batch_bald", model, pool, None,
+                                         min(2, 5 - start), allowed)
+            assert batch == picks[start:start + 2]
+            assert [s.score for s in seq.steps[start:start + 2]] == scores
+            allowed[batch] = False
 
     def test_pool_exhaustion_rejected(self, ab_family, ab_pool):
         pool = self._ab_dataset(ab_family, ab_pool)
@@ -807,13 +806,3 @@ class TestRunAcquisition:
                               pool, eval_set, 3, 1, RngStream(2))
         assert len(seq) == 3
         assert len(set(seq.pool_indices())) == 3
-
-
-class TestCandidateBatchValidation:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateBatch(indices=(), scores=())
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateBatch(indices=(1, 2), scores=(0.5,))

@@ -20,7 +20,7 @@ from obayes.harness.config import (
     ExperimentConfig,
     ModelSpec,
     RunManifest,
-    config_from_json,
+    config_from_dict,
     config_hash,
     config_to_json,
 )
@@ -122,7 +122,7 @@ def _tiny_net_config(**overrides) -> ExperimentConfig:
 class TestConfig:
     def test_json_round_trip(self):
         cfg = _tiny_net_config()
-        back = config_from_json(config_to_json(cfg))
+        back = config_from_dict(json.loads(config_to_json(cfg)))
         assert back == cfg
         assert config_hash(back) == config_hash(cfg)
 
@@ -140,6 +140,37 @@ class TestConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             _tiny_net_config(strategy="nope")
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"num_steps": 2.5}, "num_steps"),
+        ({"num_steps": True}, "num_steps"),
+        ({"seed": "0"}, "seed"),
+        ({"strategy": 3}, "strategy"),
+        ({"ess_retrain_threshold": True}, "ess_retrain_threshold"),
+        ({"model": {"hidden": 8.5}}, "hidden"),
+        ({"model": {"learning_rate": "0.1"}}, "learning_rate"),
+        ({"data": {"kind": "grid", "grid_pool_size": 2.5}}, "grid_pool_size"),
+        ({"data": {"kind": "idx", "images_path": "images",
+                   "labels_path": "labels", "limit": 10.0}}, "limit"),
+        ({"data": {"grid_name": None}}, "grid_name"),
+    ])
+    def test_wrong_type_rejected(self, raw, field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            config_from_dict(raw)
+
+    def test_int_float_and_none_values_accepted(self):
+        cfg = config_from_dict({
+            "ess_retrain_threshold": 4, "seed_train_size": 0,
+            "model": {"kind": "deep_ensemble", "learning_rate": 1,
+                      "dropout_rate": 0},
+            "data": {"kind": "idx", "images_path": "images",
+                     "labels_path": "labels", "limit": None}})
+        assert cfg.ess_retrain_threshold == 4
+        assert cfg.data.limit is None
+
+    def test_negative_seed_train_size_rejected(self):
+        with pytest.raises(ValueError, match="seed_train_size"):
+            config_from_dict({"seed_train_size": -3})
 
     def test_manifest_contains_hash(self):
         cfg = _tiny_net_config()
@@ -341,7 +372,7 @@ def _per_trial_obi_eval(config, sequences) -> list:
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     names = sorted(sequences)
     seq_data = {name: sequences[name].examples(pool) for name in names}
-    eval_rows, obi_cells = {}, {}
+    eval_scores, obi_cells = {}, {}
     for trial in range(config.trials):
         for size in sorted(set(t_values) | {t + k for t in t_values}):
             models = factory(
@@ -350,17 +381,16 @@ def _per_trial_obi_eval(config, sequences) -> list:
                 [root.derive("model", name, trial, size) for name in names])
             for name, model in zip(names, models):
                 state0 = experiments.obi_init(model)
-                eval_rows[name, trial, size] = experiments.marginal_log_probs(
-                    state0.base, eval_set.xs)
+                eval_scores[name, trial, size] = experiments._scores(
+                    experiments.marginal_log_probs(state0.base, eval_set.xs),
+                    eval_set)
                 if size in t_values:
                     next_k = [seq_data[name].example(i)
                               for i in range(size, size + k)]
-                    obi_cells[name, trial, size] = experiments._obi_records(
+                    obi_cells[name, trial, size] = experiments._obi_scores(
                         state0, next_k, eval_set, config.bootstrap_size,
                         [root.derive("bootstrap", name, trial, size, sub)
-                         for sub in range(config.obi_subtrials)],
-                        dict(trial=trial, step=size, n=k,
-                             strategy=sequences[name].strategy, name=name))
+                         for sub in range(config.obi_subtrials)])
     records = []
     for name in names:
         for trial in range(config.trials):
@@ -369,13 +399,15 @@ def _per_trial_obi_eval(config, sequences) -> list:
                     coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
                                   strategy=sequences[name].strategy,
                                   name=name)
-                    records += experiments._eval_records(
-                        eval_rows[name, trial, t], eval_set,
+                    records += experiments._records(
+                        eval_scores[name, trial, t],
                         dict(coords, branch="baseline"))
-                    records += experiments._eval_records(
-                        eval_rows[name, trial, t + k], eval_set,
+                    records += experiments._records(
+                        eval_scores[name, trial, t + k],
                         dict(coords, branch="retrain"))
-                    records += obi_cells[name, trial, t][sub]
+                    ce, acc, ess, flag = obi_cells[name, trial, t][sub]
+                    records += experiments._records(
+                        (ce, acc), dict(coords, branch="obi"), flag, ess)
     return records
 
 
@@ -536,6 +568,38 @@ class TestCli:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_active_sampling_without_eval_data_reads_no_file(self, tmp_path,
+                                                            capsys):
+        code = main(["acquire", "--strategy", "active_sampling", "--data",
+                     str(tmp_path / "absent.npz"), "--seed", "0",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "active_sampling requires --eval-data" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"num_steps": 2.5}, "num_steps must be int"),
+        ({"num_steps": True}, "num_steps must be int"),
+        ({"model": {"hidden": 8.5}}, "hidden must be int"),
+        ({"data": {"kind": "grid", "grid_pool_size": 2.5},
+          "model": {"kind": "grid"}}, "grid_pool_size must be int"),
+        ({"seed_train_size": -3}, "seed_train_size must be non-negative"),
+    ], ids=["float-steps", "bool-steps", "float-hidden", "float-grid-pool",
+            "negative-seed-train"])
+    def test_bad_config_value_is_config_error_before_data(
+            self, raw, message, tmp_path, capsys, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data read")
+
+        monkeypatch.setattr(experiments, "build_splits", no_data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["al-obi", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_strategy_is_config_error(self, tmp_path, capsys):
         code = main(["obi-eval", "--strategy", "nope", "--seed", "0",

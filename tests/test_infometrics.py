@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sub_ensemble
+from conftest import grid_family, sub_ensemble
 from obayes.data import Dataset, LabeledExample
 from obayes.infometrics import (
     JointCeResult,
@@ -20,7 +20,6 @@ from obayes.infometrics import (
 )
 from obayes.models import ensemble as ensemble_module
 from obayes.models import (
-    GridLikelihood,
     forward_log_probs,
     grid_family_from_world,
     observed_log_probs,
@@ -154,7 +153,7 @@ class TestJointCeSequence:
 
     def test_collapse_marks_index(self):
         tables = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
-        fam = GridLikelihood(tables, np.eye(1))
+        fam = grid_family(tables, np.eye(1))
         x = np.ones(1)
         seq = [LabeledExample(x=x, y=0), LabeledExample(x=x, y=1),
                LabeledExample(x=x, y=0)]
@@ -421,6 +420,6 @@ class TestTotalCorrelation:
     def test_summed_marginals_with_zero_mass(self):
         # a deterministic member contributes zero entropy, not NaN
         tables = np.array([[[1.0, 0.0]]])
-        fam = GridLikelihood(tables, np.eye(1))
+        fam = grid_family(tables, np.eye(1))
         out = summed_marginal_entropies(fam.uniform_ensemble(), np.ones((2, 1)))
         assert out == pytest.approx(0.0, abs=1e-12)

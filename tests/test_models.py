@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grid_family
 from obayes.data import Dataset, LabeledExample, generate_cluster_dataset
 from obayes.models import (
     GridLikelihood,
@@ -91,7 +92,7 @@ class TestGridPosterior:
     def test_impossible_data_rejected(self):
         # both hypotheses put zero mass on class 1
         tables = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
-        fam = GridLikelihood(tables, np.eye(1))
+        fam = grid_family(tables, np.eye(1))
         with pytest.raises(ValueError, match="impossible under all hypotheses"):
             exact_grid_posterior(fam, np.zeros(2),
                                  [LabeledExample(x=np.ones(1), y=1)])
@@ -100,17 +101,32 @@ class TestGridPosterior:
         with pytest.raises(ValueError):
             coin_family.log_probs(np.array([[123.0]]))
 
-    @pytest.mark.parametrize("build", [
-        GridLikelihood,
-        lambda t, v: GridLikelihood.from_log_tables(np.log(t), v),
-    ], ids=["tables", "log_tables"])
-    def test_both_constructors_check_shapes(self, build):
+    def test_constructor_checks_shapes(self):
         # Stored log tables come from outside the program: a vocabulary
         # longer than the tables are wide fails here, not at a lookup.
         with pytest.raises(ValueError, match="vocabulary length"):
-            build(np.full((2, 3, 2), 0.5), np.eye(4))
+            GridLikelihood(np.full((2, 3, 2), np.log(0.5)), np.eye(4))
         with pytest.raises(ValueError, match=r"\(K, V, C\)"):
-            build(np.full((3, 2), 0.5), np.eye(3))
+            GridLikelihood(np.full((3, 2), np.log(0.5)), np.eye(3))
+
+    @pytest.mark.parametrize("tables", [
+        np.full((2, 1, 2), 0.5),                        # probabilities
+        np.array([[[0.7, 0.3]], [[0.0, -np.inf]]]),     # one raw row
+        np.log(np.full((1, 2, 2), 0.5)) + 1e-8,         # sums off by 1e-8
+        np.array([[[np.nan, 0.0]]]),
+    ], ids=["probabilities", "one_raw_row", "unnormalized", "nan"])
+    def test_constructor_rejects_rows_that_are_not_log_probabilities(
+            self, tables):
+        # A probability table passed by mistake raises, instead of being
+        # read as log-probabilities.
+        with pytest.raises(ValueError, match="normalized log-probabilities"):
+            GridLikelihood(tables, np.eye(tables.shape[1]))
+
+    def test_constructor_keeps_normalized_log_tables(self, coin):
+        fam = grid_family_from_world(coin)
+        again = GridLikelihood(fam.log_tables, coin.vocabulary)
+        assert again.log_tables is fam.log_tables
+        assert np.allclose(np.exp(fam.log_tables), coin.tables, atol=1e-15)
 
 
 class TestForwardLogProbs:

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sub_ensemble
+from conftest import grid_family, sub_ensemble
 from obayes.data import LabeledExample
 from obayes.models import (
-    GridLikelihood,
     PosteriorEnsemble,
     exact_grid_posterior,
     grid_family_from_world,
@@ -77,7 +76,7 @@ class TestInitAndObserve:
 
     def test_collapse_raises(self):
         tables = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
-        fam = GridLikelihood(tables, np.eye(1))
+        fam = grid_family(tables, np.eye(1))
         state = obi_init(fam.uniform_ensemble())
         with pytest.raises(PosteriorCollapseError,
                            match="impossible under all samples"):
@@ -236,8 +235,8 @@ class TestBootstrapMatchesSubEnsemble:
     def test_impossible_replay(self):
         # h1 never emits label 1, so a subset holding only h1 collapses
         # on the observation while the full state does not.
-        fam = GridLikelihood(np.array([[[0.5, 0.5]], [[1.0, 0.0]],
-                                       [[0.2, 0.8]]]), np.eye(1))
+        fam = grid_family(np.array([[[0.5, 0.5]], [[1.0, 0.0]],
+                                    [[0.2, 0.8]]]), np.eye(1))
         outcomes = self._compare(fam.uniform_ensemble(),
                                  [LabeledExample(x=np.ones(1), y=1)], 1,
                                  np.ones((1, 1)))
@@ -248,7 +247,7 @@ class TestBootstrapMatchesSubEnsemble:
 class TestEss:
     def test_uniform_eight(self):
         tables = np.tile(np.array([[[0.5, 0.5]]]), (8, 1, 1))
-        fam = GridLikelihood(tables, np.eye(1))
+        fam = grid_family(tables, np.eye(1))
         state = obi_init(fam.uniform_ensemble())
         assert state.ess == pytest.approx(8.0, abs=1e-12)
 

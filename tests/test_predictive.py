@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sub_ensemble
+from conftest import grid_family, sub_ensemble
 from obayes import predictive
 from obayes.models import (
-    GridLikelihood,
     PosteriorEnsemble,
     exact_grid_posterior,
     forward_log_probs,
@@ -58,7 +57,7 @@ class TestCategoricalLogDist:
     entropies (`entropy_rows`)."""
 
     def test_lookup_and_probs(self):
-        one_input = GridLikelihood(np.array([[[0.25, 0.75]]]), np.eye(1))
+        one_input = grid_family(np.array([[[0.25, 0.75]]]), np.eye(1))
         row = _marginal_row(one_input.uniform_ensemble(), np.ones(1))
         assert row[1] == pytest.approx(math.log(0.75), abs=1e-12)
         assert np.allclose(np.exp(row), [0.25, 0.75], atol=1e-12)
@@ -562,12 +561,27 @@ def _running_sum_entropy(point_rows, log_w):
         for lo in range(0, total, _BLOCK))
 
 
+class _TableFamily:
+    """A family serving a fixed (S, n, C) log table at the rows of
+    np.eye(n). Its rows need not be normalized: the enumeration and the
+    running sum read any log table, and the grid family accepts only
+    normalized ones."""
+
+    tag = "table"
+
+    def __init__(self, table):
+        self.table = table
+        self.size, _, self.num_classes = table.shape
+
+    def log_probs(self, xs):
+        return self.table[:, np.argmax(xs, axis=1)]
+
+
 def _table_ensemble(table, log_w):
     """Ensemble whose likelihood table over np.eye(n) is `table` (S, n, C)."""
     n = table.shape[1]
-    return PosteriorEnsemble(
-        family=GridLikelihood.from_log_tables(table, np.eye(n)),
-        log_weights=log_w), np.eye(n)
+    return PosteriorEnsemble(family=_TableFamily(table),
+                             log_weights=log_w), np.eye(n)
 
 
 def _max_points(c):

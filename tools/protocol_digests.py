@@ -19,16 +19,22 @@ small ``obayes train`` and an ``obayes acquire`` per strategy on data
 generated from the seed, and prints ``train-MODEL-seed-SEED model.npz
 sha256`` (the digest of every saved array, by name, so the archive's
 timestamps do not count) and ``acquire-MODEL-STRATEGY-seed-SEED
-sequence.csv sha256``; no benchmark workload runs a deep ensemble. Two
-checkouts produce the same bits when their outputs compare equal
-under ``diff``. Run it from the root of a source checkout; it imports the
+sequence.csv sha256``; no benchmark workload runs a deep ensemble. Then
+it builds the coin world's exact posterior of ``GRID_TRAIN`` points drawn
+from the seed, the model a grid protocol trains, saves it, loads it and
+saves it again, and prints ``grid-checkpoint-seed-SEED model.npz
+sha256`` (the same array digest); ``obayes train`` takes no grid model,
+so no other run saves one. Two checkouts produce the same bits when
+their outputs compare equal under ``diff``. Run it from the root of a source checkout; it imports the
 ``obayes`` sources under ``src/`` and only imports the workload module.
-Exits 1 if any run fails the workload's own checks.
+Exits 1 if any run fails the workload's own checks, or if the reloaded
+grid model saves different bits.
 
 With ``--keep DIR`` the outputs stay in DIR: each seed's protocol runs
 (without the skipped ones) under ``DIR/seed-SEED/``, its small train and
-acquire outputs under ``DIR/seed-SEED/cli/``, and its joint-metrics
-values, as JSON, in ``DIR/joint-metrics-seed-SEED.json``.
+acquire outputs and its grid checkpoints under ``DIR/seed-SEED/cli/``,
+and its joint-metrics values, as JSON, in
+``DIR/joint-metrics-seed-SEED.json``.
 ``tools/output_diff.py`` compares two such directories value by value.
 """
 
@@ -61,6 +67,8 @@ SMALL_MODEL = ["--hidden", "16", "--epochs", "20", "--ensemble-size", "8"]
 GRID = {"data": {"kind": "grid"}, "model": {"kind": "grid"},
         "num_steps": 10, "lookahead": 2, "eval_start": 4, "trials": 2,
         "obi_subtrials": 2, "bootstrap_size": 2, "ess_retrain_threshold": 2.0}
+# Training points of the grid checkpoint's model.
+GRID_TRAIN = 6
 
 
 def _workdir(keep: Path | None, seed: int):
@@ -97,6 +105,30 @@ def _npz_digest(path: Path) -> str:
             digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
             digest.update(arr.tobytes())
     return digest.hexdigest()
+
+
+def _grid_checkpoint(seed: int, out_dir: Path) -> tuple[list, dict]:
+    """Failure and digest of a saved grid model, which is saved again
+    after a load; both files are written to `out_dir`."""
+    from obayes.harness.config import ModelSpec
+    from obayes.harness.experiments import model_factory, world_dataset
+    from obayes.models import load_ensemble, save_ensemble
+    from obayes.numerics import RngStream
+    from obayes.oracle import coin_world
+
+    world = coin_world()
+    root = RngStream(seed=seed).derive("grid-checkpoint")
+    train = world_dataset(world, GRID_TRAIN, root.derive("train"))
+    (model,) = model_factory(ModelSpec(kind="grid"), train.dim,
+                             train.num_classes, world)([train], [root])
+    saved, resaved = out_dir / "grid-model.npz", out_dir / "grid-reloaded.npz"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_ensemble(saved, model)
+    save_ensemble(resaved, load_ensemble(saved))
+    digest = _npz_digest(saved)
+    failures = [] if _npz_digest(resaved) == digest else \
+        ["grid checkpoint: the reloaded model saves different bits"]
+    return failures, {f"grid-checkpoint seed {seed}": {"model.npz": digest}}
 
 
 def _cli_digests(seed: int, out_dir: Path) -> tuple[list, dict]:
@@ -153,6 +185,8 @@ def main(argv: list[str]) -> int:
                 codes = job.run()
                 cli_failures, cli_digests = _cli_digests(
                     seed, Path(workdir) / "cli")
+                grid_failures, grid_digests = _grid_checkpoint(
+                    seed, Path(workdir) / "cli")
             failures, digests = job.check(codes)
         joint = JointMetricsJob(seed, "full")
         outputs = joint.run()
@@ -162,7 +196,9 @@ def main(argv: list[str]) -> int:
                 json.dumps(outputs, indent=1) + "\n")
         digests[f"joint-metrics seed {seed}"] = joint_digests
         digests.update(cli_digests)
-        for failure in failures + joint_failures + cli_failures:
+        digests.update(grid_digests)
+        for failure in (failures + joint_failures + cli_failures
+                        + grid_failures):
             print(f"seed {seed}: {failure}", file=sys.stderr)
             status = 1
         for label, files in digests.items():
