@@ -14,8 +14,14 @@ import numpy as np
 
 from ..data import Dataset, generate_cluster_dataset
 from ..models import save_ensemble
-from ..numerics import RngStream
-from ..obi import obi_init, obi_observe_many
+from ..numerics import DegenerateWeightsError, RngStream
+from ..obi import (
+    PosteriorCollapseError,
+    obi_bootstrap,
+    obi_init,
+    obi_observe_many,
+    obi_predict_batch,
+)
 from ..oracle import (
     GridWorld,
     coin_world,
@@ -238,7 +244,53 @@ def _check_world(world, rng: RngStream, label: str) -> list:
     greedy = sum(batch_bald_gains(posterior, batch_xs, range(i),
                                   allowed=[i])[i] for i in range(n_batch))
     close("batch objective", greedy, oracle_vals["batch_objective"])
+    failures += _check_bootstrap(world, state, observed, batch_xs,
+                                 rng.derive("bootstrap"), label)
     return failures
+
+
+def _check_bootstrap(world, state, observed, batch_xs, rng: RngStream,
+                     label: str) -> list:
+    """Compare a bootstrap-masked predictive with the oracle predictive
+    under the prior restricted to the subset and renormalized.
+
+    The subset size comes from `rng`, and the subset from the child
+    stream obi_bootstrap draws it from. A subset to which the oracle
+    gives no mass (no prior mass, or observations impossible under it)
+    must raise on the main path, and any other must not.
+    """
+    k = world.num_hypotheses
+    size = int(rng.generator().integers(1, k + 1))
+    stream = rng.derive("subset")
+    kept = np.zeros(k, dtype=bool)
+    kept[stream.generator().choice(k, size=size, replace=False)] = True
+    restricted = np.where(kept, world.prior, 0.0)
+    expected = None
+    if restricted.sum() > 0.0:
+        sub_world = GridWorld(tables=world.tables,
+                              prior=restricted / restricted.sum(),
+                              vocabulary=world.vocabulary,
+                              true_hypothesis=world.true_hypothesis)
+        try:
+            expected = [oracle_predictive(sub_world, observed, x)
+                        for x in batch_xs]
+        except ValueError:
+            pass                    # the observations rule the subset out
+    try:
+        masked = obi_bootstrap(state, size, stream)
+    except (DegenerateWeightsError, PosteriorCollapseError):
+        masked = None
+    if (expected is None) != (masked is None):
+        return [f"{label}: bootstrap of {size} "
+                + ("raised on a subset with oracle mass" if masked is None
+                   else "did not raise on a subset without oracle mass")]
+    if masked is None:
+        return []
+    rows = np.exp(obi_predict_batch(masked, batch_xs))
+    return [f"{label}: bootstrap predictive[{i}] mismatch "
+            f"({rows[i]} vs {expected[i]})"
+            for i in range(len(batch_xs))
+            if not np.all(np.abs(rows[i] - expected[i]) <= 1e-9)]
 
 
 def _zeroed_world(world: GridWorld, gen: np.random.Generator) -> GridWorld:

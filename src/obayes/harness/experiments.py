@@ -158,19 +158,6 @@ def model_factory(spec, in_dim: int, num_classes: int,
     return factory
 
 
-def generate_sequences(config: ExperimentConfig, pool: Dataset,
-                       eval_set: Dataset, factory,
-                       root: RngStream) -> dict:
-    """The matched pair of conditioning streams: active and random."""
-    active = run_acquisition(config.strategy, factory, pool, eval_set,
-                             config.num_steps, retrain_every=1,
-                             rng=root.derive("sequence", "active"))
-    random_seq = run_acquisition("random", factory, pool, eval_set,
-                                 config.num_steps, retrain_every=1,
-                                 rng=root.derive("sequence", "random"))
-    return {"active": active, "random": random_seq}
-
-
 def _scores(rows, eval_set) -> tuple:
     """(cross-entropy, accuracy) of predictive rows on the eval labels."""
     return (cross_entropy_from_rows(rows, eval_set.ys),
@@ -234,13 +221,24 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     Emits cross-entropy and accuracy for all three branches per cell,
     plus the OBI effective sample size.
 
-    Prefix models are trained in ascending size, every trial's and
-    sequence's model of one size as one lockstep group, so 2 x trials are
-    alive at a time: each one's eval-set and lookahead tables are
-    evaluated once, and every bootstrap sub-trial, a weight mask over the
-    prefix model, reads those tables. Each prefix model's cross-entropy
-    and accuracy are computed once and serve as the baseline or retrain
-    records of every sub-trial. Records are emitted sequence by sequence.
+    Without `sequences`, the pair is `random` (run_acquisition's random
+    order, which trains nothing) and `active`, which `acquisition_steps`
+    picks with config.strategy, retraining before every pick. Prefix
+    models are trained in ascending size, every trial's and sequence's
+    model of one size as one lockstep group; the active sequence's
+    retrain before pick s trains on the s points picked so far, so it
+    joins that group of size s, or trains alone at a size no prefix
+    model has. The models of size num_steps train after the last pick.
+    A model is scored once the k sequence points after its prefix
+    exist: at once for the random sequence and for a size that is no t,
+    after pick t+k-1 for an active t-model, which is held until then, as
+    a plain ensemble. Scoring evaluates the model's eval-set and
+    lookahead tables once; every bootstrap sub-trial, a weight mask over
+    the prefix model, reads them, and the memo's exp of the eval table.
+    Each prefix model's cross-entropy and accuracy are computed once and
+    serve as the baseline or retrain records of every sub-trial. Records
+    are emitted sequence by sequence. Given `sequences`, the same loop
+    runs with no retrain.
     """
     k = config.lookahead
     t_values = list(range(config.eval_start,
@@ -256,40 +254,81 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
                           f"the model size {size}")
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     if sequences is None:
-        sequences = generate_sequences(config, pool, eval_set, factory, root)
-    names = sorted(sequences)
-    if any(len(sequences[name]) < config.num_steps for name in names):
-        raise ValueError("sequence shorter than num_steps")
-    seq_data = {name: sequences[name].examples(pool) for name in names}
+        random_seq = run_acquisition("random", factory, pool, eval_set,
+                                     config.num_steps, retrain_every=1,
+                                     rng=root.derive("sequence", "random"))
+        picks = {"active": [], "random": random_seq.pool_indices()}
+        strategies = {"active": config.strategy, "random": "random"}
+    else:
+        if any(len(seq) < config.num_steps for seq in sequences.values()):
+            raise ValueError("sequence shorter than num_steps")
+        picks = {name: seq.pool_indices() for name, seq in sequences.items()}
+        strategies = {name: seq.strategy for name, seq in sequences.items()}
+    names = sorted(picks)
     sizes = sorted(set(t_values) | {t + k for t in t_values})
-    eval_scores, obi_cells = {}, {}
     cells = [(trial, name) for trial in range(config.trials)
              for name in names]
-    for size in sizes:
-        models = factory(
-            [seq_data[name].subset(range(size), "prefix")
-             for _, name in cells],
-            [root.derive("model", name, trial, size) for trial, name in cells])
-        for (trial, name), model in zip(cells, models):
-            state0 = obi_init(model)
-            eval_scores[name, trial, size] = _scores(
-                marginal_log_probs(state0.base, eval_set.xs), eval_set)
-            if size not in t_values:
-                continue
-            next_k = [seq_data[name].example(i)
-                      for i in range(size, size + k)]
+    eval_scores, obi_cells, held = {}, {}, []
+
+    def score(name, trial, size, model) -> None:
+        state0 = obi_init(model)
+        eval_scores[name, trial, size] = _scores(
+            marginal_log_probs(state0.base, eval_set.xs), eval_set)
+        if size in t_values:
+            next_k = [pool.example(i) for i in picks[name][size:size + k]]
             obi_cells[name, trial, size] = _obi_scores(
                 state0, next_k, eval_set, config.bootstrap_size,
                 [root.derive("bootstrap", name, trial, size, sub)
                  for sub in range(config.obi_subtrials)])
+
+    def waiting(cell) -> bool:
+        name, _, size, _ = cell
+        return size in t_values and len(picks[name]) < size + k
+
+    def score_ready() -> None:
+        ready = [cell for cell in held if not waiting(cell)]
+        held[:] = [cell for cell in held if waiting(cell)]
+        for cell in ready:
+            score(*cell)
+
+    def fit(size: int, trains=(), streams=()) -> list:
+        """The prefix models of `size` (when it is one) and the extra
+        fits as one group; scores or holds the first, returns the rest."""
+        score_ready()
+        prefix = cells if size in sizes else []
+        models = factory(
+            [pool.subset(picks[name][:size], "prefix")
+             for _, name in prefix] + list(trains),
+            [root.derive("model", name, trial, size)
+             for trial, name in prefix] + list(streams))
+        for (trial, name), model in zip(prefix, models):
+            held.append((name, trial, size, model))
+        score_ready()
+        return models[len(prefix):]
+
+    trained = set()
+    if sequences is None:
+        active_rng = root.derive("sequence", "active")
+
+        def retrain(step: int, acquired: list):
+            trained.add(step)
+            (model,) = fit(step, [pool.subset(acquired, "acquired")],
+                           [active_rng.derive("retrain", step)])
+            return model, 1
+
+        for rec in acquisition_steps(config.strategy, pool, eval_set,
+                                     config.num_steps, active_rng, retrain):
+            picks["active"].append(rec.pool_index)
+    for size in sizes:
+        if size not in trained:
+            fit(size)
     records = []
     for name in names:
         for trial in range(config.trials):
             for t in t_values:
                 for sub in range(config.obi_subtrials):
                     coords = dict(trial=trial, sub_trial=sub, step=t, n=k,
-                                  strategy=sequences[name].strategy,
-                                  name=name)
+                                  strategy=strategies[name], name=name)
                     records += _records(eval_scores[name, trial, t],
                                         dict(coords, branch="baseline"))
                     records += _records(eval_scores[name, trial, t + k],

@@ -4,6 +4,7 @@ from .ensemble import (
     PosteriorEnsemble,
     checked_labels,
     forward_log_probs,
+    forward_tables,
     observed_log_likelihood,
     observed_log_probs,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "PosteriorEnsemble",
     "checked_labels",
     "forward_log_probs",
+    "forward_tables",
     "observed_log_likelihood",
     "observed_log_probs",
     "GridLikelihood",

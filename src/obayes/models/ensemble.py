@@ -32,7 +32,10 @@ memo. The memo lives as long as the ensembles that share it:
 `reweighted` shares it, so a subset of the samples is expressed as -inf
 log weights outside it, never as a smaller ensemble. Stored tables are
 read-only, so an in-place write raises instead of corrupting later
-reads. Plain ensembles never memoize; `obi_init`, `select_batch`,
+reads. Beside a table, `forward_tables` keeps its exp, made on first
+use and read-only too, so a marginal under any of the memo's weights
+(each bootstrap sub-trial of obi-eval, say) exponentiates no table
+again. Plain ensembles never memoize; `obi_init`, `select_batch`,
 repeated-pool's batch models, `total_correlation` and
 `cross_entropy_rate_estimate` opt in, because they read the same point
 sets more than once under fixed samples.
@@ -116,11 +119,11 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     a wrong shape, NaN or +inf raises ValueError, and -inf is a zero
     probability.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    xs = _points(xs)
     if xs.shape[0] == 0:
         raise ValueError("empty reduction")
     memo = ensemble._tables
-    key = None if memo is None else (xs.shape, xs.tobytes())
+    key = None if memo is None else _memo_key(xs)
     if key is not None and key in memo:
         return memo[key]
     # A NaN made on the way is rejected below, without a warning first.
@@ -133,6 +136,31 @@ def forward_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
     if key is not None:
         memo[key] = _read_only(out)
     return out
+
+
+def forward_tables(ensemble: PosteriorEnsemble, xs) -> tuple:
+    """`forward_log_probs(ensemble, xs)` and its exp, both (S, N, C).
+
+    A memoizing ensemble makes the exp on first use and keeps it,
+    read-only, beside the table in its memo; a plain ensemble stores
+    nothing and exponentiates afresh.
+    """
+    log_table = forward_log_probs(ensemble, xs)
+    memo = ensemble._tables
+    if memo is None:
+        return log_table, np.exp(log_table)
+    key = ("exp", *_memo_key(_points(xs)))
+    if key not in memo:
+        memo[key] = _read_only(np.exp(log_table))
+    return log_table, memo[key]
+
+
+def _points(xs) -> np.ndarray:
+    return np.atleast_2d(np.asarray(xs, dtype=np.float64))
+
+
+def _memo_key(xs: np.ndarray) -> tuple:
+    return (xs.shape, xs.tobytes())
 
 
 def observed_log_probs(ensemble: PosteriorEnsemble, xs, ys) -> np.ndarray:

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import PosteriorEnsemble, forward_log_probs, observed_log_probs
+from .models import (
+    PosteriorEnsemble,
+    forward_log_probs,
+    forward_tables,
+    observed_log_probs,
+)
 from .numerics import (
     _MATMUL_FLOOR,
     RngStream,
@@ -39,7 +44,8 @@ _GATHER_ROWS = 128
 _GROUP_ROWS = 256
 
 
-def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
+def mixture_log_probs(log_w: np.ndarray, table: np.ndarray,
+                      probs: np.ndarray | None = None) -> np.ndarray:
     """ln sum_j exp(log_w[j]) p_j over the leading sample axis of a table.
 
     `log_w` is (S,) and broadcasts over every trailing axis of `table`,
@@ -47,18 +53,21 @@ def mixture_log_probs(log_w: np.ndarray, table: np.ndarray) -> np.ndarray:
     (S, A) table of per-sample assignment log-likelihoods gives (A,).
     The weights must be normalized and the entries log-probabilities
     (at most 0), so no exponential can overflow and the mixture is one
-    exp pass and one matrix-vector product. The product is an einsum,
-    not BLAS: it sums every column in the same order, so equal columns
-    give equal bits wherever they sit (a BLAS kernel sums its last few
-    columns another way). Entries whose mixture falls below
-    _MATMUL_FLOOR are recomputed by log_sum_exp_axis, so underflow never
-    turns a representable value into -inf; an entry with no mass is
-    exactly -inf, and NaN or +inf raises.
+    exp pass and one matrix-vector product; a caller that holds
+    `exp(table)` passes it as `probs` and skips the exp pass. The
+    product is an einsum, not BLAS: it sums every column in the same
+    order, so equal columns give equal bits wherever they sit (a BLAS
+    kernel sums its last few columns another way). Entries whose
+    mixture falls below _MATMUL_FLOOR are recomputed by
+    log_sum_exp_axis, so underflow never turns a representable value
+    into -inf; an entry with no mass is exactly -inf, and NaN or +inf
+    raises.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     flat = np.asarray(table, dtype=np.float64).reshape(len(log_w), -1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.einsum("s,sm->m", np.exp(log_w), np.exp(flat))
+        probs = np.exp(flat) if probs is None else probs.reshape(flat.shape)
+        q = np.einsum("s,sm->m", np.exp(log_w), probs)
         out = np.log(q)
     # NaN or +inf in a column (or in the weights) reaches its output.
     if not np.all(out < np.inf):
@@ -78,9 +87,10 @@ def entropy_rows(log_rows: np.ndarray) -> np.ndarray:
 
 
 def marginal_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
-    """Log mixture predictive for each input row; shape (N, C)."""
+    """Log mixture predictive for each input row; shape (N, C). A
+    memoizing ensemble mixes the exp table its memo keeps."""
     return mixture_log_probs(ensemble.normalized_log_weights(),
-                             forward_log_probs(ensemble, xs))
+                             *forward_tables(ensemble, xs))
 
 
 def joint_log_prob(ensemble: PosteriorEnsemble, xs, ys) -> float:

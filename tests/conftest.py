@@ -8,7 +8,9 @@ arithmetic or the brute-force oracle.
 import numpy as np
 import pytest
 
+from obayes.acquisition import run_acquisition
 from obayes.data import generate_cluster_dataset
+from obayes.harness.experiments import build_splits, model_factory
 from obayes.models import (
     GridLikelihood,
     PosteriorEnsemble,
@@ -30,6 +32,20 @@ def grid_family(tables, vocabulary) -> GridLikelihood:
     probability `tables`: the constructor takes their logs."""
     with np.errstate(divide="ignore"):
         return GridLikelihood(np.log(tables), vocabulary)
+
+
+def reference_pair(config) -> dict:
+    """obi-eval's `active` and `random` sequences for `config`, each
+    picked by its own run_acquisition call that retrains before every
+    pick, on the streams obi_vs_retrain_eval derives for them."""
+    root = RngStream(seed=config.seed)
+    pool, eval_set, _, world = build_splits(config, root)
+    factory = model_factory(config.model, pool.dim, pool.num_classes, world)
+    return {name: run_acquisition(strategy, factory, pool, eval_set,
+                                  config.num_steps, retrain_every=1,
+                                  rng=root.derive("sequence", name))
+            for name, strategy in (("active", config.strategy),
+                                   ("random", "random"))}
 
 
 def sub_ensemble(ensemble, indices) -> PosteriorEnsemble:

@@ -1,17 +1,20 @@
 """Experiment configs, CSV emission, protocols, and the CLI."""
 
+import gc
 import json
 import math
 import platform
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import reference_pair
 from obayes import obi
 from obayes.acquisition import STRATEGIES, run_acquisition
-from obayes.data import Dataset
+from obayes.data import Dataset, LabeledExample
 from obayes.harness import cli, experiments
 from obayes.harness.cli import main
 from obayes.harness.config import (
@@ -39,6 +42,7 @@ from obayes.harness.io import (
     write_records,
 )
 from obayes.infometrics import MetricRecord
+from obayes.models import grid_family_from_world
 from obayes.numerics import RngStream
 from obayes.oracle import GridWorld
 
@@ -317,24 +321,9 @@ class TestObiVsRetrain:
 
     def test_trials_train_as_one_group_per_size(self, monkeypatch):
         cfg = _tiny_net_config(trials=3, obi_subtrials=2)
-        root = RngStream(seed=cfg.seed)
-        pool, eval_set, _, world = build_splits(cfg, root)
-        sequences = experiments.generate_sequences(
-            cfg, pool, eval_set,
-            model_factory(cfg.model, pool.dim, pool.num_classes, world), root)
+        sequences = reference_pair(cfg)
         expected = _per_trial_obi_eval(cfg, sequences)
-        groups = []
-
-        def spying_model_factory(*args):
-            factory = model_factory(*args)
-
-            def spy(trains, streams):
-                groups.append(sorted(len(t) for t in trains))
-                return factory(trains, streams)
-            return spy
-
-        monkeypatch.setattr(experiments, "model_factory",
-                            spying_model_factory)
+        groups = _spy_groups(monkeypatch)
         assert obi_vs_retrain_eval(cfg, sequences) == expected
         t_values = range(cfg.eval_start, cfg.num_steps - cfg.lookahead + 1)
         sizes = sorted(set(t_values) | {t + cfg.lookahead for t in t_values})
@@ -360,6 +349,93 @@ class TestObiVsRetrain:
         assert observed == [cfg.lookahead] * (2 * cfg.trials * len(t_values))
         assert sum(r.metric == "ess" for r in records) == \
             len(observed) * cfg.obi_subtrials
+
+    @pytest.mark.parametrize("cfg", [
+        _tiny_net_config(),
+        _tiny_net_config(trials=3, obi_subtrials=2),
+        _tiny_net_config(model=ModelSpec(kind="deep_ensemble", hidden=16,
+                                         epochs=20, ensemble_size=4),
+                         trials=2, obi_subtrials=2, bootstrap_size=3),
+        _tiny_grid_config(trials=2, obi_subtrials=2, bootstrap_size=2),
+    ], ids=["mc_dropout-1", "mc_dropout-3", "deep_ensemble", "grid"])
+    def test_retrains_in_the_loop_pick_the_reference_pair(self, cfg):
+        # Retraining inside the prefix groups gives the rows of picking
+        # both sequences first, with run_acquisition, on the same streams.
+        assert [record_to_row(r) for r in obi_vs_retrain_eval(cfg)] == \
+            [record_to_row(r)
+             for r in obi_vs_retrain_eval(cfg, reference_pair(cfg))]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(trials=2),
+        # Prefix sizes 2-4 and 8-10: the retrains of steps 5-7 train alone.
+        dict(trials=3, num_steps=10, lookahead=6, eval_start=2)],
+        ids=["contiguous", "gaps"])
+    def test_retrain_joins_the_prefix_group_of_its_size(self, overrides,
+                                                        monkeypatch):
+        cfg = _tiny_net_config(**overrides)
+        groups = _spy_groups(monkeypatch)
+        obi_vs_retrain_eval(cfg)
+        k, cells = cfg.lookahead, 2 * cfg.trials
+        t_values = range(cfg.eval_start, cfg.num_steps - k + 1)
+        sizes = set(t_values) | {t + k for t in t_values}
+        assert groups == [[s] * (cells + 1 if s in sizes else 1)
+                          for s in range(cfg.num_steps)] + \
+            [[cfg.num_steps] * cells]
+
+    def test_no_prefix_model_outlives_its_lookahead(self, monkeypatch):
+        cfg = _tiny_net_config(trials=2, num_steps=10, lookahead=3,
+                               eval_start=2)
+        root = RngStream(seed=cfg.seed)
+        prefix_streams = {
+            root.derive("model", name, trial, size): size
+            for name in ("active", "random") for trial in range(cfg.trials)
+            for size in range(cfg.num_steps + 1)}
+        models = []      # (size, weak reference)
+        alive_at = {}
+
+        def spying_model_factory(*args):
+            factory = model_factory(*args)
+
+            def spy(trains, streams):
+                step = len(trains[0])
+                gc.collect()
+                alive = [size for size, ref in models if ref() is not None]
+                alive_at[step] = alive
+                out = factory(trains, streams)
+                models.extend((prefix_streams[s], weakref.ref(m))
+                              for s, m in zip(streams, out)
+                              if s in prefix_streams)
+                return out
+            return spy
+
+        monkeypatch.setattr(experiments, "model_factory",
+                            spying_model_factory)
+        obi_vs_retrain_eval(cfg)
+        gc.collect()
+        assert all(ref() is None for _, ref in models)
+        assert len(models) == 2 * cfg.trials * 9        # sizes 2-10
+        for step, alive in alive_at.items():
+            assert all(size + cfg.lookahead > step for size in alive)
+            assert len(alive) <= cfg.trials * cfg.lookahead
+        # Active prefix models wait for their lookahead picks.
+        assert any(alive_at.values())
+
+
+def _spy_groups(monkeypatch) -> list:
+    """The list that gets the sorted training-set sizes of each call to
+    the protocols' trainer."""
+    groups = []
+
+    def spying_model_factory(*args):
+        factory = model_factory(*args)
+
+        def spy(trains, streams):
+            groups.append(sorted(len(t) for t in trains))
+            return factory(trains, streams)
+        return spy
+
+    monkeypatch.setattr(experiments, "model_factory", spying_model_factory)
+    return groups
 
 
 def _per_trial_obi_eval(config, sequences) -> list:
@@ -900,6 +976,54 @@ class TestCli:
         assert "zeroed (" in lines[1] and lines[1].endswith(": ok")
         assert "plus a single-sample world and its zeroed variant" \
             in lines[-1]
+
+    @staticmethod
+    def _bootstrap_failures(prior, stub=None, monkeypatch=None) -> list:
+        """_check_bootstrap's failures over 40 streams, on a world of two
+        hypotheses with `prior` and one observed head, obi_bootstrap
+        replaced by `stub` when given."""
+        world = GridWorld(tables=np.array([[[0.4, 0.6]], [[0.7, 0.3]]]),
+                          prior=np.array(prior), vocabulary=np.zeros((1, 1)))
+        family = grid_family_from_world(world)
+        with np.errstate(divide="ignore"):
+            base = family.uniform_ensemble().reweighted(np.log(world.prior))
+        observed = [LabeledExample(np.zeros(1), 1)]
+        state = obi.obi_observe_many(obi.obi_init(base), observed)
+        if stub is not None:
+            monkeypatch.setattr(cli, "obi_bootstrap", stub)
+        return [failure for i in range(40)
+                for failure in cli._check_bootstrap(
+                    world, state, observed, np.zeros((1, 1)),
+                    RngStream(0).derive(i), "w")]
+
+    def test_bootstrap_check_matches_the_restricted_oracle(self):
+        assert self._bootstrap_failures([0.5, 0.5]) == []
+        assert self._bootstrap_failures([1.0, 0.0]) == []
+
+    def test_bootstrap_check_needs_a_raise_without_oracle_mass(
+            self, monkeypatch):
+        # Ignoring the mask is right whenever the subset keeps
+        # hypothesis 0, the only one with prior mass, and wrong when it
+        # keeps only hypothesis 1, which the oracle gives no mass.
+        failures = self._bootstrap_failures(
+            [1.0, 0.0], lambda state, size, rng: state, monkeypatch)
+        assert failures
+        assert all(f == "w: bootstrap of 1 did not raise on a subset "
+                   "without oracle mass" for f in failures)
+
+    def test_bootstrap_check_catches_a_wrong_predictive_or_raise(
+            self, monkeypatch):
+        unmasked = self._bootstrap_failures(
+            [0.5, 0.5], lambda state, size, rng: state, monkeypatch)
+        assert unmasked and all("bootstrap predictive[0] mismatch" in f
+                                for f in unmasked)
+
+        def collapse(*args):
+            raise obi.PosteriorCollapseError("stub")
+
+        raised = self._bootstrap_failures([0.5, 0.5], collapse, monkeypatch)
+        assert len(raised) == 40 and all(
+            "raised on a subset with oracle mass" in f for f in raised)
 
     def test_obi_eval_flags_bootstraps_of_ruled_out_samples(self, tmp_path,
                                                             capsys):

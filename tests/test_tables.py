@@ -14,7 +14,7 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import sub_ensemble
+from conftest import reference_pair, sub_ensemble
 from obayes import acquisition
 from obayes.acquisition import (
     AcquisitionSequence,
@@ -28,7 +28,6 @@ from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec
 from obayes.harness.experiments import (
     al_with_obi,
     build_splits,
-    generate_sequences,
     model_factory,
     obi_vs_retrain_eval,
 )
@@ -47,6 +46,7 @@ from obayes.models import (
     GridLikelihood,
     PosteriorEnsemble,
     forward_log_probs,
+    forward_tables,
     observed_log_likelihood,
     observed_log_probs,
 )
@@ -70,6 +70,7 @@ from obayes.predictive import (
     joint_entropy_exact,
     joint_log_prob,
     marginal_log_probs,
+    mixture_log_probs,
 )
 
 
@@ -194,6 +195,67 @@ class TestMemo:
         evals = [c for c in family_calls if c[1] == evald.xs.tobytes()]
         assert len(evals) == 1
         assert not np.array_equal(first, second)
+
+    def test_exp_table_is_kept_read_only_beside_the_table(
+            self, dropout_16, cluster_data, family_calls):
+        xs = cluster_data[1].xs[:9]
+        memo = dropout_16.with_tables()
+        log_table, table = forward_tables(memo, xs)
+        assert log_table is forward_log_probs(memo, xs)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+        assert np.array_equal(table, np.exp(log_table))
+        tilted = memo.reweighted(np.linspace(-1.0, 0.0, 16))
+        assert forward_tables(tilted, xs)[1] is table
+        assert len(family_calls) == 1
+        # A plain ensemble keeps nothing: a fresh, writeable exp per call.
+        _, plain = forward_tables(dropout_16, xs)
+        assert dropout_16._tables is None and plain.flags.writeable
+        assert forward_tables(dropout_16, xs)[1] is not plain
+        assert np.array_equal(plain, table)
+
+    def test_bootstrap_marginals_from_the_exp_memo_are_plain_bits(
+            self, dropout_128, cluster_data):
+        train, evald = cluster_data
+        state = obi_observe_many(obi_init(dropout_128),
+                                 [train.example(i) for i in range(4)])
+        for sub in range(6):
+            boot = obi_bootstrap(state, 64, RngStream(21).derive(sub))
+            plain = PosteriorEnsemble(family=dropout_128.family,
+                                      log_weights=boot.cumulative_log_weights)
+            rows = obi_predict_batch(boot, evald.xs)
+            assert np.array_equal(rows, marginal_log_probs(plain, evald.xs))
+            # The bits of exponentiating the table inside the mixture.
+            assert np.array_equal(rows, mixture_log_probs(
+                plain.normalized_log_weights(),
+                forward_log_probs(plain, evald.xs)))
+
+    def test_underflow_and_massless_entries_from_the_exp_memo(self):
+        # At input 0 class 0 underflows under every hypothesis, so its
+        # mixture is recomputed in log space; at input 1 class 1 has no
+        # mass under hypotheses 0-2, so a mask keeping only those gives
+        # exactly -inf there.
+        half = np.log(0.5)
+        log_tables = np.array([
+            [[-1000.0, half, half], [half, -np.inf, half]],
+            [[-1010.0, -1000.0, 0.0], [0.0, -np.inf, -np.inf]],
+            [[-1005.0, 0.0, -1000.0], [-np.inf, -np.inf, 0.0]],
+            [[-1001.0, half, half], [half, half, -np.inf]],
+        ])
+        family = GridLikelihood(log_tables, np.eye(2))
+        xs = np.eye(2)
+        memo = family.uniform_ensemble().with_tables()
+        for keep in ([0, 1, 2, 3], [0, 1, 2], [1], [3]):
+            log_w = np.full(4, -np.inf)
+            log_w[keep] = np.linspace(-2.0, 0.0, len(keep))
+            masked = marginal_log_probs(memo.reweighted(log_w), xs)
+            plain = marginal_log_probs(
+                PosteriorEnsemble(family=family, log_weights=log_w), xs)
+            assert np.array_equal(masked, plain)
+            assert -1011.0 < masked[0, 0] < -999.0
+            if 3 not in keep:
+                assert masked[1, 1] == -np.inf
 
 
 class TestEnsembleConstants:
@@ -367,10 +429,8 @@ class TestEvaluationCounts:
     def test_obi_eval_evaluates_lookahead_once_per_prefix_model(
             self, family_calls):
         cfg = _net_config()
-        root = RngStream(seed=cfg.seed)
-        pool, eval_set, _, world = build_splits(cfg, root)
-        factory = model_factory(cfg.model, pool.dim, pool.num_classes, world)
-        sequences = generate_sequences(cfg, pool, eval_set, factory, root)
+        pool, _, _, _ = build_splits(cfg, RngStream(seed=cfg.seed))
+        sequences = reference_pair(cfg)
         family_calls.clear()
         obi_vs_retrain_eval(cfg, sequences)
         k = cfg.lookahead
@@ -463,7 +523,7 @@ def _reference_obi_eval(config: ExperimentConfig, sequences=None) -> list:
     pool, eval_set, _, world = build_splits(config, root)
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     if sequences is None:
-        sequences = generate_sequences(config, pool, eval_set, factory, root)
+        sequences = reference_pair(config)
     k = config.lookahead
     t_values = list(range(config.eval_start, config.num_steps - k + 1))
     records = []

@@ -10,7 +10,9 @@ an earlier seed already ran (repeated-pool runs at root seeds SEED to
 SEED+4) is skipped, so each label runs and prints once. After them come
 a small obi-eval and al-obi of a grid model on the coin world (``GRID``),
 which no benchmark workload runs, as ``grid-COMMAND-seed-SEED`` lines,
-with the same checks. Then runs
+and a small MC-dropout obi-eval at 3 trials whose prefix sizes leave
+gaps (``GAPS``), as ``gaps-obi-eval-seed-SEED`` lines, with the same
+checks. Then runs
 ``perfbench.workloads.JointMetricsJob`` at full size for the seed and
 prints its ``outputs`` digest (the sha256 of every estimator value, from
 ``JointMetricsJob.check``) as ``joint-metrics-seed-SEED outputs sha256``.
@@ -67,6 +69,16 @@ SMALL_MODEL = ["--hidden", "16", "--epochs", "20", "--ensemble-size", "8"]
 GRID = {"data": {"kind": "grid"}, "model": {"kind": "grid"},
         "num_steps": 10, "lookahead": 2, "eval_start": 4, "trials": 2,
         "obi_subtrials": 2, "bootstrap_size": 2, "ess_retrain_threshold": 2.0}
+# The small obi-eval with gaps: prefix sizes 2-4 and 8-10 over 10 steps,
+# so the active sequence's retrains before picks 5-7 train alone and the
+# others join a group of 7 prefix fits.
+GAPS = {"data": {"n_per_class": 8, "num_classes": 4, "dim": 2,
+                 "spread": 0.4, "eval_per_class": 10},
+        "model": {"kind": "mc_dropout", "hidden": 16, "epochs": 20,
+                  "ensemble_size": 8},
+        "strategy": "bald", "num_steps": 10, "lookahead": 6, "eval_start": 2,
+        "trials": 3, "obi_subtrials": 2, "bootstrap_size": 4,
+        "seed_train_size": 4}
 # Training points of the grid checkpoint's model.
 GRID_TRAIN = 6
 
@@ -79,20 +91,23 @@ def _workdir(keep: Path | None, seed: int):
     return contextlib.nullcontext(str(path))
 
 
-def _grid_calls(seed: int, workdir: Path) -> list:
-    """ProtocolsJob calls of the small grid obi-eval and al-obi."""
+def _small_calls(seed: int, workdir: Path) -> list:
+    """ProtocolsJob calls of the small grid obi-eval and al-obi, and of
+    the small obi-eval with gaps."""
     from obayes.harness.config import config_from_dict, config_to_json
 
-    config = config_from_dict(GRID)
-    config_path = workdir / "grid.json"
-    config_path.write_text(config_to_json(config))
     calls = []
-    for command in ("obi-eval", "al-obi"):
-        out = workdir / f"grid-{command}-seed-{seed}"
-        calls.append((f"grid {command} seed {seed}",
-                      [command, "--config", str(config_path),
-                       "--seed", str(seed), "--out", str(out)],
-                      out, expected_records(command, config)))
+    for label, raw, commands in (("grid", GRID, ("obi-eval", "al-obi")),
+                                 ("gaps", GAPS, ("obi-eval",))):
+        config = config_from_dict(raw)
+        config_path = workdir / f"{label}.json"
+        config_path.write_text(config_to_json(config))
+        for command in commands:
+            out = workdir / f"{label}-{command}-seed-{seed}"
+            calls.append((f"{label} {command} seed {seed}",
+                          [command, "--config", str(config_path),
+                           "--seed", str(seed), "--out", str(out)],
+                          out, expected_records(command, config)))
     return calls
 
 
@@ -179,7 +194,7 @@ def main(argv: list[str]) -> int:
             job = ProtocolsJob(seed, "full", Path(workdir))
             job.calls = [call for call in job.calls if call[0] not in done]
             done.update(label for label, *_ in job.calls)
-            job.calls += _grid_calls(seed, Path(workdir))
+            job.calls += _small_calls(seed, Path(workdir))
             # The CLI reports each run on stdout; keep stdout for digests.
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
