@@ -36,6 +36,7 @@ from .data import Dataset
 from .models import (
     PosteriorEnsemble,
     forward_log_probs,
+    forward_tables,
     observed_log_likelihood,
     observed_log_probs,
 )
@@ -120,11 +121,13 @@ class AcquisitionSequence:
 
 
 def bald_scores(ensemble: PosteriorEnsemble, xs) -> np.ndarray:
-    """H[Y|x] minus the weighted mean per-sample entropy, per input row."""
-    lp = forward_log_probs(ensemble, xs)
+    """H[Y|x] minus the weighted mean per-sample entropy, per input row;
+    the mixture and the per-sample entropies share one exp table."""
+    lp, probs = forward_tables(ensemble, xs)
     log_w = ensemble.normalized_log_weights()
-    marginal = entropy_rows(mixture_log_probs(log_w, lp))     # (N,)
-    conditional = np.einsum("s,sn->n", np.exp(log_w), entropy_rows(lp))
+    marginal = entropy_rows(mixture_log_probs(log_w, lp, probs))  # (N,)
+    conditional = np.einsum("s,sn->n", np.exp(log_w),
+                            entropy_rows(lp, probs))
     return marginal - conditional
 
 

@@ -33,9 +33,9 @@ memo. The memo lives as long as the ensembles that share it:
 log weights outside it, never as a smaller ensemble. Stored tables are
 read-only, so an in-place write raises instead of corrupting later
 reads. Beside a table, `forward_tables` keeps its exp, made on first
-use and read-only too, so a marginal under any of the memo's weights
-(each bootstrap sub-trial of obi-eval, say) exponentiates no table
-again. Plain ensembles never memoize; `obi_init`, `select_batch`,
+use and read-only too, so a marginal or BALD under any of the memo's
+weights (each bootstrap sub-trial of obi-eval, say) exponentiates no
+table again. Plain ensembles never memoize; `obi_init`, `select_batch`,
 repeated-pool's batch models, `total_correlation` and
 `cross_entropy_rate_estimate` opt in, because they read the same point
 sets more than once under fixed samples.

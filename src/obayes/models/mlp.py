@@ -24,11 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import Dataset
-from ..numerics import RngStream
+from ..numerics import RngStream, _row_max, _row_sum
 from .ensemble import PosteriorEnsemble, _read_only
-
-# From this many rows on, _row_sum adds the C < 8 columns one at a time.
-_COLUMN_SUM_ROWS = 256
 
 # Adam's moment decays and denominator guard.
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -93,37 +90,6 @@ def init_params(arch: MlpArchitecture, gen: np.random.Generator) -> MlpParams:
     )
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1, keepdims=True), as a running maximum over the last
-    axis' columns.
-
-    A maximum is exact in any order, so the bits are those of max(); over
-    a handful of classes, C - 1 elementwise maxima cost less than one
-    reduction per row.
-    """
-    top = np.maximum(a[..., 0], a[..., -1])
-    for c in range(1, a.shape[-1] - 1):
-        np.maximum(top, a[..., c], out=top)
-    return top[..., None]
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1, keepdims=True) for a C-contiguous `a`, bit for bit.
-
-    numpy adds the fewer than 8 elements of such a row in order, so below
-    C = 8 a running sum over the columns has its bits. On large tables
-    the C - 1 elementwise additions cost a fraction of one reduction per
-    row; on a few rows (a training batch) they cost more.
-    """
-    c = a.shape[-1]
-    if c >= 8 or a.size < _COLUMN_SUM_ROWS * c:
-        return a.sum(axis=-1, keepdims=True)
-    total = a[..., 0] + a[..., 1]
-    for k in range(2, c):
-        total += a[..., k]
-    return total[..., None]
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis, written into `logits` and returned."""
     logits -= _row_max(logits)
@@ -135,12 +101,16 @@ def _forward(params: MlpParams, xs: np.ndarray,
              mask_scale: np.ndarray | None = None):
     """Pre-activation, hidden, and logits; mask_scale rescales hidden units.
 
-    Every array may carry leading fit axes (see mlp_gradient).
+    Every array may carry leading fit axes (see mlp_gradient). Biases
+    and masks are applied in place, to the products' fresh arrays.
     """
-    z1 = xs @ params.w1 + params.b1[..., None, :]
-    h = np.maximum(z1, 0.0)
-    hd = h if mask_scale is None else h * mask_scale[..., None, :]
-    logits = hd @ params.w2 + params.b2[..., None, :]
+    z1 = xs @ params.w1
+    z1 += params.b1[..., None, :]
+    hd = np.maximum(z1, 0.0)
+    if mask_scale is not None:
+        hd *= mask_scale[..., None, :]
+    logits = hd @ params.w2
+    logits += params.b2[..., None, :]
     return z1, hd, logits
 
 
@@ -192,9 +162,10 @@ def mlp_gradient(params: MlpParams, xs, ys,
     dlogits /= n
     np.matmul(hd.swapaxes(-1, -2), dlogits, out=out.w2)
     dlogits.sum(axis=-2, out=out.b2)
-    dhd = dlogits @ params.w2.swapaxes(-1, -2)
-    dh = dhd if mask_scale is None else dhd * mask_scale[..., None, :]
-    dz1 = dh * (z1 > 0.0)
+    dz1 = dlogits @ params.w2.swapaxes(-1, -2)
+    if mask_scale is not None:
+        dz1 *= mask_scale[..., None, :]
+    np.multiply(dz1, z1 > 0.0, out=dz1)
     np.matmul(xs.swapaxes(-1, -2), dz1, out=out.w1)
     dz1.sum(axis=-2, out=out.b1)
     return out

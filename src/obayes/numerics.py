@@ -56,6 +56,42 @@ def log_sum_exp_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+# From this many rows on, _row_sum adds the C < 8 columns one at a time.
+_COLUMN_SUM_ROWS = 256
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), as a running maximum over the last
+    axis' columns.
+
+    A maximum is exact in any order, so the bits are those of max(); over
+    a handful of classes, C - 1 elementwise maxima cost less than one
+    reduction per row.
+    """
+    top = np.maximum(a[..., 0], a[..., -1])
+    for c in range(1, a.shape[-1] - 1):
+        np.maximum(top, a[..., c], out=top)
+    return top[..., None]
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True) for a C-contiguous `a`, bit for bit.
+
+    numpy starts such a row's sum at +0.0 and adds its fewer than 8
+    elements in order, so below C = 8 a running sum over the columns has
+    its bits (+0.0 for a row of -0.0 too). On large tables the C
+    elementwise additions cost a fraction of one reduction per row; on a
+    few rows (a training batch) they cost more.
+    """
+    c = a.shape[-1]
+    if c >= 8 or a.size < _COLUMN_SUM_ROWS * c:
+        return a.sum(axis=-1, keepdims=True)
+    total = a[..., 0] + 0.0
+    for k in range(1, c):
+        total += a[..., k]
+    return total[..., None]
+
+
 # Shifted products below this are recomputed by log_sum_exp_axis. A term
 # lost to underflow is below 2**-1022, so above the floor the lost terms
 # move a product by less than S * 2**-122 of itself.

@@ -26,6 +26,7 @@ from .models import (
 from .numerics import (
     _MATMUL_FLOOR,
     RngStream,
+    _row_sum,
     log_matmul_exp,
     log_sum_exp_axis,
 )
@@ -78,12 +79,26 @@ def mixture_log_probs(log_w: np.ndarray, table: np.ndarray,
     return out.reshape(np.shape(table)[1:])
 
 
-def entropy_rows(log_rows: np.ndarray) -> np.ndarray:
-    """Entropy along the last axis of log-prob rows; -inf entries add 0."""
+def entropy_rows(log_rows: np.ndarray,
+                 probs: np.ndarray | None = None) -> np.ndarray:
+    """Entropy along the last axis of log-prob rows; -inf entries add 0.
+
+    A caller that holds `exp(log_rows)` passes it as `probs` and skips
+    the exp pass. Non-finite entries (-inf; NaN and +inf too) add 0: each
+    makes its row's sum non-finite, so the rows are summed once and
+    summed again only if such an entry exists, with it zeroed.
+    """
     with np.errstate(invalid="ignore"):
-        contrib = np.exp(log_rows)
-        contrib *= log_rows                     # NaN where log_rows = -inf
-    return -np.where(np.isfinite(log_rows), contrib, 0.0).sum(axis=-1)
+        if probs is None:
+            contrib = np.exp(log_rows)
+            contrib *= log_rows                 # NaN where log_rows = -inf
+        else:
+            contrib = np.multiply(probs, log_rows)
+        total = _row_sum(contrib)[..., 0]
+        if not np.isfinite(total).all():
+            contrib[~np.isfinite(log_rows)] = 0.0
+            total = _row_sum(contrib)[..., 0]
+    return -total
 
 
 def marginal_log_probs(ensemble: PosteriorEnsemble, xs) -> np.ndarray:

@@ -199,6 +199,22 @@ def _active_sampling(ensemble, example, eval_set) -> float:
     return float(active_sampling_scores(ensemble, pool, eval_set)[0])
 
 
+def _two_exp_bald(ensemble, xs):
+    """bald_scores before it shared one exp table: the mixture and the
+    per-sample entropies each exponentiate the table, and each entropy
+    sums a zeroed copy."""
+    def entropy(log_rows):
+        with np.errstate(invalid="ignore"):
+            contrib = np.exp(log_rows)
+            contrib *= log_rows
+        return -np.where(np.isfinite(log_rows), contrib, 0.0).sum(axis=-1)
+
+    lp = forward_log_probs(ensemble, xs)
+    log_w = ensemble.normalized_log_weights()
+    marginal = entropy(mixture_log_probs(log_w, lp))
+    return marginal - np.einsum("s,sn->n", np.exp(log_w), entropy(lp))
+
+
 class TestBald:
     def test_coin_value(self, coin_ensemble, coin_x):
         hb = [-p * math.log(p) - (1 - p) * math.log(1 - p)
@@ -225,6 +241,23 @@ class TestBald:
     def test_nonnegative(self, dropout_16, cluster_data):
         _, evald = cluster_data
         assert np.all(bald_scores(dropout_16, evald.xs) > -1e-10)
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("n", [10, 300])
+    def test_one_exp_table_matches_two_exp_path(self, dropout_16, memo, n):
+        # n = 300 puts the (N, C) mixture past _row_sum's row cut too.
+        xs = 2.0 * RngStream(8).generator().standard_normal((n, 2))
+        log_w = np.zeros(16)
+        log_w[[2, 9]] = -math.inf
+        log_w[5] = 1.5
+        for weights in (None, log_w):
+            ens = dropout_16 if weights is None else \
+                dropout_16.reweighted(weights)
+            if memo:
+                ens = ens.with_tables()
+            expected = _two_exp_bald(ens, xs)
+            for _ in range(2):              # a memoized exp serves again
+                assert np.array_equal(bald_scores(ens, xs), expected)
 
 
 def _greedy(ensemble, pool_xs, m, allowed=None):

@@ -3,14 +3,19 @@
 import gc
 import json
 import math
+import os
 import platform
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obayes
 from conftest import reference_pair
 from obayes import obi
 from obayes.acquisition import STRATEGIES, run_acquisition
@@ -1093,3 +1098,106 @@ class TestCli:
                      "--out", str(b)]) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
+
+
+COMMANDS = ("gen-data", "train", "acquire", *PROTOCOLS, "oracle-check")
+# mallopt(M_MMAP_THRESHOLD, 32 MiB), then mallopt(M_TRIM_THRESHOLD, 64 MiB).
+POLICY = [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _spy_libc(monkeypatch, libc) -> list:
+    """Stand `libc` in for ctypes.CDLL(None); the list gets its mallopt
+    calls."""
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    def cdll(name, *args, **kwargs):
+        assert name is None
+        return libc(calls) if callable(libc) else Libc()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    return calls
+
+
+class TestAllocatorPolicy:
+    """main() has glibc keep freed heap pages; the library never does."""
+
+    @staticmethod
+    def _exit_codes(tmp_path) -> list:
+        """main()'s codes for: no command, help, a bad value, a run, and
+        two runs that fail on a missing file."""
+        cases = [[], ["--help"],
+                 ["obi-eval", "--seed", "0", "--steps", "0", "--out",
+                  str(tmp_path / "run")]]
+        cases += [[command, "--seed", "0", *_run_args(command, tmp_path)]
+                  for command in ("gen-data", "train", "acquire")]
+        return [main(argv) for argv in cases]
+
+    def test_every_command_applies_it_first(self, monkeypatch, tmp_path,
+                                            capsys):
+        calls = _spy_libc(monkeypatch, None)
+        for command in COMMANDS:
+            del calls[:]
+            assert main([command, "--help"]) == 0
+            assert calls == POLICY, command
+        del calls[:]
+        assert self._exit_codes(tmp_path) == [1, 0, 1, 0, 2, 2]
+        assert calls == POLICY * 6
+
+    @pytest.mark.parametrize("libc", ["missing", "no_mallopt", "refuses"])
+    def test_a_libc_without_it_changes_no_exit_code(self, monkeypatch,
+                                                    tmp_path, capsys, libc):
+        expected = self._exit_codes(tmp_path / "real")
+
+        def missing(calls):
+            raise OSError("no C library")
+
+        class Refuses:
+            def __init__(self, calls):
+                self.calls = calls
+
+            def mallopt(self, param, value):
+                self.calls.append((param, value))
+                return 0
+
+        calls = _spy_libc(monkeypatch, {"missing": missing,
+                                        "no_mallopt": lambda calls: object(),
+                                        "refuses": Refuses}[libc])
+        assert self._exit_codes(tmp_path / "patched") == expected
+        assert calls == (POLICY * 6 if libc == "refuses" else [])
+
+    def test_library_use_never_applies_it(self, tmp_path):
+        # A fresh interpreter, so that importing counts too.
+        script = """
+import ctypes
+opened = []
+real_cdll = ctypes.CDLL
+def spy(name, *args, **kwargs):
+    opened.append(name)
+    return real_cdll(name, *args, **kwargs)
+ctypes.CDLL = spy
+import obayes
+from obayes.harness import al_with_obi, cli, obi_vs_retrain_eval
+from obayes.harness.config import config_from_dict
+raw = {"data": {"n_per_class": 6, "num_classes": 3, "dim": 2,
+                "eval_per_class": 4},
+       "model": {"hidden": 8, "epochs": 5, "ensemble_size": 4},
+       "num_steps": 4, "lookahead": 1, "eval_start": 2, "obi_subtrials": 1,
+       "bootstrap_size": 4, "seed_train_size": 2}
+obi_vs_retrain_eval(config_from_dict(raw))
+al_with_obi(config_from_dict(dict(raw, strategy="active_sampling",
+                                  ess_retrain_threshold=2.0)))
+assert None not in opened, opened
+print("no policy")
+"""
+        src = Path(obayes.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "no policy"

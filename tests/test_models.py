@@ -45,11 +45,12 @@ from obayes.models.mlp import (
     _BETA2,
     _EARLY_STOP_DELTA,
     _EARLY_STOP_PATIENCE,
-    _row_max,
-    _row_sum,
+    _flat_views,
+    _forward,
+    _LiveFits,
     _train_lockstep,
 )
-from obayes.numerics import RngStream
+from obayes.numerics import RngStream, _row_max, _row_sum
 from obayes.oracle import coin_world, oracle_posterior
 
 
@@ -657,6 +658,86 @@ class TestFusedHotPathsMatchReference:
             McDropoutFamily(fam.arch, fam.params, masks)
 
 
+def _stacked(fits) -> MlpParams:
+    """K fits' parameters as one stacked MlpParams, (K, ...) per array."""
+    return MlpParams(*(np.stack(arrays)
+                       for arrays in zip(*(p.arrays() for p in fits))))
+
+
+class TestInPlaceKernelsMatchReference:
+    """_forward and mlp_gradient add biases and apply masks and the
+    rectifier's gate in place; every fit of a stacked call keeps the bits
+    of the pre-flat-buffer reference run on that fit alone."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_forward_gradient_and_loss(self, k, masked):
+        gen = RngStream(47).derive("k", k).generator()
+        arch = MlpArchitecture(in_dim=3, hidden=16, num_classes=4)
+        fits = [init_params(arch, gen) for _ in range(k)]
+        for params in fits:
+            params.b1[:] = gen.standard_normal(16)
+            params.b1[:5] = 0.0
+            params.b2[:] = gen.standard_normal(4)
+        xs = gen.standard_normal((k, 13, 3))
+        xs[:, 4] = 0.0          # z1 = 0 exactly on the zero-bias units
+        ys = gen.integers(0, 4, size=(k, 13))
+        # keep = 0.7: the scales are not powers of two.
+        masks = (gen.random((k, 16)) < 0.7) / 0.7 if masked else None
+        stacked = _stacked(fits)
+        z1, hd, logits = _forward(stacked, xs, masks)
+        assert (z1[:, 4, :5] == 0.0).all()
+        grads = mlp_gradient(stacked, xs, ys, masks)
+        losses = cross_entropy_loss(stacked, xs, ys, masks)
+        assert losses.shape == (k,)
+        for j, params in enumerate(fits):
+            mask = None if masks is None else masks[j]
+            ref_z1 = xs[j] @ params.w1 + params.b1
+            ref_h = np.maximum(ref_z1, 0.0)
+            ref_hd = ref_h if mask is None else ref_h * mask
+            assert np.array_equal(z1[j], ref_z1)
+            assert np.array_equal(hd[j], ref_hd)
+            assert np.array_equal(logits[j], ref_hd @ params.w2 + params.b2)
+            _assert_params_equal(
+                MlpParams(*(a[j] for a in grads.arrays())),
+                _reference_gradient(params, xs[j], ys[j], mask))
+            assert losses[j] == _reference_loss(params, xs[j], ys[j], mask)
+
+    def test_forward_leaves_its_inputs_alone(self):
+        gen = RngStream(48).generator()
+        arch = MlpArchitecture(in_dim=3, hidden=16, num_classes=4)
+        params = init_params(arch, gen)
+        params.b1[:] = gen.standard_normal(16)
+        xs = gen.standard_normal((9, 3))
+        mask = (gen.random(16) < 0.7) / 0.7
+        before = [a.copy() for a in (*params.arrays(), xs, mask)]
+        _forward(params, xs, mask)
+        mlp_gradient(params, xs, gen.integers(0, 4, size=9), mask)
+        for a, b in zip((*params.arrays(), xs, mask), before):
+            assert np.array_equal(a, b)
+
+    def test_retire_diverged_retires_the_non_finite_fits(self):
+        gen = RngStream(49).generator()
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.0)
+        xs = gen.standard_normal((3, 10, 2))
+        ys = gen.integers(0, 4, size=(3, 10))
+        live = _LiveFits(arch, TrainConfig(),
+                         [RngStream(50).derive("fit", i).generator()
+                          for i in range(3)], xs, ys)
+        fit0 = live.flat[0].copy()
+        exc = ValueError("non-finite activations in forward pass")
+        assert not live.retire_diverged(exc, 2, live.full_set[0], None)
+        assert live.fits == [0, 1, 2] and not live.diverged
+        live.flat[1] *= 1e300
+        with np.errstate(all="ignore"):
+            assert live.retire_diverged(exc, 3, live.full_set[0], None)
+        # Fit 2 drops with fit 1: fit 1's error is the one raised.
+        assert live.fits == [0] and live.diverged == {1: (3, exc)}
+        assert live.trained == [None, None, None]
+        _assert_params_equal(live.params, _flat_views(arch, fit0))
+
+
 class TestRowSum:
     @pytest.mark.parametrize("c", [2, 3, 4, 7, 8, 9])
     @pytest.mark.parametrize("rows", [(1,), (32,), (255,), (256,), (4, 300),
@@ -667,6 +748,21 @@ class TestRowSum:
         a = gen.random(rows + (c,)) * np.exp(20.0 * gen.standard_normal(
             rows + (c,)))
         assert np.array_equal(_row_sum(a), a.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
+    def test_signed_zeros_and_non_finite_keep_the_sum_bits(self, c):
+        gen = np.random.default_rng(10 + c)
+        a = gen.standard_normal((300, c))
+        a[gen.random(a.shape) < 0.5] = -0.0
+        a[gen.random(a.shape) < 0.05] = 0.0
+        a[:40] = -0.0                   # rows of -0.0 sum to +0.0
+        a[40, 0], a[41, -1], a[42, 0] = np.nan, np.inf, -np.inf
+        if c > 1:
+            a[43, :2] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            expected = a.sum(axis=-1, keepdims=True)
+            got = _row_sum(a)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestRowMax:

@@ -537,11 +537,63 @@ class TestEntropyRowsMatchesOld:
         table[0, 0] = -math.inf
         for rows in (table, table.transpose(1, 0, 2),
                      np.asfortranarray(table), table[:, :, ::-1],
-                     table.reshape(-1), table[3]):
+                     table.reshape(-1), table[3], table[3, 0]):
             old = _old_entropy_rows(rows)
-            new = entropy_rows(rows)
-            assert type(new) is type(old)
-            assert np.array_equal(new, old)
+            for new in (entropy_rows(rows), entropy_rows(rows, np.exp(rows))):
+                assert type(new) is type(old)
+                assert np.array_equal(new, old)
+
+
+def _where_entropy_rows(log_rows):
+    """entropy_rows before the column sum: the non-finite entries zeroed in
+    a copy, then one sum over the last axis."""
+    with np.errstate(invalid="ignore"):
+        contrib = np.exp(log_rows)
+        contrib *= log_rows
+    return -np.where(np.isfinite(log_rows), contrib, 0.0).sum(axis=-1)
+
+
+def _special_rows(c):
+    """Rows entropy_rows must zero or sum exactly: -inf, NaN and +inf
+    entries, a row without mass, and rows whose terms are all zeros."""
+    inf = math.inf
+    rows = [np.full(c, -800.0) for _ in range(7)]
+    rows[0][0] = -inf
+    rows[1][-1] = math.nan
+    rows[2][0] = inf
+    rows[3][:] = -inf
+    rows[4][0] = -0.0                   # 1 * -0.0, then exp underflows: -0.0
+    rows[5][0] = 0.0
+    rows[5][1:] = -inf
+    rows[6][0], rows[6][-1] = inf, -inf
+    return rows
+
+
+class TestEntropyRowsMatchesWhereSum:
+    """entropy_rows, with or without the exp table, has the bits of the
+    zeroed copy's sum on both sides of _row_sum's row cut."""
+
+    @pytest.mark.parametrize("special", [False, True])
+    @pytest.mark.parametrize("given_probs", [False, True])
+    @pytest.mark.parametrize("rows", [(1,), (255,), (256,), (4, 300),
+                                      (128, 160)])
+    @pytest.mark.parametrize("c", [2, 3, 4, 7, 8, 16])
+    def test_bits(self, c, rows, given_probs, special):
+        gen = np.random.default_rng(c * 1000 + rows[-1])
+        # Rows over many binades, so a changed summation order shows.
+        table = np.log(gen.dirichlet(np.full(c, 0.1), size=rows))
+        if special:
+            flat = table.reshape(-1, c)
+            step = max(1, len(flat) // 7)
+            for i, row in zip(range(0, len(flat), step), _special_rows(c)):
+                flat[i] = row
+        with np.errstate(over="ignore"):
+            probs = np.exp(table) if given_probs else None
+        expected = _where_entropy_rows(table)
+        got = entropy_rows(table, probs)
+        assert type(got) is type(expected)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _running_sum_log_probs(point_rows, log_w, ids):
