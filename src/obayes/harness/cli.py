@@ -30,6 +30,7 @@ from ..oracle import (
     oracle_info_quantities,
     oracle_posterior,
     oracle_predictive,
+    oracle_sequence_cross_entropy,
     random_world,
     sample_world_dataset,
 )
@@ -203,7 +204,7 @@ def _check_world(world, rng: RngStream, label: str) -> list:
     """Compare main-path quantities against the enumeration oracle."""
     from ..acquisition import bald_scores, batch_bald_gains, epig_scores_singleton
     from ..data import LabeledExample
-    from ..infometrics import total_correlation
+    from ..infometrics import joint_cross_entropy_sequence, total_correlation
     from ..models import exact_grid_posterior, grid_family_from_world
     family = grid_family_from_world(world)
     with np.errstate(divide="ignore"):
@@ -245,6 +246,21 @@ def _check_world(world, rng: RngStream, label: str) -> list:
     greedy = sum(batch_bald_gains(posterior, batch_xs, range(i),
                                   allowed=[i])[i] for i in range(n_batch))
     close("batch objective", greedy, oracle_vals["batch_objective"])
+    # A sequence of 1-3 examples from its own stream, scored after the
+    # observed ones.
+    seq_gen = rng.derive("sequence").generator()
+    sequence = sample_world_dataset(world, int(seq_gen.integers(1, 4)),
+                                    seq_gen)
+    chained = joint_cross_entropy_sequence(
+        posterior, [LabeledExample(x, y) for x, y in sequence])
+    per_step, total = oracle_sequence_cross_entropy(world, sequence,
+                                                    observed)
+    if len(chained.per_step) != len(per_step):
+        failures.append(f"{label}: sequence cross-entropy has "
+                        f"{len(chained.per_step)} steps, not {len(per_step)}")
+    else:
+        close("sequence cross-entropy per_step", chained.per_step, per_step)
+    close("sequence cross-entropy total", chained.total, total)
     failures += _check_bootstrap(world, state, observed, batch_xs,
                                  rng.derive("bootstrap"), label)
     return failures

@@ -14,6 +14,16 @@ fit keeps its own generator and leaves the group when it stops early or
 diverges, so every fit's parameters have the bits of training it alone;
 a single fit is a group of one. A stacked call that raises retires the
 fits whose logits on its inputs are non-finite, then runs once more.
+
+Early stopping is judged a window of epochs at a time: each epoch's end
+saves the live fits' parameters, and one stacked loss call over the saved
+epochs (a leading window axis) gives every pending loss at once. The rule
+then runs epoch by epoch in the order of one call per epoch, and a fit
+that stops inside the window leaves with the parameters saved at its stop;
+the epochs it trained past it are dropped. A gradient call that raises
+judges the pending window before anything else, so a fit that had already
+stopped or diverged leaves with that epoch and cause, and a window call
+that raises is judged again one epoch at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Training stops once the full-set loss has fallen by less than this over
 # the last _EARLY_STOP_PATIENCE epochs.
 _EARLY_STOP_DELTA, _EARLY_STOP_PATIENCE = 1e-5, 5
+# One loss call judges up to _LOSS_WINDOW epochs, and at most _LOSS_ROWS
+# rows in all (window x fits x training rows); a group whose fits hold more
+# than half the rows is judged after every epoch, as one call.
+_LOSS_WINDOW, _LOSS_ROWS = 16, 1024
 
 
 @dataclass(frozen=True)
@@ -98,15 +112,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward(params: MlpParams, xs: np.ndarray,
-             mask_scale: np.ndarray | None = None):
+             mask_scale: np.ndarray | None = None,
+             hidden: np.ndarray | None = None):
     """Pre-activation, hidden, and logits; mask_scale rescales hidden units.
 
     Every array may carry leading fit axes (see mlp_gradient). Biases
-    and masks are applied in place, to the products' fresh arrays.
+    and masks are applied in place, to the products' fresh arrays. Given
+    a `hidden` buffer of the hidden layer's shape, the pre-activation is
+    computed there and rectified in place, and None stands in for it.
     """
-    z1 = xs @ params.w1
+    z1 = np.matmul(xs, params.w1, out=hidden)
     z1 += params.b1[..., None, :]
-    hd = np.maximum(z1, 0.0)
+    hd = np.maximum(z1, 0.0, out=hidden)
+    if hidden is not None:
+        z1 = None
     if mask_scale is not None:
         hd *= mask_scale[..., None, :]
     logits = hd @ params.w2
@@ -115,10 +134,13 @@ def _forward(params: MlpParams, xs: np.ndarray,
 
 
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
-                       mask_scale: np.ndarray | None = None):
+                       mask_scale: np.ndarray | None = None,
+                       hidden: np.ndarray | None = None):
     """Mean cross-entropy over the rows; one per fit for stacked fits
-    (see mlp_gradient), as an array of shape (K,)."""
-    _, _, logits = _forward(params, xs, mask_scale)
+    (see mlp_gradient), as an array of their leading shape, such as (K,).
+    `hidden`, a buffer of the hidden layer's shape, saves its allocation
+    (see _forward)."""
+    _, _, logits = _forward(params, xs, mask_scale, hidden)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite activations in forward pass")
     # _log_softmax's operations, evaluated at the observed labels only.
@@ -187,24 +209,25 @@ class _LiveFits:
 
     Row j of every per-fit array (`_ROWS`) belongs to fit `fits[j]`. A fit
     that stops or diverges leaves by dropping its rows, so the stacked
-    calls see live fits only; a stopped fit's parameters are kept as they
-    are.
+    calls see live fits only; a stopped fit's parameters at its stop go to
+    `trained`.
     """
 
-    _ROWS = ("flat", "m", "v", "xs", "ys", "xs_epoch", "ys_epoch", "scales")
+    _ROWS = ("flat", "m", "v", "xs", "ys", "xs_epoch", "ys_epoch", "order",
+             "uniforms", "scales")
 
     def __init__(self, arch: MlpArchitecture, cfg: TrainConfig, gens: list,
                  xs: np.ndarray, ys: np.ndarray):
         self.arch, self.cfg = arch, cfg
-        self.n = xs.shape[1]
+        k, self.n = xs.shape[:2]
         self.bounds = [slice(lo, lo + cfg.batch_size)
                        for lo in range(0, self.n, cfg.batch_size)]
         dropout = arch.dropout_rate > 0.0
         self.keep = 1.0 - arch.dropout_rate if dropout else None
         self.gens = gens
-        self.fits = list(range(len(gens)))
+        self.fits = list(range(k))
         self.histories = [[] for _ in gens]
-        self.trained = [None] * len(gens)
+        self.trained = [None] * k
         self.diverged = {}                          # fit -> (epoch, cause)
         self.flat = np.stack([np.concatenate([a.ravel() for a in
                                               init_params(arch, gen).arrays()])
@@ -213,8 +236,16 @@ class _LiveFits:
         self.t = 0
         self.xs, self.ys = xs, ys
         self.xs_epoch, self.ys_epoch = np.empty_like(xs), np.empty_like(ys)
-        self.scales = np.empty((len(gens), len(self.bounds) if dropout else 0,
-                                arch.hidden))
+        self.order = np.empty((k, self.n), dtype=np.intp)
+        masks = (k, len(self.bounds) if dropout else 0, arch.hidden)
+        self.uniforms, self.scales = np.empty(masks), np.empty(masks)
+        # The loss window, with buffers for the saved parameters and the
+        # hidden layer of its loss call sized once for the whole group.
+        self.width = max(1, min(_LOSS_WINDOW, _LOSS_ROWS // (k * self.n)))
+        self.pending, self.last_saved = 0, 0
+        if self.width > 1:
+            self.saved_buf = np.empty(self.width * self.flat.size)
+            self.hidden_buf = np.empty(self.width * k * self.n * arch.hidden)
         self._views()
 
     def _views(self):
@@ -223,7 +254,7 @@ class _LiveFits:
         A lone fit's kernels get its unstacked rows: the same bits, and 2-D
         operands cost less per numpy call than (1, …) stacks.
         """
-        sel = 0 if len(self.fits) == 1 else slice(None)
+        sel = self.sel = 0 if len(self.fits) == 1 else slice(None)
         self.params = _flat_views(self.arch, self.flat[sel])
         self.grad_flat = np.empty_like(self.flat)
         self.grad = _flat_views(self.arch, self.grad_flat[sel])
@@ -234,33 +265,46 @@ class _LiveFits:
         self.batches = [(self.xs_epoch[sel, rows], self.ys_epoch[sel, rows],
                          None if self.keep is None else self.scales[sel, b])
                         for b, rows in enumerate(self.bounds)]
-        self.draws = list(zip(self.gens, self.xs, self.ys, self.xs_epoch,
-                              self.ys_epoch, self.scales))
+        d = self.xs.shape[-1]
+        self.gather = (self.xs.reshape(-1, d), self.ys.reshape(-1),
+                       self.order.reshape(-1), self.xs_epoch.reshape(-1, d),
+                       self.ys_epoch.reshape(-1))
+        if self.width > 1:
+            self.saved = self.saved_buf[:self.width * self.flat.size] \
+                .reshape(self.width, *self.flat.shape)
 
     def shuffle(self):
-        """Each fit's epoch: its permutation and then its dropout masks,
-        drawn from its own generator."""
-        keep = self.keep
-        for gen, xs, ys, xs_epoch, ys_epoch, scales in self.draws:
-            perm = gen.permutation(self.n)
+        """Each fit's epoch: its permutation and then its dropout masks'
+        uniforms, drawn from its own generator; then one threshold of all
+        masks, and one gather of all fits' epoch rows, at the flat indices
+        perm + k n of fit k's rows."""
+        n, keep = self.n, self.keep
+        for k, gen in enumerate(self.gens):
+            np.add(gen.permutation(n), k * n, out=self.order[k])
             if keep is not None:
-                np.divide(gen.random(scales.shape) < keep, keep, out=scales)
-            xs.take(perm, axis=0, out=xs_epoch)
-            ys.take(perm, out=ys_epoch)
+                gen.random(out=self.uniforms[k])
+        if keep is not None:
+            np.divide(self.uniforms < keep, keep, out=self.scales)
+        xs, ys, order, xs_epoch, ys_epoch = self.gather
+        xs.take(order, axis=0, out=xs_epoch)
+        ys.take(order, out=ys_epoch)
 
     def gradient(self, b: int, epoch: int) -> bool:
         """Minibatch b's gradient of every live fit, into `grad`; False
-        once no fit is live."""
-        try:
-            mlp_gradient(self.params, *self.batches[b], out=self.grad)
-        except ValueError as exc:
-            xs, _, scales = self.batches[b]
-            if not self.retire_diverged(exc, epoch, xs, scales):
-                raise
+        once no fit is live. A call that raises judges the pending epochs
+        first and, if a fit left, runs again; otherwise the fits whose
+        logits are non-finite retire as diverged at `epoch`."""
+        while True:
+            try:
+                mlp_gradient(self.params, *self.batches[b], out=self.grad)
+                return True
+            except ValueError as exc:
+                if not self.flush():
+                    xs, _, scales = self.batches[b]
+                    if not self.retire_diverged(exc, epoch, xs, scales):
+                        raise
             if not self.fits:
                 return False
-            mlp_gradient(self.params, *self.batches[b], out=self.grad)
-        return True
 
     def adam_step(self):
         """Adam over all parameters of every live fit at once, one
@@ -286,9 +330,62 @@ class _LiveFits:
         step /= denom
         self.flat -= step
 
+    def end_epoch(self, epoch: int):
+        """Save the live fits' parameters at `epoch`'s end, and judge the
+        window once it is full or training ends; a window of one judges
+        the live parameters at once."""
+        if not self.fits:
+            return
+        if self.width == 1:
+            self.record_losses(epoch)
+            return
+        self.saved[self.pending] = self.flat
+        self.pending += 1
+        self.last_saved = epoch
+        if self.pending == self.width or epoch == self.cfg.epochs:
+            self.flush()
+
+    def flush(self) -> bool:
+        """Judge the pending epochs, oldest first, from one stacked loss
+        call on their saved parameters or, if it raises, from one call per
+        epoch; True if a fit left."""
+        count, self.pending = self.pending, 0
+        if not count:
+            return False
+        live, first = len(self.fits), self.last_saved - count + 1
+        saved = self.saved[:count]
+        xs, ys = self.full_set
+        xs = np.broadcast_to(xs, (count, *xs.shape))
+        shape = (*xs.shape[:-1], self.arch.hidden)
+        try:
+            losses = cross_entropy_loss(
+                _flat_views(self.arch, saved[:, self.sel]), xs,
+                np.broadcast_to(ys, (count, *ys.shape)),
+                hidden=self.hidden_buf[:math.prod(shape)].reshape(shape))
+        except ValueError:
+            self._record_each(first, saved)
+        else:
+            left = []
+            for w, row in enumerate(np.reshape(losses, (count, live))):
+                self.judge(first + w, row, saved[w], left)
+            if left:
+                self.retire(left)
+        return len(self.fits) < live
+
+    def _record_each(self, first: int, saved: np.ndarray):
+        """Judge the saved epochs from `first` on one loss call at a time,
+        each on its saved parameters as a window of one would, then put
+        the live parameters back."""
+        fits, current = self.fits, self.flat.copy()
+        for epoch, flat in enumerate(saved, first):
+            if not self.fits:
+                break
+            self.flat[...] = flat[[fits.index(f) for f in self.fits]]
+            self.record_losses(epoch)
+        self.flat[...] = current[[fits.index(f) for f in self.fits]]
+
     def record_losses(self, epoch: int):
-        """Append each live fit's full-set loss, then retire the fits that
-        diverged or stopped improving."""
+        """Judge `epoch` from one loss call on the live parameters."""
         try:
             losses = cross_entropy_loss(self.params, *self.full_set)
         except ValueError as exc:
@@ -297,23 +394,33 @@ class _LiveFits:
             if not self.fits:
                 return
             losses = cross_entropy_loss(self.params, *self.full_set)
-        if len(self.fits) == 1:
-            losses = (losses,)
-        leaving = []
+        left = self.judge(epoch, np.reshape(losses, len(self.fits)),
+                          self.flat, [])
+        if left:
+            self.retire(left)
+
+    def judge(self, epoch: int, losses, flat: np.ndarray, left: list) -> list:
+        """Apply the early-stopping rule to each live fit's loss at `epoch`,
+        except the rows in `left`, and return `left` with the rows whose
+        fits diverged or stopped; a stopped fit keeps its row of `flat`."""
         p = _EARLY_STOP_PATIENCE
-        for j, (history, loss) in enumerate(zip(self.histories, losses)):
+        for j, loss in enumerate(losses):
+            if j in left:
+                continue
             # Finite logits far enough apart still give an infinite loss
             # (the untrained network's loss is not checked).
             if epoch > 0 and not math.isfinite(loss):
                 self.diverged[self.fits[j]] = (epoch, None)
-                leaving.append(j)
-                continue
-            history.append(float(loss))
-            if len(history) > p and \
-                    history[-1 - p] - history[-1] < _EARLY_STOP_DELTA:
-                leaving.append(j)
-        if leaving:
-            self.retire(leaving)
+            else:
+                history = self.histories[j]
+                history.append(float(loss))
+                if not (len(history) > p and
+                        history[-1 - p] - history[-1] < _EARLY_STOP_DELTA):
+                    continue
+                self.trained[self.fits[j]] = _flat_views(self.arch,
+                                                         flat[j]).copy()
+            left.append(j)
+        return left
 
     def retire_diverged(self, exc: ValueError, epoch: int, xs,
                         scales) -> bool:
@@ -330,10 +437,6 @@ class _LiveFits:
     def retire(self, rows):
         """Drop `rows` from the live set. The fits after the lowest-index
         diverged fit drop too: its error is the one the group raises."""
-        for j in rows:
-            if self.fits[j] not in self.diverged:
-                self.trained[self.fits[j]] = _flat_views(
-                    self.arch, self.flat[j]).copy()
         first = min(self.diverged, default=len(self.trained))
         kept = [j for j, fit in enumerate(self.fits)
                 if j not in rows and fit < first]
@@ -353,15 +456,24 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     The fits share the architecture, the training-set size, and the
     epochs, batch size and learning rate of `cfgs`; each has its own data
     and stream. Every step is one stacked gradient call and one in-place
-    Adam update of (K, P) flat buffers, and every epoch one stacked loss
-    call, over the live fits. Each fit draws its permutation and then all
-    of its epoch's dropout masks from its own generator (the same stream
-    as one draw per step), so its parameters have the bits of training it
-    alone, which is the K = 1 case. A fit leaves the live set once its
-    loss stops falling, or once its forward pass or loss is non-finite.
-    The lowest-index diverged fit then raises "training diverged: member
-    …, epoch …", the error that training the fits one after another would
-    raise first.
+    Adam update of (K, P) flat buffers over the live fits. Each fit draws
+    its permutation and then all of its epoch's dropout masks from its own
+    generator (the same stream as one draw per step), so its parameters
+    have the bits of training it alone, which is the K = 1 case.
+
+    The untrained network's loss is one call. After that, each epoch's
+    end saves the live fits' parameters into a (W, K, P) buffer, and one
+    stacked loss call per window of W = min(16, 1024 // (K n)) epochs
+    judges them, or one call per epoch when W is 1. The rule runs epoch
+    by epoch: a fit leaves once its loss stops falling, with the
+    parameters saved at that epoch (rolled back over the epochs it
+    trained past it), or once its loss is infinite. A stacked call that
+    raises retires the fits whose logits on its inputs are non-finite: a
+    gradient call judges the pending window first, and retires fits only
+    if no fit left there; a window call is judged again one epoch at a
+    time. The lowest-index diverged fit then raises "training diverged:
+    member …, epoch …", the error that training the fits one after
+    another would raise first.
     """
     n = len(trains[0])
     if any(len(t) != n for t in trains):
@@ -381,12 +493,13 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
             if not live.gradient(b, epoch):
                 break
             live.adam_step()
-        live.record_losses(epoch)
-    live.retire(range(len(live.fits)))
+        live.end_epoch(epoch)
     if live.diverged:
         first = min(live.diverged)
         epoch, cause = live.diverged[first]
         raise _diverged(members[first], epoch) from cause
+    for j, fit in enumerate(live.fits):
+        live.trained[fit] = _flat_views(arch, live.flat[j]).copy()
     return live.trained
 
 

@@ -154,6 +154,24 @@ def oracle_predictive(world: GridWorld, observations, x) -> np.ndarray:
     return np.array(probs)
 
 
+def oracle_sequence_cross_entropy(world: GridWorld, sequence,
+                                  observations=()) -> tuple[list, float]:
+    """Chain-rule joint cross-entropy of an (x, y) sequence: the per-step
+    losses -ln p(y_i | x_i, observations and the first i pairs), each
+    from oracle_predictive on the prefix so far, and their sum. A step of
+    probability zero costs +inf and ends the sequence there."""
+    seen = list(observations)
+    per_step = []
+    for x, y in sequence:
+        p = float(oracle_predictive(world, seen, x)[int(y)])
+        if p == 0.0:
+            per_step.append(math.inf)
+            break
+        per_step.append(-math.log(p))
+        seen.append((x, y))
+    return per_step, math.fsum(per_step)
+
+
 def oracle_joint_predictive(world: GridWorld, xs,
                             observations=()) -> dict[tuple, float]:
     """Full joint table {assignment: probability} over C^n label tuples."""

@@ -17,7 +17,7 @@ import pytest
 
 import obayes
 from conftest import reference_pair
-from obayes import obi
+from obayes import infometrics, obi
 from obayes.acquisition import STRATEGIES, run_acquisition
 from obayes.data import Dataset, LabeledExample
 from obayes.harness import cli, experiments
@@ -49,7 +49,7 @@ from obayes.harness.io import (
 from obayes.infometrics import MetricRecord
 from obayes.models import grid_family_from_world
 from obayes.numerics import RngStream
-from obayes.oracle import GridWorld
+from obayes.oracle import GridWorld, coin_world, random_world
 
 
 # Each flag a command reads: (command, flag, value, the ExperimentConfig
@@ -1029,6 +1029,47 @@ class TestCli:
         raised = self._bootstrap_failures([0.5, 0.5], collapse, monkeypatch)
         assert len(raised) == 40 and all(
             "raised on a subset with oracle mass" in f for f in raised)
+
+    @pytest.mark.parametrize("field,step", [("per_step", 0),
+                                            ("per_step", -1),
+                                            ("total", None)])
+    def test_sequence_check_catches_a_wrong_value(self, monkeypatch, field,
+                                                  step):
+        # Each world's check scores a 1-3 example sequence; off by 1e-6 in
+        # one step or in the total, it fails.
+        chained = infometrics.joint_cross_entropy_sequence
+
+        def wrong(*args):
+            result = chained(*args)
+            if field == "total":
+                return replace(result, total=result.total + 1e-6)
+            steps = list(result.per_step)
+            steps[step] += 1e-6
+            return replace(result, per_step=tuple(steps))
+
+        worlds = [(coin_world(), "coin")] + [
+            (random_world(RngStream(3).derive("world", w).generator()),
+             f"world {w}") for w in range(5)]
+        for world, label in worlds:
+            assert cli._check_world(world, RngStream(4).derive(label),
+                                    label) == []
+        monkeypatch.setattr(infometrics, "joint_cross_entropy_sequence",
+                            wrong)
+        for world, label in worlds:
+            failures = cli._check_world(world, RngStream(4).derive(label),
+                                        label)
+            assert len(failures) == 1 and failures[0].startswith(
+                f"{label}: sequence cross-entropy {field} mismatch")
+
+    def test_sequence_check_catches_a_missing_step(self, monkeypatch):
+        chained = infometrics.joint_cross_entropy_sequence
+        monkeypatch.setattr(
+            infometrics, "joint_cross_entropy_sequence",
+            lambda *args: replace(chained(*args), per_step=()))
+        failures = cli._check_world(coin_world(), RngStream(4), "coin")
+        assert len(failures) == 1 and re.fullmatch(
+            r"coin: sequence cross-entropy has 0 steps, not [123]",
+            failures[0])
 
     def test_obi_eval_flags_bootstraps_of_ruled_out_samples(self, tmp_path,
                                                             capsys):

@@ -47,6 +47,8 @@ from obayes.models.mlp import (
     _EARLY_STOP_PATIENCE,
     _flat_views,
     _forward,
+    _LOSS_ROWS,
+    _LOSS_WINDOW,
     _LiveFits,
     _train_lockstep,
 )
@@ -882,3 +884,282 @@ class TestLockstepMatchesReference:
                 train([0, 1, 2])
         assert str(info.value) == "training diverged: member 0, epoch 1"
         assert "non-finite" in str(info.value.__cause__)
+
+
+def _blow_up(params, row):
+    """Scale one fit's weights by 1e300 in place, so that its logits
+    overflow; `row` is its row in a stacked call."""
+    for weights in (params.w1, params.w2):
+        (weights if weights.ndim == 2 else weights[row])[...] *= 1e300
+
+
+class TestLossWindow:
+    """Early stopping judged a window of epochs per loss call. Every fit
+    still equals the reference loop run on it alone, bit for bit, and a
+    divergence names the member, epoch and cause that one loss call per
+    epoch (a window of one) names."""
+
+    # n = 40 and a learning rate at which every fit stops early: with
+    # dropout at epochs 22, 23, 14, 25 for fits 0-3, without at 21, 24,
+    # 13, 28.
+    N, EPOCHS, LR = 40, 100, 0.05
+
+    def _fits(self, k, rate, epochs=EPOCHS):
+        full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
+        trains = [full.subset(RngStream(52).derive("fit", i).generator()
+                              .permutation(len(full))[:self.N], "train")
+                  for i in range(k)]
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=rate)
+        cfg = TrainConfig(epochs=epochs, learning_rate=self.LR)
+        streams = [RngStream(80).derive("fit", i) for i in range(k)]
+        return trains, arch, cfg, streams
+
+    @staticmethod
+    def _train(trains, arch, cfg, streams):
+        return _train_lockstep(trains, arch, [cfg] * len(trains), streams,
+                               [str(i) for i in range(len(trains))])
+
+    @staticmethod
+    def _reference(train, arch, cfg, stream):
+        """The reference fit and the epoch it stopped at (or `epochs`)."""
+        history = []
+        params = _reference_train_single(train, arch, cfg, stream,
+                                         use_dropout=True, history=history)
+        return params, len(history) - 1
+
+    def _assert_matches_reference(self, trained, trains, arch, cfg, streams):
+        stops = []
+        for params, train, stream in zip(trained, trains, streams):
+            ref, stop = self._reference(train, arch, cfg, stream)
+            _assert_params_equal(params, ref)
+            stops.append(stop)
+        return stops
+
+    def _divergence(self, trains, arch, cfg, streams):
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+            self._train(trains, arch, cfg, streams)
+        cause = info.value.__cause__
+        return str(info.value), None if cause is None else str(cause)
+
+    def test_lone_fit_stops_at_every_place_in_a_window(self, monkeypatch):
+        trains, arch, cfg, streams = self._fits(1, 0.3)
+        places = set()
+        for width in range(2, _LOSS_WINDOW + 1):
+            monkeypatch.setattr(mlp_module, "_LOSS_WINDOW", width)
+            trained = self._train(trains, arch, cfg, streams)
+            (stop,) = self._assert_matches_reference(trained, trains, arch,
+                                                     cfg, streams)
+            place = (stop - 1) % width
+            places.add("first" if place == 0 else
+                       "last" if place == width - 1 else "middle")
+        assert places == {"first", "middle", "last"}
+
+    @pytest.mark.parametrize("before_stop", [0, 1])
+    def test_last_window_ends_at_epochs(self, monkeypatch, before_stop):
+        # The fit stops at epoch 22, the 6th of the window 17-32; with
+        # epochs = 22 the rule fires at the last epoch, with 21 never.
+        # Every epoch's loss is judged, the partial last window too.
+        epochs = 22 - before_stop
+        trains, arch, cfg, streams = self._fits(1, 0.3, epochs)
+        judged = []
+        loss = mlp_module.cross_entropy_loss
+
+        def spy(*args, **kwargs):
+            losses = loss(*args, **kwargs)
+            judged.append(np.size(losses))
+            return losses
+
+        monkeypatch.setattr(mlp_module, "cross_entropy_loss", spy)
+        trained = self._train(trains, arch, cfg, streams)
+        assert self._assert_matches_reference(trained, trains, arch, cfg,
+                                              streams) == [epochs]
+        assert judged == [1, 16, epochs - 16]
+
+    @pytest.mark.parametrize("width", [_LOSS_WINDOW, 4])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_group_with_staggered_stops(self, monkeypatch, rate, width):
+        # At the row budget, 4 fits of 40 rows get a window of 6 epochs.
+        monkeypatch.setattr(mlp_module, "_LOSS_WINDOW", width)
+        trains, arch, cfg, streams = self._fits(4, rate)
+        trained = self._train(trains, arch, cfg, streams)
+        stops = self._assert_matches_reference(trained, trains, arch, cfg,
+                                               streams)
+        width = min(width, _LOSS_ROWS // (4 * self.N))
+        windows = [(stop - 1) // width for stop in stops]
+        # Two fits leave inside one window at different epochs, so the
+        # group shrinks mid-window.
+        assert any(windows.count(w) > 1 and
+                   len({s for s, v in zip(stops, windows) if v == w}) > 1
+                   for w in windows)
+
+    def test_window_call_that_raises_is_judged_one_epoch_at_a_time(
+            self, monkeypatch):
+        # Every window call raises an error that no logits explain; the
+        # calls of one epoch each then judge the window.
+        trains, arch, cfg, streams = self._fits(3, 0.3)
+        loss = mlp_module.cross_entropy_loss
+        raised = []
+
+        def spy(*args, hidden=None, **kwargs):
+            if hidden is not None:
+                raised.append(1)
+                raise ValueError("window call failed")
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(mlp_module, "cross_entropy_loss", spy)
+        trained = self._train(trains, arch, cfg, streams)
+        assert self._assert_matches_reference(trained, trains, arch, cfg,
+                                              streams) == [22, 23, 14]
+        assert len(raised) >= 3
+
+    @pytest.mark.parametrize("epoch", [5, 8])
+    def test_non_finite_saved_epoch_diverges_at_that_epoch(self, monkeypatch,
+                                                           epoch):
+        # Fit 1's weights overflow after its last step of `epoch`, the
+        # middle or the last epoch of the window 1-8. The window call on
+        # that epoch's saved parameters raises, and one call per epoch
+        # retires fit 1 as diverged there, as a window of one does.
+        trains, arch, cfg, streams = self._fits(3, 0.0)
+        gradient = mlp_module.mlp_gradient
+        calls = []
+
+        def spy(params, *args, **kwargs):
+            grad = gradient(params, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2 * epoch:         # two batches per epoch
+                _blow_up(params, 1)
+            return grad
+
+        monkeypatch.setattr(mlp_module, "mlp_gradient", spy)
+        windowed = self._divergence(trains, arch, cfg, streams)
+        monkeypatch.setattr(mlp_module, "_LOSS_WINDOW", 1)
+        calls.clear()
+        assert windowed == self._divergence(trains, arch, cfg, streams) == (
+            f"training diverged: member 1, epoch {epoch}",
+            "non-finite activations in forward pass")
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_infinite_loss_inside_a_pending_window(self, monkeypatch, k):
+        # The last fit's loss at epoch 5 is infinite, and its gradient
+        # raises at epoch 7, both inside the window 1-8 (1-16 alone). The
+        # gradient call judges the pending epochs first, so the fit
+        # diverges at epoch 5 with no cause, as a window of one has it.
+        trains, arch, cfg, streams = self._fits(k, 0.3)
+        last = k - 1
+        at_5, _ = self._reference(trains[last], arch, TrainConfig(
+            epochs=5, learning_rate=self.LR), streams[last])
+        loss, gradient = mlp_module.cross_entropy_loss, mlp_module.mlp_gradient
+        calls = []
+
+        def loss_spy(params, *args, **kwargs):
+            losses = np.array(loss(params, *args, **kwargs))
+            for i in np.ndindex(losses.shape):
+                if np.array_equal(params.w1[i], at_5.w1) and \
+                        np.array_equal(params.b2[i], at_5.b2):
+                    losses[i] = math.inf
+            return losses
+
+        def gradient_spy(params, *args, **kwargs):
+            calls.append(1)
+            live = 1 if params.w1.ndim == 2 else len(params.w1)
+            # Epoch 7's first batch, if the last fit still trains.
+            if len(calls) == 13 and live == k:
+                _blow_up(params, last)
+            return gradient(params, *args, **kwargs)
+
+        monkeypatch.setattr(mlp_module, "cross_entropy_loss", loss_spy)
+        monkeypatch.setattr(mlp_module, "mlp_gradient", gradient_spy)
+        windowed = self._divergence(trains, arch, cfg, streams)
+        monkeypatch.setattr(mlp_module, "_LOSS_WINDOW", 1)
+        calls.clear()
+        assert windowed == self._divergence(trains, arch, cfg, streams) == (
+            f"training diverged: member {last}, epoch 5", None)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gradient_raise_judges_a_stopped_fit_first(self, monkeypatch, k):
+        # Fit 0 stops at epoch 21, inside the window 13-24 (17-32 alone),
+        # and trains on until the window is judged. Its weights overflow
+        # at epoch 23, so that epoch's first gradient call raises: the
+        # pending epochs are judged first, fit 0 leaves with its epoch-21
+        # parameters, and fit 1 trains on to its stop at epoch 24.
+        trains, arch, cfg, streams = self._fits(k, 0.0)
+        gradient = mlp_module.mlp_gradient
+        calls = []
+
+        def spy(params, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 45:                # epoch 23's first batch
+                _blow_up(params, 0)
+            return gradient(params, *args, **kwargs)
+
+        monkeypatch.setattr(mlp_module, "mlp_gradient", spy)
+        with np.errstate(all="ignore"):
+            trained = self._train(trains, arch, cfg, streams)
+        assert self._assert_matches_reference(trained, trains, arch, cfg,
+                                              streams) == [21, 24][:k]
+        assert len(calls) >= 45              # the weights did overflow
+
+
+class TestLossCallCount:
+    """One loss call for the untrained network, then one per window of
+    W = min(16, 1024 // (K n)) epochs."""
+
+    @pytest.mark.parametrize("k,n,width", [(1, 64, 16), (1, 48, 16),
+                                           (1, 100, 10), (3, 40, 8),
+                                           (2, 256, 2), (2, 257, 1),
+                                           (1, 600, 1)])
+    def test_calls_follow_the_row_budget(self, monkeypatch, k, n, width):
+        epochs = 100 if n <= 64 else 9
+        big = generate_cluster_dataset(150, 4, 2, 0.6, RngStream(53))
+        trains = [big.subset(RngStream(54).derive("fit", i).generator()
+                             .permutation(len(big))[:n]) for i in range(k)]
+        arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
+                               dropout_rate=0.0)
+        cfg = TrainConfig(epochs=epochs)
+        streams = [RngStream(81).derive("fit", i) for i in range(k)]
+        live = _LiveFits(arch, cfg, [s.generator() for s in streams],
+                         np.stack([t.xs for t in trains]),
+                         np.stack([t.ys for t in trains]))
+        assert live.width == width
+        loss = mlp_module.cross_entropy_loss
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(mlp_module, "cross_entropy_loss", spy)
+        trained = _train_lockstep(trains, arch, [cfg] * k, streams,
+                                  [str(i) for i in range(k)])
+        for params, train, stream in zip(trained, trains, streams):
+            history = []
+            _assert_params_equal(params, _reference_train_single(
+                train, arch, cfg, stream, use_dropout=True, history=history))
+            assert len(history) == epochs + 1       # no fit stops early
+        assert len(calls) == 1 + math.ceil(epochs / width)
+        if (k, n) == (1, 64):
+            assert len(calls) == 8                  # instead of 101
+
+    def test_shuffle_draws_match_one_draw_per_fit(self):
+        # The uniforms drawn into the (K, batches, H) buffer and the one
+        # gather at perm + k n give each fit's own draws and rows.
+        gen = RngStream(55).generator()
+        arch = MlpArchitecture(in_dim=3, hidden=8, num_classes=4,
+                               dropout_rate=0.3)
+        xs = gen.standard_normal((3, 70, 3))
+        ys = gen.integers(0, 4, size=(3, 70))
+        streams = [RngStream(56).derive("fit", i) for i in range(3)]
+        live = _LiveFits(arch, TrainConfig(), [s.generator()
+                                               for s in streams], xs, ys)
+        mirrors = [s.generator() for s in streams]
+        for mirror in mirrors:
+            init_params(arch, mirror)
+        for _ in range(2):
+            live.shuffle()
+            for j, mirror in enumerate(mirrors):
+                perm = mirror.permutation(70)
+                scales = (mirror.random((3, 8)) < 0.7) / 0.7
+                assert np.array_equal(live.xs_epoch[j], xs[j][perm])
+                assert np.array_equal(live.ys_epoch[j], ys[j][perm])
+                assert np.array_equal(live.scales[j], scales)

@@ -23,6 +23,7 @@ from obayes.oracle import (
     oracle_marginal_entropy,
     oracle_posterior,
     oracle_predictive,
+    oracle_sequence_cross_entropy,
     oracle_total_correlation,
     random_world,
     sample_world_dataset,
@@ -71,6 +72,31 @@ class TestCoinPredictive:
         assert table[(0, 1)] == pytest.approx(0.19, abs=1e-12)
         assert table[(0, 0)] == pytest.approx(0.31, abs=1e-12)
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSequenceCrossEntropy:
+    def test_heads_then_tails(self, coin):
+        # p(heads) = 0.5, then p(tails | heads) = 0.57 / 1.5 = 0.38; the
+        # total is -ln of the joint 0.19.
+        per_step, total = oracle_sequence_cross_entropy(coin,
+                                                        _obs(coin, [1, 0]))
+        assert per_step == pytest.approx([math.log(2), -math.log(0.38)],
+                                         abs=1e-12)
+        assert total == pytest.approx(-math.log(0.19), abs=1e-12)
+
+    def test_conditions_on_the_observations(self, coin):
+        # After one heads, the chain's first step is the 0.62 predictive.
+        per_step, total = oracle_sequence_cross_entropy(
+            coin, _obs(coin, [1]), _obs(coin, [1]))
+        assert per_step == pytest.approx([-math.log(0.62)], abs=1e-12)
+        assert total == per_step[0]
+
+    def test_impossible_step_is_infinite_and_ends_the_chain(self):
+        world = GridWorld(tables=np.array([[[1.0, 0.0]]]), prior=np.ones(1),
+                          vocabulary=np.zeros((1, 1)))
+        per_step, total = oracle_sequence_cross_entropy(
+            world, _obs(world, [0, 1, 0]))
+        assert per_step == [0.0, math.inf] and total == math.inf
 
 
 class TestCoinInformation:

@@ -1,0 +1,107 @@
+"""Time lockstep training at the group shapes the protocols train.
+
+    python3 tools/train_timing.py [--repeat N] [--epochs E]
+
+Applies the CLI's allocator policy first, as ``obayes`` runs under
+``main``, then trains one ``models.mlp._train_lockstep`` group per shape:
+lone fits at n = 1, 10 and 19 and groups of K = 3 at n = 20, 30 and 39
+(hidden 64, 100 epochs: al-obi's retrains and obi-eval's prefix models),
+and groups of K = 4 at n = 8, 16 and 24 (hidden 32, 60 epochs:
+repeated-pool's). Every fit is an MC-dropout network at rate 0.5 on its
+own draw of four-class cluster data, with its own stream. ``--epochs``
+caps the epochs of every shape.
+
+Each shape is trained once untimed with the gradient and loss kernels
+counted, then N times (default 5) timed. One JSON line per shape gives
+``k``, ``n``, ``hidden``, ``epochs``, the median wall time ``ms``, and
+``grad_calls`` and ``loss_calls``. Run it from the root of a source
+checkout; it imports the ``obayes`` sources under ``src/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from obayes.data import generate_cluster_dataset  # noqa: E402
+from obayes.harness.cli import _keep_freed_heap_pages  # noqa: E402
+from obayes.models import mlp  # noqa: E402
+from obayes.numerics import RngStream  # noqa: E402
+
+# (fits K, training rows n, hidden width, epochs, cluster spread)
+SHAPES = ([(1, n, 64, 100, 1.0) for n in (1, 10, 19)]
+          + [(3, n, 64, 100, 1.0) for n in (20, 30, 39)]
+          + [(4, n, 32, 60, 0.45) for n in (8, 16, 24)])
+
+
+def _group(k: int, n: int, hidden: int, epochs: int, spread: float):
+    """The arguments of one _train_lockstep call at this shape."""
+    trains = []
+    for i in range(k):
+        stream = RngStream(7).derive("shape", k, n, "fit", i)
+        data = generate_cluster_dataset(10, 4, 2, spread, stream)
+        order = stream.derive("order").generator().permutation(len(data))
+        trains.append(data.subset(order[:n]))
+    arch = mlp.MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
+                               dropout_rate=0.5)
+    cfg = mlp.TrainConfig(epochs=epochs)
+    streams = [RngStream(8).derive("fit", i) for i in range(k)]
+    return trains, arch, [cfg] * k, streams, [str(i) for i in range(k)]
+
+
+def _count_calls(args) -> dict:
+    """Gradient and loss calls of one training run of `args`."""
+    counts = {"grad_calls": 0, "loss_calls": 0}
+    kernels = {"grad_calls": "mlp_gradient", "loss_calls": "cross_entropy_loss"}
+    originals = {key: getattr(mlp, name) for key, name in kernels.items()}
+
+    def counting(key):
+        def call(*a, **kw):
+            counts[key] += 1
+            return originals[key](*a, **kw)
+        return call
+
+    try:
+        for key, name in kernels.items():
+            setattr(mlp, name, counting(key))
+        mlp._train_lockstep(*args)
+    finally:
+        for key, name in kernels.items():
+            setattr(mlp, name, originals[key])
+    return counts
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        description="Wall time and kernel calls of lockstep training.")
+    parser.add_argument("--repeat", type=int, default=5, metavar="N")
+    parser.add_argument("--epochs", type=int, default=None, metavar="E")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or (args.epochs is not None and args.epochs < 1):
+        parser.error("--repeat and --epochs must be positive")
+    _keep_freed_heap_pages()
+    for k, n, hidden, epochs, spread in SHAPES:
+        epochs = min(epochs, args.epochs or epochs)
+        group = _group(k, n, hidden, epochs, spread)
+        counts = _count_calls(group)
+        times = []
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            mlp._train_lockstep(*group)
+            times.append(time.perf_counter() - start)
+        print(json.dumps({"k": k, "n": n, "hidden": hidden,
+                          "epochs": epochs,
+                          "ms": round(1e3 * statistics.median(times), 3),
+                          **counts}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
