@@ -12,18 +12,17 @@ together: the gradient and loss kernels take a leading fit axis, so one
 call per step and one Adam update serve every fit still training. Each
 fit keeps its own generator and leaves the group when it stops early or
 diverges, so every fit's parameters have the bits of training it alone;
-a single fit is a group of one. A stacked call that raises retires the
-fits whose logits on its inputs are non-finite, then runs once more.
+a single fit is a group of one.
 
 Early stopping is judged a window of epochs at a time: each epoch's end
 saves the live fits' parameters, and one stacked loss call over the saved
 epochs (a leading window axis) gives every pending loss at once. The rule
 then runs epoch by epoch in the order of one call per epoch, and a fit
 that stops inside the window leaves with the parameters saved at its stop;
-the epochs it trained past it are dropped. A gradient call that raises
-judges the pending window before anything else, so a fit that had already
-stopped or diverged leaves with that epoch and cause, and a window call
-that raises is judged again one epoch at a time.
+the epochs it trained past it are dropped. The rule is also the one place
+that finds a diverged fit: the kernels give NaN for a fit whose logits are
+non-finite, a NaN gradient makes every later loss of that fit NaN, and a
+NaN loss retires the fit at its epoch.
 """
 
 from __future__ import annotations
@@ -133,16 +132,28 @@ def _forward(params: MlpParams, xs: np.ndarray,
     return z1, hd, logits
 
 
+def _nan_fits(logits: np.ndarray):
+    """Set every logit of each fit whose logits are not all finite to NaN,
+    in place; stacked fits' slices are independent, so the others keep
+    their bits."""
+    logits[~np.isfinite(logits).all(axis=(-2, -1))] = np.nan
+
+
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
                        mask_scale: np.ndarray | None = None,
                        hidden: np.ndarray | None = None):
     """Mean cross-entropy over the rows; one per fit for stacked fits
     (see mlp_gradient), as an array of their leading shape, such as (K,).
     `hidden`, a buffer of the hidden layer's shape, saves its allocation
-    (see _forward)."""
+    (see _forward).
+
+    A fit with any non-finite logit gets a NaN loss, and the other fits
+    keep their bits. From finite logits the loss is never NaN, but it may
+    be +inf.
+    """
     _, _, logits = _forward(params, xs, mask_scale, hidden)
     if not np.isfinite(logits).all():
-        raise ValueError("non-finite activations in forward pass")
+        _nan_fits(logits)
     # _log_softmax's operations, evaluated at the observed labels only.
     z = logits - _row_max(logits)
     lse = np.log(_row_sum(np.exp(z))[..., 0])
@@ -165,6 +176,9 @@ def mlp_gradient(params: MlpParams, xs, ys,
     With `out`, the gradient is written into its arrays (which must have
     the parameter shapes) and `out` is returned; otherwise new arrays are
     allocated. Both give the same bits.
+
+    A fit with any non-finite logit gets NaN in every gradient array,
+    and the other fits keep their bits.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 2:
@@ -175,7 +189,7 @@ def mlp_gradient(params: MlpParams, xs, ys,
         raise ValueError("empty reduction")
     z1, hd, logits = _forward(params, xs, mask_scale)
     if not np.isfinite(logits).all():
-        raise ValueError("non-finite activations in forward pass")
+        _nan_fits(logits)
     if out is None:
         out = MlpParams(*(np.empty_like(a) for a in params.arrays()))
     dlogits = np.exp(_log_softmax(logits), out=logits)
@@ -242,7 +256,7 @@ class _LiveFits:
         # The loss window, with buffers for the saved parameters and the
         # hidden layer of its loss call sized once for the whole group.
         self.width = max(1, min(_LOSS_WINDOW, _LOSS_ROWS // (k * self.n)))
-        self.pending, self.last_saved = 0, 0
+        self.pending = 0
         if self.width > 1:
             self.saved_buf = np.empty(self.width * self.flat.size)
             self.hidden_buf = np.empty(self.width * k * self.n * arch.hidden)
@@ -289,23 +303,6 @@ class _LiveFits:
         xs.take(order, axis=0, out=xs_epoch)
         ys.take(order, out=ys_epoch)
 
-    def gradient(self, b: int, epoch: int) -> bool:
-        """Minibatch b's gradient of every live fit, into `grad`; False
-        once no fit is live. A call that raises judges the pending epochs
-        first and, if a fit left, runs again; otherwise the fits whose
-        logits are non-finite retire as diverged at `epoch`."""
-        while True:
-            try:
-                mlp_gradient(self.params, *self.batches[b], out=self.grad)
-                return True
-            except ValueError as exc:
-                if not self.flush():
-                    xs, _, scales = self.batches[b]
-                    if not self.retire_diverged(exc, epoch, xs, scales):
-                        raise
-            if not self.fits:
-                return False
-
     def adam_step(self):
         """Adam over all parameters of every live fit at once, one
         elementwise op at a time in the per-array update's order, which
@@ -331,108 +328,60 @@ class _LiveFits:
         self.flat -= step
 
     def end_epoch(self, epoch: int):
-        """Save the live fits' parameters at `epoch`'s end, and judge the
-        window once it is full or training ends; a window of one judges
-        the live parameters at once."""
-        if not self.fits:
-            return
-        if self.width == 1:
-            self.record_losses(epoch)
+        """Judge `epoch`. The untrained network (epoch 0) and a window of
+        one are judged at once, from one loss call on the live parameters;
+        otherwise the live fits' parameters are saved, and the window is
+        judged from one stacked call on them once it is full or training
+        ends."""
+        if epoch == 0 or self.width == 1:
+            self.judge(epoch, cross_entropy_loss(self.params, *self.full_set),
+                       self.flat[None])
             return
         self.saved[self.pending] = self.flat
         self.pending += 1
-        self.last_saved = epoch
-        if self.pending == self.width or epoch == self.cfg.epochs:
-            self.flush()
-
-    def flush(self) -> bool:
-        """Judge the pending epochs, oldest first, from one stacked loss
-        call on their saved parameters or, if it raises, from one call per
-        epoch; True if a fit left."""
+        if self.pending < self.width and epoch < self.cfg.epochs:
+            return
         count, self.pending = self.pending, 0
-        if not count:
-            return False
-        live, first = len(self.fits), self.last_saved - count + 1
         saved = self.saved[:count]
         xs, ys = self.full_set
         xs = np.broadcast_to(xs, (count, *xs.shape))
         shape = (*xs.shape[:-1], self.arch.hidden)
-        try:
-            losses = cross_entropy_loss(
-                _flat_views(self.arch, saved[:, self.sel]), xs,
-                np.broadcast_to(ys, (count, *ys.shape)),
-                hidden=self.hidden_buf[:math.prod(shape)].reshape(shape))
-        except ValueError:
-            self._record_each(first, saved)
-        else:
-            left = []
-            for w, row in enumerate(np.reshape(losses, (count, live))):
-                self.judge(first + w, row, saved[w], left)
-            if left:
-                self.retire(left)
-        return len(self.fits) < live
+        losses = cross_entropy_loss(
+            _flat_views(self.arch, saved[:, self.sel]), xs,
+            np.broadcast_to(ys, (count, *ys.shape)),
+            hidden=self.hidden_buf[:math.prod(shape)].reshape(shape))
+        self.judge(epoch - count + 1, losses, saved)
 
-    def _record_each(self, first: int, saved: np.ndarray):
-        """Judge the saved epochs from `first` on one loss call at a time,
-        each on its saved parameters as a window of one would, then put
-        the live parameters back."""
-        fits, current = self.fits, self.flat.copy()
-        for epoch, flat in enumerate(saved, first):
-            if not self.fits:
-                break
-            self.flat[...] = flat[[fits.index(f) for f in self.fits]]
-            self.record_losses(epoch)
-        self.flat[...] = current[[fits.index(f) for f in self.fits]]
-
-    def record_losses(self, epoch: int):
-        """Judge `epoch` from one loss call on the live parameters."""
-        try:
-            losses = cross_entropy_loss(self.params, *self.full_set)
-        except ValueError as exc:
-            if not self.retire_diverged(exc, epoch, self.full_set[0], None):
-                raise
-            if not self.fits:
-                return
-            losses = cross_entropy_loss(self.params, *self.full_set)
-        left = self.judge(epoch, np.reshape(losses, len(self.fits)),
-                          self.flat, [])
+    def judge(self, first: int, losses, saved: np.ndarray):
+        """Apply the early-stopping rule to the live fits' losses at epochs
+        `first`, `first` + 1, …, oldest first, and retire the fits that
+        stopped or diverged. Row w of `losses` and of `saved` (W, K, P) are
+        the fits' losses and parameters at epoch `first` + w; a stopped fit
+        keeps its parameters at its stop. A NaN loss (non-finite logits)
+        is a divergence; so is an infinite one after epoch 0 (finite
+        logits far enough apart)."""
+        p, left = _EARLY_STOP_PATIENCE, []
+        losses = np.reshape(losses, (len(saved), len(self.fits))).tolist()
+        for epoch, (row, flat) in enumerate(zip(losses, saved), first):
+            for j, loss in enumerate(row):
+                if j in left:
+                    continue
+                if math.isnan(loss):
+                    self.diverged[self.fits[j]] = (epoch, ValueError(
+                        "non-finite activations in forward pass"))
+                elif epoch > 0 and math.isinf(loss):
+                    self.diverged[self.fits[j]] = (epoch, None)
+                else:
+                    history = self.histories[j]
+                    history.append(loss)
+                    if not (len(history) > p and history[-1 - p] - history[-1]
+                            < _EARLY_STOP_DELTA):
+                        continue
+                    self.trained[self.fits[j]] = _flat_views(
+                        self.arch, flat[j]).copy()
+                left.append(j)
         if left:
             self.retire(left)
-
-    def judge(self, epoch: int, losses, flat: np.ndarray, left: list) -> list:
-        """Apply the early-stopping rule to each live fit's loss at `epoch`,
-        except the rows in `left`, and return `left` with the rows whose
-        fits diverged or stopped; a stopped fit keeps its row of `flat`."""
-        p = _EARLY_STOP_PATIENCE
-        for j, loss in enumerate(losses):
-            if j in left:
-                continue
-            # Finite logits far enough apart still give an infinite loss
-            # (the untrained network's loss is not checked).
-            if epoch > 0 and not math.isfinite(loss):
-                self.diverged[self.fits[j]] = (epoch, None)
-            else:
-                history = self.histories[j]
-                history.append(float(loss))
-                if not (len(history) > p and
-                        history[-1 - p] - history[-1] < _EARLY_STOP_DELTA):
-                    continue
-                self.trained[self.fits[j]] = _flat_views(self.arch,
-                                                         flat[j]).copy()
-            left.append(j)
-        return left
-
-    def retire_diverged(self, exc: ValueError, epoch: int, xs,
-                        scales) -> bool:
-        """After a stacked call on inputs xs raised `exc`: retire each fit
-        whose logits there are non-finite, as diverged with `exc` as the
-        cause; False if no fit's are."""
-        _, _, logits = _forward(self.params, xs, scales)
-        failed = np.flatnonzero(~np.isfinite(logits).all(axis=(-2, -1)))
-        for j in failed:
-            self.diverged[self.fits[j]] = (epoch, exc)
-        self.retire(list(failed))
-        return failed.size > 0
 
     def retire(self, rows):
         """Drop `rows` from the live set. The fits after the lowest-index
@@ -467,13 +416,14 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     judges them, or one call per epoch when W is 1. The rule runs epoch
     by epoch: a fit leaves once its loss stops falling, with the
     parameters saved at that epoch (rolled back over the epochs it
-    trained past it), or once its loss is infinite. A stacked call that
-    raises retires the fits whose logits on its inputs are non-finite: a
-    gradient call judges the pending window first, and retires fits only
-    if no fit left there; a window call is judged again one epoch at a
-    time. The lowest-index diverged fit then raises "training diverged:
-    member …, epoch …", the error that training the fits one after
-    another would raise first.
+    trained past it), or once its loss is NaN or infinite. The kernels
+    give NaN for a fit whose logits are non-finite, and a NaN gradient
+    makes the fit's parameters, and so its loss at that epoch's end, NaN:
+    the fit diverges at the epoch where its logits first turned
+    non-finite. It trains on NaN, and the fits after it train on, until
+    the window is judged; that work is dropped. The lowest-index diverged
+    fit then raises "training diverged: member …, epoch …", the error that
+    training the fits one after another would raise first.
     """
     n = len(trains[0])
     if any(len(t) != n for t in trains):
@@ -484,14 +434,13 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     live = _LiveFits(arch, cfgs[0], [s.generator() for s in streams],
                      np.stack([t.xs for t in trains]),
                      np.stack([t.ys for t in trains]))
-    live.record_losses(0)
+    live.end_epoch(0)
     for epoch in range(1, cfgs[0].epochs + 1):
         if not live.fits:
             break
         live.shuffle()
-        for b in range(len(live.bounds)):
-            if not live.gradient(b, epoch):
-                break
+        for batch in live.batches:
+            mlp_gradient(live.params, *batch, out=live.grad)
             live.adam_step()
         live.end_epoch(epoch)
     if live.diverged:
@@ -504,7 +453,7 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
 
 
 def _diverged(member: str, epoch: int) -> ValueError:
-    """Raised once a training run's forward pass or loss is non-finite."""
+    """Raised once a training run's logits or loss are non-finite."""
     return ValueError(f"training diverged: member {member}, epoch {epoch}")
 
 

@@ -5,6 +5,9 @@ that every quantity in the library can be checked against hand
 arithmetic or the brute-force oracle.
 """
 
+import platform
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,33 @@ from obayes.models.mlp import (
 )
 from obayes.numerics import RngStream
 from obayes.oracle import GridWorld, coin_world
+
+
+# Output digests of `tools/protocol_digests.py 0`, under a header that
+# names the numeric stack they were recorded on.
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "data" / \
+    "protocol_digests.txt"
+
+
+def numeric_stack() -> str:
+    """This process's numpy version, BLAS name and version, and machine,
+    as the digest file's header writes them. Output bits hold for one
+    such stack."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        blas = {}
+    return (f"numpy {np.__version__}, blas {blas.get('name', 'unknown')} "
+            f"{blas.get('version', 'unknown')}, machine {platform.machine()}")
+
+
+def golden_stack() -> str:
+    """The stack in the digest file's header (its "# stack:" line)."""
+    with GOLDEN_DIGESTS.open() as lines:
+        for line in lines:
+            if line.startswith("# stack: "):
+                return line[len("# stack: "):].rstrip("\n")
+    raise ValueError(f"{GOLDEN_DIGESTS} names no stack")
 
 
 def grid_family(tables, vocabulary) -> GridLikelihood:

@@ -6,6 +6,7 @@ the measured numbers in the message. Wall-clock ceilings are generous
 laptop budgets; the checks themselves are deterministic.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grid_family
+from conftest import golden_stack, grid_family, numeric_stack
 from obayes.acquisition import (
     bald_scores,
     epig_scores_singleton,
@@ -25,6 +26,7 @@ from obayes.data import (
     duplicate_pool,
     generate_cluster_dataset,
 )
+from obayes.harness import RunManifest, emit_results
 from obayes.harness.cli import main
 from obayes.harness.config import DataSpec, ExperimentConfig, ModelSpec, config_to_json
 from obayes.harness.experiments import obi_vs_retrain_eval, repeated_pool_benchmark
@@ -284,7 +286,7 @@ class TestSequenceReweightingDirection:
         assert acc_retrain > 0.0, f"retrain accuracy delta {acc_retrain:+.4f}"
         assert elapsed < budget, f"took {elapsed:.0f}s"
 
-    def test_directional_pattern_on_clusters(self, capsys):
+    def test_directional_pattern_on_clusters(self, capsys, tmp_path):
         t0 = time.perf_counter()
         config = ExperimentConfig(
             data=DataSpec(n_per_class=40, num_classes=4, dim=2, spread=1.0,
@@ -297,6 +299,15 @@ class TestSequenceReweightingDirection:
         elapsed = time.perf_counter() - t0
         self._assert_direction(capsys, records, elapsed, 900.0,
                                "criterion 4 (sequence direction, clusters)")
+        # Its output bits, on the stack of the golden digests. It is the
+        # only protocol run in tier-1 with groups whose loss is judged
+        # after every epoch (a window of one).
+        if golden_stack() == numeric_stack():
+            emit_results(records, RunManifest.create(config), tmp_path)
+            digest = hashlib.sha256(
+                (tmp_path / "metrics.csv").read_bytes()).hexdigest()
+            assert digest == "1b25307a7243b4783592f50b3ac5629cf3f078d59b01" \
+                "d8e2ad880b5a9f421f90", f"{len(records)} records"
 
     def test_directional_pattern_on_idx_images(self, capsys):
         """Optional repeat on IDX image files when they are present."""

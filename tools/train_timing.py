@@ -6,10 +6,12 @@ Applies the CLI's allocator policy first, as ``obayes`` runs under
 ``main``, then trains one ``models.mlp._train_lockstep`` group per shape:
 lone fits at n = 1, 10 and 19 and groups of K = 3 at n = 20, 30 and 39
 (hidden 64, 100 epochs: al-obi's retrains and obi-eval's prefix models),
-and groups of K = 4 at n = 8, 16 and 24 (hidden 32, 60 epochs:
-repeated-pool's). Every fit is an MC-dropout network at rate 0.5 on its
-own draw of four-class cluster data, with its own stream. ``--epochs``
-caps the epochs of every shape.
+groups of K = 4 at n = 8, 16 and 24 (hidden 32, 60 epochs:
+repeated-pool's), and one group of K = 11 at n = 50 (hidden 64, 100
+epochs: an obi-eval prefix group at criterion 4's config, whose K n >
+512 gives a loss window of one epoch). Every fit is an MC-dropout
+network at rate 0.5 on its own draw of four-class cluster data, with its
+own stream. ``--epochs`` caps the epochs of every shape.
 
 Each shape is trained once untimed with the gradient and loss kernels
 counted, then N times (default 5) timed. One JSON line per shape gives
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -38,7 +41,8 @@ from obayes.numerics import RngStream  # noqa: E402
 # (fits K, training rows n, hidden width, epochs, cluster spread)
 SHAPES = ([(1, n, 64, 100, 1.0) for n in (1, 10, 19)]
           + [(3, n, 64, 100, 1.0) for n in (20, 30, 39)]
-          + [(4, n, 32, 60, 0.45) for n in (8, 16, 24)])
+          + [(4, n, 32, 60, 0.45) for n in (8, 16, 24)]
+          + [(11, 50, 64, 100, 1.0)])
 
 
 def _group(k: int, n: int, hidden: int, epochs: int, spread: float):
@@ -46,7 +50,8 @@ def _group(k: int, n: int, hidden: int, epochs: int, spread: float):
     trains = []
     for i in range(k):
         stream = RngStream(7).derive("shape", k, n, "fit", i)
-        data = generate_cluster_dataset(10, 4, 2, spread, stream)
+        per_class = 10 if n <= 40 else math.ceil(n / 4)
+        data = generate_cluster_dataset(per_class, 4, 2, spread, stream)
         order = stream.derive("order").generator().permutation(len(data))
         trains.append(data.subset(order[:n]))
     arch = mlp.MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
