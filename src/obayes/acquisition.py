@@ -385,9 +385,6 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
     The returned sequence fully determines the conditioning stream for
     downstream evaluation.
     """
-    if retrain_every < 1:
-        raise ValueError("retrain_every must be positive")
-
     def retrain(step: int, acquired: list):
         (ensemble,) = ensemble_factory([pool.subset(acquired, "acquired")],
                                        [rng.derive("retrain", step)])

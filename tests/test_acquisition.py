@@ -756,6 +756,15 @@ class TestRunAcquisition:
                               None, 1, 1, RngStream(3))
         assert seq.steps[0].pool_index == 0  # an A copy, highest BALD
 
+    @pytest.mark.parametrize("retrain_every", [0, -1])
+    def test_nonpositive_retrain_every_is_a_bad_batch_size(
+            self, ab_family, ab_pool, retrain_every):
+        # Each retrain asks select_batch for retrain_every picks.
+        pool = self._ab_dataset(ab_family, ab_pool)
+        with pytest.raises(ValueError, match="batch size must be positive"):
+            run_acquisition("bald", self._grid_factory(ab_family), pool,
+                            None, 2, retrain_every, RngStream(3))
+
     def test_deterministic_and_persistable(self, tmp_path, ab_family,
                                            ab_pool):
         pool = self._ab_dataset(ab_family, ab_pool)

@@ -17,10 +17,10 @@ import pytest
 
 import obayes
 from conftest import reference_pair
-from obayes import infometrics, obi
+from obayes import acquisition, infometrics, obi
 from obayes.acquisition import STRATEGIES, run_acquisition
 from obayes.data import Dataset, LabeledExample
-from obayes.harness import cli, experiments
+from obayes.harness import cli, experiments, oracle_check
 from obayes.harness.cli import main
 from obayes.harness.config import (
     ConfigError,
@@ -47,9 +47,10 @@ from obayes.harness.io import (
     write_records,
 )
 from obayes.infometrics import MetricRecord
-from obayes.models import grid_family_from_world
+from obayes.models import grid_family_from_world, observed_log_likelihood
 from obayes.numerics import RngStream
 from obayes.oracle import GridWorld, coin_world, random_world
+from obayes.predictive import marginal_log_probs
 
 
 # Each flag a command reads: (command, flag, value, the ExperimentConfig
@@ -995,9 +996,9 @@ class TestCli:
         observed = [LabeledExample(np.zeros(1), 1)]
         state = obi.obi_observe_many(obi.obi_init(base), observed)
         if stub is not None:
-            monkeypatch.setattr(cli, "obi_bootstrap", stub)
+            monkeypatch.setattr(oracle_check, "obi_bootstrap", stub)
         return [failure for i in range(40)
-                for failure in cli._check_bootstrap(
+                for failure in oracle_check._check_bootstrap(
                     world, state, observed, np.zeros((1, 1)),
                     RngStream(0).derive(i), "w")]
 
@@ -1051,13 +1052,13 @@ class TestCli:
             (random_world(RngStream(3).derive("world", w).generator()),
              f"world {w}") for w in range(5)]
         for world, label in worlds:
-            assert cli._check_world(world, RngStream(4).derive(label),
-                                    label) == []
+            assert oracle_check._check_world(
+                world, RngStream(4).derive(label), label) == []
         monkeypatch.setattr(infometrics, "joint_cross_entropy_sequence",
                             wrong)
         for world, label in worlds:
-            failures = cli._check_world(world, RngStream(4).derive(label),
-                                        label)
+            failures = oracle_check._check_world(
+                world, RngStream(4).derive(label), label)
             assert len(failures) == 1 and failures[0].startswith(
                 f"{label}: sequence cross-entropy {field} mismatch")
 
@@ -1066,10 +1067,83 @@ class TestCli:
         monkeypatch.setattr(
             infometrics, "joint_cross_entropy_sequence",
             lambda *args: replace(chained(*args), per_step=()))
-        failures = cli._check_world(coin_world(), RngStream(4), "coin")
+        failures = oracle_check._check_world(coin_world(), RngStream(4),
+                                            "coin")
         assert len(failures) == 1 and re.fullmatch(
-            r"coin: sequence cross-entropy has 0 steps, not [123]",
-            failures[0])
+            r"coin: sequence cross-entropy per_step mismatch "
+            r"\(\(\) vs \[.+\]\)", failures[0])
+
+    def test_oracle_check_prints_the_golden_lines(self, capsys):
+        assert main(["oracle-check", "--worlds", "20", "--seed", "0"]) == 0
+        golden = Path(__file__).parent / "data" / "oracle_check_seed0.txt"
+        assert capsys.readouterr().out.splitlines() == \
+            golden.read_text().splitlines()
+
+    @staticmethod
+    def _stubbed_failures(monkeypatch, module, name, stub) -> dict:
+        """{label: _check_world's failures} on the coin world and five
+        random worlds, with module.name replaced by `stub`."""
+        worlds = [(coin_world(), "coin")] + [
+            (random_world(RngStream(3).derive("world", w).generator()),
+             f"world {w}") for w in range(5)]
+        monkeypatch.setattr(module, name, stub)
+        return {label: oracle_check._check_world(
+                    world, RngStream(4).derive(label), label)
+                for world, label in worlds}
+
+    def test_active_sampling_check_catches_a_missing_candidate(
+            self, monkeypatch):
+        def unconditioned(ensemble, pool, eval_set, conditioned_on=()):
+            # Every candidate scores the eval loss given conditioned_on
+            # alone, as if its own (x, y) were not observed.
+            given = ensemble.reweighted(
+                ensemble.normalized_log_weights()
+                + observed_log_likelihood(ensemble, conditioned_on))
+            rows = marginal_log_probs(given, eval_set.xs)
+            return np.full(len(pool), np.mean(
+                rows[np.arange(len(eval_set)), eval_set.ys]))
+
+        found = self._stubbed_failures(monkeypatch, acquisition,
+                                       "active_sampling_scores",
+                                       unconditioned)
+        # World 1 holds one hypothesis, so no label moves its posterior.
+        assert found.pop("world 1") == []
+        assert all(len(failures) == 1 and failures[0].startswith(
+            f"{label}: active sampling mismatch")
+            for label, failures in found.items())
+
+    def test_online_learning_loss_check_catches_a_missing_step(
+            self, monkeypatch):
+        oll = infometrics.online_learning_loss
+
+        def short(ensemble, data, n, *args, **kwargs):
+            # n - 1 steps; zero steps cost nothing.
+            return (0.0, 0.0) if n == 1 else oll(ensemble, data, n - 1,
+                                                   *args, **kwargs)
+
+        found = self._stubbed_failures(monkeypatch, infometrics,
+                                       "online_learning_loss", short)
+        for label, failures in found.items():
+            assert [f.split(" (")[0] for f in failures] == [
+                f"{label}: online learning loss {mode} mismatch"
+                for mode in ("exhaustive", "monte carlo")]
+
+    def test_online_learning_loss_check_catches_another_stream(
+            self, monkeypatch):
+        oll = infometrics.online_learning_loss
+
+        def other(ensemble, data, n, trials, rng, exhaustive=False):
+            return oll(ensemble, data, n, trials, rng.derive("other"),
+                       exhaustive=exhaustive)
+
+        found = self._stubbed_failures(monkeypatch, infometrics,
+                                       "online_learning_loss", other)
+        # World 2's set holds one point, and world 0's other draws
+        # reorder its own, so neither can tell.
+        assert found.pop("world 0") == found.pop("world 2") == []
+        assert all(len(failures) == 1 and failures[0].startswith(
+            f"{label}: online learning loss monte carlo mismatch")
+            for label, failures in found.items())
 
     def test_obi_eval_flags_bootstraps_of_ruled_out_samples(self, tmp_path,
                                                             capsys):

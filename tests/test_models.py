@@ -1055,9 +1055,10 @@ class TestLossWindow:
     def test_non_finite_saved_epoch_diverges_at_that_epoch(self, monkeypatch,
                                                            epoch):
         # Fit 1's weights overflow after its last step of `epoch`, the
-        # middle or the last epoch of the window 1-8. The window call on
-        # that epoch's saved parameters raises, and one call per epoch
-        # retires fit 1 as diverged there, as a window of one does.
+        # middle or the last epoch of the window 1-8. The loss kernel
+        # gives that epoch's saved parameters non-finite logits, so fit 1
+        # alone gets a NaN loss there, and the judge retires it as
+        # diverged at that epoch, as a window of one does.
         trains, arch, cfg, streams = self._fits(3, 0.0)
         gradient = mlp_module.mlp_gradient
         calls = []
@@ -1079,10 +1080,11 @@ class TestLossWindow:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_infinite_loss_inside_a_pending_window(self, monkeypatch, k):
-        # The last fit's loss at epoch 5 is infinite, and its gradient
-        # raises at epoch 7, both inside the window 1-8 (1-16 alone). The
-        # gradient call judges the pending epochs first, so the fit
-        # diverges at epoch 5 with no cause, as a window of one has it.
+        # The last fit's loss at epoch 5 is infinite, and its weights
+        # overflow at epoch 7, so its gradient and its later losses are
+        # NaN, both inside the window 1-8 (1-16 alone). The judge reads
+        # the window oldest epoch first, so the fit diverges at epoch 5
+        # with no cause, as a window of one has it.
         trains, arch, cfg, streams = self._fits(k, 0.3)
         last = k - 1
         at_5, _ = self._reference(trains[last], arch, TrainConfig(
@@ -1115,12 +1117,13 @@ class TestLossWindow:
             f"training diverged: member {last}, epoch 5", None)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_gradient_raise_judges_a_stopped_fit_first(self, monkeypatch, k):
+    def test_stop_is_judged_before_a_later_overflow(self, monkeypatch, k):
         # Fit 0 stops at epoch 21, inside the window 13-24 (17-32 alone),
         # and trains on until the window is judged. Its weights overflow
-        # at epoch 23, so that epoch's first gradient call raises: the
-        # pending epochs are judged first, fit 0 leaves with its epoch-21
-        # parameters, and fit 1 trains on to its stop at epoch 24.
+        # at epoch 23's first batch, so its gradient and its losses from
+        # epoch 23 on are NaN. The judge reads the window oldest epoch
+        # first: fit 0 leaves stopped with its epoch-21 parameters, and
+        # fit 1 trains on to its stop at epoch 24.
         trains, arch, cfg, streams = self._fits(k, 0.0)
         gradient = mlp_module.mlp_gradient
         calls = []
