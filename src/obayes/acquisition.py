@@ -382,9 +382,13 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
     """`acquisition_steps` with a model retrained every `retrain_every`
     picks, as ensemble_factory([acquired examples], [rng.derive("retrain",
     step)]), which must deterministically return a list of one ensemble.
-    The returned sequence fully determines the conditioning stream for
-    downstream evaluation.
+    `retrain_every` is the batch size, checked as select_batch checks it,
+    for random too, before any pick. The returned sequence fully
+    determines the conditioning stream for downstream evaluation.
     """
+    if retrain_every < 1:
+        raise ValueError("batch size must be positive")
+
     def retrain(step: int, acquired: list):
         (ensemble,) = ensemble_factory([pool.subset(acquired, "acquired")],
                                        [rng.derive("retrain", step)])

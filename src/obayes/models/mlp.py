@@ -12,17 +12,18 @@ together: the gradient and loss kernels take a leading fit axis, so one
 call per step and one Adam update serve every fit still training. Each
 fit keeps its own generator and leaves the group when it stops early or
 diverges, so every fit's parameters have the bits of training it alone;
-a single fit is a group of one.
+a single fit is a group of one and runs the same stacked kernels.
 
-Early stopping is judged a window of epochs at a time: each epoch's end
-saves the live fits' parameters, and one stacked loss call over the saved
-epochs (a leading window axis) gives every pending loss at once. The rule
-then runs epoch by epoch in the order of one call per epoch, and a fit
-that stops inside the window leaves with the parameters saved at its stop;
-the epochs it trained past it are dropped. The rule is also the one place
-that finds a diverged fit: the kernels give NaN for a fit whose logits are
-non-finite, a NaN gradient makes every later loss of that fit NaN, and a
-NaN loss retires the fit at its epoch.
+Early stopping is judged a window of epochs at a time: each epoch's end,
+the untrained network's included, saves the live fits' parameters, and
+one stacked loss call over the saved epochs (a leading window axis) gives
+every pending loss at once. The rule then runs epoch by epoch in the
+order of one call per epoch, and a fit that stops inside the window
+leaves with the parameters saved at its stop; the epochs it trained past
+it are dropped. The rule is also the one place that finds a diverged fit:
+the kernels give NaN for a fit whose logits are non-finite, a NaN
+gradient makes every later loss of that fit NaN, and a NaN loss retires
+the fit at its epoch.
 """
 
 from __future__ import annotations
@@ -111,25 +112,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward(params: MlpParams, xs: np.ndarray,
-             mask_scale: np.ndarray | None = None,
-             hidden: np.ndarray | None = None):
-    """Pre-activation, hidden, and logits; mask_scale rescales hidden units.
+             mask_scale: np.ndarray | None = None):
+    """Hidden layer and logits; mask_scale rescales hidden units.
 
-    Every array may carry leading fit axes (see mlp_gradient). Biases
-    and masks are applied in place, to the products' fresh arrays. Given
-    a `hidden` buffer of the hidden layer's shape, the pre-activation is
-    computed there and rectified in place, and None stands in for it.
+    Every array may carry leading fit axes (see mlp_gradient). Biases,
+    the rectifier and masks are applied in place, to the products' fresh
+    arrays.
     """
-    z1 = np.matmul(xs, params.w1, out=hidden)
-    z1 += params.b1[..., None, :]
-    hd = np.maximum(z1, 0.0, out=hidden)
-    if hidden is not None:
-        z1 = None
+    hd = np.matmul(xs, params.w1)
+    hd += params.b1[..., None, :]
+    np.maximum(hd, 0.0, out=hd)
     if mask_scale is not None:
         hd *= mask_scale[..., None, :]
     logits = hd @ params.w2
     logits += params.b2[..., None, :]
-    return z1, hd, logits
+    return hd, logits
 
 
 def _nan_fits(logits: np.ndarray):
@@ -140,18 +137,15 @@ def _nan_fits(logits: np.ndarray):
 
 
 def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
-                       mask_scale: np.ndarray | None = None,
-                       hidden: np.ndarray | None = None):
+                       mask_scale: np.ndarray | None = None):
     """Mean cross-entropy over the rows; one per fit for stacked fits
     (see mlp_gradient), as an array of their leading shape, such as (K,).
-    `hidden`, a buffer of the hidden layer's shape, saves its allocation
-    (see _forward).
 
     A fit with any non-finite logit gets a NaN loss, and the other fits
     keep their bits. From finite logits the loss is never NaN, but it may
     be +inf.
     """
-    _, _, logits = _forward(params, xs, mask_scale, hidden)
+    _, logits = _forward(params, xs, mask_scale)
     if not np.isfinite(logits).all():
         _nan_fits(logits)
     # _log_softmax's operations, evaluated at the observed labels only.
@@ -181,13 +175,11 @@ def mlp_gradient(params: MlpParams, xs, ys,
     and the other fits keep their bits.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim < 2:
-        xs = xs.reshape(1, -1)
     ys = np.asarray(ys, dtype=np.int64)
     n = xs.shape[-2]
     if n == 0:
         raise ValueError("empty reduction")
-    z1, hd, logits = _forward(params, xs, mask_scale)
+    hd, logits = _forward(params, xs, mask_scale)
     if not np.isfinite(logits).all():
         _nan_fits(logits)
     if out is None:
@@ -201,7 +193,9 @@ def mlp_gradient(params: MlpParams, xs, ys,
     dz1 = dlogits @ params.w2.swapaxes(-1, -2)
     if mask_scale is not None:
         dz1 *= mask_scale[..., None, :]
-    np.multiply(dz1, z1 > 0.0, out=dz1)
+    # The rectifier's gate read from the masked hidden layer: every scale
+    # is 0 or at least 1, and a dropped unit's dz1 is already +-0.
+    np.multiply(dz1, hd > 0.0, out=dz1)
     np.matmul(xs.swapaxes(-1, -2), dz1, out=out.w1)
     dz1.sum(axis=-2, out=out.b1)
     return out
@@ -211,11 +205,12 @@ def _flat_views(arch: MlpArchitecture, flat: np.ndarray) -> MlpParams:
     """MlpParams whose arrays are views into flat buffers, one per row of
     `flat` (P,) or (K, P)."""
     d, h, c = arch.in_dim, arch.hidden, arch.num_classes
-    lead = flat.shape[:-1]
-    ends = np.cumsum([d * h, h, h * c, c])
-    w1, b1, w2, b2 = np.split(flat, ends[:-1], axis=-1)
-    return MlpParams(w1=w1.reshape(*lead, d, h), b1=b1,
-                     w2=w2.reshape(*lead, h, c), b2=b2)
+    lead, b1_at, w2_at = flat.shape[:-1], d * h, d * h + h
+    b2_at = w2_at + h * c
+    return MlpParams(w1=flat[..., :b1_at].reshape(*lead, d, h),
+                     b1=flat[..., b1_at:w2_at],
+                     w2=flat[..., w2_at:b2_at].reshape(*lead, h, c),
+                     b2=flat[..., b2_at:])
 
 
 class _LiveFits:
@@ -253,39 +248,32 @@ class _LiveFits:
         self.order = np.empty((k, self.n), dtype=np.intp)
         masks = (k, len(self.bounds) if dropout else 0, arch.hidden)
         self.uniforms, self.scales = np.empty(masks), np.empty(masks)
-        # The loss window, with buffers for the saved parameters and the
-        # hidden layer of its loss call sized once for the whole group.
+        # The loss window: the epochs saved since it was last judged.
         self.width = max(1, min(_LOSS_WINDOW, _LOSS_ROWS // (k * self.n)))
         self.pending = 0
-        if self.width > 1:
-            self.saved_buf = np.empty(self.width * self.flat.size)
-            self.hidden_buf = np.empty(self.width * k * self.n * arch.hidden)
         self._views()
 
     def _views(self):
         """What the hot path reads, rebuilt whenever the live set changes.
-
-        A lone fit's kernels get its unstacked rows: the same bits, and 2-D
-        operands cost less per numpy call than (1, …) stacks.
-        """
-        sel = self.sel = 0 if len(self.fits) == 1 else slice(None)
-        self.params = _flat_views(self.arch, self.flat[sel])
+        Every kernel gets the (K, …) stacks of the live fits, a lone fit's
+        (1, …) included."""
+        self.params = _flat_views(self.arch, self.flat)
         self.grad_flat = np.empty_like(self.flat)
-        self.grad = _flat_views(self.arch, self.grad_flat[sel])
+        self.grad = _flat_views(self.arch, self.grad_flat)
         self.step = np.empty_like(self.flat)
         self.denom = np.empty_like(self.flat)
-        self.full_set = (self.xs[sel], self.ys[sel])
         # Views of the epoch buffers, which shuffle() refills in place.
-        self.batches = [(self.xs_epoch[sel, rows], self.ys_epoch[sel, rows],
-                         None if self.keep is None else self.scales[sel, b])
+        self.batches = [(self.xs_epoch[:, rows], self.ys_epoch[:, rows],
+                         None if self.keep is None else self.scales[:, b])
                         for b, rows in enumerate(self.bounds)]
         d = self.xs.shape[-1]
         self.gather = (self.xs.reshape(-1, d), self.ys.reshape(-1),
                        self.order.reshape(-1), self.xs_epoch.reshape(-1, d),
                        self.ys_epoch.reshape(-1))
-        if self.width > 1:
-            self.saved = self.saved_buf[:self.width * self.flat.size] \
-                .reshape(self.width, *self.flat.shape)
+        self.saved = np.empty((self.width, *self.flat.shape))
+        # The full training sets, broadcast over the window axis.
+        self.full_set = tuple(np.broadcast_to(a, (self.width, *a.shape))
+                              for a in (self.xs, self.ys))
 
     def shuffle(self):
         """Each fit's epoch: its permutation and then its dropout masks'
@@ -328,28 +316,18 @@ class _LiveFits:
         self.flat -= step
 
     def end_epoch(self, epoch: int):
-        """Judge `epoch`. The untrained network (epoch 0) and a window of
-        one are judged at once, from one loss call on the live parameters;
-        otherwise the live fits' parameters are saved, and the window is
-        judged from one stacked call on them once it is full or training
-        ends."""
-        if epoch == 0 or self.width == 1:
-            self.judge(epoch, cross_entropy_loss(self.params, *self.full_set),
-                       self.flat[None])
-            return
+        """Save the live fits' parameters at `epoch` into the window, and
+        judge the window from one stacked loss call on them once it is
+        full, at the untrained network (epoch 0), or when training ends."""
         self.saved[self.pending] = self.flat
         self.pending += 1
-        if self.pending < self.width and epoch < self.cfg.epochs:
+        if 0 < epoch < self.cfg.epochs and self.pending < self.width:
             return
         count, self.pending = self.pending, 0
         saved = self.saved[:count]
         xs, ys = self.full_set
-        xs = np.broadcast_to(xs, (count, *xs.shape))
-        shape = (*xs.shape[:-1], self.arch.hidden)
-        losses = cross_entropy_loss(
-            _flat_views(self.arch, saved[:, self.sel]), xs,
-            np.broadcast_to(ys, (count, *ys.shape)),
-            hidden=self.hidden_buf[:math.prod(shape)].reshape(shape))
+        losses = cross_entropy_loss(_flat_views(self.arch, saved),
+                                    xs[:count], ys[:count])
         self.judge(epoch - count + 1, losses, saved)
 
     def judge(self, first: int, losses, saved: np.ndarray):
@@ -410,11 +388,11 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     generator (the same stream as one draw per step), so its parameters
     have the bits of training it alone, which is the K = 1 case.
 
-    The untrained network's loss is one call. After that, each epoch's
-    end saves the live fits' parameters into a (W, K, P) buffer, and one
-    stacked loss call per window of W = min(16, 1024 // (K n)) epochs
-    judges them, or one call per epoch when W is 1. The rule runs epoch
-    by epoch: a fit leaves once its loss stops falling, with the
+    Each epoch's end saves the live fits' parameters into a (W, K, P)
+    buffer, and one stacked loss call judges the untrained network alone
+    and then each window of W = min(16, 1024 // (K n)) epochs, or each
+    epoch when W is 1: 1 + ceil(E / W) calls over E epochs. The rule runs
+    epoch by epoch: a fit leaves once its loss stops falling, with the
     parameters saved at that epoch (rolled back over the epochs it
     trained past it), or once its loss is NaN or infinite. The kernels
     give NaN for a fit whose logits are non-finite, and a NaN gradient
@@ -476,7 +454,7 @@ class DeepEnsembleFamily:
 
     def log_probs(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return np.stack([_log_softmax(_forward(p, xs)[2])
+        return np.stack([_log_softmax(_forward(p, xs)[1])
                          for p in self.members])
 
 

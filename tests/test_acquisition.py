@@ -756,13 +756,16 @@ class TestRunAcquisition:
                               None, 1, 1, RngStream(3))
         assert seq.steps[0].pool_index == 0  # an A copy, highest BALD
 
-    @pytest.mark.parametrize("retrain_every", [0, -1])
+    @pytest.mark.parametrize("strategy, retrain_every", [
+        ("bald", 0), ("bald", -1), ("random", 0), ("random", -1)],
+        ids=["0", "-1", "random-0", "random--1"])
     def test_nonpositive_retrain_every_is_a_bad_batch_size(
-            self, ab_family, ab_pool, retrain_every):
-        # Each retrain asks select_batch for retrain_every picks.
+            self, ab_family, ab_pool, strategy, retrain_every):
+        # Each retrain asks select_batch for retrain_every picks; random
+        # asks for no model, and is refused all the same, before any pick.
         pool = self._ab_dataset(ab_family, ab_pool)
         with pytest.raises(ValueError, match="batch size must be positive"):
-            run_acquisition("bald", self._grid_factory(ab_family), pool,
+            run_acquisition(strategy, self._grid_factory(ab_family), pool,
                             None, 2, retrain_every, RngStream(3))
 
     def test_deterministic_and_persistable(self, tmp_path, ab_family,

@@ -338,15 +338,16 @@ class TestTraining:
                                                         monkeypatch, kernel):
         # A stacked call that raises while every fit's logits are finite
         # is not a divergence: its error surfaces, and no call repeats it.
-        # "window" fails only the loss call over saved epochs, which for
-        # these 2 fits of 48 rows and 3 epochs comes at epoch 3.
+        # "window" fails only the loss call over more than one saved epoch
+        # (a leading window length above 1), which for these 2 fits of 48
+        # rows and 3 epochs comes at epoch 3.
         train, _ = cluster_data
         calls = []
         loss = mlp_module.cross_entropy_loss
 
-        def failing(*args, hidden=None, **kwargs):
-            if kernel == "window" and hidden is None:
-                return loss(*args, **kwargs)
+        def failing(params, *args, **kwargs):
+            if kernel == "window" and params.w1.shape[0] == 1:
+                return loss(params, *args, **kwargs)
             calls.append(1)
             raise ValueError("unrelated failure")
 
@@ -694,17 +695,16 @@ class TestInPlaceKernelsMatchReference:
         # keep = 0.7: the scales are not powers of two.
         masks = (gen.random((k, 16)) < 0.7) / 0.7 if masked else None
         stacked = _stacked(fits)
-        z1, hd, logits = _forward(stacked, xs, masks)
-        assert (z1[:, 4, :5] == 0.0).all()
+        hd, logits = _forward(stacked, xs, masks)
         grads = mlp_gradient(stacked, xs, ys, masks)
         losses = cross_entropy_loss(stacked, xs, ys, masks)
         assert losses.shape == (k,)
         for j, params in enumerate(fits):
             mask = None if masks is None else masks[j]
             ref_z1 = xs[j] @ params.w1 + params.b1
+            assert (ref_z1[4, :5] == 0.0).all()
             ref_h = np.maximum(ref_z1, 0.0)
             ref_hd = ref_h if mask is None else ref_h * mask
-            assert np.array_equal(z1[j], ref_z1)
             assert np.array_equal(hd[j], ref_hd)
             assert np.array_equal(logits[j], ref_hd @ params.w2 + params.b2)
             _assert_params_equal(
@@ -753,7 +753,7 @@ class TestNonFiniteLogitsGiveNan:
             # these logits the loss alone would read +inf, the mark of
             # finite logits far apart.
             stacked.b2[1, 0] = -np.inf
-            logits = _forward(stacked, xs)[2][1]
+            logits = _forward(stacked, xs)[1][1]
             assert np.isneginf(logits[:, 0]).all()
             assert np.isfinite(logits[:, 1:]).all()
         with np.errstate(over="ignore"):
@@ -769,7 +769,7 @@ class TestNonFiniteLogitsGiveNan:
 
     def test_window_call(self):
         # Two saved epochs of three fits, called as the loss window is:
-        # inputs broadcast over the window axis, a hidden-layer buffer.
+        # inputs broadcast over the window axis.
         fits, xs, ys = self._fits(6)
         xs, ys = xs[:3], ys[:3]
         window = MlpParams(*(a.reshape(2, 3, *a.shape[1:])
@@ -778,8 +778,7 @@ class TestNonFiniteLogitsGiveNan:
         with np.errstate(over="ignore"):
             losses = cross_entropy_loss(
                 window, np.broadcast_to(xs, (2, *xs.shape)),
-                np.broadcast_to(ys, (2, *ys.shape)),
-                hidden=np.empty((2, 3, 10, 8)))
+                np.broadcast_to(ys, (2, *ys.shape)))
         assert losses.shape == (2, 3)
         for w, k in np.ndindex(2, 3):
             if (w, k) == (1, 2):

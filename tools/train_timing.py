@@ -1,6 +1,6 @@
 """Time lockstep training at the group shapes the protocols train.
 
-    python3 tools/train_timing.py [--repeat N] [--epochs E]
+    python3 tools/train_timing.py [--repeat N] [--epochs E] [--against DIR]
 
 Applies the CLI's allocator policy first, as ``obayes`` runs under
 ``main``, then trains one ``models.mlp._train_lockstep`` group per shape:
@@ -18,11 +18,23 @@ counted, then N times (default 5) timed. One JSON line per shape gives
 ``k``, ``n``, ``hidden``, ``epochs``, the median wall time ``ms``, and
 ``grad_calls`` and ``loss_calls``. Run it from the root of a source
 checkout; it imports the ``obayes`` sources under ``src/``.
+
+``--against DIR`` compares this checkout's ``models/mlp.py`` with DIR's
+``src/obayes/models/mlp.py``, loaded beside it in the same interpreter
+(the rest of the package is this checkout's): separate processes are too
+noisy to rank training changes on a small VM. Each shape is then trained
+once untimed by each side, and N pairs (default 5) timed, the side that
+runs first alternating from pair to pair. Each line adds ``against_ms``,
+DIR's median; ``ratio``, this checkout's median over DIR's; ``wins`` and
+``against_wins``, the pairs each side ran faster; DIR's
+``against_grad_calls`` and ``against_loss_calls``; and ``bit_equal``,
+whether both sides trained every fit to the same parameter bits.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import statistics
@@ -61,11 +73,24 @@ def _group(k: int, n: int, hidden: int, epochs: int, spread: float):
     return trains, arch, [cfg] * k, streams, [str(i) for i in range(k)]
 
 
-def _count_calls(args) -> dict:
-    """Gradient and loss calls of one training run of `args`."""
+def _load_against(root: str):
+    """DIR's models/mlp.py as a module of this checkout's package."""
+    path = Path(root).resolve() / "src" / "obayes" / "models" / "mlp.py"
+    if not path.is_file():
+        raise SystemExit(f"train_timing: no {path}")
+    spec = importlib.util.spec_from_file_location("obayes.models._against",
+                                                  path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _count_calls(module, args) -> tuple[dict, list]:
+    """Gradient and loss calls of one training run of `args` through
+    `module`, an mlp.py, and the run's trained parameters."""
     counts = {"grad_calls": 0, "loss_calls": 0}
     kernels = {"grad_calls": "mlp_gradient", "loss_calls": "cross_entropy_loss"}
-    originals = {key: getattr(mlp, name) for key, name in kernels.items()}
+    originals = {key: getattr(module, name) for key, name in kernels.items()}
 
     def counting(key):
         def call(*a, **kw):
@@ -75,12 +100,43 @@ def _count_calls(args) -> dict:
 
     try:
         for key, name in kernels.items():
-            setattr(mlp, name, counting(key))
-        mlp._train_lockstep(*args)
+            setattr(module, name, counting(key))
+        trained = module._train_lockstep(*args)
     finally:
         for key, name in kernels.items():
-            setattr(mlp, name, originals[key])
-    return counts
+            setattr(module, name, originals[key])
+    return counts, trained
+
+
+def _timed(module, args) -> float:
+    start = time.perf_counter()
+    module._train_lockstep(*args)
+    return time.perf_counter() - start
+
+
+def _same_bits(a: list, b: list) -> bool:
+    return all(x.tobytes() == y.tobytes()
+               for p, q in zip(a, b) for x, y in zip(p.arrays(), q.arrays()))
+
+
+def _compare(against, group, repeat: int) -> dict:
+    """Interleaved pairs of this checkout's and `against`'s training."""
+    counts, trained = _count_calls(mlp, group)
+    against_counts, against_trained = _count_calls(against, group)
+    times, against_times = [], []
+    for i in range(repeat):
+        sides = ((mlp, times), (against, against_times))
+        for module, out in sides[::-1] if i % 2 else sides:
+            out.append(_timed(module, group))
+    ms = statistics.median(times)
+    against_ms = statistics.median(against_times)
+    return {"ms": round(1e3 * ms, 3), "against_ms": round(1e3 * against_ms, 3),
+            "ratio": round(ms / against_ms, 4),
+            "wins": sum(a < b for a, b in zip(times, against_times)),
+            "against_wins": sum(b < a for a, b in zip(times, against_times)),
+            **counts,
+            **{"against_" + key: v for key, v in against_counts.items()},
+            "bit_equal": _same_bits(trained, against_trained)}
 
 
 def main(argv: list[str]) -> int:
@@ -88,23 +144,25 @@ def main(argv: list[str]) -> int:
         description="Wall time and kernel calls of lockstep training.")
     parser.add_argument("--repeat", type=int, default=5, metavar="N")
     parser.add_argument("--epochs", type=int, default=None, metavar="E")
+    parser.add_argument("--against", default=None, metavar="DIR",
+                        help="a source checkout whose mlp.py to pair with")
     args = parser.parse_args(argv)
     if args.repeat < 1 or (args.epochs is not None and args.epochs < 1):
         parser.error("--repeat and --epochs must be positive")
+    against = _load_against(args.against) if args.against else None
     _keep_freed_heap_pages()
     for k, n, hidden, epochs, spread in SHAPES:
         epochs = min(epochs, args.epochs or epochs)
         group = _group(k, n, hidden, epochs, spread)
-        counts = _count_calls(group)
-        times = []
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            mlp._train_lockstep(*group)
-            times.append(time.perf_counter() - start)
+        if against is not None:
+            result = _compare(against, group, args.repeat)
+        else:
+            counts, _ = _count_calls(mlp, group)
+            times = [_timed(mlp, group) for _ in range(args.repeat)]
+            result = {"ms": round(1e3 * statistics.median(times), 3),
+                      **counts}
         print(json.dumps({"k": k, "n": n, "hidden": hidden,
-                          "epochs": epochs,
-                          "ms": round(1e3 * statistics.median(times), 3),
-                          **counts}))
+                          "epochs": epochs, **result}), flush=True)
     return 0
 
 
