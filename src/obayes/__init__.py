@@ -9,7 +9,29 @@ and information-based acquisition cheap to evaluate online.
 
 __version__ = "0.1.0"
 
-from .numerics import (
+import ctypes
+
+
+def _keep_freed_heap_pages() -> None:
+    """Have glibc's malloc serve arrays under 32 MiB from the heap and
+    keep up to 64 MiB of freed heap, so the (S, N, C) tables a protocol
+    allocates again and again reuse pages instead of faulting in fresh
+    ones. Both values are needed: setting either one turns off glibc's
+    sliding thresholds. A C library without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)               # M_MMAP_THRESHOLD (malloc.h)
+    mallopt(-1, 64 << 20)               # M_TRIM_THRESHOLD
+
+
+# Before any submodule allocates: every process that imports obayes (the
+# CLI, library callers, the tools) runs under the one policy.
+_keep_freed_heap_pages()
+
+from .numerics import (  # noqa: E402
     DegenerateWeightsError,
     RngStream,
     effective_sample_size,

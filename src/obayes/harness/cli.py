@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration or argument validation error,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 
@@ -180,23 +179,7 @@ def _run_experiment(args) -> int:
     return 0
 
 
-def _keep_freed_heap_pages() -> None:
-    """Have glibc's malloc serve arrays under 32 MiB from the heap and
-    keep up to 64 MiB of freed heap, so the (S, N, C) tables a protocol
-    allocates again and again reuse pages instead of faulting in fresh
-    ones. Both values are needed: setting either one turns off glibc's
-    sliding thresholds. A C library without mallopt is left as it is.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(-3, 32 << 20)               # M_MMAP_THRESHOLD (malloc.h)
-    mallopt(-1, 64 << 20)               # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap_pages()
     parser = _build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)

@@ -1217,87 +1217,112 @@ class TestCli:
 
 COMMANDS = ("gen-data", "train", "acquire", *PROTOCOLS, "oracle-check")
 # mallopt(M_MMAP_THRESHOLD, 32 MiB), then mallopt(M_TRIM_THRESHOLD, 64 MiB).
-POLICY = [(-3, 32 << 20), (-1, 64 << 20)]
+POLICY = [[-3, 32 << 20], [-1, 64 << 20]]
+# Prepended to each fresh interpreter's script: before the first obayes
+# import, ctypes.CDLL(None) becomes the libc named by argv[1]. "real" passes
+# mallopt on to the C library, "missing" raises OSError, "no_mallopt" has no
+# mallopt, and "refuses" returns 0. `calls` logs each mallopt call with
+# whether an obayes submodule was loaded by then; `opened` logs every name
+# CDLL was asked for.
+SPY_LIBC = """
+import ctypes, json, sys
+LIBC = sys.argv[1]
+calls, opened = [], []
+real_cdll = ctypes.CDLL
+
+class Libc:
+    def __init__(self, lib):
+        self.lib = lib
+    def mallopt(self, param, value):
+        calls.append([param, value,
+                      any(m.startswith("obayes.") for m in sys.modules)])
+        if LIBC == "refuses":
+            return 0
+        return getattr(self.lib, "mallopt", lambda *args: 1)(param, value)
+
+def spy(name, *args, **kwargs):
+    opened.append(name)
+    if name is not None:
+        return real_cdll(name, *args, **kwargs)
+    if LIBC == "missing":
+        raise OSError("no C library")
+    if LIBC == "no_mallopt":
+        return object()
+    return Libc(real_cdll(None) if LIBC == "real" else None)
+
+ctypes.CDLL = spy
+"""
 
 
-def _spy_libc(monkeypatch, libc) -> list:
-    """Stand `libc` in for ctypes.CDLL(None); the list gets its mallopt
-    calls."""
-    calls = []
-
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
-
-    def cdll(name, *args, **kwargs):
-        assert name is None
-        return libc(calls) if callable(libc) else Libc()
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    return calls
+def _fresh_interpreter(script, tmp_path, *args) -> dict:
+    """Run SPY_LIBC and then `script` in a fresh interpreter, so that the
+    first obayes import happens there; returns its last stdout line as
+    JSON."""
+    src = Path(obayes.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", SPY_LIBC + script, *args],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestAllocatorPolicy:
-    """main() has glibc keep freed heap pages; the library never does."""
+    """Importing obayes has glibc keep freed heap pages, once, before any
+    submodule loads; main() and the library add no call of their own."""
+
+    # main()'s codes for the cases of _exit_codes.
+    EXIT_CODES = [1, 0, 1, 0, 2, 2]
 
     @staticmethod
-    def _exit_codes(tmp_path) -> list:
-        """main()'s codes for: no command, help, a bad value, a run, and
-        two runs that fail on a missing file."""
+    def _exit_codes(tmp_path, libc) -> dict:
+        """In a fresh interpreter with `libc`: the mallopt calls that
+        importing obayes.predictive makes, then main()'s code and the call
+        count after `--help` of each command, and main()'s codes for: no
+        command, help, a bad value, a run, and two runs that fail on a
+        missing file."""
         cases = [[], ["--help"],
                  ["obi-eval", "--seed", "0", "--steps", "0", "--out",
                   str(tmp_path / "run")]]
         cases += [[command, "--seed", "0", *_run_args(command, tmp_path)]
                   for command in ("gen-data", "train", "acquire")]
-        return [main(argv) for argv in cases]
+        script = """
+import obayes.predictive
+imported = list(calls)
+from obayes.harness.cli import main
+commands, cases = json.loads(sys.argv[2])
+helps = [[main([command, "--help"]), len(calls)] for command in commands]
+codes = [main(argv) for argv in cases]
+print(json.dumps({"imported": imported, "helps": helps, "codes": codes,
+                  "calls": calls, "opened": opened.count(None)}))
+"""
+        return _fresh_interpreter(script, tmp_path, libc,
+                                  json.dumps([COMMANDS, cases]))
 
-    def test_every_command_applies_it_first(self, monkeypatch, tmp_path,
-                                            capsys):
-        calls = _spy_libc(monkeypatch, None)
-        for command in COMMANDS:
-            del calls[:]
-            assert main([command, "--help"]) == 0
-            assert calls == POLICY, command
-        del calls[:]
-        assert self._exit_codes(tmp_path) == [1, 0, 1, 0, 2, 2]
-        assert calls == POLICY * 6
+    def test_import_applies_it_once_and_main_never_again(self, tmp_path):
+        run = self._exit_codes(tmp_path, "real")
+        assert run["opened"] == 1
+        assert [call[:2] for call in run["imported"]] == POLICY
+        assert not any(loaded for *_, loaded in run["imported"])
+        assert run["helps"] == [[0, 2]] * len(COMMANDS)
+        assert run["codes"] == self.EXIT_CODES
+        assert run["calls"] == run["imported"]
 
     @pytest.mark.parametrize("libc", ["missing", "no_mallopt", "refuses"])
-    def test_a_libc_without_it_changes_no_exit_code(self, monkeypatch,
-                                                    tmp_path, capsys, libc):
-        expected = self._exit_codes(tmp_path / "real")
+    def test_a_libc_without_it_changes_no_exit_code(self, tmp_path, libc):
+        run = self._exit_codes(tmp_path, libc)
+        made = POLICY if libc == "refuses" else []
+        assert run["opened"] == 1
+        assert [call[:2] for call in run["calls"]] == made
+        assert run["helps"] == [[0, len(made)]] * len(COMMANDS)
+        assert run["codes"] == self.EXIT_CODES
 
-        def missing(calls):
-            raise OSError("no C library")
-
-        class Refuses:
-            def __init__(self, calls):
-                self.calls = calls
-
-            def mallopt(self, param, value):
-                self.calls.append((param, value))
-                return 0
-
-        calls = _spy_libc(monkeypatch, {"missing": missing,
-                                        "no_mallopt": lambda calls: object(),
-                                        "refuses": Refuses}[libc])
-        assert self._exit_codes(tmp_path / "patched") == expected
-        assert calls == (POLICY * 6 if libc == "refuses" else [])
-
-    def test_library_use_never_applies_it(self, tmp_path):
-        # A fresh interpreter, so that importing counts too.
+    def test_library_use_applies_it_at_import(self, tmp_path):
         script = """
-import ctypes
-opened = []
-real_cdll = ctypes.CDLL
-def spy(name, *args, **kwargs):
-    opened.append(name)
-    return real_cdll(name, *args, **kwargs)
-ctypes.CDLL = spy
 import obayes
 from obayes.harness import al_with_obi, cli, obi_vs_retrain_eval
 from obayes.harness.config import config_from_dict
+imported = list(calls)
 raw = {"data": {"n_per_class": 6, "num_classes": 3, "dim": 2,
                 "eval_per_class": 4},
        "model": {"hidden": 8, "epochs": 5, "ensemble_size": 4},
@@ -1306,13 +1331,43 @@ raw = {"data": {"n_per_class": 6, "num_classes": 3, "dim": 2,
 obi_vs_retrain_eval(config_from_dict(raw))
 al_with_obi(config_from_dict(dict(raw, strategy="active_sampling",
                                   ess_retrain_threshold=2.0)))
-assert None not in opened, opened
-print("no policy")
+print(json.dumps({"imported": imported, "calls": calls,
+                  "opened": opened.count(None)}))
 """
-        src = Path(obayes.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              cwd=tmp_path, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "no policy"
+        run = _fresh_interpreter(script, tmp_path, "real")
+        assert run["opened"] == 1
+        assert [call[:2] for call in run["imported"]] == POLICY
+        assert not any(loaded for *_, loaded in run["imported"])
+        assert run["calls"] == run["imported"]
+
+    def test_repeated_mc_joint_entropy_reuses_its_pages(self, tmp_path):
+        # Each joint_entropy_mc call frees about 2 MB of group tables,
+        # draws and labels. Without the policy glibc hands that back to
+        # the kernel, and every later call faults it in again (about 670
+        # minor faults a call here); with it, calls 2-5 reuse the pages.
+        pytest.importorskip("resource")
+        import ctypes
+        try:
+            if not hasattr(ctypes.CDLL(None), "mallopt"):
+                pytest.skip("the C library has no mallopt")
+        except OSError:
+            pytest.skip("no C library to load")
+        script = """
+import resource
+from obayes.models.mlp import MlpArchitecture, init_dropout_ensemble
+from obayes.numerics import RngStream
+from obayes.predictive import joint_entropy_mc
+root = RngStream(seed=0)
+arch = MlpArchitecture(in_dim=2, hidden=64, num_classes=4)
+ens = init_dropout_ensemble(arch, 128, root.derive("ensemble"))
+xs = root.derive("xs").generator().normal(size=(12, 2))
+faults = []
+for i in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    joint_entropy_mc(ens, xs, 4096, root.derive("mc", i))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - before)
+print(json.dumps({"faults": faults}))
+"""
+        faults = _fresh_interpreter(script, tmp_path, "real")["faults"]
+        assert sum(faults[1:]) < 200, faults

@@ -324,8 +324,8 @@ class TestTraining:
         # one group, so each call returns one loss per stacked fit.
         train, _ = cluster_data
         monkeypatch.setattr(mlp_module, "cross_entropy_loss",
-                            lambda params, xs, *args, **kwargs:
-                            np.full(np.shape(xs)[:-2], math.inf))
+                            lambda params, *args, **kwargs:
+                            np.full(np.shape(params.b2)[:-1], math.inf))
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
                                dropout_rate=0.0)
         with pytest.raises(ValueError,

@@ -2,8 +2,8 @@
 
     python3 tools/train_timing.py [--repeat N] [--epochs E] [--against DIR]
 
-Applies the CLI's allocator policy first, as ``obayes`` runs under
-``main``, then trains one ``models.mlp._train_lockstep`` group per shape:
+Trains one ``models.mlp._train_lockstep`` group per shape, under the
+allocator policy that importing ``obayes`` applies to the process:
 lone fits at n = 1, 10 and 19 and groups of K = 3 at n = 20, 30 and 39
 (hidden 64, 100 epochs: al-obi's retrains and obi-eval's prefix models),
 groups of K = 4 at n = 8, 16 and 24 (hidden 32, 60 epochs:
@@ -46,7 +46,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from obayes.data import generate_cluster_dataset  # noqa: E402
-from obayes.harness.cli import _keep_freed_heap_pages  # noqa: E402
 from obayes.models import mlp  # noqa: E402
 from obayes.numerics import RngStream  # noqa: E402
 
@@ -150,7 +149,6 @@ def main(argv: list[str]) -> int:
     if args.repeat < 1 or (args.epochs is not None and args.epochs < 1):
         parser.error("--repeat and --epochs must be positive")
     against = _load_against(args.against) if args.against else None
-    _keep_freed_heap_pages()
     for k, n, hidden, epochs, spread in SHAPES:
         epochs = min(epochs, args.epochs or epochs)
         group = _group(k, n, hidden, epochs, spread)
