@@ -35,7 +35,6 @@ from .numerics import (  # noqa: E402
     DegenerateWeightsError,
     RngStream,
     effective_sample_size,
-    log_sum_exp,
     normalize_log_weights,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "DegenerateWeightsError",
     "RngStream",
     "effective_sample_size",
-    "log_sum_exp",
     "normalize_log_weights",
     "__version__",
 ]

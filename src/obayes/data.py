@@ -44,7 +44,13 @@ class Dataset:
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=np.float64))
-        ys = np.asarray(self.ys, dtype=np.int64)
+        labels = np.asarray(self.ys)
+        with np.errstate(invalid="ignore"):     # NaN and inf fail below
+            ys = labels.astype(np.int64, copy=False)
+        if ys.ndim != 1:
+            raise ValueError("labels must be one integer per example")
+        if not np.array_equal(ys, labels):
+            raise ValueError("labels must be integers")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if xs.shape[0] != ys.shape[0]:

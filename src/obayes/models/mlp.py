@@ -14,16 +14,17 @@ fit keeps its own generator and leaves the group when it stops early or
 diverges, so every fit's parameters have the bits of training it alone;
 a single fit is a group of one and runs the same stacked kernels.
 
-Early stopping is judged a window of epochs at a time: each epoch's end,
-the untrained network's included, saves the live fits' parameters, and
-one stacked loss call over the saved epochs (a leading window axis) gives
-every pending loss at once. The rule then runs epoch by epoch in the
-order of one call per epoch, and a fit that stops inside the window
-leaves with the parameters saved at its stop; the epochs it trained past
-it are dropped. The rule is also the one place that finds a diverged fit:
-the kernels give NaN for a fit whose logits are non-finite, a NaN
-gradient makes every later loss of that fit NaN, and a NaN loss retires
-the fit at its epoch.
+Training runs a loss window of epochs at a time, once the untrained
+network is judged alone. Fits leave only when a window is judged, so the
+live set is fixed over its epochs: the window draws them all at its
+start, trains them, saves each epoch's parameters, and one stacked loss
+call over the saved epochs (a leading window axis) gives every loss at
+once. The rule then runs epoch by epoch in the order of one call per
+epoch, and a fit that stops inside the window leaves with the parameters
+saved at its stop; the epochs it trained past it are dropped. The rule
+is also the one place that finds a diverged fit: the kernels give NaN
+for a fit whose logits are non-finite, a NaN gradient makes every later
+loss of that fit NaN, and a NaN loss retires the fit at its epoch.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Training stops once the full-set loss has fallen by less than this over
 # the last _EARLY_STOP_PATIENCE epochs.
 _EARLY_STOP_DELTA, _EARLY_STOP_PATIENCE = 1e-5, 5
-# One loss call judges up to _LOSS_WINDOW epochs, and at most _LOSS_ROWS
-# rows in all (window x fits x training rows); a group whose fits hold more
-# than half the rows is judged after every epoch, as one call.
+# A loss window draws, trains and then judges in one loss call up to
+# _LOSS_WINDOW epochs, and at most _LOSS_ROWS rows in all (window x fits x
+# training rows); a group whose fits hold more than half the rows runs
+# windows of one epoch.
 _LOSS_WINDOW, _LOSS_ROWS = 16, 1024
 
 
@@ -216,14 +218,15 @@ def _flat_views(arch: MlpArchitecture, flat: np.ndarray) -> MlpParams:
 class _LiveFits:
     """The fits of a lockstep group that are still training.
 
-    Row j of every per-fit array (`_ROWS`) belongs to fit `fits[j]`. A fit
-    that stops or diverges leaves by dropping its rows, so the stacked
-    calls see live fits only; a stopped fit's parameters at its stop go to
-    `trained`.
+    Row j of every per-fit array (`_ROWS`) belongs to fit `fits[j]`. Fits
+    leave only when a loss window is judged, so the live set is fixed over
+    a window's epochs: the window draws them all at its start, trains them
+    and saves each one's parameters. A fit that stops or diverges leaves by
+    dropping its rows, so the stacked calls see live fits only; a stopped
+    fit's parameters at its stop go to `trained`.
     """
 
-    _ROWS = ("flat", "m", "v", "xs", "ys", "xs_epoch", "ys_epoch", "order",
-             "uniforms", "scales")
+    _ROWS = ("flat", "m", "v", "xs", "ys")
 
     def __init__(self, arch: MlpArchitecture, cfg: TrainConfig, gens: list,
                  xs: np.ndarray, ys: np.ndarray):
@@ -244,13 +247,8 @@ class _LiveFits:
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self.t = 0
         self.xs, self.ys = xs, ys
-        self.xs_epoch, self.ys_epoch = np.empty_like(xs), np.empty_like(ys)
-        self.order = np.empty((k, self.n), dtype=np.intp)
-        masks = (k, len(self.bounds) if dropout else 0, arch.hidden)
-        self.uniforms, self.scales = np.empty(masks), np.empty(masks)
-        # The loss window: the epochs saved since it was last judged.
+        # The loss window: the epochs trained and saved between judgements.
         self.width = max(1, min(_LOSS_WINDOW, _LOSS_ROWS // (k * self.n)))
-        self.pending = 0
         self._views()
 
     def _views(self):
@@ -262,34 +260,41 @@ class _LiveFits:
         self.grad = _flat_views(self.arch, self.grad_flat)
         self.step = np.empty_like(self.flat)
         self.denom = np.empty_like(self.flat)
-        # Views of the epoch buffers, which shuffle() refills in place.
-        self.batches = [(self.xs_epoch[:, rows], self.ys_epoch[:, rows],
-                         None if self.keep is None else self.scales[:, b])
-                        for b, rows in enumerate(self.bounds)]
-        d = self.xs.shape[-1]
-        self.gather = (self.xs.reshape(-1, d), self.ys.reshape(-1),
-                       self.order.reshape(-1), self.xs_epoch.reshape(-1, d),
-                       self.ys_epoch.reshape(-1))
         self.saved = np.empty((self.width, *self.flat.shape))
         # The full training sets, broadcast over the window axis.
         self.full_set = tuple(np.broadcast_to(a, (self.width, *a.shape))
                               for a in (self.xs, self.ys))
 
-    def shuffle(self):
-        """Each fit's epoch: its permutation and then its dropout masks'
-        uniforms, drawn from its own generator; then one threshold of all
-        masks, and one gather of all fits' epoch rows, at the flat indices
-        perm + k n of fit k's rows."""
-        n, keep = self.n, self.keep
-        for k, gen in enumerate(self.gens):
-            np.add(gen.permutation(n), k * n, out=self.order[k])
-            if keep is not None:
-                gen.random(out=self.uniforms[k])
+    def draw(self, count: int) -> list:
+        """The live fits' next `count` epochs: per epoch, one (xs, ys,
+        scales) triple of (K, …) stacks per batch, scales None without
+        dropout.
+
+        Each fit draws from its own generator an epoch at a time, its
+        permutation and then its masks' uniforms: the same stream as one
+        draw per step. Then one threshold makes every mask, and one gather
+        each takes every epoch's rows and labels, at the flat indices
+        perm + k n of fit k's rows. A window holds at most _LOSS_ROWS rows,
+        or one epoch.
+        """
+        k, n, keep = len(self.fits), self.n, self.keep
+        order = np.empty((count, k, n), dtype=np.intp)
+        scales = None if keep is None else np.empty(
+            (count, k, len(self.bounds), self.arch.hidden))
+        for j, gen in enumerate(self.gens):
+            for e in range(count):
+                order[e, j] = gen.permutation(n)
+                if keep is not None:
+                    gen.random(out=scales[e, j])    # the masks' uniforms
+        order += np.arange(0, k * n, n)[:, None]
         if keep is not None:
-            np.divide(self.uniforms < keep, keep, out=self.scales)
-        xs, ys, order, xs_epoch, ys_epoch = self.gather
-        xs.take(order, axis=0, out=xs_epoch)
-        ys.take(order, out=ys_epoch)
+            np.divide(scales < keep, keep, out=scales)
+        xs = self.xs.reshape(-1, self.xs.shape[-1]).take(order, axis=0)
+        ys = self.ys.reshape(-1).take(order)
+        return [[(xs[e, :, rows], ys[e, :, rows],
+                  None if keep is None else scales[e, :, b])
+                 for b, rows in enumerate(self.bounds)]
+                for e in range(count)]
 
     def adam_step(self):
         """Adam over all parameters of every live fit at once, one
@@ -315,31 +320,21 @@ class _LiveFits:
         step /= denom
         self.flat -= step
 
-    def end_epoch(self, epoch: int):
-        """Save the live fits' parameters at `epoch` into the window, and
-        judge the window from one stacked loss call on them once it is
-        full, at the untrained network (epoch 0), or when training ends."""
-        self.saved[self.pending] = self.flat
-        self.pending += 1
-        if 0 < epoch < self.cfg.epochs and self.pending < self.width:
-            return
-        count, self.pending = self.pending, 0
+    def judge(self, first: int, count: int):
+        """Judge the live fits' parameters saved at epochs `first`, …,
+        `first` + count - 1 (rows of `saved`) from one stacked loss call
+        on them, and retire the fits that stopped or diverged.
+
+        The early-stopping rule runs oldest epoch first, and a stopped fit
+        keeps its parameters at its stop. A NaN loss (non-finite logits)
+        is a divergence; so is an infinite one after epoch 0 (finite
+        logits far enough apart)."""
         saved = self.saved[:count]
         xs, ys = self.full_set
         losses = cross_entropy_loss(_flat_views(self.arch, saved),
                                     xs[:count], ys[:count])
-        self.judge(epoch - count + 1, losses, saved)
-
-    def judge(self, first: int, losses, saved: np.ndarray):
-        """Apply the early-stopping rule to the live fits' losses at epochs
-        `first`, `first` + 1, …, oldest first, and retire the fits that
-        stopped or diverged. Row w of `losses` and of `saved` (W, K, P) are
-        the fits' losses and parameters at epoch `first` + w; a stopped fit
-        keeps its parameters at its stop. A NaN loss (non-finite logits)
-        is a divergence; so is an infinite one after epoch 0 (finite
-        logits far enough apart)."""
         p, left = _EARLY_STOP_PATIENCE, []
-        losses = np.reshape(losses, (len(saved), len(self.fits))).tolist()
+        losses = np.reshape(losses, (count, len(self.fits))).tolist()
         for epoch, (row, flat) in enumerate(zip(losses, saved), first):
             for j, loss in enumerate(row):
                 if j in left:
@@ -388,11 +383,12 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     generator (the same stream as one draw per step), so its parameters
     have the bits of training it alone, which is the K = 1 case.
 
-    Each epoch's end saves the live fits' parameters into a (W, K, P)
-    buffer, and one stacked loss call judges the untrained network alone
-    and then each window of W = min(16, 1024 // (K n)) epochs, or each
-    epoch when W is 1: 1 + ceil(E / W) calls over E epochs. The rule runs
-    epoch by epoch: a fit leaves once its loss stops falling, with the
+    The untrained network is judged alone, and then training runs a loss
+    window at a time, of W = min(16, 1024 // (K n)) epochs, or one epoch
+    when W is 1: the window draws its epochs, trains them, saves each
+    epoch's parameters into a (W, K, P) buffer, and one stacked loss call
+    judges them: 1 + ceil(E / W) calls over E epochs. The rule runs epoch
+    by epoch: a fit leaves once its loss stops falling, with the
     parameters saved at that epoch (rolled back over the epochs it
     trained past it), or once its loss is NaN or infinite. The kernels
     give NaN for a fit whose logits are non-finite, and a NaN gradient
@@ -412,15 +408,18 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     live = _LiveFits(arch, cfgs[0], [s.generator() for s in streams],
                      np.stack([t.xs for t in trains]),
                      np.stack([t.ys for t in trains]))
-    live.end_epoch(0)
-    for epoch in range(1, cfgs[0].epochs + 1):
-        if not live.fits:
-            break
-        live.shuffle()
-        for batch in live.batches:
-            mlp_gradient(live.params, *batch, out=live.grad)
-            live.adam_step()
-        live.end_epoch(epoch)
+    live.saved[0] = live.flat
+    live.judge(0, 1)
+    done, epochs = 0, cfgs[0].epochs
+    while live.fits and done < epochs:
+        count = min(live.width, epochs - done)
+        for e, batches in enumerate(live.draw(count)):
+            for batch in batches:
+                mlp_gradient(live.params, *batch, out=live.grad)
+                live.adam_step()
+            live.saved[e] = live.flat
+        live.judge(done + 1, count)
+        done += count
     if live.diverged:
         first = min(live.diverged)
         epoch, cause = live.diverged[first]

@@ -18,40 +18,23 @@ class DegenerateWeightsError(ValueError):
     """Raised when every importance weight carries zero mass."""
 
 
-def log_sum_exp(xs) -> float:
-    """Stable ln(sum(exp(xs))) over a non-empty 1-D collection.
-
-    -inf entries are allowed and contribute zero mass; an all--inf input
-    returns exactly -inf. NaN or +inf entries are rejected.
-    """
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size == 0:
-        raise ValueError("empty reduction")
-    m = arr.max()
-    if not m < np.inf:              # max propagates NaN
-        raise ValueError("non-finite input")
-    if m == -np.inf:
-        return -np.inf
-    # Single pass after max-subtraction; summation in input order.
-    return float(m + np.log(np.sum(np.exp(arr - m))))
-
-
 def log_sum_exp_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Axis-wise log_sum_exp with the same -inf semantics, for hot loops.
+    """Stable ln(sum(exp(arr))) along `axis`.
 
-    NaN or +inf in the input always reaches the reduced output, so only
-    that smaller array is checked.
+    -inf entries are allowed and contribute zero mass; an all--inf slice
+    gives exactly -inf. NaN or +inf entries are rejected: they always
+    reach the reduced output, so only that smaller array is checked.
     """
     arr = np.asarray(arr, dtype=np.float64)
-    m = np.max(arr, axis=axis, keepdims=True)
-    m = np.where(np.isneginf(m), 0.0, m)
+    # Array methods, not np.max/np.sum/np.all: the same reductions without
+    # the dispatch that costs more than a short reduction itself.
+    m = arr.max(axis=axis, keepdims=True)
+    m[np.isneginf(m)] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         shifted = np.subtract(arr, m)
         np.exp(shifted, out=shifted)
-        out = np.log(np.sum(shifted, axis=axis)) + np.squeeze(m, axis=axis)
-    if not np.all(out < np.inf):
+        out = np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis=axis)
+    if not (out < np.inf).all():
         raise ValueError("non-finite input")
     return out
 
@@ -139,7 +122,9 @@ def normalize_log_weights(log_weights) -> tuple[np.ndarray, float]:
     DegenerateWeightsError when no entry carries mass.
     """
     arr = np.asarray(log_weights, dtype=np.float64)
-    log_z = log_sum_exp(arr)        # rejects empty input, NaN and +inf
+    if arr.size == 0:
+        raise ValueError("empty reduction")
+    log_z = float(log_sum_exp_axis(arr, axis=0))    # rejects NaN and +inf
     if log_z == -np.inf:
         raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
     return arr - log_z, log_z
@@ -150,7 +135,7 @@ def effective_sample_size(log_weights) -> float:
     for K weights with mass, so -inf entries (masked samples) never count."""
     normalized, _ = normalize_log_weights(log_weights)
     finite = normalized[normalized > -np.inf]
-    ess = float(np.exp(-log_sum_exp(2.0 * finite)))
+    ess = float(np.exp(-log_sum_exp_axis(2.0 * finite, axis=0)))
     # Mathematically in [1, K]; trim float drift at the boundaries.
     return min(max(ess, 1.0), float(finite.size))
 

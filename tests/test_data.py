@@ -1,6 +1,8 @@
 """Datasets: synthesis, duplication, IDX parsing, splits, persistence."""
 
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,27 @@ class TestDataset:
             Dataset(xs=[[0.0]], ys=[2], num_classes=2)
         with pytest.raises(ValueError):
             Dataset(xs=[[0.0]], ys=[-1], num_classes=2)
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan, math.inf])
+    def test_fractional_labels_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ys in ([bad, 1.0], np.array([bad, 1.0])):
+                with pytest.raises(ValueError,
+                                   match="labels must be integers"):
+                    Dataset(xs=[[0.0], [1.0]], ys=ys, num_classes=3)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_label_columns_rejected(self, width):
+        with pytest.raises(ValueError,
+                           match="labels must be one integer per example"):
+            Dataset(xs=np.zeros((4, 2)), ys=np.zeros((4, width)),
+                    num_classes=2)
+
+    def test_whole_valued_float_labels_load(self):
+        ds = Dataset(xs=[[0.0], [1.0]], ys=np.array([1.0, 0.0]),
+                     num_classes=2)
+        assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [1, 0]
 
     def test_subset_and_concat(self):
         ds = Dataset(xs=np.arange(8.0).reshape(4, 2), ys=[0, 1, 0, 1],

@@ -710,6 +710,21 @@ class TestCli:
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ys,error", [
+        (np.arange(40) % 4 + 0.5, "labels must be integers"),
+        ((np.arange(40) % 4)[:, None], "one integer per example"),
+        (np.tile(np.arange(40) % 4, (2, 1)).T, "one integer per example")])
+    def test_non_integer_labels_fail_at_load(self, tmp_path, capsys, ys,
+                                             error):
+        data = tmp_path / "f.npz"
+        np.savez(data, xs=np.zeros((40, 2)), ys=ys, num_classes=np.int64(4),
+                 provenance=np.frombuffer(b"{}", dtype=np.uint8))
+        code = main(["train", "--data", str(data),
+                     "--out", str(tmp_path / "m.npz"), "--seed", "1"])
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--spread", "0"],
         ["train", "--data", "{pool}", "--epochs", "0"],

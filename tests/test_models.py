@@ -1181,9 +1181,13 @@ class TestLossCallCount:
         if (k, n) == (1, 64):
             assert len(calls) == 8                  # instead of 101
 
-    def test_shuffle_draws_match_one_draw_per_fit(self):
-        # The uniforms drawn into the (K, batches, H) buffer and the one
-        # gather at perm + k n give each fit's own draws and rows.
+
+class TestWindowDraws:
+    """A loss window draws all of its epochs at its start, each fit from
+    its own stream, as one draw per epoch would."""
+
+    @staticmethod
+    def _drawing_fits():
         gen = RngStream(55).generator()
         arch = MlpArchitecture(in_dim=3, hidden=8, num_classes=4,
                                dropout_rate=0.3)
@@ -1195,11 +1199,53 @@ class TestLossCallCount:
         mirrors = [s.generator() for s in streams]
         for mirror in mirrors:
             init_params(arch, mirror)
+        return live, xs, ys, mirrors
+
+    @staticmethod
+    def _assert_window_matches(window, fits, xs, ys, mirrors):
+        # Each live row j's epoch equals its fit's mirror drawing the
+        # permutation and then the (batches, H) uniforms, one epoch at a
+        # time.
+        n = xs.shape[1]
+        for epoch in window:
+            assert len(epoch) == 3                  # batches of 32, 32, 6
+            for j, fit in enumerate(fits):
+                perm = mirrors[fit].permutation(n)
+                scales = (mirrors[fit].random((3, 8)) < 0.7) / 0.7
+                for b, (bx, by, bs) in enumerate(epoch):
+                    rows = perm[32 * b:32 * (b + 1)]
+                    assert np.array_equal(bx[j], xs[fit][rows])
+                    assert np.array_equal(by[j], ys[fit][rows])
+                    assert np.array_equal(bs[j], scales[b])
+
+    def test_window_draws_match_one_draw_per_fit(self):
+        # Two windows of three epochs: the one threshold of every mask and
+        # the one gather at perm + k n give each fit its own draws and
+        # rows, and the second window continues each fit's stream.
+        live, xs, ys, mirrors = self._drawing_fits()
         for _ in range(2):
-            live.shuffle()
-            for j, mirror in enumerate(mirrors):
-                perm = mirror.permutation(70)
-                scales = (mirror.random((3, 8)) < 0.7) / 0.7
-                assert np.array_equal(live.xs_epoch[j], xs[j][perm])
-                assert np.array_equal(live.ys_epoch[j], ys[j][perm])
-                assert np.array_equal(live.scales[j], scales)
+            window = live.draw(3)
+            assert len(window) == 3
+            self._assert_window_matches(window, [0, 1, 2], xs, ys, mirrors)
+
+    def test_draws_continue_each_stream_after_a_fit_retires(self):
+        live, xs, ys, mirrors = self._drawing_fits()
+        self._assert_window_matches(live.draw(2), [0, 1, 2], xs, ys, mirrors)
+        live.retire([1])
+        assert live.fits == [0, 2]
+        self._assert_window_matches(live.draw(2), [0, 2], xs, ys, mirrors)
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 64), (3, 20), (3, 39),
+                                     (4, 24), (2, 257), (11, 50), (1, 600)])
+    def test_a_window_draws_at_most_the_row_budget(self, k, n):
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
+                               dropout_rate=0.5)
+        gen = RngStream(57).generator()
+        live = _LiveFits(arch, TrainConfig(), [
+            RngStream(58).derive("fit", i).generator() for i in range(k)],
+            gen.standard_normal((k, n, 2)), gen.integers(0, 4, size=(k, n)))
+        window = live.draw(live.width)
+        rows = sum(bx.shape[0] * bx.shape[1]
+                   for epoch in window for bx, _, _ in epoch)
+        assert rows == live.width * k * n
+        assert rows <= max(_LOSS_ROWS, k * n)
