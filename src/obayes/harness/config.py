@@ -85,8 +85,6 @@ class ModelSpec:
     hidden: int = 64
     dropout_rate: float = 0.5
     epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 1e-3
     ensemble_size: int = 128
 
     def __post_init__(self):
@@ -95,10 +93,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind: {self.kind}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble size must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
         if self.hidden < 1:
             raise ValueError("hidden width must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -196,9 +192,4 @@ class RunManifest:
                            platform=platform.platform())
 
     def to_json(self) -> str:
-        return json.dumps({"config_hash": self.config_hash, "seed": self.seed,
-                           "artifacts": list(self.artifacts),
-                           "created": self.created, "version": self.version,
-                           "numpy_version": self.numpy_version,
-                           "platform": self.platform},
-                          sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"

@@ -140,8 +140,7 @@ def model_factory(spec, in_dim: int, num_classes: int,
                     else init_dropout_ensemble
                 return [init(arch, spec.ensemble_size, s.derive("init"))
                         for s in streams]
-            cfgs = [TrainConfig(epochs=spec.epochs, batch_size=spec.batch_size,
-                                learning_rate=spec.learning_rate,
+            cfgs = [TrainConfig(epochs=spec.epochs,
                                 seed=s.derive("train").stream_id)
                     for s in streams]
             if spec.kind == "deep_ensemble":
@@ -210,8 +209,7 @@ def _obi_scores(state0, next_k, eval_set, bootstrap_size: int,
     return cell
 
 
-def obi_vs_retrain_eval(config: ExperimentConfig,
-                        sequences: dict | None = None) -> list:
+def obi_vs_retrain_eval(config: ExperimentConfig) -> list:
     """Reweighting vs retraining along fixed acquisition sequences.
 
     For each prefix length t (from eval_start), each trial trains models
@@ -221,14 +219,15 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     Emits cross-entropy and accuracy for all three branches per cell,
     plus the OBI effective sample size.
 
-    Without `sequences`, the pair is `random` (run_acquisition's random
-    order, which trains nothing) and `active`, which `acquisition_steps`
-    picks with config.strategy, retraining before every pick. Prefix
-    models are trained in ascending size, every trial's and sequence's
-    model of one size as one lockstep group; the active sequence's
-    retrain before pick s trains on the s points picked so far, so it
-    joins that group of size s, or trains alone at a size no prefix
-    model has. The models of size num_steps train after the last pick.
+    The pair is `random` (run_acquisition's random order, which trains
+    nothing) and `active`, which `acquisition_steps` picks with
+    config.strategy, retraining before every pick. Prefix models are
+    trained in ascending size, every trial's and sequence's model of one
+    size as one lockstep group; the active sequence's retrain before pick
+    s trains on the s points picked so far, so it joins that group of
+    size s, or trains alone at a size no prefix model has. The models of
+    size num_steps train after the last pick, as do all of them when
+    config.strategy is random, which retrains nothing.
     A model is scored once the k sequence points after its prefix
     exist: at once for the random sequence and for a size that is no t,
     after pick t+k-1 for an active t-model, which is held until then, as
@@ -237,8 +236,7 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
     the prefix model, reads them, and the memo's exp of the eval table.
     Each prefix model's cross-entropy and accuracy are computed once and
     serve as the baseline or retrain records of every sub-trial. Records
-    are emitted sequence by sequence. Given `sequences`, the same loop
-    runs with no retrain.
+    are emitted sequence by sequence.
     """
     k = config.lookahead
     t_values = list(range(config.eval_start,
@@ -253,17 +251,11 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
         raise ConfigError(f"bootstrap_size {config.bootstrap_size} exceeds "
                           f"the model size {size}")
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
-    if sequences is None:
-        random_seq = run_acquisition("random", factory, pool, eval_set,
-                                     config.num_steps, retrain_every=1,
-                                     rng=root.derive("sequence", "random"))
-        picks = {"active": [], "random": random_seq.pool_indices()}
-        strategies = {"active": config.strategy, "random": "random"}
-    else:
-        if any(len(seq) < config.num_steps for seq in sequences.values()):
-            raise ValueError("sequence shorter than num_steps")
-        picks = {name: seq.pool_indices() for name, seq in sequences.items()}
-        strategies = {name: seq.strategy for name, seq in sequences.items()}
+    random_seq = run_acquisition("random", factory, pool, eval_set,
+                                 config.num_steps, retrain_every=1,
+                                 rng=root.derive("sequence", "random"))
+    picks = {"active": [], "random": random_seq.pool_indices()}
+    strategies = {"active": config.strategy, "random": "random"}
     names = sorted(picks)
     sizes = sorted(set(t_values) | {t + k for t in t_values})
     cells = [(trial, name) for trial in range(config.trials)
@@ -306,22 +298,20 @@ def obi_vs_retrain_eval(config: ExperimentConfig,
         score_ready()
         return models[len(prefix):]
 
-    trained = set()
-    if sequences is None:
-        active_rng = root.derive("sequence", "active")
+    active_rng = root.derive("sequence", "active")
 
-        def retrain(step: int, acquired: list):
-            trained.add(step)
-            (model,) = fit(step, [pool.subset(acquired, "acquired")],
-                           [active_rng.derive("retrain", step)])
-            return model, 1
+    def retrain(step: int, acquired: list):
+        (model,) = fit(step, [pool.subset(acquired, "acquired")],
+                       [active_rng.derive("retrain", step)])
+        return model, 1
 
-        for rec in acquisition_steps(config.strategy, pool, eval_set,
-                                     config.num_steps, active_rng, retrain):
-            picks["active"].append(rec.pool_index)
-    for size in sizes:
-        if size not in trained:
-            fit(size)
+    for rec in acquisition_steps(config.strategy, pool, eval_set,
+                                 config.num_steps, active_rng, retrain):
+        picks["active"].append(rec.pool_index)
+    # A retrain before every pick fitted each size below num_steps; random
+    # asks for none, so its prefix models all train after the picks.
+    for size in sizes if config.strategy == "random" else [config.num_steps]:
+        fit(size)
     records = []
     for name in names:
         for trial in range(config.trials):

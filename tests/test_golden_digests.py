@@ -1,11 +1,13 @@
 """Output bits at seed 0 against the committed golden digests.
 
 `tools/protocol_digests.py 0` runs the benchmark's protocols, the small
-grid, gap and CLI runs, the joint metrics and the grid checkpoint, and
-prints one sha256 per output; tests/data/protocol_digests.txt holds the
-lines it printed when they were last meant to change. Digests belong to
-one numpy and BLAS stack, so on another stack the test skips and names
-both.
+grid, gap and CLI runs, the joint metrics, the grid checkpoint and the
+flag runs, and prints one sha256 per output;
+tests/data/protocol_digests.txt holds the lines it printed when they were
+last meant to change. Digests belong to one numpy and BLAS stack, so on
+another stack the digest test skips and names both. The flag runs' own
+CSVs are read on any stack: they must carry the fallback and collapse
+flags, and a collapsed sub-trial an ESS of 0.
 """
 
 import subprocess
@@ -15,8 +17,21 @@ from pathlib import Path
 import pytest
 
 from conftest import GOLDEN_DIGESTS, golden_stack, numeric_stack
+from obayes.harness.io import read_records
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def seed_0_run(tmp_path_factory):
+    """The tool's run at seed 0, and the directory that keeps its
+    seed-0 outputs."""
+    keep = tmp_path_factory.mktemp("digests")
+    run = subprocess.run([sys.executable, "tools/protocol_digests.py",
+                          "--keep", str(keep), "0"],
+                         cwd=ROOT, capture_output=True, text=True,
+                         timeout=300)
+    return run, keep / "seed-0"
 
 
 def _digests(lines) -> dict:
@@ -29,13 +44,11 @@ def _digests(lines) -> dict:
     return out
 
 
-def test_seed_0_outputs_match_the_golden_digests():
+def test_seed_0_outputs_match_the_golden_digests(seed_0_run):
     golden, here = golden_stack(), numeric_stack()
     if golden != here:
         pytest.skip(f"digests recorded on {golden}; this is {here}")
-    run = subprocess.run([sys.executable, "tools/protocol_digests.py", "0"],
-                         cwd=ROOT, capture_output=True, text=True,
-                         timeout=300)
+    run, _ = seed_0_run
     assert run.returncode == 0, run.stderr[-2000:]
     expected = GOLDEN_DIGESTS.read_text().splitlines()
     got = run.stdout.splitlines()
@@ -45,3 +58,15 @@ def test_seed_0_outputs_match_the_golden_digests():
     assert not differ, "outputs whose digest moved: " + ", ".join(differ)
     # The same outputs, in the tool's run order.
     assert got == [line for line in expected if not line.startswith("#")]
+
+
+def test_flag_runs_write_fallback_and_collapse(seed_0_run):
+    run, outputs = seed_0_run
+    assert run.returncode == 0, run.stderr[-2000:]
+    obi_eval = read_records(outputs / "flags-obi-eval-seed-0" / "metrics.csv")
+    collapsed = [r.value for r in obi_eval
+                 if r.metric == "ess" and r.flag == "collapse"]
+    assert collapsed and set(collapsed) == {0.0}
+    al_obi = read_records(outputs / "flags-al-obi-seed-0" / "metrics.csv")
+    assert {(r.metric, r.flag) for r in al_obi if r.flag} == \
+        {("acquired_pool_index", "fallback"), ("cross_entropy", "collapse")}

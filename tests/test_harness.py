@@ -158,7 +158,7 @@ class TestConfig:
         ({"strategy": 3}, "strategy"),
         ({"ess_retrain_threshold": True}, "ess_retrain_threshold"),
         ({"model": {"hidden": 8.5}}, "hidden"),
-        ({"model": {"learning_rate": "0.1"}}, "learning_rate"),
+        ({"model": {"dropout_rate": "0.1"}}, "dropout_rate"),
         ({"data": {"kind": "grid", "grid_pool_size": 2.5}}, "grid_pool_size"),
         ({"data": {"kind": "idx", "images_path": "images",
                    "labels_path": "labels", "limit": 10.0}}, "limit"),
@@ -171,11 +171,11 @@ class TestConfig:
     def test_int_float_and_none_values_accepted(self):
         cfg = config_from_dict({
             "ess_retrain_threshold": 4, "seed_train_size": 0,
-            "model": {"kind": "deep_ensemble", "learning_rate": 1,
-                      "dropout_rate": 0},
+            "model": {"kind": "deep_ensemble", "dropout_rate": 0},
             "data": {"kind": "idx", "images_path": "images",
                      "labels_path": "labels", "limit": None}})
         assert cfg.ess_retrain_threshold == 4
+        assert cfg.model.dropout_rate == 0
         assert cfg.data.limit is None
 
     def test_negative_seed_train_size_rejected(self):
@@ -327,13 +327,15 @@ class TestObiVsRetrain:
 
     def test_trials_train_as_one_group_per_size(self, monkeypatch):
         cfg = _tiny_net_config(trials=3, obi_subtrials=2)
-        sequences = reference_pair(cfg)
-        expected = _per_trial_obi_eval(cfg, sequences)
+        expected = _per_trial_obi_eval(cfg, reference_pair(cfg))
         groups = _spy_groups(monkeypatch)
-        assert obi_vs_retrain_eval(cfg, sequences) == expected
+        assert obi_vs_retrain_eval(cfg) == expected
         t_values = range(cfg.eval_start, cfg.num_steps - cfg.lookahead + 1)
-        sizes = sorted(set(t_values) | {t + cfg.lookahead for t in t_values})
-        assert groups == [[size] * 6 for size in sizes]
+        sizes = set(t_values) | {t + cfg.lookahead for t in t_values}
+        # Six prefix fits per size; the retrain before each pick joins them.
+        assert groups == [[s] * (7 if s in sizes else 1)
+                          for s in range(cfg.num_steps)] + \
+            [[cfg.num_steps] * 6]
 
     def test_observes_once_per_cell(self, monkeypatch):
         cfg = _tiny_net_config(trials=2, obi_subtrials=3)
@@ -363,13 +365,15 @@ class TestObiVsRetrain:
                                          epochs=20, ensemble_size=4),
                          trials=2, obi_subtrials=2, bootstrap_size=3),
         _tiny_grid_config(trials=2, obi_subtrials=2, bootstrap_size=2),
-    ], ids=["mc_dropout-1", "mc_dropout-3", "deep_ensemble", "grid"])
+        _tiny_net_config(strategy="random", trials=2),
+    ], ids=["mc_dropout-1", "mc_dropout-3", "deep_ensemble", "grid",
+            "random"])
     def test_retrains_in_the_loop_pick_the_reference_pair(self, cfg):
         # Retraining inside the prefix groups gives the rows of picking
         # both sequences first, with run_acquisition, on the same streams.
         assert [record_to_row(r) for r in obi_vs_retrain_eval(cfg)] == \
             [record_to_row(r)
-             for r in obi_vs_retrain_eval(cfg, reference_pair(cfg))]
+             for r in _per_trial_obi_eval(cfg, reference_pair(cfg))]
 
     @pytest.mark.parametrize("overrides", [
         dict(trials=2),
@@ -445,8 +449,9 @@ def _spy_groups(monkeypatch) -> list:
 
 
 def _per_trial_obi_eval(config, sequences) -> list:
-    """obi_vs_retrain_eval's records with one trial's prefix models of a
-    size trained per factory call, trial after trial."""
+    """obi_vs_retrain_eval's records along the given `sequences`, with no
+    retrain and one trial's prefix models of a size trained per factory
+    call, trial after trial."""
     k = config.lookahead
     t_values = list(range(config.eval_start, config.num_steps - k + 1))
     root = RngStream(seed=config.seed)
@@ -689,20 +694,19 @@ class TestCli:
         assert code == 1
         assert "unknown strategy" in capsys.readouterr().err
 
-    def test_removed_mc_draws_key_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("raw, key", [
+        ({"mc_draws": 1024}, "mc_draws"),
+        ({"out_dir": "results"}, "out_dir"),
+        ({"model": {"batch_size": 32}}, "batch_size"),
+        ({"model": {"learning_rate": 1e-3}}, "learning_rate"),
+    ], ids=["mc_draws", "out_dir", "model.batch_size", "model.learning_rate"])
+    def test_removed_key_is_config_error(self, raw, key, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"mc_draws": 1024}))
+        path.write_text(json.dumps(raw))
         code = main(["obi-eval", "--config", str(path), "--seed", "0",
                      "--out", str(tmp_path / "run")])
         assert code == 1
-
-    def test_removed_out_dir_key_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"out_dir": "results"}))
-        code = main(["obi-eval", "--config", str(path), "--seed", "0",
-                     "--out", str(tmp_path / "run")])
-        assert code == 1
-        assert "out_dir" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_missing_dataset_is_runtime_failure(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.npz"),

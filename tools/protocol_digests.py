@@ -26,14 +26,20 @@ it builds the coin world's exact posterior of ``GRID_TRAIN`` points drawn
 from the seed, the model a grid protocol trains, saves it, loads it and
 saves it again, and prints ``grid-checkpoint-seed-SEED model.npz
 sha256`` (the same array digest); ``obayes train`` takes no grid model,
-so no other run saves one. Two checkouts produce the same bits when
-their outputs compare equal under ``diff``. Run it from the root of a source checkout; it imports the
-``obayes`` sources under ``src/`` and only imports the workload module.
-Exits 1 if any run fails the workload's own checks, or if the reloaded
-grid model saves different bits.
+so no other run saves one. Last come two small grid runs on worlds of
+their own (``FLAGS``), which write the flags no other run writes: an
+obi-eval whose bootstrap sub-trials collapse and an al-obi whose pick
+falls back and whose cross-entropy collapses, as
+``flags-COMMAND-seed-SEED`` lines, with the same checks. Two checkouts
+produce the same bits when their outputs compare equal under ``diff``.
+Run it from the root of a source checkout; it imports the ``obayes``
+sources under ``src/`` and only imports the workload module. Exits 1 if
+any run fails the workload's own checks, or if the reloaded grid model
+saves different bits.
 
 With ``--keep DIR`` the outputs stay in DIR: each seed's protocol runs
-(without the skipped ones) under ``DIR/seed-SEED/``, its small train and
+(without the skipped ones) and flag runs, with their configs and
+worlds, under ``DIR/seed-SEED/``, its small train and
 acquire outputs and its grid checkpoints under ``DIR/seed-SEED/cli/``,
 and its joint-metrics values, as JSON, in
 ``DIR/joint-metrics-seed-SEED.json``.
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import json
 import sys
@@ -79,6 +86,30 @@ GAPS = {"data": {"n_per_class": 8, "num_classes": 4, "dim": 2,
         "strategy": "bald", "num_steps": 10, "lookahead": 6, "eval_start": 2,
         "trials": 3, "obi_subtrials": 2, "bootstrap_size": 4,
         "seed_train_size": 4}
+# The small runs that write the flags, as (command, world, config); each
+# world is saved as NAME.json in the workdir, which the config's
+# grid_name names. In the one-sided world h1 never emits label 1, so a
+# bootstrap of h1 alone collapses (ESS 0) once a 1 is seen. In the split
+# world the true coin has prior 0 and each other hypothesis emits one
+# label only: any pick leaves the eval labels of the other no mass, so
+# every active-sampling score is -inf (a fallback pick) and the
+# cross-entropy after it is infinite (collapse).
+FLAGS = (
+    ("obi-eval",
+     {"name": "one-sided", "tables": [[[0.5, 0.5]], [[1.0, 0.0]],
+                                      [[0.2, 0.8]]],
+      "prior": [1 / 3] * 3, "vocabulary": [[0.0]], "true_hypothesis": 0},
+     {"data": {"kind": "grid", "grid_pool_size": 24, "grid_eval_size": 16},
+      "model": {"kind": "grid"}, "strategy": "bald", "num_steps": 5,
+      "lookahead": 1, "trials": 1, "obi_subtrials": 8, "bootstrap_size": 1,
+      "eval_start": 2, "seed_train_size": 2}),
+    ("al-obi",
+     {"name": "split", "tables": [[[0.5, 0.5]], [[1.0, 0.0]], [[0.0, 1.0]]],
+      "prior": [0.0, 0.5, 0.5], "vocabulary": [[0.0]], "true_hypothesis": 0},
+     {"data": {"kind": "grid", "grid_pool_size": 12, "grid_eval_size": 8},
+      "model": {"kind": "grid"}, "strategy": "active_sampling",
+      "num_steps": 1, "seed_train_size": 0, "ess_retrain_threshold": 1.0}),
+)
 # Training points of the grid checkpoint's model.
 GRID_TRAIN = 6
 
@@ -91,24 +122,41 @@ def _workdir(keep: Path | None, seed: int):
     return contextlib.nullcontext(str(path))
 
 
-def _small_calls(seed: int, workdir: Path) -> list:
-    """ProtocolsJob calls of the small grid obi-eval and al-obi, and of
-    the small obi-eval with gaps."""
+def _calls(seed: int, workdir: Path, runs) -> list:
+    """ProtocolsJob calls of `runs`, (label, command, config dict) each,
+    whose configs are saved in the workdir as LABEL-COMMAND.json."""
     from obayes.harness.config import config_from_dict, config_to_json
 
     calls = []
-    for label, raw, commands in (("grid", GRID, ("obi-eval", "al-obi")),
-                                 ("gaps", GAPS, ("obi-eval",))):
+    for label, command, raw in runs:
         config = config_from_dict(raw)
-        config_path = workdir / f"{label}.json"
+        config_path = workdir / f"{label}-{command}.json"
         config_path.write_text(config_to_json(config))
-        for command in commands:
-            out = workdir / f"{label}-{command}-seed-{seed}"
-            calls.append((f"{label} {command} seed {seed}",
-                          [command, "--config", str(config_path),
-                           "--seed", str(seed), "--out", str(out)],
-                          out, expected_records(command, config)))
+        out = workdir / f"{label}-{command}-seed-{seed}"
+        calls.append((f"{label} {command} seed {seed}",
+                      [command, "--config", str(config_path),
+                       "--seed", str(seed), "--out", str(out)],
+                      out, expected_records(command, config)))
     return calls
+
+
+def _small_calls(seed: int, workdir: Path) -> list:
+    """ProtocolsJob calls of the small grid obi-eval and al-obi, and of
+    the small obi-eval with gaps."""
+    return _calls(seed, workdir, [("grid", "obi-eval", GRID),
+                                  ("grid", "al-obi", GRID),
+                                  ("gaps", "obi-eval", GAPS)])
+
+
+def _flag_calls(seed: int, workdir: Path) -> list:
+    """ProtocolsJob calls of the FLAGS runs, with their worlds saved."""
+    runs = []
+    for command, world, raw in FLAGS:
+        path = workdir / f"{world['name']}.json"
+        path.write_text(json.dumps(world, indent=2, sort_keys=True))
+        runs.append(("flags", command,
+                     dict(raw, data=dict(raw["data"], grid_name=str(path)))))
+    return _calls(seed, workdir, runs)
 
 
 def _npz_digest(path: Path) -> str:
@@ -195,6 +243,9 @@ def main(argv: list[str]) -> int:
             job.calls = [call for call in job.calls if call[0] not in done]
             done.update(label for label, *_ in job.calls)
             job.calls += _small_calls(seed, Path(workdir))
+            # The same checks for the flag runs, whose lines print last.
+            flags = copy.copy(job)
+            flags.calls = _flag_calls(seed, Path(workdir))
             # The CLI reports each run on stdout; keep stdout for digests.
             with contextlib.redirect_stdout(sys.stderr):
                 codes = job.run()
@@ -202,7 +253,9 @@ def main(argv: list[str]) -> int:
                     seed, Path(workdir) / "cli")
                 grid_failures, grid_digests = _grid_checkpoint(
                     seed, Path(workdir) / "cli")
+                flag_codes = flags.run()
             failures, digests = job.check(codes)
+            flag_failures, flag_digests = flags.check(flag_codes)
         joint = JointMetricsJob(seed, "full")
         outputs = joint.run()
         joint_failures, joint_digests = joint.check(outputs)
@@ -212,8 +265,9 @@ def main(argv: list[str]) -> int:
         digests[f"joint-metrics seed {seed}"] = joint_digests
         digests.update(cli_digests)
         digests.update(grid_digests)
+        digests.update(flag_digests)
         for failure in (failures + joint_failures + cli_failures
-                        + grid_failures):
+                        + grid_failures + flag_failures):
             print(f"seed {seed}: {failure}", file=sys.stderr)
             status = 1
         for label, files in digests.items():
