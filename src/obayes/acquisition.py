@@ -163,7 +163,6 @@ def batch_bald_gains(ensemble: PosteriorEnsemble, pool_xs,
     For an empty batch this reduces to BALD. Entries not in `allowed` are
     -inf so an argmax over the result skips them.
     """
-    pool_xs = np.atleast_2d(np.asarray(pool_xs, dtype=np.float64))
     lp = forward_log_probs(ensemble, pool_xs)                 # (S, P, C)
     log_w = ensemble.normalized_log_weights()
     size, num_pool, num_classes = lp.shape
@@ -197,8 +196,6 @@ def epig_scores_singleton(ensemble: PosteriorEnsemble, pool_xs,
     H[Y_eval] + H[Y_c] - H[Y_eval, Y_c], averaged over eval inputs, with
     the pair entropy enumerated exactly.
     """
-    pool_xs = np.atleast_2d(np.asarray(pool_xs, dtype=np.float64))
-    eval_xs = np.atleast_2d(np.asarray(eval_xs, dtype=np.float64))
     lp_p = forward_log_probs(ensemble, pool_xs)               # (S, P, C)
     lp_e = forward_log_probs(ensemble, eval_xs)               # (S, N, C)
     log_w = ensemble.normalized_log_weights()

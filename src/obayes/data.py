@@ -148,16 +148,20 @@ def generate_cluster_dataset(n_per_class: int, num_classes: int, dim: int,
     """Isotropic Gaussian blobs, one per class, centers of unit norm."""
     if n_per_class < 1 or num_classes < 2 or dim < 1:
         raise ValueError("counts must be positive and num_classes >= 2")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    if not 0 < spread < np.inf:
+        raise ValueError("spread must be positive and finite")
     gen = rng.generator()
     means = _cluster_means(num_classes, dim)
     xs = np.empty((n_per_class * num_classes, dim))
     ys = np.empty(n_per_class * num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        xs[block] = means[c] + spread * gen.standard_normal((n_per_class, dim))
-        ys[block] = c
+    with np.errstate(over="ignore"):
+        for c in range(num_classes):
+            block = slice(c * n_per_class, (c + 1) * n_per_class)
+            xs[block] = means[c] + spread * gen.standard_normal(
+                (n_per_class, dim))
+            ys[block] = c
+    if not np.isfinite(xs).all():
+        raise ValueError(f"spread {spread} overflows the features")
     provenance = {
         "source": "cluster",
         "n_per_class": n_per_class,

@@ -65,8 +65,8 @@ class DataSpec:
             if (min(self.n_per_class, self.eval_per_class, self.dim) < 1
                     or self.num_classes < 2):
                 raise ValueError("cluster sizes must be positive")
-            if not self.spread > 0:
-                raise ValueError("cluster spread must be positive")
+            if not 0 < self.spread < float("inf"):
+                raise ValueError("cluster spread must be positive and finite")
         if self.kind == "grid" and min(self.grid_pool_size,
                                        self.grid_eval_size) < 1:
             raise ValueError("grid pool and eval sizes must be positive")

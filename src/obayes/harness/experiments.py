@@ -210,7 +210,7 @@ def _obi_scores(state0, next_k, eval_set, bootstrap_size: int,
 
 
 def obi_vs_retrain_eval(config: ExperimentConfig) -> list:
-    """Reweighting vs retraining along fixed acquisition sequences.
+    """Reweighting vs retraining along matched acquisition sequences.
 
     For each prefix length t (from eval_start), each trial trains models
     on the first t and first t+k sequence points; OBI reweights the
@@ -221,26 +221,20 @@ def obi_vs_retrain_eval(config: ExperimentConfig) -> list:
 
     The pair is `random` (run_acquisition's random order, which trains
     nothing) and `active`, which `acquisition_steps` picks with
-    config.strategy, retraining before every pick. Prefix models are
-    trained in ascending size, every trial's and sequence's model of one
-    size as one lockstep group; the active sequence's retrain before pick
-    s trains on the s points picked so far, so it joins that group of
-    size s, or trains alone at a size no prefix model has. The models of
-    size num_steps train after the last pick, as do all of them when
-    config.strategy is random, which retrains nothing.
-    A model is scored once the k sequence points after its prefix
-    exist: at once for the random sequence and for a size that is no t,
-    after pick t+k-1 for an active t-model, which is held until then, as
-    a plain ensemble. Scoring evaluates the model's eval-set and
-    lookahead tables once; every bootstrap sub-trial, a weight mask over
-    the prefix model, reads them, and the memo's exp of the eval table.
-    Each prefix model's cross-entropy and accuracy are computed once and
-    serve as the baseline or retrain records of every sub-trial. Records
-    are emitted sequence by sequence.
+    config.strategy. One pass per size s = 0..num_steps trains one
+    lockstep group: every trial's and sequence's prefix model of size s,
+    when s is a prefix size, then the active retrain before pick s,
+    unless the strategy is random, which retrains nothing. The pass then
+    makes pick s with that retrain and scores each held prefix model
+    whose k lookahead points now exist. Scoring evaluates the model's
+    eval-set and lookahead tables once; every bootstrap sub-trial, a
+    weight mask over the prefix model, reads them, and the memo's exp of
+    the eval table. Each prefix model's cross-entropy and accuracy are
+    computed once and serve as the baseline or retrain records of every
+    sub-trial. Records are emitted sequence by sequence.
     """
     k = config.lookahead
-    t_values = list(range(config.eval_start,
-                          config.num_steps - k + 1))
+    t_values = range(config.eval_start, config.num_steps - k + 1)
     if not t_values:
         raise ConfigError("eval_start leaves no evaluation steps")
     root = RngStream(seed=config.seed)
@@ -257,10 +251,8 @@ def obi_vs_retrain_eval(config: ExperimentConfig) -> list:
     picks = {"active": [], "random": random_seq.pool_indices()}
     strategies = {"active": config.strategy, "random": "random"}
     names = sorted(picks)
-    sizes = sorted(set(t_values) | {t + k for t in t_values})
-    cells = [(trial, name) for trial in range(config.trials)
-             for name in names]
-    eval_scores, obi_cells, held = {}, {}, []
+    sizes = set(t_values) | {t + k for t in t_values}
+    eval_scores, obi_cells = {}, {}
 
     def score(name, trial, size, model) -> None:
         state0 = obi_init(model)
@@ -273,45 +265,34 @@ def obi_vs_retrain_eval(config: ExperimentConfig) -> list:
                 [root.derive("bootstrap", name, trial, size, sub)
                  for sub in range(config.obi_subtrials)])
 
-    def waiting(cell) -> bool:
-        name, _, size, _ = cell
-        return size in t_values and len(picks[name]) < size + k
-
-    def score_ready() -> None:
-        ready = [cell for cell in held if not waiting(cell)]
-        held[:] = [cell for cell in held if waiting(cell)]
-        for cell in ready:
-            score(*cell)
-
-    def fit(size: int, trains=(), streams=()) -> list:
-        """The prefix models of `size` (when it is one) and the extra
-        fits as one group; scores or holds the first, returns the rest."""
-        score_ready()
-        prefix = cells if size in sizes else []
-        models = factory(
-            [pool.subset(picks[name][:size], "prefix")
-             for _, name in prefix] + list(trains),
-            [root.derive("model", name, trial, size)
-             for trial, name in prefix] + list(streams))
-        for (trial, name), model in zip(prefix, models):
-            held.append((name, trial, size, model))
-        score_ready()
-        return models[len(prefix):]
-
+    # Prefix models by (name, trial, size) until scored, and the retrain
+    # before pick s by ("retrain", s) until the pick takes it. A popped
+    # model lives no longer than the pass that scores it.
+    held = {}
     active_rng = root.derive("sequence", "active")
-
-    def retrain(step: int, acquired: list):
-        (model,) = fit(step, [pool.subset(acquired, "acquired")],
-                       [active_rng.derive("retrain", step)])
-        return model, 1
-
-    for rec in acquisition_steps(config.strategy, pool, eval_set,
-                                 config.num_steps, active_rng, retrain):
-        picks["active"].append(rec.pool_index)
-    # A retrain before every pick fitted each size below num_steps; random
-    # asks for none, so its prefix models all train after the picks.
-    for size in sizes if config.strategy == "random" else [config.num_steps]:
-        fit(size)
+    steps = acquisition_steps(config.strategy, pool, eval_set,
+                              config.num_steps, active_rng,
+                              lambda s, _: (held.pop(("retrain", s)), 1))
+    for s in range(config.num_steps + 1):
+        group = [(name, trial, s) for trial in range(config.trials)
+                 for name in names] if s in sizes else []
+        trains = [pool.subset(picks[name][:s], "prefix")
+                  for name, _, _ in group]
+        streams = [root.derive("model", *key) for key in group]
+        if s < config.num_steps and config.strategy != "random":
+            group.append(("retrain", s))
+            trains.append(pool.subset(picks["active"], "acquired"))
+            streams.append(active_rng.derive("retrain", s))
+        if group:
+            held.update(zip(group, factory(trains, streams)))
+        if s < config.num_steps:
+            picks["active"].append(next(steps).pool_index)
+        if s == config.num_steps - 1:
+            # The suspended generator still holds the last retrain.
+            steps.close()
+        for name, trial, size in list(held):
+            if size not in t_values or len(picks[name]) >= size + k:
+                score(name, trial, size, held.pop((name, trial, size)))
     records = []
     for name in names:
         for trial in range(config.trials):

@@ -178,6 +178,5 @@ def summed_marginal_entropies(ensemble: PosteriorEnsemble, xs) -> float:
 def total_correlation(ensemble: PosteriorEnsemble, xs) -> float:
     """Sum of marginal entropies minus the joint entropy, by enumeration;
     both read one likelihood table of the batch."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ensemble = ensemble.with_tables()
     return summed_marginal_entropies(ensemble, xs) - joint_entropy_exact(ensemble, xs)

@@ -117,6 +117,13 @@ class TestClusterGeneration:
         with pytest.raises(ValueError):
             generate_cluster_dataset(5, 4, 2, -1.0, RngStream(0))
 
+    def test_spread_whose_features_overflow_rejected(self):
+        # Finite, but 1e308 times a draw beyond 1.8 in magnitude is inf.
+        with pytest.raises(ValueError, match="overflows"):
+            generate_cluster_dataset(40, 4, 2, 1e308, RngStream(0))
+        with pytest.raises(ValueError, match="finite"):
+            generate_cluster_dataset(40, 4, 2, np.inf, RngStream(0))
+
 
 class TestDuplication:
     def test_factor_one_is_permutation(self):

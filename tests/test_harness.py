@@ -430,6 +430,34 @@ class TestObiVsRetrain:
         # Active prefix models wait for their lookahead picks.
         assert any(alive_at.values())
 
+    def test_scored_models_are_released_before_the_next_group(
+            self, monkeypatch):
+        cfg = _tiny_net_config(
+            model=ModelSpec(kind="mc_dropout", hidden=16, epochs=5,
+                            ensemble_size=8),
+            num_steps=12, lookahead=3, trials=2, obi_subtrials=2,
+            eval_start=2, bootstrap_size=4)
+        refs, live = [], []
+
+        def counting_model_factory(*args):
+            factory = model_factory(*args)
+
+            def count(trains, streams):
+                gc.collect()
+                live.append(sum(ref() is not None for ref in refs))
+                out = factory(trains, streams)
+                refs.extend(weakref.ref(m) for m in out)
+                return out
+            return count
+
+        monkeypatch.setattr(experiments, "model_factory",
+                            counting_model_factory)
+        obi_vs_retrain_eval(cfg)
+        assert len(live) == cfg.num_steps + 1
+        # The active models that wait for their lookahead picks, and the
+        # retrain that acquisition_steps still holds.
+        assert max(live) <= cfg.trials * (cfg.lookahead - 1) + 1
+
 
 def _spy_groups(monkeypatch) -> list:
     """The list that gets the sorted training-set sizes of each call to
@@ -731,14 +759,15 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--spread", "0"],
+        ["gen-data", "--spread", "inf"],
         ["train", "--data", "{pool}", "--epochs", "0"],
         ["acquire", "--data", "{pool}", "--steps", "0"],
         ["acquire", "--data", "{pool}", "--retrain-every", "0"],
         ["acquire", "--data", "{pool}", "--steps", "5"],
         ["obi-eval", "--steps", "10"],
         ["al-obi", "--ess-threshold", "0"],
-    ], ids=["spread", "epochs", "steps", "retrain-every", "steps-past-pool",
-            "no-eval-steps", "ess-threshold"])
+    ], ids=["spread", "spread-inf", "epochs", "steps", "retrain-every",
+            "steps-past-pool", "no-eval-steps", "ess-threshold"])
     def test_bad_argument_is_config_error_before_training(
             self, argv, tmp_path, capsys, monkeypatch):
         pool = tmp_path / "pool.npz"
@@ -950,6 +979,7 @@ class TestCli:
 
     @pytest.mark.parametrize("data, message", [
         ({"spread": 0}, "cluster spread must be positive"),
+        ({"spread": float("inf")}, "cluster spread must be positive"),
         ({"eval_per_class": 0}, "cluster sizes must be positive"),
         ({"dim": 0}, "cluster sizes must be positive"),
         ({"kind": "grid", "grid_pool_size": 0},
@@ -958,8 +988,8 @@ class TestCli:
          "grid pool and eval sizes must be positive"),
         ({"kind": "idx", "images_path": "images", "labels_path": "labels",
           "limit": 0}, "idx limit must be positive"),
-    ], ids=["spread", "eval-per-class", "dim", "grid-pool", "grid-eval",
-            "idx-limit"])
+    ], ids=["spread", "spread-inf", "eval-per-class", "dim", "grid-pool",
+            "grid-eval", "idx-limit"])
     def test_bad_data_setting_is_config_error_before_training(
             self, data, message, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):

@@ -7,8 +7,10 @@ Each invariance holds exactly in math, so every quantity must keep it to
 step, BALD, BatchBALD, EPIG, active sampling, total correlation, the
 exact joint entropy and the online learning loss in both modes.
 
-Appending a sample of log weight -inf changes nothing: the weight masks
-of `obi_bootstrap` rest on it.
+Three changes to the samples move nothing: appending a sample of log
+weight -inf, which the weight masks of `obi_bootstrap` rest on;
+permuting the samples together with their log weights; and splitting
+one sample into two copies, each at its log weight less ln 2.
 """
 
 import numpy as np
@@ -77,16 +79,43 @@ def setting():
     return arch, params, masks, gen.normal(size=SAMPLES), pool, eval_set
 
 
+def _assert_unmoved(name, base, changed, pool, eval_set):
+    quantity = QUANTITIES[name]
+    want = np.asarray(quantity(base, pool, eval_set), dtype=np.float64)
+    got = np.asarray(quantity(changed, pool, eval_set), dtype=np.float64)
+    assert np.isfinite(want).all()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _ensemble(arch, params, masks, log_w):
+    return PosteriorEnsemble(family=McDropoutFamily(arch, params, masks),
+                             log_weights=log_w)
+
+
 @pytest.mark.parametrize("name", sorted(QUANTITIES))
 def test_a_sample_of_log_weight_minus_inf_changes_nothing(setting, name):
     arch, params, masks, log_w, pool, eval_set = setting
-    base = PosteriorEnsemble(
-        family=McDropoutFamily(arch, params, masks[:SAMPLES]),
-        log_weights=log_w)
-    padded = PosteriorEnsemble(family=McDropoutFamily(arch, params, masks),
-                               log_weights=np.append(log_w, -np.inf))
-    quantity = QUANTITIES[name]
-    want = np.asarray(quantity(base, pool, eval_set), dtype=np.float64)
-    got = np.asarray(quantity(padded, pool, eval_set), dtype=np.float64)
-    assert np.isfinite(want).all()
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    _assert_unmoved(name, _ensemble(arch, params, masks[:SAMPLES], log_w),
+                    _ensemble(arch, params, masks, np.append(log_w, -np.inf)),
+                    pool, eval_set)
+
+
+@pytest.mark.parametrize("name", sorted(QUANTITIES))
+def test_permuting_samples_with_their_weights_changes_nothing(setting, name):
+    arch, params, masks, log_w, pool, eval_set = setting
+    order = RngStream(7).generator().permutation(SAMPLES)
+    _assert_unmoved(name, _ensemble(arch, params, masks[:SAMPLES], log_w),
+                    _ensemble(arch, params, masks[order], log_w[order]),
+                    pool, eval_set)
+
+
+@pytest.mark.parametrize("name", sorted(QUANTITIES))
+def test_splitting_a_sample_into_two_halves_changes_nothing(setting, name):
+    arch, params, masks, log_w, pool, eval_set = setting
+    split_w = log_w.copy()
+    split_w[5] -= np.log(2.0)
+    _assert_unmoved(name, _ensemble(arch, params, masks[:SAMPLES], log_w),
+                    _ensemble(arch, params,
+                              np.vstack([masks[:SAMPLES], masks[5]]),
+                              np.append(split_w, split_w[5])),
+                    pool, eval_set)
