@@ -314,8 +314,6 @@ def _pick_batch(strategy: str, ensemble, pool: Dataset, m: int,
                 allowed: np.ndarray, stream: RngStream) -> list:
     if strategy == "random":
         candidates = np.flatnonzero(allowed)
-        if candidates.size < m:
-            raise ValueError("pool exhausted")
         gen = stream.generator()
         return [int(i) for i in gen.choice(candidates, size=m, replace=False)]
     return select_batch(strategy, ensemble, pool, None, m, allowed)[0]
@@ -354,7 +352,7 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
 
     def fit_all(b: int) -> list:
         trains = [seed_train.concat(pool.subset(acquired[s], "acquired"))
-                  if acquired[s] else seed_train for s in strategies]
+                  for s in strategies]
         return factory(trains, [root.derive("model", s, b)
                                 for s in strategies])
 

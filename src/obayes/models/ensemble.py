@@ -7,6 +7,10 @@ A likelihood family owns its S parameter samples and has
     size          -- S
     log_probs(xs) -> (S, N, C) normalized log-probabilities
 
+`forward_log_probs` is the one caller of `log_probs`, and it passes the
+points as a non-empty (N, D) float64 array, which a family reads as
+given.
+
 Evaluation must be deterministic, and a sample's rows must not depend on
 the other samples: a family built over a subset of the samples gives,
 bit for bit, the matching slices of the full table on any point set.

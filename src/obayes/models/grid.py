@@ -47,7 +47,7 @@ class GridLikelihood:
         return self.log_tables.shape[0]
 
     def vocab_indices(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        """The vocabulary slot of each row of the (N, D) float array `xs`."""
         if xs.shape[1] != self.vocabulary.shape[1]:
             raise ValueError("feature dimension mismatch")
         out = np.empty(xs.shape[0], dtype=np.int64)

@@ -6,13 +6,15 @@ independently trained members, evaluated clean) and consistent MC dropout
 samples). Masks are sampled once and reused for every input evaluated
 under that sample; resampling per input would break joint predictives.
 
+Every fit trains with one recipe, minibatches of _BATCH_SIZE rows and
+Adam at _LEARNING_RATE, and a config sets only its epochs and seed.
 Training runs in lockstep groups. Fits that share the architecture, the
-training-set size, the epochs, batch size and learning rate train
-together: the gradient and loss kernels take a leading fit axis, so one
-call per step and one Adam update serve every fit still training. Each
-fit keeps its own generator and leaves the group when it stops early or
-diverges, so every fit's parameters have the bits of training it alone;
-a single fit is a group of one and runs the same stacked kernels.
+training-set size and the epochs train together: the gradient and loss
+kernels take a leading fit axis, so one call per step and one Adam
+update serve every fit still training. Each fit keeps its own generator
+and leaves the group when it stops early or diverges, so every fit's
+parameters have the bits of training it alone; a single fit is a group
+of one and runs the same stacked kernels.
 
 Training runs a loss window of epochs at a time, once the untrained
 network is judged alone. Fits leave only when a window is judged, so the
@@ -38,6 +40,8 @@ from ..data import Dataset
 from ..numerics import RngStream, _row_max, _row_sum
 from .ensemble import PosteriorEnsemble, _read_only
 
+# The training recipe: minibatch size and Adam's step size.
+_BATCH_SIZE, _LEARNING_RATE = 32, 1e-3
 # Adam's moment decays and denominator guard.
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # Training stops once the full-set loss has fallen by less than this over
@@ -68,15 +72,11 @@ class MlpArchitecture:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
-    batch_size: int = 32
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
 
 
 @dataclass
@@ -228,12 +228,12 @@ class _LiveFits:
 
     _ROWS = ("flat", "m", "v", "xs", "ys")
 
-    def __init__(self, arch: MlpArchitecture, cfg: TrainConfig, gens: list,
-                 xs: np.ndarray, ys: np.ndarray):
-        self.arch, self.cfg = arch, cfg
+    def __init__(self, arch: MlpArchitecture, gens: list, xs: np.ndarray,
+                 ys: np.ndarray):
+        self.arch = arch
         k, self.n = xs.shape[:2]
-        self.bounds = [slice(lo, lo + cfg.batch_size)
-                       for lo in range(0, self.n, cfg.batch_size)]
+        self.bounds = [slice(lo, lo + _BATCH_SIZE)
+                       for lo in range(0, self.n, _BATCH_SIZE)]
         dropout = arch.dropout_rate > 0.0
         self.keep = 1.0 - arch.dropout_rate if dropout else None
         self.gens = gens
@@ -313,7 +313,7 @@ class _LiveFits:
         step *= grad
         v += step
         np.divide(m, 1.0 - b1 ** t, out=step)
-        step *= self.cfg.learning_rate
+        step *= _LEARNING_RATE
         np.divide(v, 1.0 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
         denom += _ADAM_EPS
@@ -375,13 +375,14 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     """Minibatch Adam with early stopping on the full-set loss, for K fits
     at once; returns each fit's parameters.
 
-    The fits share the architecture, the training-set size, and the
-    epochs, batch size and learning rate of `cfgs`; each has its own data
-    and stream. Every step is one stacked gradient call and one in-place
-    Adam update of (K, P) flat buffers over the live fits. Each fit draws
-    its permutation and then all of its epoch's dropout masks from its own
-    generator (the same stream as one draw per step), so its parameters
-    have the bits of training it alone, which is the K = 1 case.
+    The fits share the architecture, the training-set size and the epochs
+    of `cfgs`; each has its own data and stream, and all train with
+    _BATCH_SIZE and _LEARNING_RATE. Every step is one stacked gradient
+    call and one in-place Adam update of (K, P) flat buffers over the live
+    fits. Each fit draws its permutation and then all of its epoch's
+    dropout masks from its own generator (the same stream as one draw per
+    step), so its parameters have the bits of training it alone, which is
+    the K = 1 case.
 
     The untrained network is judged alone, and then training runs a loss
     window at a time, of W = min(16, 1024 // (K n)) epochs, or one epoch
@@ -402,10 +403,9 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     n = len(trains[0])
     if any(len(t) != n for t in trains):
         raise ValueError("lockstep fits need training sets of one size")
-    if len({(c.epochs, c.batch_size, c.learning_rate) for c in cfgs}) > 1:
-        raise ValueError("lockstep fits need one epochs, batch size and "
-                         "learning rate")
-    live = _LiveFits(arch, cfgs[0], [s.generator() for s in streams],
+    if len({c.epochs for c in cfgs}) > 1:
+        raise ValueError("lockstep fits need one number of epochs")
+    live = _LiveFits(arch, [s.generator() for s in streams],
                      np.stack([t.xs for t in trains]),
                      np.stack([t.ys for t in trains]))
     live.saved[0] = live.flat
@@ -452,7 +452,6 @@ class DeepEnsembleFamily:
         return len(self.members)
 
     def log_probs(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         return np.stack([_log_softmax(_forward(p, xs)[1])
                          for p in self.members])
 
@@ -497,7 +496,6 @@ class McDropoutFamily:
         w, or a zero of the same sign), so the bits are the same; a call
         costs the hidden layer, one batched product and the log-softmax.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         keep = 1.0 - self.arch.dropout_rate
         p = self.params
         h = np.maximum(xs @ p.w1 + p.b1, 0.0)               # (N, H)
@@ -552,13 +550,11 @@ def init_dropout_ensemble(arch: MlpArchitecture, num_samples: int,
 
 def _dropout_ensemble(arch: MlpArchitecture, params: MlpParams,
                       num_samples: int, gen) -> PosteriorEnsemble:
-    """`params` under S 0/1 masks of width H drawn from `gen`; one
-    all-ones mask at dropout rate zero."""
-    keep = 1.0 - arch.dropout_rate
-    masks = np.ones((1, arch.hidden)) if arch.dropout_rate == 0.0 \
-        else gen.random((num_samples, arch.hidden)) < keep
+    """`params` under S 0/1 masks of width H drawn from `gen`; at dropout
+    rate zero (S is 1) the one mask keeps every unit."""
+    masks = gen.random((num_samples, arch.hidden)) < 1.0 - arch.dropout_rate
     return PosteriorEnsemble(family=McDropoutFamily(arch, params, masks),
-                             log_weights=np.zeros(len(masks)))
+                             log_weights=np.zeros(num_samples))
 
 
 def train_mc_dropout(train, arch: MlpArchitecture, cfg, num_samples: int,

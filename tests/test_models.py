@@ -301,12 +301,13 @@ class TestTraining:
     @pytest.mark.parametrize("kind,member", [("deep_ensemble", "0"),
                                              ("mc_dropout", "shared")])
     def test_divergence_names_member_and_epoch(self, cluster_data, kind,
-                                               member):
+                                               member, monkeypatch):
         train, _ = cluster_data
         arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
                                dropout_rate=0.5 if kind == "mc_dropout"
                                else 0.0, init_scale=1e150)
-        cfg = TrainConfig(epochs=5, learning_rate=1e300, seed=1)
+        monkeypatch.setattr(mlp_module, "_LEARNING_RATE", 1e300)
+        cfg = TrainConfig(epochs=5, seed=1)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError) as info:
             if kind == "mc_dropout":
@@ -513,8 +514,9 @@ def _reference_gradient(params, xs, ys, mask_scale=None):
                      w2=hd.T @ dlogits, b2=dlogits.sum(axis=0))
 
 
-def _reference_adam_step(params, grad, state, cfg):
-    """Per-array Adam, the pre-fusion update."""
+def _reference_adam_step(params, grad, state):
+    """Per-array Adam, the pre-fusion update, at the learning rate that
+    training reads now (tests patch it)."""
     arrays, grads = params.arrays(), grad.arrays()
     if not state["m"]:
         state["m"] = [np.zeros_like(a) for a in arrays]
@@ -528,32 +530,34 @@ def _reference_adam_step(params, grad, state, cfg):
         v += (1.0 - _BETA2) * g * g
         m_hat = m / (1.0 - _BETA1 ** t)
         v_hat = v / (1.0 - _BETA2 ** t)
-        a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        a -= mlp_module._LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _reference_train_single(train, arch, cfg, stream, use_dropout,
                             history=None):
     """Training as it was before the fused step: a fresh gather, mask draw
-    and gradient per minibatch, and per-array Adam. A `history` list
-    receives the full-set losses, one more than the epochs trained."""
+    and gradient per minibatch, and per-array Adam, with the batch size
+    and learning rate that training reads now. A `history` list receives
+    the full-set losses, one more than the epochs trained."""
     gen = stream.generator()
     params = init_params(arch, gen)
     xs, ys = train.xs, train.ys
     n = len(train)
     keep = 1.0 - arch.dropout_rate
     state = {"m": [], "v": [], "t": 0}
+    batch = mlp_module._BATCH_SIZE
     history = [] if history is None else history
     history.append(_reference_loss(params, xs, ys))
     for _ in range(cfg.epochs):
         perm = gen.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
+        for start in range(0, n, batch):
+            idx = perm[start:start + batch]
             mask_scale = None
             if use_dropout and arch.dropout_rate > 0.0:
                 mask = gen.random(arch.hidden) < keep
                 mask_scale = mask.astype(np.float64) / keep
             grad = _reference_gradient(params, xs[idx], ys[idx], mask_scale)
-            _reference_adam_step(params, grad, state, cfg)
+            _reference_adam_step(params, grad, state)
         history.append(_reference_loss(params, xs, ys))
         p = _EARLY_STOP_PATIENCE
         if len(history) > p and \
@@ -847,13 +851,17 @@ class TestLockstepMatchesReference:
     # this learning rate every fit stops early, each at its own epoch.
     N, EPOCHS, LR = 40, 100, 0.05
 
+    @pytest.fixture(autouse=True)
+    def _learning_rate(self, monkeypatch):
+        monkeypatch.setattr(mlp_module, "_LEARNING_RATE", self.LR)
+
     def _fits(self, k):
         full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
         trains = [full.subset(RngStream(52).derive("fit", i).generator()
                               .permutation(len(full))[:self.N], "train")
                   for i in range(k)]
-        cfgs = [TrainConfig(epochs=self.EPOCHS, learning_rate=self.LR,
-                            seed=60 + i) for i in range(k)]
+        cfgs = [TrainConfig(epochs=self.EPOCHS, seed=60 + i)
+                for i in range(k)]
         return trains, cfgs
 
     def _reference(self, train, arch, cfg, stream):
@@ -913,7 +921,19 @@ class TestLockstepMatchesReference:
             train_mc_dropout([train, train.subset(range(39), "short")], arch,
                              [cfg, cfg], 4, [RngStream(1), RngStream(2)])
 
-    def test_lowest_index_divergence_is_raised(self):
+    def test_unequal_epochs_rejected_before_training(self, monkeypatch):
+        arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4)
+        trains, _ = self._fits(2)
+        calls = []
+        monkeypatch.setattr(mlp_module, "init_params",
+                            lambda *a: calls.append(1))
+        with pytest.raises(ValueError, match="one number of epochs"):
+            train_mc_dropout(trains, arch, [TrainConfig(epochs=5),
+                                            TrainConfig(epochs=6)], 4,
+                             [RngStream(1), RngStream(2)])
+        assert calls == []
+
+    def test_lowest_index_divergence_is_raised(self, monkeypatch):
         # Fit 2's inputs overflow the untrained network (epoch 0), fit 0's
         # logits overflow after its first Adam steps (epoch 1), and fit 1
         # trains. Trained one after another, fit 0 would raise first.
@@ -923,7 +943,8 @@ class TestLockstepMatchesReference:
                       for scale in (1e290, 1.0, 1e308)]
         arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
                                dropout_rate=0.0)
-        cfg = TrainConfig(epochs=5, learning_rate=1e50)
+        monkeypatch.setattr(mlp_module, "_LEARNING_RATE", 1e50)
+        cfg = TrainConfig(epochs=5)
 
         def train(fits):
             return _train_lockstep(
@@ -961,6 +982,10 @@ class TestLossWindow:
     # 13, 28.
     N, EPOCHS, LR = 40, 100, 0.05
 
+    @pytest.fixture(autouse=True)
+    def _learning_rate(self, monkeypatch):
+        monkeypatch.setattr(mlp_module, "_LEARNING_RATE", self.LR)
+
     def _fits(self, k, rate, epochs=EPOCHS):
         full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
         trains = [full.subset(RngStream(52).derive("fit", i).generator()
@@ -968,7 +993,7 @@ class TestLossWindow:
                   for i in range(k)]
         arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
                                dropout_rate=rate)
-        cfg = TrainConfig(epochs=epochs, learning_rate=self.LR)
+        cfg = TrainConfig(epochs=epochs)
         streams = [RngStream(80).derive("fit", i) for i in range(k)]
         return trains, arch, cfg, streams
 
@@ -1086,8 +1111,8 @@ class TestLossWindow:
         # with no cause, as a window of one has it.
         trains, arch, cfg, streams = self._fits(k, 0.3)
         last = k - 1
-        at_5, _ = self._reference(trains[last], arch, TrainConfig(
-            epochs=5, learning_rate=self.LR), streams[last])
+        at_5, _ = self._reference(trains[last], arch, TrainConfig(epochs=5),
+                                  streams[last])
         loss, gradient = mlp_module.cross_entropy_loss, mlp_module.mlp_gradient
         calls = []
 
@@ -1158,7 +1183,7 @@ class TestLossCallCount:
                                dropout_rate=0.0)
         cfg = TrainConfig(epochs=epochs)
         streams = [RngStream(81).derive("fit", i) for i in range(k)]
-        live = _LiveFits(arch, cfg, [s.generator() for s in streams],
+        live = _LiveFits(arch, [s.generator() for s in streams],
                          np.stack([t.xs for t in trains]),
                          np.stack([t.ys for t in trains]))
         assert live.width == width
@@ -1194,8 +1219,7 @@ class TestWindowDraws:
         xs = gen.standard_normal((3, 70, 3))
         ys = gen.integers(0, 4, size=(3, 70))
         streams = [RngStream(56).derive("fit", i) for i in range(3)]
-        live = _LiveFits(arch, TrainConfig(), [s.generator()
-                                               for s in streams], xs, ys)
+        live = _LiveFits(arch, [s.generator() for s in streams], xs, ys)
         mirrors = [s.generator() for s in streams]
         for mirror in mirrors:
             init_params(arch, mirror)
@@ -1241,7 +1265,7 @@ class TestWindowDraws:
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4,
                                dropout_rate=0.5)
         gen = RngStream(57).generator()
-        live = _LiveFits(arch, TrainConfig(), [
+        live = _LiveFits(arch, [
             RngStream(58).derive("fit", i).generator() for i in range(k)],
             gen.standard_normal((k, n, 2)), gen.integers(0, 4, size=(k, n)))
         window = live.draw(live.width)

@@ -22,9 +22,12 @@ checkout; it imports the ``obayes`` sources under ``src/``.
 ``--against DIR`` compares this checkout's ``models/mlp.py`` with DIR's
 ``src/obayes/models/mlp.py``, loaded beside it in the same interpreter
 (the rest of the package is this checkout's): separate processes are too
-noisy to rank training changes on a small VM. Each shape is then trained
-once untimed by each side, and N pairs (default 5) timed, the side that
-runs first alternating from pair to pair. Each line adds ``against_ms``,
+noisy to rank training changes on a small VM. Both sides train on the
+same data and streams, each with an architecture and configs made by its
+own ``MlpArchitecture`` and ``TrainConfig``, so a side whose config has
+other fields still pairs. Each shape is then trained once untimed by
+each side, and N pairs (default 5) timed, the side that runs first
+alternating from pair to pair. Each line adds ``against_ms``,
 DIR's median; ``ratio``, this checkout's median over DIR's; ``wins`` and
 ``against_wins``, the pairs each side ran faster; DIR's
 ``against_grad_calls`` and ``against_loss_calls``; and ``bit_equal``,
@@ -56,8 +59,11 @@ SHAPES = ([(1, n, 64, 100, 1.0) for n in (1, 10, 19)]
           + [(11, 50, 64, 100, 1.0)])
 
 
-def _group(k: int, n: int, hidden: int, epochs: int, spread: float):
-    """The arguments of one _train_lockstep call at this shape."""
+def _group(module, k: int, n: int, hidden: int, epochs: int,
+           spread: float):
+    """The arguments of one _train_lockstep call at this shape, with the
+    architecture and configs made by `module`, an mlp.py. Every module
+    gets the same data and streams."""
     trains = []
     for i in range(k):
         stream = RngStream(7).derive("shape", k, n, "fit", i)
@@ -65,9 +71,9 @@ def _group(k: int, n: int, hidden: int, epochs: int, spread: float):
         data = generate_cluster_dataset(per_class, 4, 2, spread, stream)
         order = stream.derive("order").generator().permutation(len(data))
         trains.append(data.subset(order[:n]))
-    arch = mlp.MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
-                               dropout_rate=0.5)
-    cfg = mlp.TrainConfig(epochs=epochs)
+    arch = module.MlpArchitecture(in_dim=2, hidden=hidden, num_classes=4,
+                                  dropout_rate=0.5)
+    cfg = module.TrainConfig(epochs=epochs)
     streams = [RngStream(8).derive("fit", i) for i in range(k)]
     return trains, arch, [cfg] * k, streams, [str(i) for i in range(k)]
 
@@ -118,15 +124,17 @@ def _same_bits(a: list, b: list) -> bool:
                for p, q in zip(a, b) for x, y in zip(p.arrays(), q.arrays()))
 
 
-def _compare(against, group, repeat: int) -> dict:
-    """Interleaved pairs of this checkout's and `against`'s training."""
+def _compare(against, shape: tuple, repeat: int) -> dict:
+    """Interleaved pairs of this checkout's and `against`'s training, each
+    side on the arguments its own mlp.py builds at `shape`."""
+    group, against_group = _group(mlp, *shape), _group(against, *shape)
     counts, trained = _count_calls(mlp, group)
-    against_counts, against_trained = _count_calls(against, group)
+    against_counts, against_trained = _count_calls(against, against_group)
     times, against_times = [], []
     for i in range(repeat):
-        sides = ((mlp, times), (against, against_times))
-        for module, out in sides[::-1] if i % 2 else sides:
-            out.append(_timed(module, group))
+        sides = ((mlp, group, times), (against, against_group, against_times))
+        for module, args, out in sides[::-1] if i % 2 else sides:
+            out.append(_timed(module, args))
     ms = statistics.median(times)
     against_ms = statistics.median(against_times)
     return {"ms": round(1e3 * ms, 3), "against_ms": round(1e3 * against_ms, 3),
@@ -151,10 +159,11 @@ def main(argv: list[str]) -> int:
     against = _load_against(args.against) if args.against else None
     for k, n, hidden, epochs, spread in SHAPES:
         epochs = min(epochs, args.epochs or epochs)
-        group = _group(k, n, hidden, epochs, spread)
+        shape = (k, n, hidden, epochs, spread)
         if against is not None:
-            result = _compare(against, group, args.repeat)
+            result = _compare(against, shape, args.repeat)
         else:
+            group = _group(mlp, *shape)
             counts, _ = _count_calls(mlp, group)
             times = [_timed(mlp, group) for _ in range(args.repeat)]
             result = {"ms": round(1e3 * statistics.median(times), 3),
