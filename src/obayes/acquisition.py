@@ -65,7 +65,7 @@ class AcquisitionStep:
 
 @dataclass(frozen=True)
 class AcquisitionSequence:
-    """Ordered picks from a fixed pool, with scores and provenance."""
+    """Ordered picks from a fixed pool, with their scores."""
 
     steps: tuple
     strategy: str
@@ -83,7 +83,7 @@ class AcquisitionSequence:
         return [rec.pool_index for rec in self.steps]
 
     def examples(self, pool: Dataset) -> Dataset:
-        return pool.subset(self.pool_indices(), "acquisition sequence")
+        return pool.subset(self.pool_indices())
 
     def save(self, path) -> None:
         path = Path(path)
@@ -387,7 +387,7 @@ def run_acquisition(strategy: str, ensemble_factory, pool: Dataset,
         raise ValueError("batch size must be positive")
 
     def retrain(step: int, acquired: list):
-        (ensemble,) = ensemble_factory([pool.subset(acquired, "acquired")],
+        (ensemble,) = ensemble_factory([pool.subset(acquired)],
                                        [rng.derive("retrain", step)])
         return ensemble, retrain_every
 

@@ -1,17 +1,15 @@
 """Datasets as empirical data distributions.
 
 A Dataset is an immutable ordered collection of (feature vector, class
-index) pairs with provenance describing exactly how it was built, so any
-split, duplication, or synthetic draw can be reproduced from the run
-manifest. Pool duplication keeps the original index of every copy, which
-the repeated-pool experiments rely on to count redundant acquisitions.
+index) pairs. Pool duplication keeps the original index of every copy,
+which the repeated-pool experiments rely on to count redundant
+acquisitions.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +37,12 @@ class Dataset:
     xs: np.ndarray                      # (n, d) float64
     ys: np.ndarray                      # (n,) int64
     num_classes: int
-    provenance: dict = field(default_factory=dict)
     origin_indices: np.ndarray | None = None   # per-example source index
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=np.float64))
+        if xs.ndim != 2:
+            raise ValueError("features must be one row per example")
         labels = np.asarray(self.ys)
         with np.errstate(invalid="ignore"):     # NaN and inf fail below
             ys = labels.astype(np.int64, copy=False)
@@ -77,7 +76,7 @@ class Dataset:
         for i in range(len(self)):
             yield self.example(i)
 
-    def subset(self, indices, provenance_note: str = "subset") -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         origin = None
         if self.origin_indices is not None:
@@ -86,7 +85,6 @@ class Dataset:
             xs=self.xs[indices],
             ys=self.ys[indices],
             num_classes=self.num_classes,
-            provenance={**self.provenance, "derived": provenance_note},
             origin_indices=origin,
         )
 
@@ -100,7 +98,6 @@ class Dataset:
             xs=np.concatenate([self.xs, other.xs]),
             ys=np.concatenate([self.ys, other.ys]),
             num_classes=self.num_classes,
-            provenance={**self.provenance, "derived": "concat"},
             origin_indices=origin,
         )
 
@@ -109,9 +106,6 @@ class Dataset:
             "xs": self.xs,
             "ys": self.ys,
             "num_classes": np.int64(self.num_classes),
-            "provenance": np.frombuffer(
-                json.dumps(self.provenance, sort_keys=True).encode("utf-8"),
-                dtype=np.uint8),
         }
         if self.origin_indices is not None:
             payload["origin_indices"] = self.origin_indices
@@ -119,14 +113,14 @@ class Dataset:
 
     @staticmethod
     def load(path) -> "Dataset":
+        """Read `xs`, `ys`, `num_classes` and, if present, `origin_indices`;
+        any other array in the file is ignored."""
         with np.load(path) as blob:
-            provenance = json.loads(bytes(blob["provenance"]).decode("utf-8"))
             origin = blob["origin_indices"] if "origin_indices" in blob else None
             return Dataset(
                 xs=blob["xs"],
                 ys=blob["ys"],
                 num_classes=int(blob["num_classes"]),
-                provenance=provenance,
                 origin_indices=origin,
             )
 
@@ -162,16 +156,7 @@ def generate_cluster_dataset(n_per_class: int, num_classes: int, dim: int,
             ys[block] = c
     if not np.isfinite(xs).all():
         raise ValueError(f"spread {spread} overflows the features")
-    provenance = {
-        "source": "cluster",
-        "n_per_class": n_per_class,
-        "num_classes": num_classes,
-        "dim": dim,
-        "spread": spread,
-        "seed": rng.seed,
-        "stream_id": rng.stream_id,
-    }
-    return Dataset(xs=xs, ys=ys, num_classes=num_classes, provenance=provenance)
+    return Dataset(xs=xs, ys=ys, num_classes=num_classes)
 
 
 def duplicate_pool(pool: Dataset, factor: int, rng: RngStream) -> Dataset:
@@ -186,18 +171,10 @@ def duplicate_pool(pool: Dataset, factor: int, rng: RngStream) -> Dataset:
     origin = np.repeat(np.arange(n, dtype=np.int64), factor)
     perm = rng.generator().permutation(origin.size)
     origin = origin[perm]
-    provenance = {
-        **pool.provenance,
-        "derived": "duplicate_pool",
-        "duplication_factor": factor,
-        "shuffle_seed": rng.seed,
-        "shuffle_stream_id": rng.stream_id,
-    }
     return Dataset(
         xs=pool.xs[origin],
         ys=pool.ys[origin],
         num_classes=pool.num_classes,
-        provenance=provenance,
         origin_indices=origin,
     )
 
@@ -234,14 +211,7 @@ def load_idx_dataset(images_path, labels_path, limit: int | None = None) -> Data
         if len(raw) < take:
             raise ValueError(f"unexpected EOF in {labels_path}")
         ys = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    provenance = {
-        "source": "idx",
-        "images": str(images_path),
-        "labels": str(labels_path),
-        "limit": limit,
-        "scaling": "pixel/255",
-    }
-    return Dataset(xs=xs, ys=ys, num_classes=10, provenance=provenance)
+    return Dataset(xs=xs, ys=ys, num_classes=10)
 
 
 def split(dataset: Dataset, fractions, rng: RngStream) -> list[Dataset]:
@@ -263,8 +233,7 @@ def split(dataset: Dataset, fractions, rng: RngStream) -> list[Dataset]:
         sizes[-1] = n - sum(sizes[:-1])
     parts = []
     start = 0
-    for i, size in enumerate(sizes):
-        idx = perm[start:start + size]
+    for size in sizes:
+        parts.append(dataset.subset(perm[start:start + size]))
         start += size
-        parts.append(dataset.subset(idx, provenance_note=f"split[{i}]"))
     return parts

@@ -59,8 +59,7 @@ def world_dataset(world: GridWorld, n: int, stream: RngStream) -> Dataset:
     dim = world.vocabulary.shape[1]
     xs = np.stack([x for x, _ in pairs]) if pairs else np.zeros((0, dim))
     ys = np.array([y for _, y in pairs], dtype=np.int64)
-    return Dataset(xs=xs, ys=ys, num_classes=world.num_classes,
-                   provenance={"source": f"grid world {world.name}"})
+    return Dataset(xs=xs, ys=ys, num_classes=world.num_classes)
 
 
 def build_splits(config: ExperimentConfig, root: RngStream):
@@ -94,8 +93,7 @@ def build_splits(config: ExperimentConfig, root: RngStream):
     pool, eval_set, seed_train = split(full, [0.7, 0.25, 0.05],
                                        root.derive("split"))
     if len(seed_train) > config.seed_train_size:
-        seed_train = seed_train.subset(range(config.seed_train_size),
-                                       "seed train")
+        seed_train = seed_train.subset(range(config.seed_train_size))
     return pool, eval_set, seed_train, None
 
 
@@ -276,12 +274,11 @@ def obi_vs_retrain_eval(config: ExperimentConfig) -> list:
     for s in range(config.num_steps + 1):
         group = [(name, trial, s) for trial in range(config.trials)
                  for name in names] if s in sizes else []
-        trains = [pool.subset(picks[name][:s], "prefix")
-                  for name, _, _ in group]
+        trains = [pool.subset(picks[name][:s]) for name, _, _ in group]
         streams = [root.derive("model", *key) for key in group]
         if s < config.num_steps and config.strategy != "random":
             group.append(("retrain", s))
-            trains.append(pool.subset(picks["active"], "acquired"))
+            trains.append(pool.subset(picks["active"]))
             streams.append(active_rng.derive("retrain", s))
         if group:
             held.update(zip(group, factory(trains, streams)))
@@ -351,7 +348,7 @@ def repeated_pool_benchmark(config: ExperimentConfig) -> list:
     records = {strategy: [] for strategy in strategies}
 
     def fit_all(b: int) -> list:
-        trains = [seed_train.concat(pool.subset(acquired[s], "acquired"))
+        trains = [seed_train.concat(pool.subset(acquired[s]))
                   for s in strategies]
         return factory(trains, [root.derive("model", s, b)
                                 for s in strategies])
@@ -411,7 +408,7 @@ def al_with_obi(config: ExperimentConfig) -> list:
 
     def trained_state(acquired: list, stream: RngStream):
         (ensemble,) = factory(
-            [seed_train.concat(pool.subset(acquired, "acquired"))], [stream])
+            [seed_train.concat(pool.subset(acquired))], [stream])
         return obi_init(ensemble)
 
     # TestAlWithObi pins these streams to run_acquisition's picks.

@@ -467,8 +467,8 @@ class TestActiveSampling:
 
     def test_batched_scores_match_scalar(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        pool = evald.subset(range(5), "pool")
-        eval_set = evald.subset(range(5, 15), "eval")
+        pool = evald.subset(range(5))
+        eval_set = evald.subset(range(5, 15))
         rows = active_sampling_scores(dropout_16, pool, eval_set)
         for i in range(5):
             # negated eval CE after reweighting on the candidate's label
@@ -506,15 +506,15 @@ class TestScorersMatchLoops:
     def test_single_sample_ensemble(self, dropout_16, cluster_data):
         _, evald = cluster_data
         self._check(sub_ensemble(dropout_16, [5]),
-                    evald.subset(range(9), "pool"),
-                    evald.subset(range(9, 20), "eval"), [evald.example(30)],
+                    evald.subset(range(9)),
+                    evald.subset(range(9, 20)), [evald.example(30)],
                     [[], [1], [1, 2], [1, 2, 3]], [0, 4, 8])
 
     def test_trained_ensemble(self, dropout_16, cluster_data):
         # 20 candidates: one full block of S=16 and a partial one
         _, evald = cluster_data
-        self._check(dropout_16, evald.subset(range(20), "pool"),
-                    evald.subset(range(20, 45), "eval"), [evald.example(50)],
+        self._check(dropout_16, evald.subset(range(20)),
+                    evald.subset(range(20, 45)), [evald.example(50)],
                     [[], [3], [3, 17], [3, 17, 0]], [2, 17, 19])
 
     @pytest.mark.parametrize("num_eval", [2, 21])
@@ -526,9 +526,8 @@ class TestScorersMatchLoops:
         # of these ties in the last bit.
         _, evald = cluster_data
         ens = sub_ensemble(dropout_16, range(size))
-        pool = duplicate_pool(evald.subset(range(9), "base"), 4,
-                              RngStream(4))
-        eval_set = evald.subset(range(9, 9 + num_eval), "eval")
+        pool = duplicate_pool(evald.subset(range(9)), 4, RngStream(4))
+        eval_set = evald.subset(range(9, 9 + num_eval))
         scores = {
             "epig": epig_scores_singleton(ens, pool.xs, pool.xs),
             "batch_bald k=0": batch_bald_gains(ens, pool.xs, []),
@@ -575,7 +574,7 @@ class TestMixtureTies:
         # 25 originals, 6 copies each: 150 rows, not a multiple of 4.
         for stream in range(3):
             self._assert_ties(ens, duplicate_pool(
-                evald.subset(range(25), "base"), 6, RngStream(stream)))
+                evald.subset(range(25)), 6, RngStream(stream)))
 
     @pytest.mark.parametrize("size", [1, 7, 128])
     def test_three_classes(self, size):
@@ -594,8 +593,8 @@ class TestMixtureTies:
 class TestScorePool:
     def test_every_strategy_scores_full_pool(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        pool = evald.subset(range(6), "pool")
-        eval_set = evald.subset(range(6, 12), "eval")
+        pool = evald.subset(range(6))
+        eval_set = evald.subset(range(6, 12))
         for strategy in STRATEGIES:
             if strategy == "random":
                 continue
@@ -606,7 +605,7 @@ class TestScorePool:
 
     def test_batch_bald_scores_only_allowed_points(self, dropout_16,
                                                    cluster_data):
-        pool = cluster_data[1].subset(range(6), "pool")
+        pool = cluster_data[1].subset(range(6))
         allowed = np.array([True, False, True, True, False, True])
         scores = score_pool("batch_bald", dropout_16, pool, None, allowed,
                             batch_indices=[1])
@@ -615,7 +614,7 @@ class TestScorePool:
 
     def test_unknown_strategy_rejected(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        pool = evald.subset(range(3), "pool")
+        pool = evald.subset(range(3))
         with pytest.raises(ValueError, match="unknown strategy"):
             score_pool("entropy", dropout_16, pool, pool,
                        np.ones(3, dtype=bool))
@@ -636,7 +635,7 @@ class TestSelectBatch:
     @pytest.mark.parametrize("strategy", ["bald", "epig"])
     def test_marginal_scorers_take_top_k_of_one_scoring(
             self, strategy, dropout_16, cluster_data, score_calls):
-        pool = cluster_data[1].subset(range(10), "pool")
+        pool = cluster_data[1].subset(range(10))
         allowed = np.ones(10, dtype=bool)
         allowed[[1, 6]] = False
         scores = score_pool(strategy, dropout_16, pool, None, allowed)
@@ -652,8 +651,8 @@ class TestSelectBatch:
     def test_active_sampling_conditions_on_earlier_picks(
             self, dropout_16, cluster_data, score_calls):
         _, evald = cluster_data
-        pool = evald.subset(range(8), "pool")
-        eval_set = evald.subset(range(8, 28), "eval")
+        pool = evald.subset(range(8))
+        eval_set = evald.subset(range(8, 28))
         allowed = np.ones(8, dtype=bool)
         picks, scores = select_batch("active_sampling", dropout_16, pool,
                                      eval_set, 2, allowed)
@@ -667,7 +666,7 @@ class TestSelectBatch:
         assert allowed.all()
 
     def test_non_positive_batch_rejected(self, dropout_16, cluster_data):
-        pool = cluster_data[1].subset(range(4), "pool")
+        pool = cluster_data[1].subset(range(4))
         with pytest.raises(ValueError, match="batch size must be positive"):
             select_batch("bald", dropout_16, pool, None, 0,
                          np.ones(4, dtype=bool))
@@ -845,8 +844,8 @@ class TestRunAcquisition:
 
     def test_active_sampling_sequence(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        pool = evald.subset(range(8), "pool")
-        eval_set = evald.subset(range(8, 28), "eval")
+        pool = evald.subset(range(8))
+        eval_set = evald.subset(range(8, 28))
         seq = run_acquisition("active_sampling", lambda tr, st: [dropout_16],
                               pool, eval_set, 3, 1, RngStream(2))
         assert len(seq) == 3

@@ -92,7 +92,24 @@ class TestDataset:
         back = Dataset.load(path)
         assert np.array_equal(ds.xs, back.xs)
         assert np.array_equal(ds.ys, back.ys)
-        assert back.provenance == ds.provenance
+        assert back.origin_indices is None
+        pool = duplicate_pool(ds, 3, RngStream(1))
+        pool.save(path)
+        back = Dataset.load(path)
+        assert np.array_equal(back.origin_indices, pool.origin_indices)
+        assert np.array_equal(back.xs, pool.xs)
+
+    def test_extra_arrays_are_ignored_on_load(self, tmp_path):
+        # Older gen-data files also hold a JSON `provenance` array.
+        ds = generate_cluster_dataset(5, 3, 2, 0.3, RngStream(0))
+        path = tmp_path / "ds.npz"
+        np.savez(path, xs=ds.xs, ys=ds.ys, num_classes=np.int64(3),
+                 provenance=np.frombuffer(b'{"source": "cluster"}',
+                                          dtype=np.uint8))
+        back = Dataset.load(path)
+        assert np.array_equal(back.xs, ds.xs)
+        assert np.array_equal(back.ys, ds.ys)
+        assert back.num_classes == 3 and back.origin_indices is None
 
 
 class TestClusterGeneration:

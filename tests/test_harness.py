@@ -491,7 +491,7 @@ def _per_trial_obi_eval(config, sequences) -> list:
     for trial in range(config.trials):
         for size in sorted(set(t_values) | {t + k for t in t_values}):
             models = factory(
-                [seq_data[name].subset(range(size), "prefix")
+                [seq_data[name].subset(range(size))
                  for name in names],
                 [root.derive("model", name, trial, size) for name in names])
             for name, model in zip(names, models):
@@ -742,15 +742,32 @@ class TestCli:
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ys,error", [
-        (np.arange(40) % 4 + 0.5, "labels must be integers"),
-        ((np.arange(40) % 4)[:, None], "one integer per example"),
-        (np.tile(np.arange(40) % 4, (2, 1)).T, "one integer per example")])
-    def test_non_integer_labels_fail_at_load(self, tmp_path, capsys, ys,
+    def test_plain_data_file_trains(self, tmp_path, capsys):
+        # xs, ys and num_classes are all a data file needs.
+        data = tmp_path / "plain.npz"
+        np.savez(data, xs=np.arange(24.0).reshape(12, 2) % 5,
+                 ys=np.arange(12) % 2, num_classes=np.int64(2))
+        model = tmp_path / "m.npz"
+        code = main(["train", "--data", str(data), "--out", str(model),
+                     "--hidden", "8", "--epochs", "5", "--ensemble-size",
+                     "4", "--seed", "2"])
+        assert code == 0 and model.exists()
+
+    @pytest.mark.parametrize("xs,ys,error", [
+        (np.zeros((40, 2)), np.arange(40) % 4 + 0.5,
+         "labels must be integers"),
+        (np.zeros((40, 2)), (np.arange(40) % 4)[:, None],
+         "one integer per example"),
+        (np.zeros((40, 2)), np.tile(np.arange(40) % 4, (2, 1)).T,
+         "one integer per example"),
+        (np.zeros((40, 2, 2)), np.arange(40) % 4,
+         "features must be one row per example")],
+        ids=["fractional-labels", "label-column", "two-label-columns",
+             "3-d-features"])
+    def test_non_integer_labels_fail_at_load(self, tmp_path, capsys, xs, ys,
                                              error):
         data = tmp_path / "f.npz"
-        np.savez(data, xs=np.zeros((40, 2)), ys=ys, num_classes=np.int64(4),
-                 provenance=np.frombuffer(b"{}", dtype=np.uint8))
+        np.savez(data, xs=xs, ys=ys, num_classes=np.int64(4))
         code = main(["train", "--data", str(data),
                      "--out", str(tmp_path / "m.npz"), "--seed", "1"])
         assert code == 2

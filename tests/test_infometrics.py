@@ -238,7 +238,7 @@ class TestExhaustiveOllMatchesRunningSum:
     def test_many_rows_per_class(self, dropout_16, cluster_data, n):
         # m = 60 data rows against C = 4 classes; 60^3 spans 106 chunks.
         _, evald = cluster_data
-        data = evald.subset(range(60), "sixty")
+        data = evald.subset(range(60))
         for ens in (dropout_16, sub_ensemble(dropout_16, [3])):
             mean, se = online_learning_loss(ens, data, n, 1, RngStream(0),
                                             exhaustive=True)
@@ -248,7 +248,7 @@ class TestExhaustiveOllMatchesRunningSum:
 
     def test_minus_inf_log_weights(self, dropout_16, cluster_data):
         _, evald = cluster_data
-        data = evald.subset(range(13), "thirteen")
+        data = evald.subset(range(13))
         log_w = dropout_16.normalized_log_weights().copy()
         log_w[::3] = -math.inf
         ens = dropout_16.reweighted(log_w)
@@ -261,7 +261,7 @@ class TestExhaustiveOllMatchesRunningSum:
     def test_single_row_data(self, dropout_16, cluster_data):
         # m = 1: one sequence of n copies of the row.
         _, evald = cluster_data
-        data = evald.subset([7], "one")
+        data = evald.subset([7])
         for n in (1, 2, 9):
             mean, _ = online_learning_loss(dropout_16, data, n, 1,
                                            RngStream(0), exhaustive=True)
@@ -324,7 +324,7 @@ class TestTableSequenceMetrics:
         assert np.allclose(out.per_step, expect, atol=1e-12)
         assert out.total == pytest.approx(
             _old_sequence_ce(one, evald.xs[:7], evald.ys[:7]), abs=1e-12)
-        data = evald.subset(range(3), "three")
+        data = evald.subset(range(3))
         mean, se = online_learning_loss(one, data, 2, 1, RngStream(0),
                                         exhaustive=True)
         per_point = -forward_log_probs(one, data.xs)[0][np.arange(3), data.ys]
@@ -351,7 +351,7 @@ class TestTableSequenceMetrics:
     def test_mc_oll_matches_per_sequence_definition(self, dropout_16,
                                                     cluster_data):
         _, evald = cluster_data
-        data = evald.subset(range(10), "ten")
+        data = evald.subset(range(10))
         trials = _BLOCK + 5                 # spans two gather chunks
         mean, se = online_learning_loss(dropout_16, data, 3, trials,
                                         RngStream(4))
@@ -379,7 +379,7 @@ class TestTableSequenceMetrics:
         online_learning_loss(dropout_16, evald, 4, 50, RngStream(1))
         assert calls == [len(evald)]
         calls.clear()
-        online_learning_loss(dropout_16, evald.subset(range(4), "four"), 3,
+        online_learning_loss(dropout_16, evald.subset(range(4)), 3,
                              1, RngStream(1), exhaustive=True)
         assert calls == [4]
 

@@ -73,7 +73,7 @@ QUANTITIES = {
     "oll_monte_carlo": lambda e, pool, ev: online_learning_loss(
         e, ev, 8, 200, RngStream(3)),
     "oll_exhaustive": lambda e, pool, ev: online_learning_loss(
-        e, ev.subset(range(6), "six"), 3, 1, RngStream(3), exhaustive=True),
+        e, ev.subset(range(6)), 3, 1, RngStream(3), exhaustive=True),
 }
 
 
@@ -175,7 +175,7 @@ JOINT = {
     "batch_bald": lambda e, pool, ev, order: batch_bald_gains(
         e, pool.xs, [[3, 7][i] for i in order(2)]),
     "oll_exhaustive": lambda e, pool, ev, order: online_learning_loss(
-        e, ev.subset(order(6), "six"), 3, 1, RngStream(3), exhaustive=True),
+        e, ev.subset(order(6)), 3, 1, RngStream(3), exhaustive=True),
 }
 
 

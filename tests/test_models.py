@@ -580,7 +580,7 @@ class TestFusedHotPathsMatchReference:
     @pytest.mark.parametrize("kind", ["mc_dropout", "deep_ensemble"])
     def test_trained_params(self, kind, n, hidden):
         full = generate_cluster_dataset(12, 4, 2, 0.4, RngStream(41))
-        train = full.subset(range(n), "train")
+        train = full.subset(range(n))
         cfg = TrainConfig(epochs=25, seed=n + hidden)
         if kind == "mc_dropout":
             # keep = 0.7: mask scales are not powers of two, so a reordered
@@ -843,33 +843,43 @@ class TestRowMax:
                                   table.max(axis=-1, keepdims=True))
 
 
+# The fits of TestLockstepMatchesReference and TestLossWindow: n = 40
+# with batches of 32, so every epoch ends on a ragged batch, and a
+# learning rate at which every fit stops early, each at its own epoch.
+FIT_N, FIT_EPOCHS, FIT_LR = 40, 100, 0.05
+
+
+@pytest.fixture
+def fit_learning_rate(monkeypatch):
+    monkeypatch.setattr(mlp_module, "_LEARNING_RATE", FIT_LR)
+
+
+def _fit_trains(k):
+    """k training sets of FIT_N rows, each its own draw from one pool."""
+    full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
+    return [full.subset(RngStream(52).derive("fit", i).generator()
+                        .permutation(len(full))[:FIT_N]) for i in range(k)]
+
+
+def _reference_fit(train, arch, cfg, stream):
+    """The reference fit and the number of epochs it trained: the epoch it
+    stopped at, or `cfg.epochs`."""
+    history = []
+    params = _reference_train_single(train, arch, cfg, stream,
+                                     use_dropout=True, history=history)
+    return params, len(history) - 1
+
+
+@pytest.mark.usefixtures("fit_learning_rate")
 class TestLockstepMatchesReference:
     """Each fit of a lockstep group equals the reference loop run on that
     fit alone, bit for bit."""
 
-    # n = 40 with batches of 32, so every epoch ends on a ragged batch. At
-    # this learning rate every fit stops early, each at its own epoch.
-    N, EPOCHS, LR = 40, 100, 0.05
-
-    @pytest.fixture(autouse=True)
-    def _learning_rate(self, monkeypatch):
-        monkeypatch.setattr(mlp_module, "_LEARNING_RATE", self.LR)
-
-    def _fits(self, k):
-        full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
-        trains = [full.subset(RngStream(52).derive("fit", i).generator()
-                              .permutation(len(full))[:self.N], "train")
-                  for i in range(k)]
-        cfgs = [TrainConfig(epochs=self.EPOCHS, seed=60 + i)
+    @staticmethod
+    def _fits(k):
+        cfgs = [TrainConfig(epochs=FIT_EPOCHS, seed=60 + i)
                 for i in range(k)]
-        return trains, cfgs
-
-    def _reference(self, train, arch, cfg, stream):
-        """The reference fit and the number of epochs it trained."""
-        history = []
-        params = _reference_train_single(train, arch, cfg, stream,
-                                         use_dropout=True, history=history)
-        return params, len(history) - 1
+        return _fit_trains(k), cfgs
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_mc_dropout_group(self, k):
@@ -882,14 +892,14 @@ class TestLockstepMatchesReference:
         stops = []
         for ens, train, cfg, rng in zip(ensembles, trains, cfgs, rngs):
             stream = RngStream(seed=cfg.seed).derive("mc_dropout")
-            params, epochs = self._reference(train, arch, cfg, stream)
+            params, epochs = _reference_fit(train, arch, cfg, stream)
             _assert_params_equal(ens.family.params, params)
             gen = rng.generator()
             for mask in ens.family.masks:
                 assert np.array_equal(mask, gen.random(16) < 0.7)
             stops.append(epochs)
         assert len(trains[0]) % 32 != 0
-        assert len(set(stops)) == k and max(stops) < self.EPOCHS
+        assert len(set(stops)) == k and max(stops) < FIT_EPOCHS
 
     def test_single_fit_form_is_the_group_of_one(self):
         arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
@@ -908,17 +918,17 @@ class TestLockstepMatchesReference:
         root = RngStream(seed=cfg.seed).derive("deep_ensemble")
         stops = []
         for member, params in enumerate(ens.family.members):
-            ref, epochs = self._reference(train, arch, cfg,
+            ref, epochs = _reference_fit(train, arch, cfg,
                                           root.derive("member", member))
             _assert_params_equal(params, ref)
             stops.append(epochs)
-        assert len(set(stops)) > 1 and max(stops) < self.EPOCHS
+        assert len(set(stops)) > 1 and max(stops) < FIT_EPOCHS
 
     def test_unequal_sizes_rejected(self):
         arch = MlpArchitecture(in_dim=2, hidden=8, num_classes=4)
         (train,), (cfg,) = self._fits(1)
         with pytest.raises(ValueError, match="one size"):
-            train_mc_dropout([train, train.subset(range(39), "short")], arch,
+            train_mc_dropout([train, train.subset(range(39))], arch,
                              [cfg, cfg], 4, [RngStream(1), RngStream(2)])
 
     def test_unequal_epochs_rejected_before_training(self, monkeypatch):
@@ -971,49 +981,32 @@ def _blow_up(params, row):
         (weights if weights.ndim == 2 else weights[row])[...] *= 1e300
 
 
+@pytest.mark.usefixtures("fit_learning_rate")
 class TestLossWindow:
     """Early stopping judged a window of epochs per loss call. Every fit
     still equals the reference loop run on it alone, bit for bit, and a
     divergence names the member, epoch and cause that one loss call per
     epoch (a window of one) names."""
 
-    # n = 40 and a learning rate at which every fit stops early: with
-    # dropout at epochs 22, 23, 14, 25 for fits 0-3, without at 21, 24,
-    # 13, 28.
-    N, EPOCHS, LR = 40, 100, 0.05
-
-    @pytest.fixture(autouse=True)
-    def _learning_rate(self, monkeypatch):
-        monkeypatch.setattr(mlp_module, "_LEARNING_RATE", self.LR)
-
-    def _fits(self, k, rate, epochs=EPOCHS):
-        full = generate_cluster_dataset(12, 4, 2, 0.6, RngStream(51))
-        trains = [full.subset(RngStream(52).derive("fit", i).generator()
-                              .permutation(len(full))[:self.N], "train")
-                  for i in range(k)]
+    # Every fit stops early: with dropout at epochs 22, 23, 14, 25 for
+    # fits 0-3, without at 21, 24, 13, 28.
+    @staticmethod
+    def _fits(k, rate, epochs=FIT_EPOCHS):
         arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
                                dropout_rate=rate)
         cfg = TrainConfig(epochs=epochs)
         streams = [RngStream(80).derive("fit", i) for i in range(k)]
-        return trains, arch, cfg, streams
+        return _fit_trains(k), arch, cfg, streams
 
     @staticmethod
     def _train(trains, arch, cfg, streams):
         return _train_lockstep(trains, arch, [cfg] * len(trains), streams,
                                [str(i) for i in range(len(trains))])
 
-    @staticmethod
-    def _reference(train, arch, cfg, stream):
-        """The reference fit and the epoch it stopped at (or `epochs`)."""
-        history = []
-        params = _reference_train_single(train, arch, cfg, stream,
-                                         use_dropout=True, history=history)
-        return params, len(history) - 1
-
     def _assert_matches_reference(self, trained, trains, arch, cfg, streams):
         stops = []
         for params, train, stream in zip(trained, trains, streams):
-            ref, stop = self._reference(train, arch, cfg, stream)
+            ref, stop = _reference_fit(train, arch, cfg, stream)
             _assert_params_equal(params, ref)
             stops.append(stop)
         return stops
@@ -1067,7 +1060,7 @@ class TestLossWindow:
         trained = self._train(trains, arch, cfg, streams)
         stops = self._assert_matches_reference(trained, trains, arch, cfg,
                                                streams)
-        width = min(width, _LOSS_ROWS // (4 * self.N))
+        width = min(width, _LOSS_ROWS // (4 * FIT_N))
         windows = [(stop - 1) // width for stop in stops]
         # Two fits leave inside one window at different epochs, so the
         # group shrinks mid-window.
@@ -1111,7 +1104,7 @@ class TestLossWindow:
         # with no cause, as a window of one has it.
         trains, arch, cfg, streams = self._fits(k, 0.3)
         last = k - 1
-        at_5, _ = self._reference(trains[last], arch, TrainConfig(epochs=5),
+        at_5, _ = _reference_fit(trains[last], arch, TrainConfig(epochs=5),
                                   streams[last])
         loss, gradient = mlp_module.cross_entropy_loss, mlp_module.mlp_gradient
         calls = []

@@ -451,7 +451,7 @@ class TestEvaluationCounts:
     def test_metrics_evaluate_each_point_set_once(self, dropout_16,
                                                   cluster_data, family_calls):
         _, evald = cluster_data
-        data = evald.subset(range(12), "twelve")
+        data = evald.subset(range(12))
         rates = cross_entropy_rate_estimate(dropout_16, data, 4, 8,
                                             RngStream(2))
         assert len(family_calls) == 1
@@ -468,7 +468,7 @@ class TestEvaluationCounts:
 
     def test_select_batch_evaluates_pool_once(self, dropout_16, cluster_data,
                                               family_calls, monkeypatch):
-        pool = cluster_data[1].subset(range(12), "pool")
+        pool = cluster_data[1].subset(range(12))
         gains_calls = []
 
         def counting_gains(*args, **kwargs):
@@ -535,7 +535,7 @@ def _reference_obi_eval(config: ExperimentConfig) -> list:
         sizes = sorted(set(t_values) | {t + k for t in t_values})
         for trial in range(config.trials):
             models = {size: factory(
-                [seq_data.subset(range(size), "prefix")],
+                [seq_data.subset(range(size))],
                 [root.derive("model", name, trial, size)])[0]
                 for size in sizes}
             eval_rows = {size: marginal_log_probs(models[size], eval_set.xs)
