@@ -82,9 +82,6 @@ class AcquisitionSequence:
     def pool_indices(self) -> list:
         return [rec.pool_index for rec in self.steps]
 
-    def examples(self, pool: Dataset) -> Dataset:
-        return pool.subset(self.pool_indices())
-
     def save(self, path) -> None:
         path = Path(path)
         with open(path, "w", newline="") as fh:
@@ -99,25 +96,6 @@ class AcquisitionSequence:
                     "num_steps": len(self.steps)}
         path.with_suffix(".manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-    @staticmethod
-    def load(path) -> "AcquisitionSequence":
-        path = Path(path)
-        manifest = json.loads(path.with_suffix(".manifest.json").read_text())
-        steps = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                steps.append(AcquisitionStep(
-                    step=int(row["step"]), pool_index=int(row["pool_index"]),
-                    original_index=int(row["original_index"]),
-                    y=int(row["y"]), score=float(row["score"]),
-                    strategy=row["strategy"],
-                    # Files written before the column existed hold no
-                    # fallback picks.
-                    fallback=bool(int(row.get("fallback") or 0))))
-        return AcquisitionSequence(steps=tuple(steps),
-                                   strategy=manifest["strategy"],
-                                   seed=manifest["seed"])
 
 
 def bald_scores(ensemble: PosteriorEnsemble, xs) -> np.ndarray:

@@ -43,6 +43,8 @@ class Dataset:
         xs = np.atleast_2d(np.asarray(self.xs, dtype=np.float64))
         if xs.ndim != 2:
             raise ValueError("features must be one row per example")
+        if not np.isfinite(xs).all():
+            raise ValueError("features must be finite")
         labels = np.asarray(self.ys)
         with np.errstate(invalid="ignore"):     # NaN and inf fail below
             ys = labels.astype(np.int64, copy=False)

@@ -198,7 +198,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - boundary of the process
-        print(f"runtime failure: {err}", file=sys.stderr)
+        cause = "" if err.__cause__ is None else f": {err.__cause__}"
+        print(f"runtime failure: {err}{cause}", file=sys.stderr)
         return 2
 
 

@@ -182,10 +182,12 @@ class RunManifest:
     platform: str
 
     @staticmethod
-    def create(config: ExperimentConfig, artifacts=()) -> "RunManifest":
+    def create(config: ExperimentConfig) -> "RunManifest":
+        """The manifest of a run of `config`; `emit_results` fills in the
+        artifacts it writes."""
         from .. import __version__
         return RunManifest(config_hash=config_hash(config), seed=config.seed,
-                           artifacts=tuple(artifacts),
+                           artifacts=(),
                            created=datetime.now(timezone.utc).isoformat(),
                            version=__version__,
                            numpy_version=np.__version__,

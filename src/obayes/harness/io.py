@@ -80,5 +80,5 @@ def emit_results(records, manifest: RunManifest, out_dir) -> list:
         manifest_path = out / "manifest.json"
         manifest_path.write_text(manifest.to_json())
     except OSError as err:
-        raise OSError(f"cannot write results under {out}: {err}") from err
+        raise OSError(f"cannot write results under {out}") from err
     return [metrics_path, curves_path, manifest_path]

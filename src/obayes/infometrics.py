@@ -83,10 +83,6 @@ class JointCeResult:
     per_step: tuple
     collapse_index: int | None = None
 
-    @property
-    def collapsed(self) -> bool:
-        return self.collapse_index is not None
-
 
 def joint_cross_entropy_sequence(ensemble: PosteriorEnsemble,
                                  sequence) -> JointCeResult:
@@ -153,8 +149,8 @@ def online_learning_loss(ensemble: PosteriorEnsemble, data: Dataset, n: int,
 
 
 def cross_entropy_rate_estimate(ensemble: PosteriorEnsemble, data: Dataset,
-                                n_max: int, trials: int, rng: RngStream,
-                                exhaustive: bool = False) -> list[tuple[int, float, float]]:
+                                n_max: int, trials: int,
+                                rng: RngStream) -> list[tuple[int, float, float]]:
     """OLL(n)/n for n = 1..n_max, each with its standard error; every n
     reads one likelihood table of the data."""
     if n_max < 1:
@@ -163,8 +159,7 @@ def cross_entropy_rate_estimate(ensemble: PosteriorEnsemble, data: Dataset,
     curve = []
     for n in range(1, n_max + 1):
         value, se = online_learning_loss(ensemble, data, n, trials,
-                                         rng.derive("oll", n),
-                                         exhaustive=exhaustive)
+                                         rng.derive("oll", n))
         curve.append((n, value / n, se / n))
     return curve
 

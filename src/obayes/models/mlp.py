@@ -26,7 +26,9 @@ epoch, and a fit that stops inside the window leaves with the parameters
 saved at its stop; the epochs it trained past it are dropped. The rule
 is also the one place that finds a diverged fit: the kernels give NaN
 for a fit whose logits are non-finite, a NaN gradient makes every later
-loss of that fit NaN, and a NaN loss retires the fit at its epoch.
+loss of that fit NaN, and a NaN loss retires the fit at its epoch. So
+does a saved epoch whose Adam second moment overflowed, which leaves the
+logits finite but stops the overflowed entries from training.
 """
 
 from __future__ import annotations
@@ -153,8 +155,10 @@ def cross_entropy_loss(params: MlpParams, xs: np.ndarray, ys: np.ndarray,
     # _log_softmax's operations, evaluated at the observed labels only.
     z = logits - _row_max(logits)
     lse = np.log(_row_sum(np.exp(z))[..., 0])
-    ys = np.asarray(ys)
-    observed = z.reshape(-1, z.shape[-1])[np.arange(ys.size), ys.reshape(-1)]
+    # The labels serve every leading axis they lack, such as a loss
+    # window's epochs, as np.matmul broadcasts the rows.
+    ys = np.asarray(ys).reshape(-1)
+    observed = z.reshape(-1, ys.size, z.shape[-1])[:, np.arange(ys.size), ys]
     # The negated mean, as np.mean computes it: a sum, then one division.
     loss = (lse - observed.reshape(lse.shape)).sum(axis=-1) / lse.shape[-1]
     return float(loss) if loss.ndim == 0 else loss
@@ -261,9 +265,8 @@ class _LiveFits:
         self.step = np.empty_like(self.flat)
         self.denom = np.empty_like(self.flat)
         self.saved = np.empty((self.width, *self.flat.shape))
-        # The full training sets, broadcast over the window axis.
-        self.full_set = tuple(np.broadcast_to(a, (self.width, *a.shape))
-                              for a in (self.xs, self.ys))
+        # Each saved epoch's largest second moment per fit (see save).
+        self.peaks = np.empty((self.width, len(self.flat)))
 
     def draw(self, count: int) -> list:
         """The live fits' next `count` epochs: per epoch, one (xs, ys,
@@ -295,6 +298,13 @@ class _LiveFits:
                   None if keep is None else scales[e, :, b])
                  for b, rows in enumerate(self.bounds)]
                 for e in range(count)]
+
+    def save(self, e: int):
+        """Save the live fits' parameters as epoch `e` of the window, and
+        each fit's largest second moment. That is NaN or inf once any of
+        its entries overflowed, and stays so: v grows by squares."""
+        self.saved[e] = self.flat
+        self.v.max(axis=1, out=self.peaks[e])
 
     def adam_step(self):
         """Adam over all parameters of every live fit at once, one
@@ -328,14 +338,16 @@ class _LiveFits:
         The early-stopping rule runs oldest epoch first, and a stopped fit
         keeps its parameters at its stop. A NaN loss (non-finite logits)
         is a divergence; so is an infinite one after epoch 0 (finite
-        logits far enough apart)."""
+        logits far enough apart); failing those, so is a second moment
+        that overflowed by that epoch, ahead of the stopping rule: Adam's
+        steps of the overflowed entries read 0 or NaN from then on."""
         saved = self.saved[:count]
-        xs, ys = self.full_set
         losses = cross_entropy_loss(_flat_views(self.arch, saved),
-                                    xs[:count], ys[:count])
+                                    self.xs, self.ys)
         p, left = _EARLY_STOP_PATIENCE, []
         losses = np.reshape(losses, (count, len(self.fits))).tolist()
-        for epoch, (row, flat) in enumerate(zip(losses, saved), first):
+        for epoch, (row, peak, flat) in enumerate(
+                zip(losses, self.peaks.tolist(), saved), first):
             for j, loss in enumerate(row):
                 if j in left:
                     continue
@@ -344,6 +356,9 @@ class _LiveFits:
                         "non-finite activations in forward pass"))
                 elif epoch > 0 and math.isinf(loss):
                     self.diverged[self.fits[j]] = (epoch, None)
+                elif not math.isfinite(peak[j]):
+                    self.diverged[self.fits[j]] = (epoch, OverflowError(
+                        "second moment of Adam overflowed"))
                 else:
                     history = self.histories[j]
                     history.append(loss)
@@ -391,7 +406,8 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     judges them: 1 + ceil(E / W) calls over E epochs. The rule runs epoch
     by epoch: a fit leaves once its loss stops falling, with the
     parameters saved at that epoch (rolled back over the epochs it
-    trained past it), or once its loss is NaN or infinite. The kernels
+    trained past it), once its loss is NaN or infinite, or once its Adam
+    second moment, saved beside the parameters, overflowed. The kernels
     give NaN for a fit whose logits are non-finite, and a NaN gradient
     makes the fit's parameters, and so its loss at that epoch's end, NaN:
     the fit diverges at the epoch where its logits first turned
@@ -408,7 +424,7 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
     live = _LiveFits(arch, [s.generator() for s in streams],
                      np.stack([t.xs for t in trains]),
                      np.stack([t.ys for t in trains]))
-    live.saved[0] = live.flat
+    live.save(0)
     live.judge(0, 1)
     done, epochs = 0, cfgs[0].epochs
     while live.fits and done < epochs:
@@ -417,7 +433,7 @@ def _train_lockstep(trains, arch: MlpArchitecture, cfgs, streams,
             for batch in batches:
                 mlp_gradient(live.params, *batch, out=live.grad)
                 live.adam_step()
-            live.saved[e] = live.flat
+            live.save(e)
         live.judge(done + 1, count)
         done += count
     if live.diverged:

@@ -6,6 +6,7 @@ the greedy batch objective notices the copies share their information
 and diversifies to B.
 """
 
+import csv
 import json
 import math
 
@@ -672,6 +673,23 @@ class TestSelectBatch:
                          np.ones(4, dtype=bool))
 
 
+def _read_saved(path) -> AcquisitionSequence:
+    """The sequence a saved CSV and its sidecar manifest hold, read back
+    with csv and json; the package only writes them."""
+    manifest = json.loads(path.with_suffix(".manifest.json").read_text())
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {int(row["seed"]) for row in rows} <= {manifest["seed"]}
+    assert len(rows) == manifest["num_steps"]
+    steps = tuple(AcquisitionStep(
+        step=int(row["step"]), pool_index=int(row["pool_index"]),
+        original_index=int(row["original_index"]), y=int(row["y"]),
+        score=float(row["score"]), strategy=row["strategy"],
+        fallback=bool(int(row["fallback"]))) for row in rows)
+    return AcquisitionSequence(steps=steps, strategy=manifest["strategy"],
+                               seed=manifest["seed"])
+
+
 class TestSequencePersistence:
     def _sequence(self):
         steps = tuple(
@@ -684,8 +702,7 @@ class TestSequencePersistence:
         seq = self._sequence()
         path = tmp_path / "seq.csv"
         seq.save(path)
-        back = AcquisitionSequence.load(path)
-        assert back == seq
+        assert _read_saved(path) == seq
 
     def test_manifest_sidecar(self, tmp_path):
         seq = self._sequence()
@@ -694,37 +711,11 @@ class TestSequencePersistence:
         sidecar = (tmp_path / "seq.manifest.json").read_text()
         assert '"strategy": "bald"' in sidecar and '"seed": 42' in sidecar
 
-    def test_manifest_with_origin_key_still_loads(self, tmp_path):
-        seq = self._sequence()
-        path = tmp_path / "seq.csv"
-        seq.save(path)
-        sidecar = tmp_path / "seq.manifest.json"
-        manifest = json.loads(sidecar.read_text())
-        assert "origin" not in manifest
-        sidecar.write_text(json.dumps(dict(manifest, origin="unit")))
-        assert AcquisitionSequence.load(path) == seq
-
     def test_non_finite_scores_rejected(self):
         step = AcquisitionStep(step=0, pool_index=0, original_index=0, y=0,
                                score=math.inf, strategy="bald")
         with pytest.raises(ValueError, match="finite"):
             AcquisitionSequence(steps=(step,), strategy="bald", seed=0)
-
-    def test_file_without_fallback_column_loads_unflagged(self, tmp_path):
-        seq = self._sequence()
-        path = tmp_path / "seq.csv"
-        seq.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].endswith(",fallback")
-        path.write_text("\n".join(line.rsplit(",", 1)[0]
-                                  for line in lines) + "\n")
-        assert AcquisitionSequence.load(path) == seq
-
-    def test_examples_lookup(self, cluster_data):
-        _, evald = cluster_data
-        seq = self._sequence()
-        picked = seq.examples(evald)
-        assert np.array_equal(picked.xs, evald.xs[[0, 2, 4, 6]])
 
 
 class TestRunAcquisition:
@@ -837,7 +828,7 @@ class TestRunAcquisition:
         assert all(s.fallback and s.score == 0.0 for s in seq.steps)
         path = tmp_path / "seq.csv"
         seq.save(path)
-        assert AcquisitionSequence.load(path) == seq
+        assert _read_saved(path) == seq
         bald = run_acquisition("bald", factory, pool, None, 2, 10,
                                RngStream(0))
         assert not any(s.fallback for s in bald.steps)

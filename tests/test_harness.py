@@ -19,7 +19,7 @@ import obayes
 from conftest import reference_pair
 from obayes import acquisition, infometrics, obi
 from obayes.acquisition import STRATEGIES, run_acquisition
-from obayes.data import Dataset, LabeledExample
+from obayes.data import Dataset, LabeledExample, generate_cluster_dataset
 from obayes.harness import cli, experiments, oracle_check
 from obayes.harness.cli import main
 from obayes.harness.config import (
@@ -184,10 +184,11 @@ class TestConfig:
 
     def test_manifest_contains_hash(self):
         cfg = _tiny_net_config()
-        manifest = RunManifest.create(cfg, artifacts=("metrics.csv",))
+        manifest = RunManifest.create(cfg)
         blob = json.loads(manifest.to_json())
         assert blob["config_hash"] == config_hash(cfg)
-        assert blob["artifacts"] == ["metrics.csv"]
+        # emit_results fills in the artifacts it writes.
+        assert blob["artifacts"] == []
 
 
 class TestCsvIo:
@@ -486,7 +487,8 @@ def _per_trial_obi_eval(config, sequences) -> list:
     pool, eval_set, _, world = build_splits(config, root)
     factory = model_factory(config.model, pool.dim, pool.num_classes, world)
     names = sorted(sequences)
-    seq_data = {name: sequences[name].examples(pool) for name in names}
+    seq_data = {name: pool.subset(sequences[name].pool_indices())
+                for name in names}
     eval_scores, obi_cells = {}, {}
     for trial in range(config.trials):
         for size in sorted(set(t_values) | {t + k for t in t_values}):
@@ -761,9 +763,13 @@ class TestCli:
         (np.zeros((40, 2)), np.tile(np.arange(40) % 4, (2, 1)).T,
          "one integer per example"),
         (np.zeros((40, 2, 2)), np.arange(40) % 4,
-         "features must be one row per example")],
+         "features must be one row per example"),
+        (np.where(np.arange(80).reshape(40, 2) == 7, np.nan, 0.0),
+         np.arange(40) % 4, "features must be finite"),
+        (np.where(np.arange(80).reshape(40, 2) == 7, -np.inf, 0.0),
+         np.arange(40) % 4, "features must be finite")],
         ids=["fractional-labels", "label-column", "two-label-columns",
-             "3-d-features"])
+             "3-d-features", "nan-features", "inf-features"])
     def test_non_integer_labels_fail_at_load(self, tmp_path, capsys, xs, ys,
                                              error):
         data = tmp_path / "f.npz"
@@ -773,6 +779,47 @@ class TestCli:
         assert code == 2
         assert error in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
+
+    def test_overflowed_fit_is_runtime_failure(self, tmp_path, capsys):
+        # Clusters at spread 1e200 give finite features and losses, but
+        # the first steps overflow Adam's second moment on purpose.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data": {"n_per_class": 8, "num_classes": 4, "dim": 2,
+                     "spread": 1e200, "eval_per_class": 10},
+            "model": {"kind": "mc_dropout", "hidden": 16, "epochs": 20,
+                      "ensemble_size": 16},
+            "strategy": "bald", "num_steps": 8, "lookahead": 2,
+            "trials": 1, "obi_subtrials": 2, "bootstrap_size": 8,
+            "eval_start": 4, "seed_train_size": 4}))
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["obi-eval", "--config", str(cfg), "--seed", "0",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "runtime failure: training diverged: member shared, epoch 1: "
+            "second moment of Adam overflowed\n")
+        assert not out.exists()
+
+    def test_huge_feature_overflows_training(self, tmp_path, capsys):
+        # One finite feature at 1e200 loads, and overflows Adam's second
+        # moment on purpose.
+        train = generate_cluster_dataset(10, 4, 2, 0.4, RngStream(1))
+        xs = train.xs.copy()
+        xs[7, 1] = 1e200
+        data = tmp_path / "f.npz"
+        np.savez(data, xs=xs, ys=train.ys, num_classes=np.int64(4))
+        model = tmp_path / "m.npz"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["train", "--data", str(data), "--out", str(model),
+                         "--hidden", "8", "--epochs", "5",
+                         "--ensemble-size", "4", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "runtime failure: training diverged: member shared, epoch 2: "
+            "second moment of Adam overflowed\n")
+        assert not model.exists()
 
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--spread", "0"],

@@ -134,7 +134,7 @@ class TestJointCeSequence:
         assert out.per_step[0] == pytest.approx(math.log(2), abs=1e-12)
         assert out.per_step[1] == pytest.approx(-math.log(0.62), abs=1e-12)
         assert out.total == pytest.approx(-math.log(0.31), abs=1e-12)
-        assert not out.collapsed
+        assert out.collapse_index is None
 
     def test_single_point_is_marginal_ce(self, coin_ensemble, coin_x):
         out = joint_cross_entropy_sequence(
@@ -158,7 +158,7 @@ class TestJointCeSequence:
         seq = [LabeledExample(x=x, y=0), LabeledExample(x=x, y=1),
                LabeledExample(x=x, y=0)]
         out = joint_cross_entropy_sequence(fam.uniform_ensemble(), seq)
-        assert out.collapsed and out.collapse_index == 1
+        assert out.collapse_index == 1
         assert out.total == math.inf
         assert len(out.per_step) == 2  # stops at the impossible step
 
@@ -196,16 +196,21 @@ class TestOnlineLearningLoss:
         # all-heads data concentrates weight on the 0.8 coin, so the
         # per-draw loss falls as n grows
         data = _coin_dataset(coin_x, [1, 1, 1, 1])
-        rates = cross_entropy_rate_estimate(coin_ensemble, data, 8, 1,
-                                            RngStream(0), exhaustive=True)
-        values = [r[1] / r[0] for r in rates if r[0] in (1, 2, 4, 8)]
+        values = [online_learning_loss(coin_ensemble, data, n, 1,
+                                       RngStream(0), exhaustive=True)[0] / n
+                  for n in (1, 2, 4, 8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rate_n1_matches_marginal(self, coin_ensemble, coin_x):
         data = _coin_dataset(coin_x, [0, 1])
-        rates = cross_entropy_rate_estimate(coin_ensemble, data, 1, 1,
-                                            RngStream(0), exhaustive=True)
-        assert rates[0][1] == pytest.approx(math.log(2), abs=1e-12)
+        mean, _ = online_learning_loss(coin_ensemble, data, 1, 1,
+                                       RngStream(0), exhaustive=True)
+        assert mean == pytest.approx(math.log(2), abs=1e-12)
+        # Both labels have marginal 1/2, so every drawn point costs ln 2.
+        [(n, rate, se)] = cross_entropy_rate_estimate(coin_ensemble, data, 1,
+                                                      4, RngStream(0))
+        assert n == 1 and se == pytest.approx(0.0, abs=1e-12)
+        assert rate == pytest.approx(math.log(2), abs=1e-12)
 
 
 def _running_sum_oll(ensemble, data, n) -> float:

@@ -944,13 +944,13 @@ class TestLockstepMatchesReference:
         assert calls == []
 
     def test_lowest_index_divergence_is_raised(self, monkeypatch):
-        # Fit 2's inputs overflow the untrained network (epoch 0), fit 0's
-        # logits overflow after its first Adam steps (epoch 1), and fit 1
-        # trains. Trained one after another, fit 0 would raise first.
+        # Fit 2's finite inputs, the largest at 1e308, overflow the
+        # untrained network (epoch 0), fit 0's logits overflow after its
+        # first Adam steps (epoch 1), and fit 1 trains. Trained one after
+        # another, fit 0 would raise first.
         base = generate_cluster_dataset(10, 4, 2, 0.4, RngStream(41))
-        with np.errstate(over="ignore"):
-            scaled = [Dataset(xs=base.xs * scale, ys=base.ys, num_classes=4)
-                      for scale in (1e290, 1.0, 1e308)]
+        scaled = [Dataset(xs=base.xs * scale, ys=base.ys, num_classes=4)
+                  for scale in (1e290, 1.0, 1e308 / np.abs(base.xs).max())]
         arch = MlpArchitecture(in_dim=2, hidden=16, num_classes=4,
                                dropout_rate=0.0)
         monkeypatch.setattr(mlp_module, "_LEARNING_RATE", 1e50)
@@ -1094,6 +1094,33 @@ class TestLossWindow:
         assert windowed == self._divergence(trains, arch, cfg, streams) == (
             f"training diverged: member 1, epoch {epoch}",
             "non-finite activations in forward pass")
+
+    @pytest.mark.parametrize("epoch", [5, 8])
+    def test_overflowed_moment_diverges_at_that_epoch(self, monkeypatch,
+                                                      epoch):
+        # One entry of fit 1's gradient at its last step of `epoch` is
+        # 1e200, so its second moment overflows there, on purpose. Its
+        # step there is 0 and its parameters and losses stay finite, but
+        # the judge retires it as diverged at that epoch, as a window of
+        # one does.
+        trains, arch, cfg, streams = self._fits(3, 0.0)
+        gradient = mlp_module.mlp_gradient
+        calls = []
+
+        def spy(params, *args, **kwargs):
+            grad = gradient(params, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2 * epoch:         # two batches per epoch
+                grad.b2[1, 0] = 1e200
+            return grad
+
+        monkeypatch.setattr(mlp_module, "mlp_gradient", spy)
+        windowed = self._divergence(trains, arch, cfg, streams)
+        monkeypatch.setattr(mlp_module, "_LOSS_WINDOW", 1)
+        calls.clear()
+        assert windowed == self._divergence(trains, arch, cfg, streams) == (
+            f"training diverged: member 1, epoch {epoch}",
+            "second moment of Adam overflowed")
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_infinite_loss_inside_a_pending_window(self, monkeypatch, k):

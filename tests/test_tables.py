@@ -437,7 +437,9 @@ class TestEvaluationCounts:
         obi_vs_retrain_eval(cfg)
         k = cfg.lookahead
         t_values = range(cfg.eval_start, cfg.num_steps - k + 1)
-        lookaheads = {sequences[name].examples(pool).xs[t:t + k].tobytes()
+        picked = {name: pool.subset(seq.pool_indices())
+                  for name, seq in sequences.items()}
+        lookaheads = {picked[name].xs[t:t + k].tobytes()
                       for name in sequences for t in t_values}
         evals = [(id(family), key) for family, key, _ in family_calls
                  if key in lookaheads]
@@ -531,7 +533,7 @@ def _reference_obi_eval(config: ExperimentConfig) -> list:
     records = []
     for name in sorted(sequences):
         seq = sequences[name]
-        seq_data = seq.examples(pool)
+        seq_data = pool.subset(seq.pool_indices())
         sizes = sorted(set(t_values) | {t + k for t in t_values})
         for trial in range(config.trials):
             models = {size: factory(
